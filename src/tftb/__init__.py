@@ -7,97 +7,22 @@ wall-clock budget -- plus a random-sampling baseline under identical
 sample-exposure accounting for honest comparisons.
 """
 
-from .budget import BudgetClock, VirtualClock, WallClock
-from .data import (
-    UNSTRATIFIED,
-    Dataset,
-    DotMap,
-    SampleRecord,
-    density_map,
-    load_cifar10,
-    synth_classification,
-    synth_counting,
-    train_val_split,
-)
 from .errors import TftbError
 from .experiments import ExperimentSpec, run_experiment, run_sweep
-from .importance import (
-    AlphaSchedule,
-    ImportanceLedger,
-    SubsetPlan,
-    adapt_alpha,
-    merge_and_reselect,
-    rank,
-    select_subset,
-    subset_size,
-)
+from .importance import AlphaSchedule
 from .manifest import RunManifest
-from .metrics import accuracy, compare_runs, counting_errors, predicted_count
-from .nn import (
-    ConvDensityArch,
-    MlpArch,
-    ModelParams,
-    adam_step,
-    forward,
-    init_adam_state,
-    init_params,
-    load_params,
-    loss_and_grad,
-    save_params,
-)
-from .trainer import (
-    TrainConfig,
-    early_stop_check,
-    epoch_equivalent_batches,
-    train_baseline,
-    train_tftb,
-)
+from .metrics import compare_runs
+from .trainer import TrainConfig
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AlphaSchedule",
-    "BudgetClock",
-    "ConvDensityArch",
-    "Dataset",
-    "DotMap",
     "ExperimentSpec",
-    "ImportanceLedger",
-    "MlpArch",
-    "ModelParams",
     "RunManifest",
-    "SampleRecord",
-    "SubsetPlan",
     "TftbError",
     "TrainConfig",
-    "UNSTRATIFIED",
-    "VirtualClock",
-    "WallClock",
-    "accuracy",
-    "adam_step",
-    "adapt_alpha",
     "compare_runs",
-    "counting_errors",
-    "density_map",
-    "early_stop_check",
-    "epoch_equivalent_batches",
-    "forward",
-    "init_adam_state",
-    "init_params",
-    "load_cifar10",
-    "load_params",
-    "loss_and_grad",
-    "merge_and_reselect",
-    "predicted_count",
-    "rank",
     "run_experiment",
     "run_sweep",
-    "save_params",
-    "select_subset",
-    "subset_size",
-    "synth_classification",
-    "synth_counting",
-    "train_baseline",
-    "train_tftb",
-    "train_val_split",
 ]

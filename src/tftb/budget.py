@@ -5,7 +5,7 @@ against a fixed total budget.  Batch time is measured over the warm-up pass
 and then tracked as an exponentially weighted average, so iteration planning
 stays honest when the active subset (and with it the per-batch cost) changes.
 Everything the engine spends time on -- training batches, validation, ranking,
-score refreshes -- is charged through the same clock.
+score refreshes, ledger dumps -- is charged through the same clock.
 
 Timing sources are injectable: ``WallClock`` wraps the process monotonic
 clock, ``VirtualClock`` replays scripted durations so every budget behaviour
@@ -113,13 +113,9 @@ class BudgetClock:
         self.tb_max = 0.0
         self.max_section = 0.0
         self.warmup_elapsed: float | None = None
-        self.started_at: float | None = None
-
-    def start(self, now: float) -> None:
-        self.started_at = now
 
     def charge(self, seconds: float) -> None:
-        """Add overhead time (ranking, validation, refreshes) to consumed."""
+        """Add overhead time (ranking, validation, refreshes, ledger dumps) to consumed."""
         if seconds < 0:
             raise BudgetError(f"cannot charge {seconds} seconds")
         self.consumed += seconds

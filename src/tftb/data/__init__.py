@@ -1,4 +1,3 @@
-from .cache import load_dataset, save_dataset
 from .cifar10 import channel_stats, load_cifar10, read_batch_file
 from .dataset import UNSTRATIFIED, Dataset, SampleRecord, train_val_split
 from .density import DotMap, density_map
@@ -12,9 +11,7 @@ __all__ = [
     "channel_stats",
     "density_map",
     "load_cifar10",
-    "load_dataset",
     "read_batch_file",
-    "save_dataset",
     "synth_classification",
     "synth_counting",
     "train_val_split",

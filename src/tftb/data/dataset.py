@@ -61,17 +61,11 @@ class Dataset:
     def feature_shape(self) -> tuple[int, ...]:
         return tuple(self.samples[0].features.shape) if self.samples else ()
 
-    def by_id(self) -> dict[int, SampleRecord]:
-        return {s.id: s for s in self.samples}
-
     def class_sizes(self) -> dict[int, int]:
         sizes: dict[int, int] = {}
         for s in self.samples:
             sizes[s.class_tag] = sizes.get(s.class_tag, 0) + 1
         return sizes
-
-    def class_tags(self) -> dict[int, int]:
-        return {s.id: s.class_tag for s in self.samples}
 
     def fingerprint(self) -> str:
         """Stable digest of structure plus a data subsample.

@@ -7,6 +7,10 @@ swings between passes get an extra push to stay in the pool.  Ranking is
 descending by score with ascending-id tie-breaks, and the active subset keeps
 the top ``(1 - alpha)`` fraction, either globally or per class.
 
+All per-sample state is held in arrays in ascending-id order: the ledger's
+``ids``, its loss windows, the scores ``effective_scores`` returns, and the
+scores ``select_subset`` takes.
+
 Samples outside the active subset receive no new losses; their history (and
 hence their score) goes stale until the full universe is merged and re-ranked,
 at which point a stale-but-high score wins back a slot.
@@ -16,7 +20,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from itertools import repeat
+from typing import Sequence
 
 import numpy as np
 
@@ -35,73 +40,123 @@ def subset_size(n: int, alpha: float) -> int:
 
 
 class ImportanceLedger:
-    """Per-sample loss history over a sliding window of the last W passes."""
+    """Per-sample loss history over a sliding window of the last W passes.
 
-    def __init__(self, sample_ids: Iterable[int], window: int):
+    Row ``r`` of every array belongs to ``ids[r]``, and ids ascend.  A row of
+    the ``(N, W)`` loss window holds its valid losses oldest first, followed
+    by zero padding; ``last_observed_epoch`` is -1 for ids never observed.
+    """
+
+    def __init__(self, sample_ids, window: int):
         if window < 1:
             raise ConfigError(f"score window must be >= 1, got {window}")
         self.window = window
-        self._history: dict[int, list[float]] = {int(i): [] for i in sample_ids}
-        self.last_observed_epoch: dict[int, int] = {}
-        if not self._history:
+        self.ids = np.unique(np.asarray(sample_ids, dtype=np.int64))
+        if self.ids.size == 0:
             raise LedgerError("ledger needs at least one sample id")
+        self._losses = np.zeros((self.ids.size, window))
+        self._counts = np.zeros(self.ids.size, dtype=np.int64)
+        self.last_observed_epoch = np.full(self.ids.size, -1, dtype=np.int64)
 
     def __len__(self) -> int:
-        return len(self._history)
-
-    @property
-    def ids(self) -> list[int]:
-        return list(self._history)
+        return self.ids.size
 
     def history(self, sample_id: int) -> tuple[float, ...]:
-        try:
-            return tuple(self._history[sample_id])
-        except KeyError:
-            raise LedgerError(f"unknown sample id {sample_id}") from None
+        row = int(np.searchsorted(self.ids, sample_id))
+        if row == self.ids.size or self.ids[row] != sample_id:
+            raise LedgerError(f"unknown sample id {sample_id}")
+        return tuple(self._losses[row, : self._counts[row]].tolist())
 
-    def observation_counts(self) -> dict[int, int]:
-        return {i: len(h) for i, h in self._history.items()}
+    def record_losses(self, sample_ids, losses, epoch: int) -> None:
+        """Append ``losses[k]`` to the window of ``sample_ids[k]``, in call order.
 
-    def record_losses(self, observations: Sequence[tuple[int, float]], epoch: int) -> None:
-        """Append one loss per (id, loss) pair, evicting beyond the window."""
-        for sample_id, loss in observations:
-            sample_id = int(sample_id)
-            hist = self._history.get(sample_id)
-            if hist is None:
-                raise LedgerError(f"unknown sample id {sample_id}")
-            loss = float(loss)
-            if not math.isfinite(loss) or loss < 0.0:
-                raise LedgerError(f"sample {sample_id}: loss must be finite and >= 0, got {loss}")
-            hist.append(loss)
-            if len(hist) > self.window:
-                del hist[: len(hist) - self.window]
-            self.last_observed_epoch[sample_id] = epoch
+        The whole call is checked before anything is written, so a rejected
+        call leaves the ledger unchanged.
+        """
+        sample_ids = np.asarray(sample_ids, dtype=np.int64)
+        losses = np.asarray(losses, dtype=np.float64)
+        if sample_ids.ndim != 1 or losses.shape != sample_ids.shape:
+            raise LedgerError(
+                f"need one loss per sample id, got shapes {losses.shape} and {sample_ids.shape}"
+            )
+        rows = np.searchsorted(self.ids, sample_ids)
+        unknown = self.ids[np.minimum(rows, self.ids.size - 1)] != sample_ids
+        bad = unknown | ~(np.isfinite(losses) & (losses >= 0.0))
+        if bad.any():
+            k = int(bad.argmax())
+            if unknown[k]:
+                raise LedgerError(f"unknown sample id {sample_ids[k]}")
+            raise LedgerError(
+                f"sample {sample_ids[k]}: loss must be finite and >= 0, got {losses[k]}"
+            )
+        self._append(rows, losses, epoch)
 
-    def effective_scores(self, lambda_var: float) -> dict[int, float]:
-        """mean + lambda_var * population std over each sample's window.
+    def _append(self, rows: np.ndarray, losses: np.ndarray, epoch: int) -> None:
+        ordered = np.sort(rows)
+        if (ordered[1:] == ordered[:-1]).any():
+            # a row repeated in the call appends once per occurrence, in call
+            # order: first occurrences now, the rest after them
+            _, first = np.unique(rows, return_index=True)
+            later = np.ones(rows.size, dtype=bool)
+            later[first] = False
+            self._append(rows[first], losses[first], epoch)
+            self._append(rows[later], losses[later], epoch)
+            return
+        counts = self._counts[rows]
+        full = rows[counts == self.window]
+        self._losses[full, :-1] = self._losses[full, 1:]
+        self._losses[rows, np.minimum(counts, self.window - 1)] = losses
+        self._counts[rows] = np.minimum(counts + 1, self.window)
+        self.last_observed_epoch[rows] = epoch
+
+    def moments(self) -> tuple[np.ndarray, np.ndarray]:
+        """Mean and population std of each window's valid losses; NaN where empty.
+
+        The padding is zero and follows the valid losses, so for W < 8, where
+        numpy sums a row in order, each row's sums equal those of its valid
+        losses alone: the results are bit-identical to ``np.mean`` and
+        ``np.std`` of the history.
+        """
+        valid = np.arange(self.window) < self._counts[:, None]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            mean = self._losses.sum(axis=1) / self._counts
+            dev = np.where(valid, self._losses - mean[:, None], 0.0)
+            std = np.sqrt((dev * dev).sum(axis=1) / self._counts)
+        return mean, std
+
+    def effective_scores(self, lambda_var: float) -> np.ndarray:
+        """mean + lambda_var * population std over each window, aligned with ``ids``.
 
         Every id must have at least one observation; selection before the
         warm-up pass has finished is a caller bug.
         """
-        scores: dict[int, float] = {}
-        for sample_id, hist in self._history.items():
-            if not hist:
-                raise LedgerError(
-                    f"sample {sample_id} has no observed losses; warm-up must precede selection"
-                )
-            arr = np.asarray(hist)
-            scores[sample_id] = float(arr.mean() + lambda_var * arr.std())
-        return scores
+        empty = self._counts == 0
+        if empty.any():
+            raise LedgerError(
+                f"sample {self.ids[empty.argmax()]} has no observed losses; "
+                "warm-up must precede selection"
+            )
+        mean, std = self.moments()
+        return mean + lambda_var * std
 
 
-def rank(scores: Mapping[int, float]) -> list[int]:
+def _ranking(ids: np.ndarray, scores: np.ndarray, *outer_keys) -> np.ndarray:
+    """Positions sorted by the outer keys, then descending score, then ascending id."""
+    nan = np.isnan(scores)
+    if nan.any():
+        raise LedgerError(f"NaN score for sample id {ids[nan.argmax()]}")
+    return np.lexsort((ids, -scores) + outer_keys)
+
+
+def rank(ids, scores) -> np.ndarray:
     """Ids in descending score order; ties broken by ascending id."""
-    if not scores:
-        raise LedgerError("cannot rank an empty score map")
-    for sample_id, score in scores.items():
-        if math.isnan(score):
-            raise LedgerError(f"NaN score for sample id {sample_id}")
-    return sorted(scores, key=lambda i: (-scores[i], i))
+    ids = np.asarray(ids, dtype=np.int64)
+    scores = np.asarray(scores, dtype=np.float64)
+    if ids.size == 0:
+        raise LedgerError("cannot rank an empty score array")
+    if scores.shape != ids.shape:
+        raise LedgerError(f"need one score per id, got shapes {scores.shape} and {ids.shape}")
+    return ids[_ranking(ids, scores)]
 
 
 @dataclass(frozen=True)
@@ -115,13 +170,9 @@ class SubsetPlan:
     per_class_counts: dict[int, int]
 
     def __post_init__(self):
-        overlap = set(self.selected_ids) & set(self.excluded_ids)
-        if overlap:
-            raise SelectionError(f"selected/excluded overlap: {sorted(overlap)[:5]}")
-
-    @property
-    def all_ids(self) -> frozenset[int]:
-        return frozenset(self.selected_ids) | frozenset(self.excluded_ids)
+        overlap = np.intersect1d(self.selected_ids, self.excluded_ids)
+        if overlap.size:
+            raise SelectionError(f"selected/excluded overlap: {overlap[:5].tolist()}")
 
 
 def _stratified_quotas(class_sizes: dict[int, int], alpha: float, total_target: int) -> dict[int, int]:
@@ -158,49 +209,61 @@ def _stratified_quotas(class_sizes: dict[int, int], alpha: float, total_target: 
     return quotas
 
 
+def _ids_and_tags(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """The dataset's sample ids in ascending order, and their class tags."""
+    n = len(dataset)
+    ids = np.fromiter((s.id for s in dataset.samples), np.int64, n)
+    tags = np.fromiter((s.class_tag for s in dataset.samples), np.int64, n)
+    order = np.argsort(ids)
+    return ids[order], tags[order]
+
+
 def select_subset(
-    scores: Mapping[int, float],
+    scores,
     dataset: Dataset,
     alpha: float,
     stratified: bool,
     epoch: int = 0,
 ) -> SubsetPlan:
-    """Keep the top (1 - alpha) fraction by score, globally or per class."""
+    """Keep the top (1 - alpha) fraction by score, globally or per class.
+
+    ``scores`` holds one score per sample of ``dataset`` in ascending-id
+    order, as ``ImportanceLedger.effective_scores`` returns them.
+    """
     if not 0.0 <= alpha < 1.0:
         raise ConfigError(f"alpha must be in [0, 1), got {alpha}")
     if len(dataset) == 0:
         raise SelectionError("cannot select a subset of an empty dataset")
-    ids = dataset.ids
-    missing = [i for i in ids if i not in scores]
-    if missing:
-        raise LedgerError(f"no score for sample ids {missing[:5]} (and possibly more)")
+    ids, tags = _ids_and_tags(dataset)
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.shape != ids.shape:
+        raise LedgerError(
+            f"{scores.size} scores for {ids.size} sample ids: "
+            "no score for some ids, or scores for ids not in the dataset"
+        )
 
-    total_target = subset_size(len(ids), alpha)
+    total_target = subset_size(ids.size, alpha)
+    groups = tags if stratified else np.zeros_like(tags)
+    classes, sizes = np.unique(groups, return_counts=True)
     if stratified:
-        tags = dataset.class_tags()
-        by_class: dict[int, list[int]] = {}
-        for i in ids:
-            by_class.setdefault(tags[i], []).append(i)
-        quotas = _stratified_quotas({c: len(v) for c, v in by_class.items()}, alpha, total_target)
-        selected: list[int] = []
-        for c, members in by_class.items():
-            ordered = rank({i: scores[i] for i in members})
-            selected.extend(ordered[: quotas[c]])
+        class_sizes = dict(zip(classes.tolist(), sizes.tolist()))
+        quotas = _stratified_quotas(class_sizes, alpha, total_target)
+        quota = np.array([quotas[c] for c in classes.tolist()])
     else:
-        selected = rank({i: scores[i] for i in ids})[:total_target]
+        quota = np.array([total_target])
+    # one sort groups the samples by class, best first within each class
+    order = _ranking(ids, scores, groups)
+    place_in_class = np.arange(ids.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    selected = np.zeros(ids.size, dtype=bool)
+    selected[order] = place_in_class < np.repeat(quota, sizes)
 
-    selected_set = set(selected)
-    excluded = [i for i in ids if i not in selected_set]
-    tags = dataset.class_tags()
-    per_class: dict[int, int] = {}
-    for i in selected:
-        per_class[tags[i]] = per_class.get(tags[i], 0) + 1
+    counted_classes, counts = np.unique(tags[selected], return_counts=True)
     return SubsetPlan(
-        selected_ids=tuple(sorted(selected)),
-        excluded_ids=tuple(sorted(excluded)),
+        selected_ids=tuple(ids[selected].tolist()),
+        excluded_ids=tuple(ids[~selected].tolist()),
         alpha=alpha,
         epoch=epoch,
-        per_class_counts=per_class,
+        per_class_counts=dict(zip(counted_classes.tolist(), counts.tolist())),
     )
 
 
@@ -214,7 +277,8 @@ def merge_and_reselect(
     epoch: int = 0,
 ) -> SubsetPlan:
     """Re-rank the full id universe (stale scores included) and re-partition."""
-    if previous.all_ids != frozenset(dataset.ids):
+    covered = np.sort(np.array(previous.selected_ids + previous.excluded_ids, dtype=np.int64))
+    if not np.array_equal(covered, _ids_and_tags(dataset)[0]):
         raise SelectionError("previous subset plan does not partition this dataset's ids")
     scores = ledger.effective_scores(lambda_var)
     return select_subset(scores, dataset, alpha, stratified, epoch=epoch)
@@ -268,20 +332,15 @@ def ledger_rows(
     ledger: ImportanceLedger, plan: SubsetPlan, lambda_var: float, epoch: int
 ) -> list[tuple[int, int, float, float, float, int]]:
     """Rows (epoch, sample_id, mean, std, effective_score, selected) for a CSV dump."""
-    selected = set(plan.selected_ids)
-    rows = []
-    for sample_id in sorted(ledger.ids):
-        hist = np.asarray(ledger.history(sample_id))
-        mean = float(hist.mean()) if hist.size else float("nan")
-        std = float(hist.std()) if hist.size else float("nan")
-        rows.append(
-            (
-                epoch,
-                sample_id,
-                mean,
-                std,
-                mean + lambda_var * std,
-                1 if sample_id in selected else 0,
-            )
+    mean, std = ledger.moments()
+    selected = np.isin(ledger.ids, plan.selected_ids).astype(np.int64)
+    return list(
+        zip(
+            repeat(epoch),
+            ledger.ids.tolist(),
+            mean.tolist(),
+            std.tolist(),
+            (mean + lambda_var * std).tolist(),
+            selected.tolist(),
         )
-    return rows
+    )

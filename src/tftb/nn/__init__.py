@@ -12,7 +12,7 @@ from .models import (
     loss_and_grad,
     per_sample_losses,
 )
-from .tensor import as_f64, require_finite, require_shape
+from .tensor import as_f64, require_finite
 
 __all__ = [
     "AdamState",
@@ -31,6 +31,5 @@ __all__ = [
     "loss_and_grad",
     "per_sample_losses",
     "require_finite",
-    "require_shape",
     "save_params",
 ]

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import CorruptDataError
+from ..errors import CorruptDataError, ShapeError
 from .models import ModelParams, arch_from_descriptor
 
 MAGIC = b"TFTBPAR1"
@@ -40,17 +40,25 @@ def load_params(path) -> ModelParams:
     blob = Path(path).read_bytes()
     if blob[:8] != MAGIC:
         raise CorruptDataError(f"{path}: bad magic {blob[:8]!r}, expected {MAGIC!r}")
+    if len(blob) < 12:
+        raise CorruptDataError(f"{path}: truncated header, {len(blob)} of 12 bytes")
     (desc_len,) = struct.unpack("<I", blob[8:12])
     desc_end = 12 + desc_len
     try:
         desc = json.loads(blob[12:desc_end].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CorruptDataError(f"{path}: unreadable architecture descriptor: {exc}") from exc
-    arch = arch_from_descriptor(desc)
+    try:
+        arch = arch_from_descriptor(desc)
+        layer_shapes = arch.layer_shapes()
+    except (AttributeError, KeyError, TypeError, ValueError, ShapeError) as exc:
+        raise CorruptDataError(
+            f"{path}: invalid architecture descriptor {desc!r}: {exc!r}"
+        ) from exc
 
     offset = desc_end
     weights, biases = [], []
-    for w_shape, b_shape in arch.layer_shapes():
+    for w_shape, b_shape in layer_shapes:
         for shape, dest in ((w_shape, weights), (b_shape, biases)):
             n_bytes = int(np.prod(shape)) * 8
             chunk = blob[offset : offset + n_bytes]

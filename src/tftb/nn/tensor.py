@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import NonFiniteError, ShapeError
+from ..errors import NonFiniteError
 
 
 def as_f64(values) -> np.ndarray:
@@ -22,12 +22,4 @@ def require_finite(arr: np.ndarray, context: str) -> np.ndarray:
     """Raise NonFiniteError if ``arr`` contains NaN/Inf; return it otherwise."""
     if not np.isfinite(arr).all():
         raise NonFiniteError(f"non-finite values in {context}")
-    return arr
-
-
-def require_shape(arr: np.ndarray, expected: tuple[int, ...], context: str) -> np.ndarray:
-    if tuple(arr.shape) != tuple(expected):
-        raise ShapeError(
-            f"{context}: expected shape {tuple(expected)}, got {tuple(arr.shape)}"
-        )
     return arr

@@ -30,7 +30,7 @@ import numpy as np
 
 from .budget import BudgetClock, WallClock
 from .data.dataset import Dataset
-from .errors import BudgetError, ConfigError, NonFiniteError, TrainingAbort
+from .errors import BudgetError, ConfigError, NonFiniteError, SelectionError, TrainingAbort
 from .importance import (
     AlphaSchedule,
     ImportanceLedger,
@@ -134,22 +134,19 @@ def _epoch_batch_sizes(n_total: int, batch_size: int) -> list[int]:
     return [batch_size] * (n_batches - 1) + [tail]
 
 
-def _epoch_batch_ids(
-    pool: list[int], sizes: list[int], rng: np.random.Generator
-) -> list[list[int]]:
+def _epoch_batches(
+    pool: np.ndarray, sizes: list[int], rng: np.random.Generator
+) -> list[np.ndarray]:
     """Cut one epoch-equivalent of batches from the pool, cycling with reshuffles."""
+    if len(pool) == 0:
+        raise SelectionError("the active subset is empty: alpha leaves no sample to train on")
     needed = sum(sizes)
-    order: list[int] = []
-    while len(order) < needed:
-        perm = np.asarray(pool, dtype=np.int64)
+    perms = []
+    while len(perms) * len(pool) < needed:
+        perm = pool.copy()
         rng.shuffle(perm)
-        order.extend(perm.tolist())
-    batches: list[list[int]] = []
-    at = 0
-    for size in sizes:
-        batches.append(order[at : at + size])
-        at += size
-    return batches
+        perms.append(perm)
+    return np.split(np.concatenate(perms)[:needed], np.cumsum(sizes)[:-1])
 
 
 def _stack_dataset(dataset: Dataset, loss_kind: str):
@@ -158,7 +155,7 @@ def _stack_dataset(dataset: Dataset, loss_kind: str):
         targets = np.asarray([s.target for s in dataset.samples], dtype=np.int64)
     else:
         targets = np.stack([s.target for s in dataset.samples])
-    return feats, targets, dataset.ids
+    return feats, targets, np.array(dataset.ids, dtype=np.int64)
 
 
 def _mean_eval_loss(params, feats, targets, loss_kind, batch_size) -> float:
@@ -205,11 +202,18 @@ def _run(params, train_set, val_set, cfg, clock, ledger_writer):
 
     rng = np.random.default_rng(cfg.seed)
     budget = BudgetClock(cfg.budget_seconds)
-    budget.start(clock.now())
     adam_state = init_adam_state(params)
 
-    feats, targets, ids_in_order = _stack_dataset(train_set, cfg.loss_kind)
-    row_of = {sid: i for i, sid in enumerate(ids_in_order)}
+    # pools and batches are arrays of dataset rows; a pool lists its rows in
+    # ascending-id order, so a seeded run's batches do not depend on the
+    # order of the dataset's records
+    feats, targets, ids = _stack_dataset(train_set, cfg.loss_kind)
+    rows_by_id = np.argsort(ids)
+    sorted_ids = ids[rows_by_id]
+
+    def rows_of(sample_ids):
+        return rows_by_id[np.searchsorted(sorted_ids, sample_ids)]
+
     have_val = len(val_set) > 0
     if have_val:
         val_feats, val_targets, _ = _stack_dataset(val_set, cfg.loss_kind)
@@ -218,9 +222,8 @@ def _run(params, train_set, val_set, cfg, clock, ledger_writer):
     n = len(train_set)
     sizes = _epoch_batch_sizes(n, cfg.batch_size)
     n_b = len(sizes)
-    all_ids_sorted = sorted(train_set.ids)
 
-    ledger = ImportanceLedger(train_set.ids, cfg.score_window) if selective else None
+    ledger = ImportanceLedger(ids, cfg.score_window) if selective else None
     plan: SubsetPlan | None = None
     alpha_now = cfg.alpha
 
@@ -232,17 +235,21 @@ def _run(params, train_set, val_set, cfg, clock, ledger_writer):
     executed_batches = 0
     planned_initial: int | None = None
 
-    def batch_step(batch_ids):
-        rows = [row_of[i] for i in batch_ids]
+    def batch_step(batch):
+        batch_ids = ids[batch]
         result = loss_and_grad(
-            params, feats[rows], targets[rows], cfg.loss_kind, sample_ids=batch_ids
+            params, feats[batch], targets[batch], cfg.loss_kind, sample_ids=batch_ids
         )
         adam_step(params, result.grad_weights, result.grad_biases, adam_state, cfg.lr)
         if ledger is not None:
-            ledger.record_losses(
-                list(zip(batch_ids, result.per_sample_losses.tolist())), epoch
-            )
+            ledger.record_losses(batch_ids, result.per_sample_losses, epoch)
         return result
+
+    def dump_ledger():
+        if ledger_writer is not None:
+            with clock.measure("ledger") as span:
+                ledger_writer(ledger_rows(ledger, plan, cfg.lambda_var, epoch))
+            budget.charge(span.elapsed)
 
     def run_validation():
         if not have_val:
@@ -300,17 +307,17 @@ def _run(params, train_set, val_set, cfg, clock, ledger_writer):
             samples_seen = 0
             epoch_wall = 0.0
             with clock.measure("shuffle") as span:
-                warmup_batch_lists = _epoch_batch_ids(all_ids_sorted, sizes, rng)
+                warmup_batches = _epoch_batches(rows_by_id, sizes, rng)
             warm_elapsed += span.elapsed  # folded into the tb measurement window
             epoch_wall += span.elapsed
-            for batch_ids in warmup_batch_lists:
+            for batch in warmup_batches:
                 with clock.measure("batch") as span:
-                    result = batch_step(batch_ids)
+                    result = batch_step(batch)
                 warm_batches += 1
                 warm_elapsed += span.elapsed
                 epoch_wall += span.elapsed
-                samples_seen += len(batch_ids)
-                loss_weighted += result.mean_loss * len(batch_ids)
+                samples_seen += len(batch)
+                loss_weighted += result.mean_loss * len(batch)
                 if cfg.budget_seconds is not None:
                     if warm_batches == 1:
                         projected = span.elapsed * n_b * cfg.warmup_epochs
@@ -355,8 +362,7 @@ def _run(params, train_set, val_set, cfg, clock, ledger_writer):
                 scores = ledger.effective_scores(cfg.lambda_var)
                 plan = select_subset(scores, train_set, alpha_now, cfg.stratified, epoch=epoch)
             budget.charge(span.elapsed)
-            if ledger_writer is not None:
-                ledger_writer(ledger_rows(ledger, plan, cfg.lambda_var, epoch))
+            dump_ledger()
         planned_initial = budget.plan_iterations()
 
         # ---- main loop: one epoch-equivalent per iteration ----
@@ -373,9 +379,9 @@ def _run(params, train_set, val_set, cfg, clock, ledger_writer):
                 break
 
             epoch += 1
-            pool = list(plan.selected_ids) if selective else all_ids_sorted
+            pool = rows_of(plan.selected_ids) if selective else rows_by_id
             with clock.measure("shuffle") as span:
-                batch_id_lists = _epoch_batch_ids(pool, sizes, rng)
+                batches = _epoch_batches(pool, sizes, rng)
             budget.charge(span.elapsed)
             cap = n_b if planned is None else min(n_b, planned)
 
@@ -384,17 +390,17 @@ def _run(params, train_set, val_set, cfg, clock, ledger_writer):
             epoch_wall = 0.0
             ran = 0
             stopped_mid_epoch = False
-            for batch_ids in batch_id_lists[:cap]:
+            for batch in batches[:cap]:
                 if budget.should_stop():
                     stopped_mid_epoch = True
                     break
                 with clock.measure("batch") as span:
-                    result = batch_step(batch_ids)
+                    result = batch_step(batch)
                 budget.observe_batch(span.elapsed)
                 epoch_wall += span.elapsed
                 ran += 1
-                samples_seen += len(batch_ids)
-                loss_weighted += result.mean_loss * len(batch_ids)
+                samples_seen += len(batch)
+                loss_weighted += result.mean_loss * len(batch)
             executed_batches += ran
             if ran == 0:
                 epoch -= 1
@@ -449,7 +455,7 @@ def _run(params, train_set, val_set, cfg, clock, ledger_writer):
                     if budget.fits(est):
                         with clock.measure("refresh") as span:
                             _refresh_excluded(
-                                params, feats, targets, row_of, plan.excluded_ids,
+                                params, feats, targets, ids, rows_of(plan.excluded_ids),
                                 cfg, ledger, epoch,
                             )
                         budget.charge(span.elapsed)
@@ -462,8 +468,7 @@ def _run(params, train_set, val_set, cfg, clock, ledger_writer):
                             epoch=epoch,
                         )
                     budget.charge(span.elapsed)
-                    if ledger_writer is not None:
-                        ledger_writer(ledger_rows(ledger, plan, cfg.lambda_var, epoch))
+                    dump_ledger()
     except NonFiniteError as exc:
         manifest = assemble_manifest(
             "non_finite_abort",
@@ -474,11 +479,9 @@ def _run(params, train_set, val_set, cfg, clock, ledger_writer):
     return params, assemble_manifest(stop_reason or "epoch_cap")
 
 
-def _refresh_excluded(params, feats, targets, row_of, excluded_ids, cfg, ledger, epoch):
+def _refresh_excluded(params, feats, targets, ids, rows, cfg, ledger, epoch):
     """Forward-only loss pass over excluded samples to un-stale their scores."""
-    ids = list(excluded_ids)
-    for lo in range(0, len(ids), cfg.batch_size):
-        chunk = ids[lo : lo + cfg.batch_size]
-        rows = [row_of[i] for i in chunk]
-        losses = per_sample_losses(params, feats[rows], targets[rows], cfg.loss_kind)
-        ledger.record_losses(list(zip(chunk, losses.tolist())), epoch)
+    for lo in range(0, len(rows), cfg.batch_size):
+        chunk = rows[lo : lo + cfg.batch_size]
+        losses = per_sample_losses(params, feats[chunk], targets[chunk], cfg.loss_kind)
+        ledger.record_losses(ids[chunk], losses, epoch)

@@ -165,7 +165,7 @@ def test_criterion_02_subset_exactness():
                 samples.append(SampleRecord(sid, zero, c, c))
                 sid += 1
         dataset = Dataset(samples, num_classes=len(class_sizes), split_tag="train")
-        scores = {i: float(rng.uniform()) for i in range(n)}
+        scores = np.array([float(rng.uniform()) for _ in range(n)])  # ids 0..n-1
         for alpha in (0.0, 0.3, 0.4):
             expected = expected_sizes[(n, alpha)]
             for stratified in (False, True):
@@ -187,11 +187,12 @@ def test_criterion_03_ranking_oracle():
         n = int(rng.integers(1, 65))
         ids = sorted(int(i) for i in rng.choice(2000, size=n, replace=False))
         dataset = Dataset([SampleRecord(i, zero, 0, 0) for i in ids], 1, "train")
-        scores = {i: float(rng.integers(0, 8)) for i in ids}  # heavy ties
+        scores = np.array([float(rng.integers(0, 8)) for _ in ids])  # heavy ties
         alpha = float(rng.uniform(0.0, 0.9))
         plan = select_subset(scores, dataset, alpha, stratified=False)
         k = subset_size(n, alpha)
-        brute = sorted(ids, key=lambda i: (-scores[i], i))[:k]
+        score_of = dict(zip(ids, scores.tolist()))
+        brute = sorted(ids, key=lambda i: (-score_of[i], i))[:k]
         assert set(plan.selected_ids) == set(brute)
         assert len(plan.selected_ids) == k
     _pass(3, "1000/1000 randomized instances identical to the sort oracle")

@@ -1,4 +1,4 @@
-"""Datasets: CIFAR-10 binary loader, synthetic generators, density maps, cache."""
+"""Datasets: CIFAR-10 binary loader, synthetic generators, density maps."""
 
 import math
 
@@ -12,9 +12,7 @@ from tftb.data import (
     SampleRecord,
     density_map,
     load_cifar10,
-    load_dataset,
     read_batch_file,
-    save_dataset,
     synth_classification,
     synth_counting,
     train_val_split,
@@ -210,7 +208,7 @@ def test_synth_counting_validates_parameters():
 
 
 # ---------------------------------------------------------------------------
-# dataset invariants, split, cache
+# dataset invariants, split
 
 
 def test_dataset_rejects_duplicate_ids_and_mixed_shapes():
@@ -237,31 +235,3 @@ def test_fingerprint_distinguishes_data_and_is_stable():
     b = synth_classification(seed=3, n_per_class=30, num_classes=2, easy_fraction=0.5)
     assert a.fingerprint() == a.fingerprint()
     assert a.fingerprint() != b.fingerprint()
-
-
-@pytest.mark.parametrize("kind", ["classification", "counting"])
-def test_dataset_cache_round_trip(tmp_path, kind):
-    if kind == "classification":
-        ds = synth_classification(seed=5, n_per_class=20, num_classes=3, easy_fraction=0.4)
-    else:
-        ds = synth_counting(seed=5, n_images=8, image_size=16, max_objects=3, sigma=2.0)
-    path = tmp_path / "cache.bin"
-    save_dataset(ds, path)
-    loaded = load_dataset(path)
-    assert loaded.split_tag == ds.split_tag
-    assert loaded.num_classes == ds.num_classes
-    assert loaded.meta == ds.meta
-    assert loaded.ids == ds.ids
-    for sa, sb in zip(ds.samples, loaded.samples):
-        assert sa.features.tobytes() == sb.features.tobytes()
-        if kind == "counting":
-            assert sa.target.tobytes() == sb.target.tobytes()
-        else:
-            assert sa.target == sb.target
-
-
-def test_dataset_cache_rejects_bad_magic(tmp_path):
-    path = tmp_path / "bad.bin"
-    path.write_bytes(b"WRONGMAG" + b"\x00" * 16)
-    with pytest.raises(CorruptDataError, match="magic"):
-        load_dataset(path)

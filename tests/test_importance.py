@@ -36,50 +36,68 @@ def uniform_dataset(n, num_classes=1):
 
 def test_record_losses_bookkeeping():
     ledger = ImportanceLedger([5, 6], window=4)
-    ledger.record_losses([(5, 2.0)], epoch=1)
+    ledger.record_losses([5], [2.0], epoch=1)
     assert ledger.history(5) == (2.0,)
     assert ledger.history(6) == ()
-    assert ledger.last_observed_epoch == {5: 1}
+    assert ledger.last_observed_epoch.tolist() == [1, -1]  # id 6 never observed
 
 
 def test_record_losses_window_keeps_last_w():
     ledger = ImportanceLedger([1], window=3)
     for epoch, loss in enumerate([1.0, 2.0, 3.0, 4.0], start=1):
-        ledger.record_losses([(1, loss)], epoch)
+        ledger.record_losses([1], [loss], epoch)
     assert ledger.history(1) == (2.0, 3.0, 4.0)
-    assert ledger.last_observed_epoch[1] == 4
+    assert ledger.last_observed_epoch[0] == 4
 
 
 def test_record_losses_empty_observation_list_is_identity():
     ledger = ImportanceLedger([1, 2], window=3)
-    ledger.record_losses([(1, 0.5)], epoch=1)
+    ledger.record_losses([1], [0.5], epoch=1)
     before = {i: ledger.history(i) for i in ledger.ids}
-    ledger.record_losses([], epoch=2)
+    ledger.record_losses([], [], epoch=2)
     assert {i: ledger.history(i) for i in ledger.ids} == before
 
 
 def test_record_losses_rejects_unknown_id_and_bad_losses():
     ledger = ImportanceLedger([1], window=3)
     with pytest.raises(LedgerError, match="unknown sample id 99"):
-        ledger.record_losses([(99, 1.0)], epoch=1)
+        ledger.record_losses([99], [1.0], epoch=1)
     with pytest.raises(LedgerError):
-        ledger.record_losses([(1, -0.5)], epoch=1)
+        ledger.record_losses([1], [-0.5], epoch=1)
     with pytest.raises(LedgerError):
-        ledger.record_losses([(1, float("nan"))], epoch=1)
+        ledger.record_losses([1], [float("nan")], epoch=1)
+
+
+@pytest.mark.parametrize(
+    "ids, losses, named",
+    [
+        ([1, 99, 2], [1.0, 1.0, 1.0], "unknown sample id 99"),
+        ([1, 3, 2], [1.0, -0.5, 1.0], "sample 3"),
+        ([2, 1], [float("nan"), 1.0], "sample 2"),
+    ],
+    ids=["unknown", "negative", "nan"],
+)
+def test_rejected_record_names_the_id_and_leaves_the_ledger_unchanged(ids, losses, named):
+    ledger = ImportanceLedger([1, 2, 3], window=2)
+    ledger.record_losses([1, 2, 3, 3], [0.5, 1.0, 1.5, 2.0], epoch=1)
+    before = [ledger.history(i) for i in (1, 2, 3)], ledger.last_observed_epoch.tolist()
+    with pytest.raises(LedgerError, match=named):
+        ledger.record_losses(ids, losses, epoch=2)
+    assert ([ledger.history(i) for i in (1, 2, 3)], ledger.last_observed_epoch.tolist()) == before
 
 
 def test_effective_scores_degenerate_and_two_point_cases():
     ledger = ImportanceLedger([1, 2], window=5)
-    ledger.record_losses([(1, 2.0), (2, 1.0)], epoch=1)
-    ledger.record_losses([(2, 3.0)], epoch=2)
-    scores = ledger.effective_scores(lambda_var=1.0)
+    ledger.record_losses([1, 2], [2.0, 1.0], epoch=1)
+    ledger.record_losses([2], [3.0], epoch=2)
+    scores = dict(zip(ledger.ids.tolist(), ledger.effective_scores(lambda_var=1.0).tolist()))
     assert scores[1] == 2.0  # single observation: std term is zero
     assert scores[2] == pytest.approx(3.0)  # mean 2.0 + population std 1.0
 
 
 def test_effective_scores_requires_warmup_coverage():
     ledger = ImportanceLedger([1, 2], window=5)
-    ledger.record_losses([(1, 2.0)], epoch=1)
+    ledger.record_losses([1], [2.0], epoch=1)
     with pytest.raises(LedgerError, match="warm-up"):
         ledger.effective_scores(1.0)
 
@@ -93,8 +111,8 @@ def test_effective_scores_match_two_pass_oracle():
         losses = rng.uniform(0.0, 5.0, size=rng.integers(1, 10)).tolist()
         histories[i] = losses
         for epoch, loss in enumerate(losses):
-            ledger.record_losses([(i, loss)], epoch)
-    scores = ledger.effective_scores(lambda_var=0.5)
+            ledger.record_losses([i], [loss], epoch)
+    scores = dict(zip(ledger.ids.tolist(), ledger.effective_scores(lambda_var=0.5).tolist()))
     for i, losses in histories.items():
         mean = sum(losses) / len(losses)
         var = sum((v - mean) ** 2 for v in losses) / len(losses)
@@ -105,8 +123,60 @@ def test_effective_scores_match_two_pass_oracle():
 def test_lambda_zero_reduces_to_running_mean():
     ledger = ImportanceLedger([1], window=5)
     for epoch, loss in enumerate([1.0, 2.0, 6.0]):
-        ledger.record_losses([(1, loss)], epoch)
-    assert ledger.effective_scores(0.0)[1] == pytest.approx(3.0)
+        ledger.record_losses([1], [loss], epoch)
+    assert ledger.effective_scores(0.0)[0] == pytest.approx(3.0)
+
+
+class ListLedger:
+    """Reference ledger: one Python list of recent losses per id."""
+
+    def __init__(self, ids, window):
+        self.window = window
+        self.hist = {i: [] for i in ids}
+        self.last = {}
+
+    def record(self, ids, losses, epoch):
+        for i, loss in zip(ids, losses):
+            self.hist[i].append(loss)
+            del self.hist[i][: -self.window]
+            self.last[i] = epoch
+
+    def moments(self, i):
+        arr = np.asarray(self.hist[i])
+        return arr.mean(), arr.std()
+
+
+@pytest.mark.parametrize("window", [1, 3, 5, 7, 10])
+def test_array_ledger_matches_list_ledger_on_random_streams(window):
+    rng = np.random.default_rng(window)
+    ids = np.sort(rng.choice(10_000, size=60, replace=False))
+    ledger, ref = ImportanceLedger(ids[::-1], window), ListLedger(ids.tolist(), window)
+    # a full pass first, so every id has a score; then random batches whose
+    # ids repeat within a call, as at a reshuffle seam, and overflow windows
+    calls = [ids] + [rng.choice(ids, size=rng.integers(0, 40)) for _ in range(60)]
+    assert any(np.unique(batch).size < batch.size for batch in calls)
+    seen = set()
+    for epoch, batch in enumerate(calls, start=1):
+        losses = rng.uniform(0.0, 5.0, size=batch.size)
+        losses[rng.uniform(size=batch.size) < 0.05] = 0.0
+        ledger.record_losses(batch, losses, epoch)
+        ref.record(batch.tolist(), losses.tolist(), epoch)
+        seen.update("full" if len(h) == window else "partial" for h in ref.hist.values())
+        assert [ledger.history(i) for i in ids] == [tuple(ref.hist[i]) for i in ids.tolist()]
+        assert ledger.last_observed_epoch.tolist() == [ref.last.get(i, -1) for i in ids.tolist()]
+        want_moments = np.array([ref.moments(i) for i in ids.tolist()]).T
+        for lambda_var in (None, 0.0, 1.0, 0.37):
+            if lambda_var is None:  # the mean and std that ledger_rows dumps
+                got, want = np.array(ledger.moments()), want_moments
+            else:
+                got = ledger.effective_scores(lambda_var)
+                want = want_moments[0] + lambda_var * want_moments[1]
+            if window < 8:
+                assert got.tobytes() == want.tobytes()
+            else:
+                np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+    assert seen == ({"full"} if window == 1 else {"full", "partial"})
+    assert np.unique(np.concatenate(calls), return_counts=True)[1].max() > window  # evictions
 
 
 # ---------------------------------------------------------------------------
@@ -114,11 +184,11 @@ def test_lambda_zero_reduces_to_running_mean():
 
 
 def test_rank_three_elements():
-    assert rank({0: 0.2, 1: 0.9, 2: 0.5}) == [1, 2, 0]
+    assert rank([0, 1, 2], [0.2, 0.9, 0.5]).tolist() == [1, 2, 0]
 
 
 def test_rank_ties_break_by_ascending_id():
-    assert rank({3: 1.0, 1: 1.0, 2: 1.0}) == [1, 2, 3]
+    assert rank([3, 1, 2], [1.0, 1.0, 1.0]).tolist() == [1, 2, 3]
 
 
 def test_rank_matches_comparison_sort_oracle():
@@ -126,18 +196,20 @@ def test_rank_matches_comparison_sort_oracle():
     for _ in range(1000):
         n = int(rng.integers(1, 40))
         ids = rng.choice(10_000, size=n, replace=False)
-        scores = {int(i): float(rng.integers(0, 5)) for i in ids}  # many ties
-        want = sorted(scores, key=lambda i: (-scores[i], i))
-        assert rank(scores) == want
+        scores = np.array([float(rng.integers(0, 5)) for _ in ids])  # many ties
+        want = sorted(range(n), key=lambda k: (-scores[k], ids[k]))
+        assert rank(ids, scores).tolist() == ids[want].tolist()
 
 
 def test_rank_rejects_nan_naming_id():
     with pytest.raises(LedgerError, match="sample id 7"):
-        rank({1: 0.5, 7: float("nan")})
+        rank([1, 7], [0.5, float("nan")])
 
 
 # ---------------------------------------------------------------------------
 # subset selection
+#
+# scores are arrays in ascending-id order; these datasets have ids 0..n-1
 
 
 def test_subset_size_matches_sampling_rule():
@@ -149,7 +221,7 @@ def test_subset_size_matches_sampling_rule():
 def test_select_subset_stratified_two_classes():
     class_of = {i: 0 for i in range(10)} | {i + 10: 1 for i in range(10)}
     ds = make_dataset(class_of)
-    scores = {i: float(i) for i in range(20)}
+    scores = np.array([float(i) for i in range(20)])
     plan = select_subset(scores, ds, alpha=0.4, stratified=True)
     assert plan.per_class_counts == {0: 6, 1: 6}
     assert set(plan.selected_ids) == {4, 5, 6, 7, 8, 9, 14, 15, 16, 17, 18, 19}
@@ -158,16 +230,16 @@ def test_select_subset_stratified_two_classes():
 def test_select_subset_unstratified_matches_brute_force():
     rng = np.random.default_rng(11)
     ds = uniform_dataset(200)
-    scores = {i: float(rng.standard_normal()) for i in range(200)}
+    scores = np.array([float(rng.standard_normal()) for _ in range(200)])
     plan = select_subset(scores, ds, alpha=0.25, stratified=False)
-    brute = sorted(scores, key=lambda i: (-scores[i], i))[:150]
+    brute = sorted(range(200), key=lambda i: (-scores[i], i))[:150]
     assert set(plan.selected_ids) == set(brute)
     assert len(plan.selected_ids) == 150
 
 
 def test_select_subset_alpha_zero_selects_everything():
     ds = uniform_dataset(17, num_classes=3)
-    scores = {i: 1.0 for i in range(17)}
+    scores = np.ones(17)
     plan = select_subset(scores, ds, alpha=0.0, stratified=True)
     assert set(plan.selected_ids) == set(range(17))
     assert plan.excluded_ids == ()
@@ -176,7 +248,7 @@ def test_select_subset_alpha_zero_selects_everything():
 def test_select_subset_partition_invariant():
     rng = np.random.default_rng(2)
     ds = uniform_dataset(101, num_classes=4)
-    scores = {i: float(rng.uniform()) for i in range(101)}
+    scores = np.array([float(rng.uniform()) for _ in range(101)])
     for alpha in (0.0, 0.25, 0.5, 0.9):
         for stratified in (False, True):
             plan = select_subset(scores, ds, alpha, stratified)
@@ -188,9 +260,9 @@ def test_select_subset_partition_invariant():
 def test_monotone_selection_within_class():
     rng = np.random.default_rng(6)
     ds = uniform_dataset(60, num_classes=3)
-    scores = {i: float(rng.uniform()) for i in range(60)}
+    scores = np.array([float(rng.uniform()) for _ in range(60)])
     plan = select_subset(scores, ds, alpha=0.35, stratified=True)
-    tags = ds.class_tags()
+    tags = {s.id: s.class_tag for s in ds.samples}
     selected = set(plan.selected_ids)
     for a in range(60):
         for b in range(60):
@@ -201,28 +273,29 @@ def test_monotone_selection_within_class():
 def test_rank_order_invariant_under_positive_scaling():
     rng = np.random.default_rng(4)
     ds = uniform_dataset(50, num_classes=2)
-    scores = {i: float(rng.uniform(0.1, 5.0)) for i in range(50)}
+    ids = np.arange(50)
+    scores = np.array([float(rng.uniform(0.1, 5.0)) for _ in range(50)])
     base = select_subset(scores, ds, alpha=0.3, stratified=True)
     for c in (0.001, 7.3, 1e6):
-        scaled = select_subset({i: c * s for i, s in scores.items()}, ds, 0.3, True)
+        scaled = select_subset(c * scores, ds, 0.3, True)
         assert scaled.selected_ids == base.selected_ids
-        assert rank(scores) == rank({i: c * s for i, s in scores.items()})
+        assert rank(ids, scores).tolist() == rank(ids, c * scores).tolist()
 
 
 def test_select_subset_errors_when_class_unretainable():
     ds = make_dataset({0: 0, 1: 0, 2: 0, 3: 0, 4: 1})  # class 1 has one sample
-    scores = {i: 1.0 for i in range(5)}
+    scores = np.ones(5)
     with pytest.raises(SelectionError, match="class 1"):
         select_subset(scores, ds, alpha=0.6, stratified=True)
 
 
 def test_select_subset_validates_alpha_and_coverage():
     ds = uniform_dataset(4)
-    scores = {i: 1.0 for i in range(4)}
+    scores = np.ones(4)
     with pytest.raises(ConfigError):
         select_subset(scores, ds, alpha=1.0, stratified=False)
     with pytest.raises(LedgerError, match="no score"):
-        select_subset({0: 1.0}, ds, alpha=0.5, stratified=False)
+        select_subset(np.array([1.0]), ds, alpha=0.5, stratified=False)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +304,7 @@ def test_select_subset_validates_alpha_and_coverage():
 
 def seeded_ledger(ds, rng, window=5):
     ledger = ImportanceLedger(ds.ids, window)
-    ledger.record_losses([(i, float(rng.uniform(0, 4))) for i in ds.ids], epoch=1)
+    ledger.record_losses(ds.ids, [float(rng.uniform(0, 4)) for _ in ds.ids], epoch=1)
     return ledger
 
 
@@ -248,11 +321,11 @@ def test_merge_and_reselect_is_idempotent_when_nothing_changes():
 def test_stale_high_score_reenters_after_merge():
     ds = uniform_dataset(6)
     ledger = ImportanceLedger(ds.ids, window=3)
-    ledger.record_losses([(i, float(5 - i)) for i in range(6)], epoch=1)
+    ledger.record_losses(range(6), [float(5 - i) for i in range(6)], epoch=1)
     plan = select_subset(ledger.effective_scores(1.0), ds, alpha=0.5, stratified=False, epoch=1)
     assert set(plan.selected_ids) == {0, 1, 2}
     # selected samples' losses collapse; excluded id 3 keeps its stale score 2.0
-    ledger.record_losses([(0, 0.1), (1, 0.1), (2, 0.1)], epoch=2)
+    ledger.record_losses([0, 1, 2], [0.1, 0.1, 0.1], epoch=2)
     merged = merge_and_reselect(ledger, plan, ds, 0.5, lambda_var=0.0, stratified=False, epoch=2)
     assert 3 in merged.selected_ids
 
@@ -274,8 +347,8 @@ def test_partition_survives_fifty_merges_of_random_streams():
     plan = select_subset(ledger.effective_scores(1.0), ds, 0.3, True, epoch=1)
     all_ids = set(ds.ids)
     for epoch in range(2, 52):
-        observed = [(i, float(rng.uniform(0, 4))) for i in plan.selected_ids]
-        ledger.record_losses(observed, epoch)
+        observed = [float(rng.uniform(0, 4)) for _ in plan.selected_ids]
+        ledger.record_losses(plan.selected_ids, observed, epoch)
         plan = merge_and_reselect(ledger, plan, ds, 0.3, lambda_var=1.0, stratified=True, epoch=epoch)
         assert set(plan.selected_ids) | set(plan.excluded_ids) == all_ids
         assert set(plan.selected_ids) & set(plan.excluded_ids) == set()
@@ -289,7 +362,8 @@ def test_identical_observation_streams_give_identical_plans():
         ledger = seeded_ledger(ds, rng)
         plan = select_subset(ledger.effective_scores(1.0), ds, 0.4, True, epoch=1)
         for epoch in range(2, 12):
-            ledger.record_losses([(i, float(rng.uniform(0, 2))) for i in plan.selected_ids], epoch)
+            losses = [float(rng.uniform(0, 2)) for _ in plan.selected_ids]
+            ledger.record_losses(plan.selected_ids, losses, epoch)
             plan = merge_and_reselect(ledger, plan, ds, 0.4, lambda_var=1.0, stratified=True, epoch=epoch)
         return plan
 
@@ -349,7 +423,7 @@ def test_alpha_schedule_validates():
 def test_ledger_rows_report_selection_flags():
     ds = uniform_dataset(4)
     ledger = ImportanceLedger(ds.ids, window=3)
-    ledger.record_losses([(i, float(i)) for i in range(4)], epoch=1)
+    ledger.record_losses(range(4), [float(i) for i in range(4)], epoch=1)
     plan = select_subset(ledger.effective_scores(1.0), ds, 0.5, False, epoch=1)
     rows = ledger_rows(ledger, plan, lambda_var=1.0, epoch=1)
     assert [r[0] for r in rows] == [1, 1, 1, 1]

@@ -382,8 +382,22 @@ def test_checkpoint_rejects_truncation(tmp_path):
     params = mlp()
     path = tmp_path / "model.bin"
     save_params(params, path)
-    path.write_bytes(path.read_bytes()[:-9])
+    blob = path.read_bytes()
+    path.write_bytes(blob[:-9])
     with pytest.raises(CorruptDataError, match="truncated"):
+        load_params(path)
+    for size in range(len(blob)):  # every proper prefix
+        path.write_bytes(blob[:size])
+        with pytest.raises(CorruptDataError):
+            load_params(path)
+
+
+@pytest.mark.parametrize("descriptor", [b'{"kind": "mlp"}', b"[]", b"{}"],
+                         ids=["missing-fields", "not-an-object", "no-kind"])
+def test_checkpoint_rejects_malformed_descriptor(tmp_path, descriptor):
+    path = tmp_path / "model.bin"
+    path.write_bytes(b"TFTBPAR1" + len(descriptor).to_bytes(4, "little") + descriptor)
+    with pytest.raises(CorruptDataError, match="descriptor"):
         load_params(path)
 
 

@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 from tftb.budget import VirtualClock  # noqa: F401 (used in helper and tests)
-from tftb.data import synth_classification, synth_counting, train_val_split
-from tftb.errors import BudgetError, ConfigError, TrainingAbort
+from tftb.data import (
+    Dataset, SampleRecord, synth_classification, synth_counting, train_val_split,
+)
+from tftb.errors import BudgetError, ConfigError, SelectionError, TrainingAbort
 from tftb.nn import MlpArch, ConvDensityArch, init_params
 from tftb.trainer import (
     TrainConfig,
-    _epoch_batch_ids,
+    _epoch_batches,
     _epoch_batch_sizes,
     early_stop_check,
     epoch_equivalent_batches,
@@ -57,19 +59,19 @@ def test_epoch_batch_sizes_cover_the_dataset_exactly():
 
 def test_epoch_batch_ids_is_a_permutation_when_pool_is_full():
     rng = np.random.default_rng(0)
-    pool = list(range(100))
-    batches = _epoch_batch_ids(pool, _epoch_batch_sizes(100, 32), rng)
-    flat = [i for b in batches for i in b]
-    assert sorted(flat) == pool
+    pool = np.arange(100)
+    batches = _epoch_batches(pool, _epoch_batch_sizes(100, 32), rng)
+    flat = np.concatenate(batches)
+    assert sorted(flat.tolist()) == pool.tolist()
 
 
 def test_epoch_batch_ids_cycles_smaller_pools_with_full_exposure():
     rng = np.random.default_rng(0)
-    pool = list(range(70))  # X_s of 70 in a 100-sample run
-    batches = _epoch_batch_ids(pool, _epoch_batch_sizes(100, 32), rng)
-    flat = [i for b in batches for i in b]
+    pool = np.arange(70)  # X_s of 70 in a 100-sample run
+    batches = _epoch_batches(pool, _epoch_batch_sizes(100, 32), rng)
+    flat = np.concatenate(batches)
     assert len(flat) == 100
-    assert set(flat) == set(pool)  # 100 draws from 70 ids covers each at least once
+    assert set(flat.tolist()) == set(pool.tolist())  # 100 draws from 70 rows cover each
 
 
 def test_early_stop_triggers_exactly_at_patience():
@@ -249,15 +251,26 @@ def test_non_finite_loss_aborts_with_diagnostic_manifest():
     assert manifest.error["sample_id"] in set(train.ids)
 
 
+def test_empty_active_subset_is_an_error_not_a_hang():
+    rng = np.random.default_rng(0)
+    train = Dataset([SampleRecord(0, rng.standard_normal(4), 1, 1)], 2, "train")
+    val = Dataset([SampleRecord(1, rng.standard_normal(4), 0, 0)], 2, "val")
+    # one sample at alpha 0.6 rounds the unstratified subset down to nothing
+    cfg = TrainConfig(mode="tftb", alpha=0.6, stratified=False, max_epochs=3,
+                      early_stop_patience=50)
+    params = init_params(MlpArch(4, (3,), 2), np.random.default_rng(0))
+    with pytest.raises(SelectionError, match="empty"):
+        train_tftb(params, train, val, cfg, clock=virtual())
+
+
 def test_warmup_covers_every_sample_id_m_times():
     rng = np.random.default_rng(0)
-    pool = list(range(37))
-    counts = {i: 0 for i in pool}
+    pool = np.arange(37)
+    counts = np.zeros(37, dtype=np.int64)
     for _ in range(3):  # m = 3 warm-up epochs
-        for batch in _epoch_batch_ids(pool, _epoch_batch_sizes(37, 8), rng):
-            for i in batch:
-                counts[i] += 1
-    assert all(c == 3 for c in counts.values())
+        for batch in _epoch_batches(pool, _epoch_batch_sizes(37, 8), rng):
+            np.add.at(counts, batch, 1)
+    assert (counts == 3).all()
 
 
 def test_manifest_serialization_round_trip(tmp_path):
@@ -341,3 +354,13 @@ def test_budget_trace_accounts_for_all_charged_time():
     ranks = 1 + sum(1 for r in manifest.epochs if r["phase"] == "selective")
     expected = batch_cost * n_b * epochs + val_cost * epochs + rank_cost * ranks
     assert manifest.budget["consumed_total"] == pytest.approx(expected)
+
+    # ledger dumps, one after every ranking, are charged like any section
+    ledger_cost = 0.25
+    dumps = []
+    clock = VirtualClock(costs={"batch": batch_cost, "validation": val_cost, "rank": rank_cost,
+                                "ledger": ledger_cost})
+    _, dumped = train_tftb(model_for(train), train, val, cfg, clock=clock,
+                           ledger_writer=dumps.append)
+    assert len(dumps) == ranks == 1 + sum(1 for r in dumped.epochs if r["phase"] == "selective")
+    assert dumped.budget["consumed_total"] == pytest.approx(expected + ledger_cost * ranks)
