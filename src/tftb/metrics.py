@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ManifestError
 from .manifest import RunManifest
-from .nn.models import ModelParams, forward, per_sample_losses
+from .nn.models import ModelParams, forward, output_losses
 
 HIGHER_IS_BETTER = {"accuracy"}
 
@@ -61,9 +61,7 @@ def evaluate_classifier(params: ModelParams, dataset, batch_size: int = 256) -> 
     for lo, hi in _batched(len(dataset), batch_size):
         logits = forward(params, feats[lo:hi])
         hits += int(np.count_nonzero(np.argmax(logits, axis=1) == targets[lo:hi]))
-        loss_total += float(
-            per_sample_losses(params, feats[lo:hi], targets[lo:hi], "cross_entropy").sum()
-        )
+        loss_total += float(output_losses(logits, targets[lo:hi], "cross_entropy").sum())
     return {
         "accuracy": hits / len(dataset),
         "mean_loss": loss_total / len(dataset),
@@ -80,9 +78,7 @@ def evaluate_counter(params: ModelParams, dataset, batch_size: int = 64) -> dict
     for lo, hi in _batched(len(dataset), batch_size):
         pred = forward(params, feats[lo:hi])
         est_counts[lo:hi] = [predicted_count(p) for p in pred]
-        loss_total += float(
-            per_sample_losses(params, feats[lo:hi], maps[lo:hi], "pixelwise_l2").sum()
-        )
+        loss_total += float(output_losses(pred, maps[lo:hi], "pixelwise_l2").sum())
     mae, mse = counting_errors(est_counts, true_counts)
     return {
         "mae": mae,

@@ -10,6 +10,7 @@ from .models import (
     forward,
     init_params,
     loss_and_grad,
+    output_losses,
     per_sample_losses,
 )
 from .tensor import as_f64, require_finite
@@ -29,6 +30,7 @@ __all__ = [
     "init_params",
     "load_params",
     "loss_and_grad",
+    "output_losses",
     "per_sample_losses",
     "require_finite",
     "save_params",

@@ -9,19 +9,35 @@
 Parameters, activations, and gradients are float64 numpy arrays throughout.
 No autodiff: each architecture's backward pass is written out explicitly and
 is checked against central finite differences in the test suite.
+
+Convolutions are im2col + GEMM: activations are kept channel-major,
+(C, N*H*W), the k x k patches of a chunk of whole samples are copied into one
+per-thread scratch buffer (1 MiB, reused by every call), and one matrix
+product per chunk (BLAS, via ``@``) does the work: ``W @ patches`` forward,
+``d_z @ patches.T`` for the weight gradient, and the same patch product on
+``d_z`` with the flipped, transposed kernel for the input gradient, which
+the first layer skips.  Patch memory is thus bounded by the buffer, not the
+batch; a step holds the cached layer inputs, a few activation-sized arrays
+and that buffer.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import NonFiniteError, ShapeError
 from .tensor import as_f64, require_finite
 
 LOSS_KINDS = ("cross_entropy", "pixelwise_l2")
+
+# Size of the per-thread im2col patch buffer the convolutions share: 1 MiB.
+PATCH_BUFFER_FLOATS = 1 << 17
+_scratch = threading.local()
 
 
 @dataclass(frozen=True)
@@ -215,61 +231,126 @@ def _mlp_backward(params: ModelParams, activations, d_out: np.ndarray):
     return grad_w, grad_b
 
 
-def _conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Stride-1 same-padded convolution; x (N,Cin,H,W), w (Cout,Cin,k,k)."""
-    n, cin, h, wid = x.shape
-    kh, kw = w.shape[2], w.shape[3]
-    ph, pw = kh // 2, kw // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    out = np.zeros((n, w.shape[0], h, wid))
-    for i in range(kh):
-        for j in range(kw):
-            out += np.einsum(
-                "nchw,oc->nohw", xp[:, :, i : i + h, j : j + wid], w[:, :, i, j]
-            )
-    return out + b[None, :, None, None]
+def _patch_buffer(floats: int) -> np.ndarray:
+    """A patch scratch buffer of at least ``floats`` floats.
+
+    This thread's shared buffer of ``PATCH_BUFFER_FLOATS`` floats (1 MiB),
+    reused by every convolution, so patch memory neither grows with the
+    batch nor is allocated per call; only an image whose own patches do not
+    fit gets a one-image buffer of its own for the call.
+    """
+    if floats > PATCH_BUFFER_FLOATS:
+        return np.empty(floats)
+    buf = getattr(_scratch, "patches", None)
+    if buf is None:
+        buf = _scratch.patches = np.empty(PATCH_BUFFER_FLOATS)
+    return buf
 
 
-def _conv2d_backward(x: np.ndarray, w: np.ndarray, d_out: np.ndarray):
-    n, cin, h, wid = x.shape
-    kh, kw = w.shape[2], w.shape[3]
-    ph, pw = kh // 2, kw // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    d_xp = np.zeros_like(xp)
-    d_w = np.zeros_like(w)
-    for i in range(kh):
-        for j in range(kw):
-            patch = xp[:, :, i : i + h, j : j + wid]
-            d_w[:, :, i, j] = np.einsum("nchw,nohw->oc", patch, d_out)
-            d_xp[:, :, i : i + h, j : j + wid] += np.einsum(
-                "nohw,oc->nchw", d_out, w[:, :, i, j]
-            )
-    d_b = d_out.sum(axis=(0, 2, 3))
-    d_x = d_xp[:, :, ph : ph + h, pw : pw + wid]
-    return d_x, d_w, d_b
+def _patches(src: np.ndarray, k: int):
+    """im2col of a zero-padded channel-major ``src`` (C, N, H+k-1, W+k-1).
+
+    Yields ``(lo, hi, patches)`` per chunk of whole samples: ``patches`` is a
+    (C*k*k, hi-lo) view of the patch buffer whose row ``(c, i, j)`` holds
+    ``src[c, n, y+i, x+j]`` for output columns ``lo:hi`` of the (C', N*H*W)
+    layout, column ``(n*H + y)*W + x``.  Each view is overwritten by the next.
+    """
+    c, n, hp, wp = src.shape
+    h, w = hp - k + 1, wp - k + 1
+    rows, pixels = c * k * k, h * w
+    buf = _patch_buffer(rows * pixels)
+    step = buf.size // (rows * pixels)
+    # (C, k, k, N, H, W) view; no copy until a chunk lands in the buffer
+    taps = sliding_window_view(src, (k, k), axis=(2, 3)).transpose(0, 4, 5, 1, 2, 3)
+    for n0 in range(0, n, step):
+        n1 = min(n0 + step, n)
+        chunk = buf[: rows * (n1 - n0) * pixels]
+        np.copyto(chunk.reshape(c, k, k, n1 - n0, h, w), taps[:, :, :, n0:n1])
+        yield n0 * pixels, n1 * pixels, chunk.reshape(rows, -1)
+
+
+def _conv(src: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Stride-1 same-padded convolution as chunked GEMMs.
+
+    ``src`` is the padded channel-major input (Cin, N, H+k-1, W+k-1) and
+    ``w`` (Cout, Cin, k, k); returns the bias-free (Cout, N*H*W) output.
+    """
+    _, n, hp, wp = src.shape
+    k = w.shape[2]
+    out = np.empty((w.shape[0], n * (hp - k + 1) * (wp - k + 1)))
+    w_mat = w.reshape(w.shape[0], -1)
+    for lo, hi, patches in _patches(src, k):
+        np.matmul(w_mat, patches, out=out[:, lo:hi])
+    return out
+
+
+def _conv_weight_grad(src: np.ndarray, d_z: np.ndarray, w_shape) -> np.ndarray:
+    """Gradient of ``w`` in ``_conv(src, w)`` for output gradient ``d_z``."""
+    d_w = np.zeros((w_shape[0], int(np.prod(w_shape[1:]))))
+    for lo, hi, patches in _patches(src, w_shape[2]):
+        d_w += d_z[:, lo:hi] @ patches.T
+    return d_w.reshape(w_shape)
+
+
+def _conv_input_grad(w: np.ndarray, d_z: np.ndarray, image_shape) -> np.ndarray:
+    """Gradient of the unpadded input of ``_conv(src, w)``: the same
+    convolution of the padded ``d_z`` with the flipped, transposed kernel."""
+    k = w.shape[2]
+    flipped = np.ascontiguousarray(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+    return _conv(_pad(d_z.reshape(w.shape[0], *image_shape), k // 2), flipped)
+
+
+def _pad(a: np.ndarray, p: int, relu: bool = False) -> np.ndarray:
+    """Zero-pad the image axes of a channel-major (C, N, H, W) array by ``p``,
+    applying ReLU on the way in if ``relu``."""
+    c, n, h, w = a.shape
+    out = np.zeros((c, n, h + 2 * p, w + 2 * p))
+    inner = out[:, :, p : p + h, p : p + w]
+    if relu:
+        np.maximum(a, 0.0, out=inner)
+    else:
+        inner[...] = a
+    return out
 
 
 def _conv_forward(params: ModelParams, x: np.ndarray):
-    # x arrives (N, H, W); channel axis is implicit single-channel.
-    x4 = x[:, None, :, :]
-    z1 = _conv2d(x4, params.weights[0], params.biases[0])
-    a1 = np.maximum(z1, 0.0)
-    z2 = _conv2d(a1, params.weights[1], params.biases[1])
-    a2 = np.maximum(z2, 0.0)
-    z3 = _conv2d(a2, params.weights[2], params.biases[2])
-    out = z3[:, 0, :, :]
-    return out, (x4, z1, a1, z2, a2)
+    # Activations are channel-major (C, N*H*W); x arrives (N, H, W), one channel.
+    # Only layer inputs are cached: relu(z) > 0 exactly where z > 0, so the
+    # post-activations double as the backward pass's ReLU masks.
+    n, h, wid = x.shape
+    w1, w2, w3 = params.weights
+    b1, b2, b3 = params.biases
+    p = w1.shape[2] // 2
+    x_pad = _pad(x[None], p)
+    z1 = _conv(x_pad, w1)
+    z1 += b1[:, None]
+    a1_pad = _pad(z1.reshape(-1, n, h, wid), p, relu=True)
+    del z1  # free before the second convolution allocates its output
+    a2 = _conv(a1_pad, w2)
+    a2 += b2[:, None]
+    np.maximum(a2, 0.0, out=a2)
+    # the 1x1 head is a plain matrix product in this layout
+    z3 = w3.reshape(1, -1) @ a2
+    z3 += b3[:, None]
+    return z3.reshape(n, h, wid), (x_pad, a1_pad, a2)
 
 
 def _conv_backward(params: ModelParams, cache, d_out: np.ndarray):
-    x4, z1, a1, z2, a2 = cache
-    d_z3 = d_out[:, None, :, :]
-    d_a2, d_w3, d_b3 = _conv2d_backward(a2, params.weights[2], d_z3)
-    d_z2 = d_a2 * (z2 > 0.0)
-    d_a1, d_w2, d_b2 = _conv2d_backward(a1, params.weights[1], d_z2)
-    d_z1 = d_a1 * (z1 > 0.0)
-    _, d_w1, d_b1 = _conv2d_backward(x4, params.weights[0], d_z1)
-    return [d_w1, d_w2, d_w3], [d_b1, d_b2, d_b3]
+    x_pad, a1_pad, a2 = cache
+    w1, w2, w3 = params.weights
+    n, h, wid = d_out.shape
+    p = w1.shape[2] // 2
+    d_z3 = d_out.reshape(1, -1)
+    d_w3 = (d_z3 @ a2.T).reshape(w3.shape)
+    d_z2 = w3.reshape(-1, 1) @ d_z3
+    d_z2 *= a2 > 0.0
+    d_w2 = _conv_weight_grad(a1_pad, d_z2, w2.shape)
+    d_z1 = _conv_input_grad(w2, d_z2, (n, h, wid))
+    d_z1 *= (a1_pad[:, :, p : p + h, p : p + wid] > 0.0).reshape(d_z1.shape)
+    # the input image needs no gradient
+    d_w1 = _conv_weight_grad(x_pad, d_z1, w1.shape)
+    d_b = [d.sum(axis=1) for d in (d_z1, d_z2, d_z3)]
+    return [d_w1, d_w2, d_w3], d_b
 
 
 def _forward_cached(params: ModelParams, batch: np.ndarray):
@@ -332,6 +413,15 @@ def _pixelwise_l2(output: np.ndarray, targets) -> tuple[np.ndarray, np.ndarray]:
     return per_sample, d_out
 
 
+def _loss(output: np.ndarray, targets, loss_kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample losses and the batch-mean loss gradient of a model output."""
+    if loss_kind == "cross_entropy":
+        return _cross_entropy(output, targets)
+    if loss_kind == "pixelwise_l2":
+        return _pixelwise_l2(output, targets)
+    raise ShapeError(f"unknown loss kind {loss_kind!r}; expected one of {LOSS_KINDS}")
+
+
 def loss_and_grad(
     params: ModelParams,
     batch,
@@ -346,16 +436,10 @@ def loss_and_grad(
     difference.  Both apply to either architecture, so gradient checks can
     cover the full model/loss cross product.
     """
-    if loss_kind not in LOSS_KINDS:
-        raise ShapeError(f"unknown loss kind {loss_kind!r}; expected one of {LOSS_KINDS}")
-    batch = as_f64(batch)
     # overflow here surfaces as a NonFiniteError below, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        out, cache = _forward_cached(params, batch)
-        if loss_kind == "cross_entropy":
-            per_sample, d_out = _cross_entropy(out, targets)
-        else:
-            per_sample, d_out = _pixelwise_l2(out, targets)
+        out, cache = _forward_cached(params, as_f64(batch))
+        per_sample, d_out = _loss(out, targets, loss_kind)
 
     bad = np.flatnonzero(~np.isfinite(per_sample))
     if bad.size:
@@ -377,14 +461,16 @@ def loss_and_grad(
     )
 
 
+def output_losses(output: np.ndarray, targets, loss_kind: str) -> np.ndarray:
+    """Per-sample losses of a ``forward`` output, so a caller that needs both
+    the output and the losses runs the model once."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        per_sample, _ = _loss(output, targets, loss_kind)
+    return require_finite(per_sample, f"{loss_kind} per-sample losses")
+
+
 def per_sample_losses(params: ModelParams, batch, targets, loss_kind: str) -> np.ndarray:
     """Forward-only per-sample losses (used to refresh excluded samples)."""
     with np.errstate(over="ignore", invalid="ignore"):
         out, _ = _forward_cached(params, as_f64(batch))
-        if loss_kind == "cross_entropy":
-            per_sample, _ = _cross_entropy(out, targets)
-        elif loss_kind == "pixelwise_l2":
-            per_sample, _ = _pixelwise_l2(out, targets)
-        else:
-            raise ShapeError(f"unknown loss kind {loss_kind!r}; expected one of {LOSS_KINDS}")
-    return require_finite(per_sample, f"{loss_kind} per-sample losses")
+    return output_losses(out, targets, loss_kind)

@@ -101,6 +101,44 @@ def test_evaluators_report_expected_keys():
     assert cout["rmse"] == pytest.approx(cout["mse"] ** 0.5)
 
 
+def test_evaluators_match_two_pass_forward_then_losses():
+    # the evaluators run the model once per batch; a second forward pass for
+    # the losses, as per_sample_losses does, must give bit-identical metrics
+    from tftb.data import synth_classification, synth_counting
+    from tftb.nn import ConvDensityArch, MlpArch, forward, init_params, per_sample_losses
+
+    def two_pass(params, feats, targets, loss_kind, batch_size, read):
+        outs, loss_total = [], 0.0
+        for lo in range(0, len(feats), batch_size):
+            outs.append(read(forward(params, feats[lo : lo + batch_size])))
+            loss_total += float(
+                per_sample_losses(
+                    params, feats[lo : lo + batch_size], targets[lo : lo + batch_size], loss_kind
+                ).sum()
+            )
+        return np.concatenate(outs), loss_total / len(feats)
+
+    cls = synth_classification(3, 150, 3, 0.8)  # 450 samples: two batches of 256
+    params = init_params(MlpArch(4, (6,), 3), np.random.default_rng(1))
+    feats = np.stack([s.features for s in cls.samples])
+    labels = np.array([s.target for s in cls.samples])
+    preds, loss = two_pass(params, feats, labels, "cross_entropy", 256,
+                           lambda logits: np.argmax(logits, axis=1))
+    out = evaluate_classifier(params, cls)
+    assert out["accuracy"] == np.count_nonzero(preds == labels) / len(cls)
+    assert out["mean_loss"] == loss
+
+    cnt = synth_counting(4, 70, 16, 3, 2.0)  # 70 images: batches of 64 and 6
+    cparams = init_params(ConvDensityArch(16, 16, (3, 2)), np.random.default_rng(2))
+    feats = np.stack([s.features for s in cnt.samples])
+    maps = np.stack([s.target for s in cnt.samples])
+    counts, loss = two_pass(cparams, feats, maps, "pixelwise_l2", 64,
+                            lambda pred: np.array([predicted_count(p) for p in pred]))
+    cout = evaluate_counter(cparams, cnt)
+    mae, mse = counting_errors(counts, maps.reshape(len(cnt), -1).sum(axis=1))
+    assert (cout["mae"], cout["mse"], cout["mean_loss"]) == (mae, mse, loss)
+
+
 # ---------------------------------------------------------------------------
 # run comparison
 

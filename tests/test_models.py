@@ -161,6 +161,155 @@ def test_per_sample_losses_match_loss_and_grad():
 
 
 # ---------------------------------------------------------------------------
+# nested-loop convolution oracle
+
+
+def reference_conv(x, w, b):
+    """Same-padded stride-1 convolution of sample-major x (N, Cin, H, W) by
+    explicit loops over output pixels and kernel taps, skipping taps that
+    fall outside the image instead of padding."""
+    n, _, h, wid = x.shape
+    k = w.shape[2]
+    p = k // 2
+    out = np.zeros((n, w.shape[0], h, wid)) + b[None, :, None, None]
+    for y in range(h):
+        for col in range(wid):
+            for i in range(k):
+                for j in range(k):
+                    yy, xx = y + i - p, col + j - p
+                    if 0 <= yy < h and 0 <= xx < wid:
+                        out[:, :, y, col] += x[:, :, yy, xx] @ w[:, :, i, j].T
+    return out
+
+
+def reference_conv_backward(x, w, d_out):
+    """(d_x, d_w, d_b) of ``reference_conv`` by the same loops."""
+    n, _, h, wid = x.shape
+    k = w.shape[2]
+    p = k // 2
+    d_x, d_w = np.zeros_like(x), np.zeros_like(w)
+    for y in range(h):
+        for col in range(wid):
+            for i in range(k):
+                for j in range(k):
+                    yy, xx = y + i - p, col + j - p
+                    if 0 <= yy < h and 0 <= xx < wid:
+                        d_w[:, :, i, j] += d_out[:, :, y, col].T @ x[:, :, yy, xx]
+                        d_x[:, :, yy, xx] += d_out[:, :, y, col] @ w[:, :, i, j]
+    return d_x, d_w, d_out.sum(axis=(0, 2, 3))
+
+
+def reference_conv_model(params, x):
+    """Density map (N, H, W) and the two ReLU pre-activations."""
+    (w1, w2, w3), (b1, b2, b3) = params.weights, params.biases
+    z1 = reference_conv(x[:, None], w1, b1)
+    z2 = reference_conv(np.maximum(z1, 0.0), w2, b2)
+    out = reference_conv(np.maximum(z2, 0.0), w3, b3)
+    return out[:, 0], (z1, z2)
+
+
+def reference_conv_grads(params, x, d_out):
+    (w1, w2, w3) = params.weights
+    _, (z1, z2) = reference_conv_model(params, x)
+    a1, a2 = np.maximum(z1, 0.0), np.maximum(z2, 0.0)
+    d_a2, d_w3, d_b3 = reference_conv_backward(a2, w3, d_out[:, None])
+    d_a1, d_w2, d_b2 = reference_conv_backward(a1, w2, d_a2 * (z2 > 0.0))
+    _, d_w1, d_b1 = reference_conv_backward(x[:, None], w1, d_a1 * (z1 > 0.0))
+    return [d_w1, d_w2, d_w3], [d_b1, d_b2, d_b3]
+
+
+def rel_error(got, want):
+    """Largest element error relative to the largest element of ``want``."""
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+# Batch 100 on the 9x7 kernel-5 model spans two patch chunks of the first
+# layer (25 patch rows: 83 images a chunk) and four of the second (75 rows:
+# 27 images), so chunk seams are covered; batch 1 is a single partial chunk.
+# One 48x48 image's second-layer patches (72 rows) exceed the shared buffer.
+@pytest.mark.parametrize(
+    "arch, batch",
+    [
+        (ConvDensityArch(9, 7, (3, 2), 5), 1),
+        (ConvDensityArch(9, 7, (3, 2), 5), 100),
+        (ConvDensityArch(7, 9, (3, 2), 3), 6),
+        (ConvDensityArch(6, 6, (2, 2), 3), 4),
+        (ConvDensityArch(48, 48, (8, 2), 3), 2),
+    ],
+    ids=["9x7-k5-batch1", "9x7-k5-multichunk", "7x9-k3", "6x6-k3", "48x48-oversized-patches"],
+)
+def test_conv_matches_nested_loop_reference(arch, batch):
+    from tftb.nn.models import PATCH_BUFFER_FLOATS
+
+    k, (c1, _) = arch.kernel_size, arch.channels
+    per_image = arch.image_height * arch.image_width
+    if batch == 100:
+        assert batch > PATCH_BUFFER_FLOATS // (k * k * per_image)  # first layer
+        assert batch > 2 * (PATCH_BUFFER_FLOATS // (c1 * k * k * per_image))  # second
+    if per_image == 48 * 48:
+        assert c1 * k * k * per_image > PATCH_BUFFER_FLOATS
+    rng = np.random.default_rng(batch)
+    params = init_params(arch, rng)
+    for b in params.biases:
+        b[:] = rng.standard_normal(b.shape) * 0.3
+    x = rng.standard_normal((batch, arch.image_height, arch.image_width))
+    targets = rng.standard_normal(x.shape)
+
+    want_out, _ = reference_conv_model(params, x)
+    assert rel_error(forward(params, x), want_out) < 1e-12
+
+    result = loss_and_grad(params, x, targets, "pixelwise_l2")
+    d_out = 2.0 * (want_out - targets) / want_out.size  # batch-mean pixelwise L2
+    want_w, want_b = reference_conv_grads(params, x, d_out)
+    for got, want in zip(result.grad_weights + result.grad_biases, want_w + want_b):
+        assert got.shape == want.shape
+        assert rel_error(got, want) < 1e-12
+
+
+@pytest.mark.parametrize("batch", [64, 256])
+def test_conv_step_memory_is_bounded_by_the_design(batch):
+    """Peak traced memory of conv steps at 24x24, channels (6, 6), kernel 3.
+
+    Counted in padded single-channel planes of the batch, ``batch * 26 * 26``
+    floats (an unpadded plane is smaller), a step holds at most:
+
+    * the cached layer inputs: the padded image (1 plane), the padded first
+      activation (6) and the second activation (6): 13;
+    * the density output and its loss gradient, plus the loss's own
+      temporaries: 3;
+    * in the backward pass, the second layer's output gradient, its padded
+      copy for the input gradient and that input gradient: 18;
+    * the two ReLU masks, bool, 6 / 8 of a plane each: 2;
+
+    36 planes, so the bound is 40 planes (10% headroom for temporaries of
+    the small weight gradients and Python objects) plus one patch buffer,
+    which the first traced call may allocate.  A whole-batch patch matrix
+    does not fit: the second layer's alone is 54 planes (6 channels x 3 x 3
+    taps).
+    """
+    import tracemalloc
+
+    from tftb.nn.models import PATCH_BUFFER_FLOATS
+
+    arch = ConvDensityArch(24, 24, (6, 6))
+    params = init_params(arch, np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    x = rng.standard_normal((batch, 24, 24))
+    targets = rng.standard_normal((batch, 24, 24))
+    plane_bytes = batch * 26 * 26 * 8
+    bound = 40 * plane_bytes + 8 * PATCH_BUFFER_FLOATS
+    tracemalloc.start()
+    try:
+        for _ in range(2):  # the second call reuses the first one's patch buffer
+            result = loss_and_grad(params, x, targets, "pixelwise_l2")
+            del result
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, f"peak {peak / 2**20:.2f} MiB > bound {bound / 2**20:.2f} MiB"
+
+
+# ---------------------------------------------------------------------------
 # finite-difference gradient oracle
 
 
@@ -171,8 +320,6 @@ def gradcheck_instance(arch, loss_kind, seed, margin=1e-3):
     smallest ReLU pre-activation magnitude is below ``margin`` are re-drawn,
     so central differences at h=1e-5 never step across a kink.
     """
-    from tftb.nn.models import _forward_cached
-
     def relu_preactivations(params, x):
         if arch.kind == "mlp":
             pre = []
@@ -185,8 +332,8 @@ def gradcheck_instance(arch, loss_kind, seed, margin=1e-3):
                 else:
                     a = z
             return pre
-        _, cache = _forward_cached(params, x)
-        return [cache[1], cache[3]]
+        _, (z1, z2) = reference_conv_model(params, x)
+        return [z1, z2]
 
     while True:
         rng = np.random.default_rng(seed)
@@ -244,8 +391,8 @@ def max_fd_relative_error(params, x, targets, loss_kind, h=1e-5):
 @pytest.mark.parametrize("loss_kind", ["cross_entropy", "pixelwise_l2"])
 @pytest.mark.parametrize(
     "arch",
-    [MlpArch(4, (6,), 3), ConvDensityArch(6, 6, (2, 2))],
-    ids=["mlp", "conv"],
+    [MlpArch(4, (6,), 3), ConvDensityArch(6, 6, (2, 2)), ConvDensityArch(7, 5, (2, 2), 5)],
+    ids=["mlp", "conv", "conv-k5"],
 )
 def test_gradients_match_central_finite_differences(arch, loss_kind):
     for seed in range(5):
