@@ -1,5 +1,5 @@
 from .cifar10 import channel_stats, load_cifar10, read_batch_file
-from .dataset import UNSTRATIFIED, Dataset, SampleRecord, train_val_split
+from .dataset import UNSTRATIFIED, Dataset, train_val_split
 from .density import DotMap, density_map
 from .synthetic import synth_classification, synth_counting
 
@@ -7,7 +7,6 @@ __all__ = [
     "UNSTRATIFIED",
     "Dataset",
     "DotMap",
-    "SampleRecord",
     "channel_stats",
     "density_map",
     "load_cifar10",

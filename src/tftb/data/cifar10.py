@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import CorruptDataError
-from .dataset import Dataset, SampleRecord
+from .dataset import Dataset
 
 RECORD_BYTES = 3073
 PIXELS = 3072
@@ -27,12 +27,8 @@ TRAIN_FILES = tuple(f"data_batch_{i}.bin" for i in range(1, 6))
 TEST_FILE = "test_batch.bin"
 
 
-def read_batch_file(path) -> tuple[np.ndarray, np.ndarray]:
-    """Parse one binary batch: (labels uint8 (n,), pixels float64 (n, 3072) in [0,1]).
-
-    Accepts any whole number of records; ``load_cifar10`` enforces the
-    10000-records-per-file convention on top of this.
-    """
+def _read_records(path) -> np.ndarray:
+    """The validated records of one binary batch: uint8, shape (n, 3073)."""
     blob = Path(path).read_bytes()
     if len(blob) == 0 or len(blob) % RECORD_BYTES != 0:
         k = len(blob) // RECORD_BYTES + 1
@@ -49,16 +45,32 @@ def read_batch_file(path) -> tuple[np.ndarray, np.ndarray]:
             f"{path}: corrupt record {i} at byte offset {i * RECORD_BYTES}: "
             f"label byte {int(labels[i])} > 9"
         )
-    pixels = records[:, 1:].astype(np.float64) / 255.0
-    return labels.copy(), pixels
+    return records
 
 
-def _read_exact(path) -> tuple[np.ndarray, np.ndarray]:
+def read_batch_file(path) -> tuple[np.ndarray, np.ndarray]:
+    """Parse one binary batch: (labels uint8 (n,), pixels float64 (n, 3072) in [0,1]).
+
+    Accepts any whole number of records; ``load_cifar10`` enforces the
+    10000-records-per-file convention on top of this.
+    """
+    records = _read_records(path)
+    return records[:, 0].copy(), records[:, 1:].astype(np.float64) / 255.0
+
+
+def _read_split(paths) -> tuple[np.ndarray, np.ndarray]:
+    """(int64 labels, float64 pixels in [0,1]) of whole files; one float64 copy."""
     expected = RECORDS_PER_FILE * RECORD_BYTES
-    actual = os.path.getsize(path)
-    if actual != expected:
-        raise CorruptDataError(f"{path}: expected {expected} bytes, got {actual}")
-    return read_batch_file(path)
+    records = []
+    for path in paths:
+        actual = os.path.getsize(path)
+        if actual != expected:
+            raise CorruptDataError(f"{path}: expected {expected} bytes, got {actual}")
+        records.append(_read_records(path))
+    records = np.concatenate(records)
+    pixels = records[:, 1:].astype(np.float64)
+    pixels /= 255.0
+    return records[:, 0].astype(np.int64), pixels
 
 
 def channel_stats(pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -69,42 +81,28 @@ def channel_stats(pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, np.where(std == 0.0, 1.0, std)
 
 
-def _normalize(pixels: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
+def _normalize(pixels: np.ndarray, mean: np.ndarray, std: np.ndarray) -> None:
+    """Normalise per channel, in place."""
     shaped = pixels.reshape(-1, 3, CHANNEL)
-    shaped = (shaped - mean[None, :, None]) / std[None, :, None]
-    return shaped.reshape(-1, PIXELS)
-
-
-def _to_samples(labels: np.ndarray, pixels: np.ndarray) -> list[SampleRecord]:
-    return [
-        SampleRecord(id=i, features=pixels[i], target=int(labels[i]), class_tag=int(labels[i]))
-        for i in range(len(labels))
-    ]
+    shaped -= mean[None, :, None]
+    shaped /= std[None, :, None]
 
 
 def load_cifar10(directory) -> tuple[Dataset, Dataset]:
     """Load the six standard binary batches into (train, test) datasets."""
     directory = Path(directory)
-    train_parts = [_read_exact(directory / name) for name in TRAIN_FILES]
-    test_labels, test_pixels = _read_exact(directory / TEST_FILE)
-    train_labels = np.concatenate([p[0] for p in train_parts])
-    train_pixels = np.concatenate([p[1] for p in train_parts])
-
+    train_labels, train_pixels = _read_split([directory / name for name in TRAIN_FILES])
     mean, std = channel_stats(train_pixels)
+    _normalize(train_pixels, mean, std)
+    test_labels, test_pixels = _read_split([directory / TEST_FILE])
+    _normalize(test_pixels, mean, std)
     meta = {
         "channel_mean": [float(m) for m in mean],
         "channel_std": [float(s) for s in std],
     }
-    train = Dataset(
-        _to_samples(train_labels, _normalize(train_pixels, mean, std)),
-        num_classes=NUM_CLASSES,
-        split_tag="train",
-        meta=dict(meta),
-    )
-    test = Dataset(
-        _to_samples(test_labels, _normalize(test_pixels, mean, std)),
-        num_classes=NUM_CLASSES,
-        split_tag="test",
-        meta=dict(meta),
-    )
-    return train, test
+
+    def split(labels, pixels, split_tag):
+        ids = np.arange(len(labels))
+        return Dataset(ids, pixels, labels, NUM_CLASSES, split_tag, dict(meta))
+
+    return split(train_labels, train_pixels, "train"), split(test_labels, test_pixels, "test")

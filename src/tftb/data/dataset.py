@@ -1,15 +1,16 @@
-"""Dataset abstraction with stable per-sample ids.
+"""Dataset abstraction with stable per-sample ids, stored as arrays.
 
 Ids are assigned at load/generation time and never reassigned afterwards: the
 subset machinery tracks samples exclusively by id, so any selected/excluded
-partition can always be reconciled against the original dataset.
+partition can always be reconciled against the original dataset.  Rows are
+sorted by ascending id once, at construction, so every consumer can take row
+order as id order and find an id with ``np.searchsorted(dataset.ids, id)``.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Union
 
 import numpy as np
 
@@ -19,53 +20,84 @@ from ..errors import ConfigError, ShapeError
 UNSTRATIFIED = -1
 
 
-@dataclass(frozen=True)
-class SampleRecord:
-    id: int
-    features: np.ndarray
-    target: Union[int, np.ndarray]
-    class_tag: int
+def _as_array(split_tag: str, name: str, values, dtype=None) -> np.ndarray:
+    try:
+        out = np.asarray(values, dtype=dtype)
+    except (TypeError, ValueError):
+        out = None
+    if out is None or out.dtype.kind not in "iuf":
+        raise ShapeError(f"{split_tag}: {name} rows do not form one numeric array (mixed shapes?)")
+    return out
 
 
-@dataclass
+@dataclass(eq=False)
 class Dataset:
-    samples: list[SampleRecord]
+    """One array per field, row ``r`` of each belonging to sample ``ids[r]``.
+
+    ``ids`` is ``(N,)`` int64, ``features`` ``(N, *feature_shape)`` float64,
+    and ``targets`` either ``(N,)`` int64 class labels in ``[0, num_classes)``
+    or ``(N, *map_shape)`` float64 density maps.
+    """
+
+    ids: np.ndarray
+    features: np.ndarray
+    targets: np.ndarray
     num_classes: int
     split_tag: str
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        ids = [s.id for s in self.samples]
-        if len(set(ids)) != len(ids):
-            raise ConfigError(f"{self.split_tag}: duplicate sample ids")
-        if any(i < 0 for i in ids):
-            raise ConfigError(f"{self.split_tag}: negative sample id")
-        shapes = {tuple(s.features.shape) for s in self.samples}
-        if len(shapes) > 1:
-            raise ShapeError(f"{self.split_tag}: mixed feature shapes {sorted(shapes)}")
-        for s in self.samples:
-            if s.class_tag != UNSTRATIFIED and not (0 <= s.class_tag < self.num_classes):
+        tag = self.split_tag
+        ids = _as_array(tag, "id", self.ids)
+        features = _as_array(tag, "feature", self.features, np.float64)
+        targets = _as_array(tag, "target", self.targets)
+        if ids.size and ids.dtype.kind == "f":
+            raise ConfigError(f"{tag}: sample ids must be integers, got dtype {ids.dtype}")
+        ids = ids.astype(np.int64, copy=False)
+        labelled = targets.dtype.kind in "iu"
+        targets = targets.astype(np.int64 if labelled else np.float64, copy=False)
+        if ids.ndim != 1:
+            raise ShapeError(f"{tag}: ids must be one-dimensional, got shape {ids.shape}")
+        n = ids.size
+        for name, arr in (("features", features), ("targets", targets)):
+            if arr.shape[:1] != (n,):
+                raise ShapeError(f"{tag}: {n} ids but {name} of shape {arr.shape}")
+        if labelled and targets.ndim != 1:
+            raise ShapeError(f"{tag}: one class label per sample, got shape {targets.shape}")
+
+        if (ids[1:] <= ids[:-1]).any():
+            order = np.argsort(ids, kind="stable")
+            ids, features, targets = ids[order], features[order], targets[order]
+            repeated = ids[1:] == ids[:-1]
+            if repeated.any():
+                raise ConfigError(f"{tag}: duplicate sample ids, e.g. {ids[repeated.argmax()]}")
+        if n and ids[0] < 0:
+            raise ConfigError(f"{tag}: negative sample id {ids[0]}")
+        if labelled:
+            bad = (targets < 0) | (targets >= self.num_classes)
+            if bad.any():
+                k = bad.argmax()
                 raise ConfigError(
-                    f"{self.split_tag}: sample {s.id} class_tag {s.class_tag} "
+                    f"{tag}: sample {ids[k]} label {targets[k]} "
                     f"outside [0, {self.num_classes})"
                 )
+        self.ids, self.features, self.targets = ids, features, targets
 
     def __len__(self) -> int:
-        return len(self.samples)
-
-    @property
-    def ids(self) -> list[int]:
-        return [s.id for s in self.samples]
+        return self.ids.size
 
     @property
     def feature_shape(self) -> tuple[int, ...]:
-        return tuple(self.samples[0].features.shape) if self.samples else ()
+        return self.features.shape[1:] if len(self) else ()
 
-    def class_sizes(self) -> dict[int, int]:
-        sizes: dict[int, int] = {}
-        for s in self.samples:
-            sizes[s.class_tag] = sizes.get(s.class_tag, 0) + 1
-        return sizes
+    @property
+    def class_tags(self) -> np.ndarray:
+        """Stratification tag per row: the label, or UNSTRATIFIED for maps."""
+        if self.targets.dtype != np.int64:
+            return np.full(len(self), UNSTRATIFIED, dtype=np.int64)
+        tags = self.targets.view()
+        tags.flags.writeable = False
+        return tags
 
     def fingerprint(self) -> str:
         """Stable digest of structure plus a data subsample.
@@ -77,18 +109,13 @@ class Dataset:
         h = hashlib.sha256()
         h.update(self.split_tag.encode())
         h.update(str(self.num_classes).encode())
-        h.update(str(len(self.samples)).encode())
+        h.update(str(len(self)).encode())
         h.update(repr(self.feature_shape).encode())
-        h.update(np.asarray(self.ids, dtype=np.int64).tobytes())
-        n = len(self.samples)
-        if n:
-            step = max(1, n // 64)
-            for s in self.samples[::step]:
-                h.update(np.ascontiguousarray(s.features, dtype=np.float64).tobytes())
-                if isinstance(s.target, np.ndarray):
-                    h.update(np.ascontiguousarray(s.target, dtype=np.float64).tobytes())
-                else:
-                    h.update(str(s.target).encode())
+        h.update(self.ids.tobytes())
+        for r in range(0, len(self), max(1, len(self) // 64)):
+            target = self.targets[r]
+            h.update(self.features[r].tobytes())
+            h.update(target.tobytes() if target.ndim else str(target).encode())
         return h.hexdigest()
 
 
@@ -97,11 +124,15 @@ def train_val_split(dataset: Dataset, val_fraction: float, seed: int) -> tuple[D
     if not 0.0 < val_fraction < 1.0:
         raise ConfigError(f"val_fraction must be in (0, 1), got {val_fraction}")
     rng = np.random.default_rng(seed)
-    order = rng.permutation(len(dataset.samples))
-    n_val = max(1, int(round(val_fraction * len(dataset.samples))))
-    val_idx = set(order[:n_val].tolist())
-    train_samples = [s for i, s in enumerate(dataset.samples) if i not in val_idx]
-    val_samples = [s for i, s in enumerate(dataset.samples) if i in val_idx]
-    train = Dataset(train_samples, dataset.num_classes, "train", dict(dataset.meta))
-    val = Dataset(val_samples, dataset.num_classes, "val", dict(dataset.meta))
-    return train, val
+    order = rng.permutation(len(dataset))
+    n_val = max(1, int(round(val_fraction * len(dataset))))
+    is_val = np.zeros(len(dataset), dtype=bool)
+    is_val[order[:n_val]] = True
+
+    def part(rows, split_tag):
+        return Dataset(
+            dataset.ids[rows], dataset.features[rows], dataset.targets[rows],
+            dataset.num_classes, split_tag, dict(dataset.meta),
+        )
+
+    return part(~is_val, "train"), part(is_val, "val")

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigError
-from .dataset import UNSTRATIFIED, Dataset, SampleRecord
+from .dataset import Dataset
 from .density import DotMap, density_map
 
 # cluster geometry for synth_classification (unit cluster scale)
@@ -68,18 +68,17 @@ def synth_classification(
     n_easy = int(round(easy_fraction * n_per_class))
     n_extra = feature_dim - 2
 
-    samples: list[SampleRecord] = []
-    next_id = 0
+    n_total = num_classes * n_per_class
+    features = np.empty((n_total, feature_dim))
     for c in range(num_classes):
+        # rows of class c: its easy samples, then its hard ones
+        easy, hard = np.split(features[c * n_per_class : (c + 1) * n_per_class], [n_easy])
         center = centroids[c]
         n_proto = max(1, n_easy // 8) if n_easy else 0
         protos = [center + _unit_disk(rng, _PROTO_RADIUS) for _ in range(n_proto)]
         for i in range(n_easy):
-            plane = protos[i % n_proto] + _unit_disk(rng, _JITTER_RADIUS)
-            extra = rng.uniform(-_NUISANCE_EASY, _NUISANCE_EASY, size=n_extra)
-            feats = np.concatenate([plane, extra])
-            samples.append(SampleRecord(next_id, feats, c, c))
-            next_id += 1
+            easy[i, :2] = protos[i % n_proto] + _unit_disk(rng, _JITTER_RADIUS)
+            easy[i, 2:] = rng.uniform(-_NUISANCE_EASY, _NUISANCE_EASY, size=n_extra)
         for i in range(n_per_class - n_easy):
             neighbour_class = (c + (1 if i % 2 == 0 else -1)) % num_classes
             # one canonical frame per unordered class pair so both classes'
@@ -95,18 +94,17 @@ def synth_classification(
             else:
                 local = np.array([1.0 - np.cos(t), 0.5 - np.sin(t)])
             local -= np.array([0.5, 0.125])  # center the moon pair on the midline
-            plane = (
+            hard[i, :2] = (
                 midpoint
                 + _MOON_SCALE * (local[0] * axis + local[1] * perp)
                 + rng.normal(0.0, _MOON_NOISE, size=2)
             )
-            extra = rng.normal(0.0, _NUISANCE_HARD, size=n_extra)
-            feats = np.concatenate([plane, extra])
-            samples.append(SampleRecord(next_id, feats, c, c))
-            next_id += 1
+            hard[i, 2:] = rng.normal(0.0, _NUISANCE_HARD, size=n_extra)
 
     return Dataset(
-        samples,
+        np.arange(n_total),
+        features,
+        np.repeat(np.arange(num_classes), n_per_class),
         num_classes=num_classes,
         split_tag=split_tag,
         meta={
@@ -144,22 +142,23 @@ def synth_counting(
         raise ConfigError(f"n_images must be >= 1, got {n_images}")
 
     rng = np.random.default_rng(seed)
-    samples: list[SampleRecord] = []
+    images = np.empty((n_images, image_size, image_size))
+    maps = np.empty((n_images, image_size, image_size))
     for i in range(n_images):
         count = int(rng.integers(0, max_objects + 1))
         points = tuple(
             (float(rng.uniform(0.0, image_size)), float(rng.uniform(0.0, image_size)))
             for _ in range(count)
         )
-        dots = DotMap(width=image_size, height=image_size, points=points)
-        target = density_map(dots, sigma)
-        image = rng.uniform(0.0, 0.05, size=(image_size, image_size))
+        maps[i] = density_map(DotMap(width=image_size, height=image_size, points=points), sigma)
+        images[i] = rng.uniform(0.0, 0.05, size=(image_size, image_size))
         for x, y in points:
-            _render_blob(image, x, y, blob_sigma=1.2)
-        samples.append(SampleRecord(i, image, target, UNSTRATIFIED))
+            _render_blob(images[i], x, y, blob_sigma=1.2)
 
     return Dataset(
-        samples,
+        np.arange(n_images),
+        images,
+        maps,
         num_classes=0,
         split_tag=split_tag,
         meta={

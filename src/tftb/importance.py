@@ -209,15 +209,6 @@ def _stratified_quotas(class_sizes: dict[int, int], alpha: float, total_target: 
     return quotas
 
 
-def _ids_and_tags(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    """The dataset's sample ids in ascending order, and their class tags."""
-    n = len(dataset)
-    ids = np.fromiter((s.id for s in dataset.samples), np.int64, n)
-    tags = np.fromiter((s.class_tag for s in dataset.samples), np.int64, n)
-    order = np.argsort(ids)
-    return ids[order], tags[order]
-
-
 def select_subset(
     scores,
     dataset: Dataset,
@@ -227,14 +218,14 @@ def select_subset(
 ) -> SubsetPlan:
     """Keep the top (1 - alpha) fraction by score, globally or per class.
 
-    ``scores`` holds one score per sample of ``dataset`` in ascending-id
+    ``scores`` holds one score per row of ``dataset``, that is in ascending-id
     order, as ``ImportanceLedger.effective_scores`` returns them.
     """
     if not 0.0 <= alpha < 1.0:
         raise ConfigError(f"alpha must be in [0, 1), got {alpha}")
     if len(dataset) == 0:
         raise SelectionError("cannot select a subset of an empty dataset")
-    ids, tags = _ids_and_tags(dataset)
+    ids, tags = dataset.ids, dataset.class_tags
     scores = np.asarray(scores, dtype=np.float64)
     if scores.shape != ids.shape:
         raise LedgerError(
@@ -278,7 +269,7 @@ def merge_and_reselect(
 ) -> SubsetPlan:
     """Re-rank the full id universe (stale scores included) and re-partition."""
     covered = np.sort(np.array(previous.selected_ids + previous.excluded_ids, dtype=np.int64))
-    if not np.array_equal(covered, _ids_and_tags(dataset)[0]):
+    if not np.array_equal(covered, dataset.ids):
         raise SelectionError("previous subset plan does not partition this dataset's ids")
     scores = ledger.effective_scores(lambda_var)
     return select_subset(scores, dataset, alpha, stratified, epoch=epoch)

@@ -48,20 +48,15 @@ def predicted_count(density: np.ndarray) -> float:
     return max(float(np.sum(density)), 0.0)
 
 
-def _batched(n: int, batch_size: int):
-    for start in range(0, n, batch_size):
-        yield start, min(start + batch_size, n)
-
-
 def evaluate_classifier(params: ModelParams, dataset, batch_size: int = 256) -> dict:
-    feats = np.stack([s.features for s in dataset.samples])
-    targets = np.asarray([s.target for s in dataset.samples], dtype=np.int64)
+    feats, targets = dataset.features, dataset.targets
     hits = 0
     loss_total = 0.0
-    for lo, hi in _batched(len(dataset), batch_size):
-        logits = forward(params, feats[lo:hi])
-        hits += int(np.count_nonzero(np.argmax(logits, axis=1) == targets[lo:hi]))
-        loss_total += float(output_losses(logits, targets[lo:hi], "cross_entropy").sum())
+    for lo in range(0, len(dataset), batch_size):
+        rows = slice(lo, lo + batch_size)
+        logits = forward(params, feats[rows])
+        hits += int(np.count_nonzero(np.argmax(logits, axis=1) == targets[rows]))
+        loss_total += float(output_losses(logits, targets[rows], "cross_entropy").sum())
     return {
         "accuracy": hits / len(dataset),
         "mean_loss": loss_total / len(dataset),
@@ -70,15 +65,15 @@ def evaluate_classifier(params: ModelParams, dataset, batch_size: int = 256) -> 
 
 
 def evaluate_counter(params: ModelParams, dataset, batch_size: int = 64) -> dict:
-    feats = np.stack([s.features for s in dataset.samples])
-    maps = np.stack([s.target for s in dataset.samples])
+    feats, maps = dataset.features, dataset.targets
     true_counts = maps.reshape(len(dataset), -1).sum(axis=1)
     est_counts = np.empty(len(dataset))
     loss_total = 0.0
-    for lo, hi in _batched(len(dataset), batch_size):
-        pred = forward(params, feats[lo:hi])
-        est_counts[lo:hi] = [predicted_count(p) for p in pred]
-        loss_total += float(output_losses(pred, maps[lo:hi], "pixelwise_l2").sum())
+    for lo in range(0, len(dataset), batch_size):
+        rows = slice(lo, lo + batch_size)
+        pred = forward(params, feats[rows])
+        est_counts[rows] = [predicted_count(p) for p in pred]
+        loss_total += float(output_losses(pred, maps[rows], "pixelwise_l2").sum())
     mae, mse = counting_errors(est_counts, true_counts)
     return {
         "mae": mae,

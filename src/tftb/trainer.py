@@ -149,22 +149,13 @@ def _epoch_batches(
     return np.split(np.concatenate(perms)[:needed], np.cumsum(sizes)[:-1])
 
 
-def _stack_dataset(dataset: Dataset, loss_kind: str):
-    feats = np.stack([s.features for s in dataset.samples])
-    if loss_kind == "cross_entropy":
-        targets = np.asarray([s.target for s in dataset.samples], dtype=np.int64)
-    else:
-        targets = np.stack([s.target for s in dataset.samples])
-    return feats, targets, np.array(dataset.ids, dtype=np.int64)
-
-
-def _mean_eval_loss(params, feats, targets, loss_kind, batch_size) -> float:
+def _mean_eval_loss(params, dataset: Dataset, loss_kind, batch_size) -> float:
     total = 0.0
-    n = len(feats)
-    for lo in range(0, n, batch_size):
-        hi = min(lo + batch_size, n)
-        total += float(per_sample_losses(params, feats[lo:hi], targets[lo:hi], loss_kind).sum())
-    return total / n
+    for lo in range(0, len(dataset), batch_size):
+        rows = slice(lo, lo + batch_size)
+        losses = per_sample_losses(params, dataset.features[rows], dataset.targets[rows], loss_kind)
+        total += float(losses.sum())
+    return total / len(dataset)
 
 
 def train_tftb(
@@ -204,19 +195,13 @@ def _run(params, train_set, val_set, cfg, clock, ledger_writer):
     budget = BudgetClock(cfg.budget_seconds)
     adam_state = init_adam_state(params)
 
-    # pools and batches are arrays of dataset rows; a pool lists its rows in
-    # ascending-id order, so a seeded run's batches do not depend on the
-    # order of the dataset's records
-    feats, targets, ids = _stack_dataset(train_set, cfg.loss_kind)
-    rows_by_id = np.argsort(ids)
-    sorted_ids = ids[rows_by_id]
-
-    def rows_of(sample_ids):
-        return rows_by_id[np.searchsorted(sorted_ids, sample_ids)]
+    # pools and batches are arrays of dataset rows, and a dataset's rows are
+    # in ascending-id order, so a pool lists its rows in ascending-id order
+    feats, targets, ids = train_set.features, train_set.targets, train_set.ids
+    all_rows = np.arange(len(train_set))
 
     have_val = len(val_set) > 0
     if have_val:
-        val_feats, val_targets, _ = _stack_dataset(val_set, cfg.loss_kind)
         n_val_batches = epoch_equivalent_batches(len(val_set), cfg.batch_size)
 
     n = len(train_set)
@@ -257,7 +242,7 @@ def _run(params, train_set, val_set, cfg, clock, ledger_writer):
         if budget.tb is not None and not budget.fits(budget.tb * n_val_batches):
             return None, True  # no room left; let the caller stop on budget
         with clock.measure("validation") as span:
-            loss = _mean_eval_loss(params, val_feats, val_targets, cfg.loss_kind, cfg.batch_size)
+            loss = _mean_eval_loss(params, val_set, cfg.loss_kind, cfg.batch_size)
         budget.charge(span.elapsed)
         return loss, False
 
@@ -307,7 +292,7 @@ def _run(params, train_set, val_set, cfg, clock, ledger_writer):
             samples_seen = 0
             epoch_wall = 0.0
             with clock.measure("shuffle") as span:
-                warmup_batches = _epoch_batches(rows_by_id, sizes, rng)
+                warmup_batches = _epoch_batches(all_rows, sizes, rng)
             warm_elapsed += span.elapsed  # folded into the tb measurement window
             epoch_wall += span.elapsed
             for batch in warmup_batches:
@@ -379,7 +364,7 @@ def _run(params, train_set, val_set, cfg, clock, ledger_writer):
                 break
 
             epoch += 1
-            pool = rows_of(plan.selected_ids) if selective else rows_by_id
+            pool = np.searchsorted(ids, plan.selected_ids) if selective else all_rows
             with clock.measure("shuffle") as span:
                 batches = _epoch_batches(pool, sizes, rng)
             budget.charge(span.elapsed)
@@ -455,8 +440,8 @@ def _run(params, train_set, val_set, cfg, clock, ledger_writer):
                     if budget.fits(est):
                         with clock.measure("refresh") as span:
                             _refresh_excluded(
-                                params, feats, targets, ids, rows_of(plan.excluded_ids),
-                                cfg, ledger, epoch,
+                                params, feats, targets, ids,
+                                np.searchsorted(ids, plan.excluded_ids), cfg, ledger, epoch,
                             )
                         budget.charge(span.elapsed)
                 if (epoch - cfg.warmup_epochs) % cfg.rerank_period == 0:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from tftb.budget import BudgetClock, VirtualClock
-from tftb.data import Dataset, DotMap, SampleRecord, density_map, synth_classification
+from tftb.data import Dataset, DotMap, density_map, synth_classification
 from tftb.experiments import ExperimentSpec, run_experiment
 from tftb.importance import select_subset, subset_size
 from tftb.metrics import accuracy, counting_errors
@@ -158,13 +158,9 @@ def test_criterion_02_subset_exactness():
     rng = np.random.default_rng(0)
     for n, class_sizes in layouts.items():
         assert sum(class_sizes) == n
-        samples = []
-        sid = 0
-        for c, size in enumerate(class_sizes):
-            for _ in range(size):
-                samples.append(SampleRecord(sid, zero, c, c))
-                sid += 1
-        dataset = Dataset(samples, num_classes=len(class_sizes), split_tag="train")
+        labels = np.repeat(np.arange(len(class_sizes)), class_sizes)  # ids 0..n-1
+        features = np.broadcast_to(zero, (n, 1))
+        dataset = Dataset(np.arange(n), features, labels, len(class_sizes), "train")
         scores = np.array([float(rng.uniform()) for _ in range(n)])  # ids 0..n-1
         for alpha in (0.0, 0.3, 0.4):
             expected = expected_sizes[(n, alpha)]
@@ -186,7 +182,8 @@ def test_criterion_03_ranking_oracle():
     for _ in range(1000):
         n = int(rng.integers(1, 65))
         ids = sorted(int(i) for i in rng.choice(2000, size=n, replace=False))
-        dataset = Dataset([SampleRecord(i, zero, 0, 0) for i in ids], 1, "train")
+        dataset = Dataset(ids, np.broadcast_to(zero, (n, 1)), np.zeros(n, dtype=np.int64), 1,
+                          "train")
         scores = np.array([float(rng.integers(0, 8)) for _ in ids])  # heavy ties
         alpha = float(rng.uniform(0.0, 0.9))
         plan = select_subset(scores, dataset, alpha, stratified=False)

@@ -1,6 +1,7 @@
 """Datasets: CIFAR-10 binary loader, synthetic generators, density maps."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from tftb.data import (
     UNSTRATIFIED,
     Dataset,
     DotMap,
-    SampleRecord,
     density_map,
     load_cifar10,
     read_batch_file,
@@ -78,6 +78,24 @@ def test_load_cifar10_standard_layout_counts_and_normalization(cifar_dir):
     assert sorted(train.ids) == list(range(50000))
 
 
+def test_load_cifar10_peak_memory_is_bounded_by_three_train_splits(cifar_dir):
+    """Peak traced allocation of a load is under 3x the float64 train pixels.
+
+    By design the train pixels are converted to float64 once (1x) and
+    normalised in place, and ``channel_stats``' std needs one temporary of
+    the same size: a peak of about 2x.  The uint8 records (0.13x) are freed
+    before that, and the test split (0.2x) is read after it.
+    """
+    tracemalloc.start()
+    try:
+        train, _ = load_cifar10(cifar_dir)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert train.features.nbytes == 50000 * 3072 * 8
+    assert peak <= 3 * train.features.nbytes
+
+
 def test_load_cifar10_wrong_size_reports_expected_vs_actual(tmp_path):
     for name in [f"data_batch_{i}.bin" for i in range(1, 6)] + ["test_batch.bin"]:
         np.zeros(10000 * RECORD_BYTES, dtype=np.uint8).tofile(str(tmp_path / name))
@@ -103,8 +121,8 @@ def test_channel_stats_are_per_channel():
 def test_synth_classification_counts_per_class():
     ds = synth_classification(seed=0, n_per_class=100, num_classes=2, easy_fraction=0.5)
     assert len(ds) == 200
-    sizes = ds.class_sizes()
-    assert sizes == {0: 100, 1: 100}
+    classes, sizes = np.unique(ds.class_tags, return_counts=True)
+    assert dict(zip(classes.tolist(), sizes.tolist())) == {0: 100, 1: 100}
     assert sorted(ds.ids) == list(range(200))
 
 
@@ -112,18 +130,17 @@ def test_synth_classification_all_easy_lies_within_one_cluster_scale():
     ds = synth_classification(seed=3, n_per_class=80, num_classes=3, easy_fraction=1.0)
     angles = 2 * np.pi * np.arange(3) / 3
     centroids = 3.0 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    for s in ds.samples:
-        center = np.concatenate([centroids[s.class_tag], np.zeros(2)])
-        assert np.linalg.norm(s.features - center) <= 1.0
+    for features, class_tag in zip(ds.features, ds.class_tags):
+        center = np.concatenate([centroids[class_tag], np.zeros(2)])
+        assert np.linalg.norm(features - center) <= 1.0
 
 
 def test_synth_classification_same_seed_is_byte_identical():
     a = synth_classification(seed=9, n_per_class=50, num_classes=4, easy_fraction=0.6)
     b = synth_classification(seed=9, n_per_class=50, num_classes=4, easy_fraction=0.6)
     assert len(a) == len(b)
-    for sa, sb in zip(a.samples, b.samples):
-        assert sa.id == sb.id and sa.class_tag == sb.class_tag
-        assert sa.features.tobytes() == sb.features.tobytes()
+    assert np.array_equal(a.ids, b.ids) and np.array_equal(a.class_tags, b.class_tags)
+    assert a.features.tobytes() == b.features.tobytes()
 
 
 def test_synth_classification_validates_parameters():
@@ -185,19 +202,18 @@ def test_density_map_rejects_nonpositive_sigma():
 def test_synth_counting_bookkeeping_and_mass():
     ds = synth_counting(seed=1, n_images=50, image_size=16, max_objects=5, sigma=2.0)
     assert len(ds) == 50
-    assert all(s.class_tag == UNSTRATIFIED for s in ds.samples)
-    for s in ds.samples:
-        count = round(float(s.target.sum()))
-        assert abs(s.target.sum() - count) <= 1e-6
+    assert all(ds.class_tags == UNSTRATIFIED)
+    for target in ds.targets:
+        count = round(float(target.sum()))
+        assert abs(target.sum() - count) <= 1e-6
         assert 0 <= count <= 5
 
 
 def test_synth_counting_same_seed_identical():
     a = synth_counting(seed=4, n_images=10, image_size=16, max_objects=4, sigma=2.0)
     b = synth_counting(seed=4, n_images=10, image_size=16, max_objects=4, sigma=2.0)
-    for sa, sb in zip(a.samples, b.samples):
-        assert sa.features.tobytes() == sb.features.tobytes()
-        assert sa.target.tobytes() == sb.target.tobytes()
+    assert a.features.tobytes() == b.features.tobytes()
+    assert a.targets.tobytes() == b.targets.tobytes()
 
 
 def test_synth_counting_validates_parameters():
@@ -211,12 +227,40 @@ def test_synth_counting_validates_parameters():
 # dataset invariants, split
 
 
-def test_dataset_rejects_duplicate_ids_and_mixed_shapes():
-    rec = lambda i, dim: SampleRecord(i, np.zeros(dim), 0, 0)  # noqa: E731
-    with pytest.raises(ConfigError, match="duplicate"):
-        Dataset([rec(1, 3), rec(1, 3)], num_classes=2, split_tag="t")
-    with pytest.raises(ShapeError, match="mixed"):
-        Dataset([rec(1, 3), rec(2, 4)], num_classes=2, split_tag="t")
+@pytest.mark.parametrize(
+    "ids, features, targets, error, message",
+    [
+        # rows given one per sample, as a record list would hold them
+        ([1, 1], [np.zeros(3), np.zeros(3)], [0, 0], ConfigError, "duplicate"),
+        ([1, 2], [np.zeros(3), np.zeros(4)], [0, 0], ShapeError, "mixed"),
+        ([1, 2, 3], np.zeros((2, 3)), [0, 0], ShapeError, r"3 ids but features of shape \(2, 3\)"),
+        ([1, 2], np.zeros((2, 3)), [0, 0, 1], ShapeError, r"2 ids but targets of shape \(3,\)"),
+        ([[1, 2]], np.zeros((1, 3)), [0], ShapeError, "ids must be one-dimensional"),
+        ([4, -2], np.zeros((2, 3)), [0, 1], ConfigError, "negative sample id -2"),
+        ([1, 2], np.zeros((2, 3)), [0, 2], ConfigError, r"sample 2 label 2 outside \[0, 2\)"),
+        ([1, 2], np.zeros((2, 3)), [-1, 0], ConfigError, r"sample 1 label -1 outside \[0, 2\)"),
+        ([1, 2], np.zeros((2, 3)), [[0, 1], [1, 0]], ShapeError, "one class label per sample"),
+        ([1.0, 2.5], np.zeros((2, 3)), [0, 1], ConfigError, "ids must be integers"),
+    ],
+    ids=["duplicate-ids", "mixed-feature-shapes", "features-length", "targets-length",
+         "2d-ids", "negative-id", "label-too-large", "label-negative", "2d-labels", "float-ids"],
+)
+def test_dataset_rejects_malformed_arrays(ids, features, targets, error, message):
+    with pytest.raises(error, match=message):
+        Dataset(ids, features, targets, num_classes=2, split_tag="t")
+
+
+def test_dataset_stores_rows_in_ascending_id_order():
+    rng = np.random.default_rng(0)
+    ids = rng.permutation(50) * 3
+    features = rng.standard_normal((50, 4))
+    labels = rng.integers(0, 3, 50)
+    ds = Dataset(ids, features, labels, num_classes=3, split_tag="t")
+    order = np.argsort(ids)
+    assert np.array_equal(ds.ids, ids[order])
+    assert np.array_equal(ds.features, features[order])
+    assert np.array_equal(ds.targets, labels[order])
+    assert np.array_equal(ds.class_tags, labels[order])
 
 
 def test_train_val_split_is_disjoint_and_seeded():
@@ -226,8 +270,8 @@ def test_train_val_split_is_disjoint_and_seeded():
     assert set(train.ids).isdisjoint(val.ids)
     assert set(train.ids) | set(val.ids) == set(ds.ids)
     assert len(val) == round(0.1 * len(ds))
-    assert train.ids == train2.ids and val.ids == val2.ids
-    assert train_val_split(ds, 0.1, seed=8)[1].ids != val.ids
+    assert np.array_equal(train.ids, train2.ids) and np.array_equal(val.ids, val2.ids)
+    assert not np.array_equal(train_val_split(ds, 0.1, seed=8)[1].ids, val.ids)
 
 
 def test_fingerprint_distinguishes_data_and_is_stable():
@@ -235,3 +279,41 @@ def test_fingerprint_distinguishes_data_and_is_stable():
     b = synth_classification(seed=3, n_per_class=30, num_classes=2, easy_fraction=0.5)
     assert a.fingerprint() == a.fingerprint()
     assert a.fingerprint() != b.fingerprint()
+
+
+# digests of the record-list Dataset: a manifest written before the move to
+# struct-of-arrays storage must carry the same fingerprints after it
+_GOLDEN_FINGERPRINTS = {
+    "classify-30": "62818f2e5f6a363207e940623e648af01d4f12bdc32d2aef5cb552fd449e0bdd",
+    "classify-30/train": "0076af65be17a55fc014e3b50f8f5dd23b3acd95605e475819d2c6630e4209fb",
+    "classify-30/val": "7e0a62d9c675d9a816d0d815ffb6f69931b1debf355de71440ba126fc2aa1762",
+    "count-12": "ce7993ab83c3322ef9cb0a9fb0a50a151f88a15b5801fcdab7c5d37c29a3f37b",
+    "count-12/train": "ce37e268519f23e6f957cff6af20d57862366c5402484dab705afb1d75490f46",
+    "count-12/val": "8b1145fa8853b0d96f62ba8412f4d0255ff52ca406d447c8bdd8e7814189ae2c",
+    "classify-150": "cece0eb4d97d4b77a2fc20c261b8aceaba410fc442894a599c1b289972f850b0",
+    "count-130": "9b40ab9d4877775d322e09f7a3f6d2ab6615f7445e2c7c99155d6e26aa736beb",
+}
+
+
+def _golden_dataset(name):
+    base, _, part = name.partition("/")
+    ds = {
+        "classify-30": lambda: synth_classification(
+            seed=5, n_per_class=10, num_classes=3, easy_fraction=0.5),
+        "count-12": lambda: synth_counting(
+            seed=6, n_images=12, image_size=16, max_objects=3, sigma=2.0),
+        # >= 128 rows: the fingerprint hashes every second row
+        "classify-150": lambda: synth_classification(
+            seed=7, n_per_class=50, num_classes=3, easy_fraction=0.6),
+        "count-130": lambda: synth_counting(
+            seed=8, n_images=130, image_size=16, max_objects=2, sigma=2.0),
+    }[base]()
+    if part:
+        train, val = train_val_split(ds, 0.25, seed=1)
+        ds = train if part == "train" else val
+    return ds
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN_FINGERPRINTS))
+def test_fingerprint_matches_golden_digest(name):
+    assert _golden_dataset(name).fingerprint() == _GOLDEN_FINGERPRINTS[name]

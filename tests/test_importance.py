@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from tftb.data import Dataset, SampleRecord
+from tftb.data import Dataset
 from tftb.errors import ConfigError, LedgerError, SelectionError
 from tftb.importance import (
     AlphaSchedule,
@@ -21,9 +21,10 @@ _FEATURES = np.zeros(1)
 
 def make_dataset(class_of, num_classes=None):
     """Weightless dataset: id -> class_tag only, for selection tests."""
-    samples = [SampleRecord(i, _FEATURES, c, c) for i, c in sorted(class_of.items())]
+    ids, labels = zip(*sorted(class_of.items()))
     n_classes = num_classes if num_classes is not None else max(class_of.values()) + 1
-    return Dataset(samples, num_classes=n_classes, split_tag="train")
+    features = np.broadcast_to(_FEATURES, (len(ids), _FEATURES.size))
+    return Dataset(ids, features, labels, num_classes=n_classes, split_tag="train")
 
 
 def uniform_dataset(n, num_classes=1):
@@ -262,7 +263,7 @@ def test_monotone_selection_within_class():
     ds = uniform_dataset(60, num_classes=3)
     scores = np.array([float(rng.uniform()) for _ in range(60)])
     plan = select_subset(scores, ds, alpha=0.35, stratified=True)
-    tags = {s.id: s.class_tag for s in ds.samples}
+    tags = dict(zip(ds.ids.tolist(), ds.class_tags.tolist()))
     selected = set(plan.selected_ids)
     for a in range(60):
         for b in range(60):

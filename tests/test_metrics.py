@@ -120,8 +120,7 @@ def test_evaluators_match_two_pass_forward_then_losses():
 
     cls = synth_classification(3, 150, 3, 0.8)  # 450 samples: two batches of 256
     params = init_params(MlpArch(4, (6,), 3), np.random.default_rng(1))
-    feats = np.stack([s.features for s in cls.samples])
-    labels = np.array([s.target for s in cls.samples])
+    feats, labels = cls.features, cls.targets
     preds, loss = two_pass(params, feats, labels, "cross_entropy", 256,
                            lambda logits: np.argmax(logits, axis=1))
     out = evaluate_classifier(params, cls)
@@ -130,8 +129,7 @@ def test_evaluators_match_two_pass_forward_then_losses():
 
     cnt = synth_counting(4, 70, 16, 3, 2.0)  # 70 images: batches of 64 and 6
     cparams = init_params(ConvDensityArch(16, 16, (3, 2)), np.random.default_rng(2))
-    feats = np.stack([s.features for s in cnt.samples])
-    maps = np.stack([s.target for s in cnt.samples])
+    feats, maps = cnt.features, cnt.targets
     counts, loss = two_pass(cparams, feats, maps, "pixelwise_l2", 64,
                             lambda pred: np.array([predicted_count(p) for p in pred]))
     cout = evaluate_counter(cparams, cnt)

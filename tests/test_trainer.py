@@ -8,7 +8,7 @@ import pytest
 
 from tftb.budget import VirtualClock  # noqa: F401 (used in helper and tests)
 from tftb.data import (
-    Dataset, SampleRecord, synth_classification, synth_counting, train_val_split,
+    Dataset, synth_classification, synth_counting, train_val_split,
 )
 from tftb.errors import BudgetError, ConfigError, SelectionError, TrainingAbort
 from tftb.nn import MlpArch, ConvDensityArch, init_params
@@ -251,10 +251,29 @@ def test_non_finite_loss_aborts_with_diagnostic_manifest():
     assert manifest.error["sample_id"] in set(train.ids)
 
 
+def test_shuffled_id_order_trains_like_ascending_order():
+    train, val = class_data(seed=3)
+    perm = np.random.default_rng(1).permutation(len(train))
+    shuffled = Dataset(train.ids[perm], train.features[perm], train.targets[perm],
+                       train.num_classes, train.split_tag, dict(train.meta))
+    assert np.array_equal(shuffled.ids, train.ids)
+    assert np.array_equal(shuffled.features, train.features)
+    cfg = TrainConfig(mode="tftb", alpha=0.3, max_epochs=5, seed=2, early_stop_patience=50,
+                      refresh_excluded_period=1)
+
+    def run(train_set):
+        rows = []
+        _, manifest = train_tftb(model_for(train_set), train_set, val, cfg, clock=virtual(),
+                                 ledger_writer=rows.extend)
+        return manifest.to_json(), rows
+
+    assert run(shuffled) == run(train)
+
+
 def test_empty_active_subset_is_an_error_not_a_hang():
     rng = np.random.default_rng(0)
-    train = Dataset([SampleRecord(0, rng.standard_normal(4), 1, 1)], 2, "train")
-    val = Dataset([SampleRecord(1, rng.standard_normal(4), 0, 0)], 2, "val")
+    train = Dataset([0], rng.standard_normal((1, 4)), [1], 2, "train")
+    val = Dataset([1], rng.standard_normal((1, 4)), [0], 2, "val")
     # one sample at alpha 0.6 rounds the unstratified subset down to nothing
     cfg = TrainConfig(mode="tftb", alpha=0.6, stratified=False, max_epochs=3,
                       early_stop_patience=50)
