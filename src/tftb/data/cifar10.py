@@ -25,6 +25,8 @@ RECORDS_PER_FILE = 10000
 NUM_CLASSES = 10
 TRAIN_FILES = tuple(f"data_batch_{i}.bin" for i in range(1, 6))
 TEST_FILE = "test_batch.bin"
+# records per chunk of channel_stats' deviation pass: an 8 MiB temporary
+STATS_CHUNK_RECORDS = (1 << 20) // PIXELS
 
 
 def _read_records(path) -> np.ndarray:
@@ -74,10 +76,19 @@ def _read_split(paths) -> tuple[np.ndarray, np.ndarray]:
 
 
 def channel_stats(pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-channel mean/std of [0,1]-scaled pixels, channels in R,G,B order."""
+    """Per-channel mean/std of [0,1]-scaled pixels, channels in R,G,B order.
+
+    The squared deviations are summed one chunk of ``STATS_CHUNK_RECORDS``
+    records at a time, so the temporary stays the same size at any N.
+    """
     per_channel = pixels.reshape(-1, 3, CHANNEL)
     mean = per_channel.mean(axis=(0, 2))
-    std = per_channel.std(axis=(0, 2))
+    squares = np.zeros(3)
+    for lo in range(0, len(per_channel), STATS_CHUNK_RECORDS):
+        dev = per_channel[lo : lo + STATS_CHUNK_RECORDS] - mean[:, None]
+        dev *= dev
+        squares += dev.sum(axis=(0, 2))
+    std = np.sqrt(squares / (len(per_channel) * CHANNEL))
     return mean, np.where(std == 0.0, 1.0, std)
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 from typing import Sequence
 
@@ -27,6 +28,9 @@ import numpy as np
 
 from .data.dataset import Dataset
 from .errors import ConfigError, LedgerError, SelectionError
+
+
+_INF_BITS = np.float64(np.inf).view(np.uint64)
 
 
 def round_half_up(x: float) -> int:
@@ -42,9 +46,12 @@ def subset_size(n: int, alpha: float) -> int:
 class ImportanceLedger:
     """Per-sample loss history over a sliding window of the last W passes.
 
-    Row ``r`` of every array belongs to ``ids[r]``, and ids ascend.  A row of
-    the ``(N, W)`` loss window holds its valid losses oldest first, followed
-    by zero padding; ``last_observed_epoch`` is -1 for ids never observed.
+    Row ``r`` of every array belongs to ``ids[r]``, and ids ascend.  Each row
+    of the ``(N, W)`` loss array is a ring, so recording a loss moves no
+    other loss.  A row's ring state ``s`` counts its losses while the ring
+    fills (``s < W``) and is ``W`` plus the column of its oldest loss once it
+    is full; the next loss goes to column ``s % W``.  ``last_observed_epoch``
+    is -1 for ids never observed.
     """
 
     def __init__(self, sample_ids, window: int):
@@ -55,8 +62,15 @@ class ImportanceLedger:
         if self.ids.size == 0:
             raise LedgerError("ledger needs at least one sample id")
         self._losses = np.zeros((self.ids.size, window))
-        self._counts = np.zeros(self.ids.size, dtype=np.int64)
+        self._ring = np.zeros(self.ids.size, dtype=np.int64)
         self.last_observed_epoch = np.full(self.ids.size, -1, dtype=np.int64)
+        # lookup tables by ring state: the column the next loss goes to, the
+        # state after it, and the window's columns, oldest loss first
+        states = np.arange(2 * window)
+        oldest = np.where(states < window, 0, states - window)
+        self._next_column = states % window
+        self._next_state = np.where(states + 1 < 2 * window, states + 1, window)
+        self._window_columns = (oldest[:, None] + np.arange(window)) % window
 
     def __len__(self) -> int:
         return self.ids.size
@@ -65,7 +79,9 @@ class ImportanceLedger:
         row = int(np.searchsorted(self.ids, sample_id))
         if row == self.ids.size or self.ids[row] != sample_id:
             raise LedgerError(f"unknown sample id {sample_id}")
-        return tuple(self._losses[row, : self._counts[row]].tolist())
+        state = self._ring[row]
+        window = self._losses[row, self._window_columns[state]]
+        return tuple(window[: min(state, self.window)].tolist())
 
     def record_losses(self, sample_ids, losses, epoch: int) -> None:
         """Append ``losses[k]`` to the window of ``sample_ids[k]``, in call order.
@@ -79,21 +95,25 @@ class ImportanceLedger:
             raise LedgerError(
                 f"need one loss per sample id, got shapes {losses.shape} and {sample_ids.shape}"
             )
-        rows = np.searchsorted(self.ids, sample_ids)
-        unknown = self.ids[np.minimum(rows, self.ids.size - 1)] != sample_ids
-        bad = unknown | ~(np.isfinite(losses) & (losses >= 0.0))
-        if bad.any():
-            k = int(bad.argmax())
-            if unknown[k]:
-                raise LedgerError(f"unknown sample id {sample_ids[k]}")
-            raise LedgerError(
-                f"sample {sample_ids[k]}: loss must be finite and >= 0, got {losses[k]}"
-            )
+        rows = self.ids.searchsorted(sample_ids)
+        known = self.ids.take(rows, mode="clip") == sample_ids
+        # read as unsigned integers, the bits of finite losses >= +0.0 are
+        # those below the bits of +inf: one comparison rejects negative,
+        # infinite and NaN losses (and -0.0, which the exact check lets pass)
+        if np.count_nonzero(known & (losses.view(np.uint64) < _INF_BITS)) < rows.size:
+            bad = ~known | ~(np.isfinite(losses) & (losses >= 0.0))
+            if bad.any():
+                k = int(bad.argmax())
+                if not known[k]:
+                    raise LedgerError(f"unknown sample id {sample_ids[k]}")
+                raise LedgerError(
+                    f"sample {sample_ids[k]}: loss must be finite and >= 0, got {losses[k]}"
+                )
         self._append(rows, losses, epoch)
 
     def _append(self, rows: np.ndarray, losses: np.ndarray, epoch: int) -> None:
         ordered = np.sort(rows)
-        if (ordered[1:] == ordered[:-1]).any():
+        if np.count_nonzero(ordered[1:] == ordered[:-1]):
             # a row repeated in the call appends once per occurrence, in call
             # order: first occurrences now, the rest after them
             _, first = np.unique(rows, return_index=True)
@@ -102,26 +122,27 @@ class ImportanceLedger:
             self._append(rows[first], losses[first], epoch)
             self._append(rows[later], losses[later], epoch)
             return
-        counts = self._counts[rows]
-        full = rows[counts == self.window]
-        self._losses[full, :-1] = self._losses[full, 1:]
-        self._losses[rows, np.minimum(counts, self.window - 1)] = losses
-        self._counts[rows] = np.minimum(counts + 1, self.window)
+        state = self._ring[rows]
+        self._losses[rows, self._next_column[state]] = losses
+        self._ring[rows] = self._next_state[state]
         self.last_observed_epoch[rows] = epoch
 
     def moments(self) -> tuple[np.ndarray, np.ndarray]:
         """Mean and population std of each window's valid losses; NaN where empty.
 
-        The padding is zero and follows the valid losses, so for W < 8, where
-        numpy sums a row in order, each row's sums equal those of its valid
-        losses alone: the results are bit-identical to ``np.mean`` and
-        ``np.std`` of the history.
+        The windows are summed oldest loss first with the zero padding last,
+        so for W < 8, where numpy sums a row in order, each row's sums equal
+        those of its valid losses alone: the results are bit-identical to
+        ``np.mean`` and ``np.std`` of the history.
         """
-        valid = np.arange(self.window) < self._counts[:, None]
+        # every row's window, oldest loss first and zero-padded
+        windows = np.take_along_axis(self._losses, self._window_columns[self._ring], axis=1)
+        counts = np.minimum(self._ring, self.window)
+        valid = np.arange(self.window) < counts[:, None]
         with np.errstate(invalid="ignore", divide="ignore"):
-            mean = self._losses.sum(axis=1) / self._counts
-            dev = np.where(valid, self._losses - mean[:, None], 0.0)
-            std = np.sqrt((dev * dev).sum(axis=1) / self._counts)
+            mean = windows.sum(axis=1) / counts
+            dev = np.where(valid, windows - mean[:, None], 0.0)
+            std = np.sqrt((dev * dev).sum(axis=1) / counts)
         return mean, std
 
     def effective_scores(self, lambda_var: float) -> np.ndarray:
@@ -130,7 +151,7 @@ class ImportanceLedger:
         Every id must have at least one observation; selection before the
         warm-up pass has finished is a caller bug.
         """
-        empty = self._counts == 0
+        empty = self._ring == 0
         if empty.any():
             raise LedgerError(
                 f"sample {self.ids[empty.argmax()]} has no observed losses; "
@@ -159,20 +180,53 @@ def rank(ids, scores) -> np.ndarray:
     return ids[_ranking(ids, scores)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubsetPlan:
-    """The current selected/excluded partition and the alpha that produced it."""
+    """The current selected/excluded partition and the alpha that produced it.
 
-    selected_ids: tuple[int, ...]
-    excluded_ids: tuple[int, ...]
+    ``selected[r]`` tells whether the sample ``ids[r]`` is in the active
+    subset; ``ids`` are the dataset's, in its row order, so the mask is a
+    partition of the dataset's rows by construction.
+    """
+
+    ids: np.ndarray
+    selected: np.ndarray
     alpha: float
     epoch: int
     per_class_counts: dict[int, int]
 
     def __post_init__(self):
-        overlap = np.intersect1d(self.selected_ids, self.excluded_ids)
-        if overlap.size:
-            raise SelectionError(f"selected/excluded overlap: {overlap[:5].tolist()}")
+        if self.selected.dtype != np.bool_ or self.selected.shape != self.ids.shape:
+            raise SelectionError(
+                f"selection mask must be boolean of shape {self.ids.shape}, "
+                f"got {self.selected.dtype} of shape {self.selected.shape}"
+            )
+
+    @cached_property
+    def selected_rows(self) -> np.ndarray:
+        return np.flatnonzero(self.selected)
+
+    @cached_property
+    def excluded_rows(self) -> np.ndarray:
+        return np.flatnonzero(~self.selected)
+
+    @cached_property
+    def selected_ids(self) -> tuple[int, ...]:
+        return tuple(self.ids[self.selected_rows].tolist())
+
+    @cached_property
+    def excluded_ids(self) -> tuple[int, ...]:
+        return tuple(self.ids[self.excluded_rows].tolist())
+
+    def __eq__(self, other):
+        if not isinstance(other, SubsetPlan):
+            return NotImplemented
+        return (
+            np.array_equal(self.ids, other.ids)
+            and np.array_equal(self.selected, other.selected)
+            and (self.alpha, self.epoch, self.per_class_counts)
+            == (other.alpha, other.epoch, other.per_class_counts)
+        )
 
 
 def _stratified_quotas(class_sizes: dict[int, int], alpha: float, total_target: int) -> dict[int, int]:
@@ -250,8 +304,8 @@ def select_subset(
 
     counted_classes, counts = np.unique(tags[selected], return_counts=True)
     return SubsetPlan(
-        selected_ids=tuple(ids[selected].tolist()),
-        excluded_ids=tuple(ids[~selected].tolist()),
+        ids=ids,
+        selected=selected,
         alpha=alpha,
         epoch=epoch,
         per_class_counts=dict(zip(counted_classes.tolist(), counts.tolist())),
@@ -268,8 +322,7 @@ def merge_and_reselect(
     epoch: int = 0,
 ) -> SubsetPlan:
     """Re-rank the full id universe (stale scores included) and re-partition."""
-    covered = np.sort(np.array(previous.selected_ids + previous.excluded_ids, dtype=np.int64))
-    if not np.array_equal(covered, dataset.ids):
+    if not np.array_equal(previous.ids, dataset.ids):
         raise SelectionError("previous subset plan does not partition this dataset's ids")
     scores = ledger.effective_scores(lambda_var)
     return select_subset(scores, dataset, alpha, stratified, epoch=epoch)
@@ -323,8 +376,10 @@ def ledger_rows(
     ledger: ImportanceLedger, plan: SubsetPlan, lambda_var: float, epoch: int
 ) -> list[tuple[int, int, float, float, float, int]]:
     """Rows (epoch, sample_id, mean, std, effective_score, selected) for a CSV dump."""
+    if not np.array_equal(plan.ids, ledger.ids):
+        raise LedgerError("subset plan and ledger cover different sample ids")
     mean, std = ledger.moments()
-    selected = np.isin(ledger.ids, plan.selected_ids).astype(np.int64)
+    selected = plan.selected.astype(np.int64)
     return list(
         zip(
             repeat(epoch),

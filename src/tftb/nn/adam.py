@@ -1,4 +1,8 @@
-"""Adam optimizer with standard defaults; only the learning rate is exposed."""
+"""Adam optimizer with standard defaults; only the learning rate is exposed.
+
+The moments are two vectors laid out like ``ModelParams.flat``, so one step
+is one element-wise update over the whole parameter vector.
+"""
 
 from __future__ import annotations
 
@@ -17,27 +21,15 @@ EPS = 1e-8
 @dataclass
 class AdamState:
     step: int
-    m_weights: list[np.ndarray]
-    v_weights: list[np.ndarray]
-    m_biases: list[np.ndarray]
-    v_biases: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
 
 
 def init_adam_state(params: ModelParams) -> AdamState:
-    return AdamState(
-        step=0,
-        m_weights=[np.zeros_like(w) for w in params.weights],
-        v_weights=[np.zeros_like(w) for w in params.weights],
-        m_biases=[np.zeros_like(b) for b in params.biases],
-        v_biases=[np.zeros_like(b) for b in params.biases],
-    )
+    return AdamState(step=0, m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
 
 
 def _update(param, grad, m, v, lr, t):
-    if param.shape != grad.shape:
-        raise ShapeError(
-            f"adam: gradient shape {grad.shape} does not match parameter shape {param.shape}"
-        )
     if param.shape != m.shape:
         raise ShapeError(
             f"adam: moment shape {m.shape} does not match parameter shape {param.shape}"
@@ -58,14 +50,24 @@ def adam_step(
     state: AdamState,
     lr: float,
 ) -> tuple[ModelParams, AdamState]:
-    """One in-place Adam update; returns the mutated params and state."""
+    """One in-place Adam update; returns the mutated params and state.
+
+    The per-layer gradients are checked against the parameter shapes and
+    joined in ``params.flat`` order, so every parameter takes the same
+    element-wise update it would take layer by layer.
+    """
     if lr <= 0:
         raise ConfigError(f"learning rate must be positive, got {lr}")
-    if len(grad_weights) != len(params.weights) or len(grad_biases) != len(params.biases):
-        raise ShapeError("adam: gradient list length does not match parameter layers")
+    for grads, layers in ((grad_weights, params.weights), (grad_biases, params.biases)):
+        if len(grads) != len(layers):
+            raise ShapeError("adam: gradient list length does not match parameter layers")
+        for grad, param in zip(grads, layers):
+            if grad.shape != param.shape:
+                raise ShapeError(
+                    f"adam: gradient shape {grad.shape} does not match "
+                    f"parameter shape {param.shape}"
+                )
+    grad = np.concatenate([g.ravel() for pair in zip(grad_weights, grad_biases) for g in pair])
     state.step += 1
-    t = state.step
-    for i in range(len(params.weights)):
-        _update(params.weights[i], grad_weights[i], state.m_weights[i], state.v_weights[i], lr, t)
-        _update(params.biases[i], grad_biases[i], state.m_biases[i], state.v_biases[i], lr, t)
+    _update(params.flat, grad, state.m, state.v, lr, state.step)
     return params, state

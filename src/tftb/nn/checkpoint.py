@@ -8,7 +8,8 @@ Layout (all integers little-endian):
     per layer     raw little-endian float64 buffers, weights then bias,
                   in layer order; shapes are implied by the descriptor
 
-The round trip is bit-exact: float64 buffers are written verbatim.
+The parameter bytes are ``ModelParams.flat`` verbatim, written and read as
+one buffer, so the round trip is bit-exact.
 """
 
 from __future__ import annotations
@@ -31,9 +32,7 @@ def save_params(params: ModelParams, path) -> None:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(desc)))
         fh.write(desc)
-        for w, b in zip(params.weights, params.biases):
-            fh.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(params.flat, dtype="<f8").tobytes())
 
 
 def load_params(path) -> ModelParams:
@@ -56,21 +55,13 @@ def load_params(path) -> ModelParams:
             f"{path}: invalid architecture descriptor {desc!r}: {exc!r}"
         ) from exc
 
-    offset = desc_end
-    weights, biases = [], []
-    for w_shape, b_shape in layer_shapes:
-        for shape, dest in ((w_shape, weights), (b_shape, biases)):
-            n_bytes = int(np.prod(shape)) * 8
-            chunk = blob[offset : offset + n_bytes]
-            if len(chunk) != n_bytes:
-                raise CorruptDataError(
-                    f"{path}: truncated parameter data, wanted {n_bytes} bytes "
-                    f"at offset {offset}, got {len(chunk)}"
-                )
-            dest.append(np.frombuffer(chunk, dtype="<f8").reshape(shape).copy())
-            offset += n_bytes
-    if offset != len(blob):
+    n_bytes = 8 * sum(int(np.prod(w)) + int(np.prod(b)) for w, b in layer_shapes)
+    data = blob[desc_end:]
+    if len(data) < n_bytes:
         raise CorruptDataError(
-            f"{path}: {len(blob) - offset} trailing bytes after parameter data"
+            f"{path}: truncated parameter data, wanted {n_bytes} bytes "
+            f"at offset {desc_end}, got {len(data)}"
         )
-    return ModelParams(arch=arch, weights=weights, biases=biases)
+    if len(data) > n_bytes:
+        raise CorruptDataError(f"{path}: {len(data) - n_bytes} trailing bytes after parameter data")
+    return ModelParams(arch, np.frombuffer(data, dtype="<f8").astype(np.float64))

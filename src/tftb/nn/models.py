@@ -7,6 +7,8 @@
                       single-channel map the size of the input image.
 
 Parameters, activations, and gradients are float64 numpy arrays throughout.
+A model's parameters are one contiguous vector, ``ModelParams.flat``, with
+per-layer views ``weights`` and ``biases``.
 No autodiff: each architecture's backward pass is written out explicitly and
 is checked against central finite differences in the test suite.
 
@@ -23,8 +25,9 @@ and that buffer.
 
 from __future__ import annotations
 
+import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 import numpy as np
@@ -120,65 +123,64 @@ def arch_from_descriptor(desc: dict) -> Architecture:
     raise ShapeError(f"unknown architecture kind: {kind!r}")
 
 
-@dataclass
-class ModelParams:
-    """All learnable state of one model: per-layer weights and biases.
+def _flat_shapes(arch: Architecture) -> list[tuple[int, ...]]:
+    """Shape of every parameter array in ``ModelParams.flat`` order."""
+    return [shape for pair in arch.layer_shapes() for shape in pair]
 
-    The architecture descriptor fully determines every array shape, which is
-    what makes the checkpoint format and the Adam state layout unambiguous.
+
+@dataclass(eq=False)
+class ModelParams:
+    """All learnable state of one model, in one contiguous float64 vector.
+
+    ``flat`` holds each layer's weights and then its bias, layer by layer:
+    the order of a checkpoint's parameter bytes.  ``weights[i]`` and
+    ``biases[i]`` are views of ``flat`` in the shapes the architecture
+    descriptor gives, so a write to either is a write to the other, and the
+    optimizer updates every parameter in one pass over ``flat``.
     """
 
     arch: Architecture
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    flat: np.ndarray
+    weights: list[np.ndarray] = field(init=False, repr=False)
+    biases: list[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
-        expected = self.arch.layer_shapes()
-        if len(self.weights) != len(expected) or len(self.biases) != len(expected):
+        self.flat = as_f64(self.flat)
+        shapes = _flat_shapes(self.arch)
+        size = sum(math.prod(s) for s in shapes)
+        if self.flat.shape != (size,):
             raise ShapeError(
-                f"expected {len(expected)} layers, got {len(self.weights)} weights "
-                f"and {len(self.biases)} biases"
+                f"{self.arch.kind} parameters: expected a vector of {size} floats, "
+                f"got shape {self.flat.shape}"
             )
-        for i, (w_shape, b_shape) in enumerate(expected):
-            if tuple(self.weights[i].shape) != w_shape:
-                raise ShapeError(
-                    f"layer {i} weights: expected shape {w_shape}, "
-                    f"got {tuple(self.weights[i].shape)}"
-                )
-            if tuple(self.biases[i].shape) != b_shape:
-                raise ShapeError(
-                    f"layer {i} bias: expected shape {b_shape}, "
-                    f"got {tuple(self.biases[i].shape)}"
-                )
+        views, offset = [], 0
+        for shape in shapes:
+            views.append(self.flat[offset : offset + math.prod(shape)].reshape(shape))
+            offset += math.prod(shape)
+        self.weights, self.biases = views[0::2], views[1::2]
 
-    @property
-    def num_parameters(self) -> int:
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
+    @classmethod
+    def zeros(cls, arch: Architecture) -> "ModelParams":
+        return cls(arch, np.zeros(sum(math.prod(s) for s in _flat_shapes(arch))))
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            arch=self.arch,
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-        )
+        return ModelParams(self.arch, self.flat.copy())
 
     def allclose(self, other: "ModelParams", atol: float = 0.0) -> bool:
         if self.arch != other.arch:
             return False
-        pairs = zip(self.weights + self.biases, other.weights + other.biases)
         if atol == 0.0:
-            return all(np.array_equal(a, b) for a, b in pairs)
-        return all(np.allclose(a, b, atol=atol, rtol=0.0) for a, b in pairs)
+            return np.array_equal(self.flat, other.flat)
+        return np.allclose(self.flat, other.flat, atol=atol, rtol=0.0)
 
 
 def init_params(arch: Architecture, rng: np.random.Generator) -> ModelParams:
     """He-initialised weights, zero biases."""
-    weights, biases = [], []
-    for w_shape, b_shape in arch.layer_shapes():
-        fan_in = int(np.prod(w_shape[1:])) if len(w_shape) == 4 else w_shape[0]
-        weights.append(rng.standard_normal(w_shape) * np.sqrt(2.0 / fan_in))
-        biases.append(np.zeros(b_shape))
-    return ModelParams(arch=arch, weights=weights, biases=biases)
+    params = ModelParams.zeros(arch)
+    for w in params.weights:
+        fan_in = int(np.prod(w.shape[1:])) if w.ndim == 4 else w.shape[0]
+        w[...] = rng.standard_normal(w.shape) * np.sqrt(2.0 / fan_in)
+    return params
 
 
 @dataclass

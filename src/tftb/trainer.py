@@ -364,7 +364,7 @@ def _run(params, train_set, val_set, cfg, clock, ledger_writer):
                 break
 
             epoch += 1
-            pool = np.searchsorted(ids, plan.selected_ids) if selective else all_rows
+            pool = plan.selected_rows if selective else all_rows
             with clock.measure("shuffle") as span:
                 batches = _epoch_batches(pool, sizes, rng)
             budget.charge(span.elapsed)
@@ -432,16 +432,15 @@ def _run(params, train_set, val_set, cfg, clock, ledger_writer):
                 if (
                     cfg.refresh_excluded_period
                     and (epoch - cfg.warmup_epochs) % cfg.refresh_excluded_period == 0
-                    and plan.excluded_ids
+                    and plan.excluded_rows.size
                 ):
                     est = (budget.tb or 0.0) * epoch_equivalent_batches(
-                        len(plan.excluded_ids), cfg.batch_size
+                        plan.excluded_rows.size, cfg.batch_size
                     )
                     if budget.fits(est):
                         with clock.measure("refresh") as span:
                             _refresh_excluded(
-                                params, feats, targets, ids,
-                                np.searchsorted(ids, plan.excluded_ids), cfg, ledger, epoch,
+                                params, feats, targets, ids, plan.excluded_rows, cfg, ledger, epoch
                             )
                         budget.charge(span.elapsed)
                 if (epoch - cfg.warmup_epochs) % cfg.rerank_period == 0:

@@ -17,7 +17,7 @@ from tftb.data import (
     synth_counting,
     train_val_split,
 )
-from tftb.data.cifar10 import RECORD_BYTES, channel_stats
+from tftb.data.cifar10 import RECORD_BYTES, STATS_CHUNK_RECORDS, channel_stats
 from tftb.errors import ConfigError, CorruptDataError, ShapeError
 
 # ---------------------------------------------------------------------------
@@ -96,6 +96,32 @@ def test_load_cifar10_peak_memory_is_bounded_by_three_train_splits(cifar_dir):
     assert peak <= 3 * train.features.nbytes
 
 
+def test_load_cifar10_peak_memory_stays_near_one_train_split(patterned_cifar_dir):
+    """Peak traced allocation of a load is under 1.25x the float64 train
+    pixels, and the channel stats match ``np.std`` within 1e-12 relative.
+
+    The train pixels (1x) are the only train-sized array: ``channel_stats``
+    sums squared deviations in chunks of a few MiB.  Besides them the peak
+    holds the uint8 train records (0.13x) while they convert, or the test
+    split (0.2x float64 plus its 0.03x records) while it loads.  Every train
+    record is one of eight, each the same number of times, so the stats of
+    the eight are the stats of the split.
+    """
+    directory, pattern = patterned_cifar_dir
+    tracemalloc.start()
+    try:
+        train, _ = load_cifar10(directory)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert train.features.nbytes == 50000 * 3072 * 8
+    assert peak <= 1.25 * train.features.nbytes
+    per_channel = pattern.reshape(-1, 3, 1024).astype(np.float64) / 255.0
+    for key, want in (("channel_mean", per_channel.mean(axis=(0, 2))),
+                      ("channel_std", per_channel.std(axis=(0, 2)))):
+        assert np.allclose(train.meta[key], want, rtol=1e-12, atol=0.0), key
+
+
 def test_load_cifar10_wrong_size_reports_expected_vs_actual(tmp_path):
     for name in [f"data_batch_{i}.bin" for i in range(1, 6)] + ["test_batch.bin"]:
         np.zeros(10000 * RECORD_BYTES, dtype=np.uint8).tofile(str(tmp_path / name))
@@ -112,6 +138,17 @@ def test_channel_stats_are_per_channel():
     mean, std = channel_stats(pixels)
     assert np.allclose(mean, [0.25, 0.5, 0.75])
     assert np.array_equal(std, [1.0, 1.0, 1.0])  # zero spread guards to 1
+
+
+def test_channel_stats_match_numpy_across_chunks():
+    # three whole chunks and a partial one
+    n = 3 * STATS_CHUNK_RECORDS + 5
+    pixels = np.random.default_rng(4).uniform(0.0, 1.0, (n, 3072))
+    pixels[:, 1024:2048] *= 0.5
+    mean, std = channel_stats(pixels)
+    per_channel = pixels.reshape(n, 3, 1024)
+    assert np.array_equal(mean, per_channel.mean(axis=(0, 2)))
+    assert np.allclose(std, per_channel.std(axis=(0, 2)), rtol=1e-12, atol=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Importance scores, ranking, subset selection, and the alpha schedule."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from tftb.errors import ConfigError, LedgerError, SelectionError
 from tftb.importance import (
     AlphaSchedule,
     ImportanceLedger,
+    SubsetPlan,
     adapt_alpha,
     ledger_rows,
     merge_and_reselect,
@@ -69,14 +72,25 @@ def test_record_losses_rejects_unknown_id_and_bad_losses():
         ledger.record_losses([1], [float("nan")], epoch=1)
 
 
+def test_record_losses_accepts_signed_zero_and_extreme_finite_losses():
+    ledger = ImportanceLedger([1, 2, 3], window=2)
+    ledger.record_losses([3, 1, 2], [-0.0, 5e-324, np.finfo(np.float64).max], epoch=1)
+    assert [ledger.history(i) for i in (1, 2, 3)] == [(5e-324,), (1.7976931348623157e308,), (0.0,)]
+
+
 @pytest.mark.parametrize(
     "ids, losses, named",
     [
         ([1, 99, 2], [1.0, 1.0, 1.0], "unknown sample id 99"),
         ([1, 3, 2], [1.0, -0.5, 1.0], "sample 3"),
         ([2, 1], [float("nan"), 1.0], "sample 2"),
+        ([1, 2], [1.0, float("inf")], "sample 2"),
+        ([3, 1], [-float("inf"), 1.0], "sample 3"),
+        ([1, 2], [-0.0, -5e-324], "sample 2"),
+        ([2, 99], [float("nan"), 1.0], "sample 2"),
     ],
-    ids=["unknown", "negative", "nan"],
+    ids=["unknown", "negative", "nan", "inf", "minus-inf", "negative-subnormal",
+         "nan-before-unknown"],
 )
 def test_rejected_record_names_the_id_and_leaves_the_ledger_unchanged(ids, losses, named):
     ledger = ImportanceLedger([1, 2, 3], window=2)
@@ -430,3 +444,76 @@ def test_ledger_rows_report_selection_flags():
     assert [r[0] for r in rows] == [1, 1, 1, 1]
     assert [r[1] for r in rows] == [0, 1, 2, 3]
     assert [r[5] for r in rows] == [0, 0, 1, 1]  # top half by loss selected
+
+
+# sha256 of the plans' id tuples and of the ledger rows as the tuple-backed
+# plans and the shifting loss windows produced them
+ORACLE_PLANS_DIGEST = "4cbed214c9249e7b0e3ad3219c2e094c9600fedc420768bc3d77a679cb07e1a3"
+LEDGER_ROWS_DIGEST = "668e7416b3132cdbe7fc40447b7826cbaf640285a7c574764f4d36abae781b06"
+
+
+def test_ledger_rows_match_golden_digest():
+    rng = np.random.default_rng(3)
+    n = 60
+    ds = Dataset(np.arange(0, 2 * n, 2), np.zeros((n, 1)), np.arange(n) % 3, 3, "train")
+    ledger = ImportanceLedger(ds.ids, 4)
+    ledger.record_losses(ds.ids, rng.uniform(0, 3, n), 1)
+    plan = select_subset(ledger.effective_scores(0.5), ds, 0.4, True, epoch=1)
+    digest = hashlib.sha256()
+    for epoch in range(2, 8):
+        selected = np.array(plan.selected_ids)
+        ledger.record_losses(selected, rng.uniform(0, 3, selected.size), epoch)
+        plan = merge_and_reselect(ledger, plan, ds, 0.4, lambda_var=0.5, stratified=True,
+                                  epoch=epoch)
+        digest.update(repr(ledger_rows(ledger, plan, 0.5, epoch)).encode())
+    assert digest.hexdigest() == LEDGER_ROWS_DIGEST
+
+
+def test_plan_id_tuples_match_golden_digest_on_the_oracle_cases():
+    """The criterion-3 instances: ascending-id tuples of Python ints, as before."""
+    zero = np.zeros(1)
+    rng = np.random.default_rng(1)
+    digest = hashlib.sha256()
+    for _ in range(1000):
+        n = int(rng.integers(1, 65))
+        ids = sorted(int(i) for i in rng.choice(2000, size=n, replace=False))
+        dataset = Dataset(ids, np.broadcast_to(zero, (n, 1)), np.zeros(n, dtype=np.int64), 1,
+                          "train")
+        scores = np.array([float(rng.integers(0, 8)) for _ in ids])
+        alpha = float(rng.uniform(0.0, 0.9))
+        plan = select_subset(scores, dataset, alpha, stratified=False)
+        assert all(type(i) is int for i in plan.selected_ids + plan.excluded_ids)
+        assert plan.selected_ids == tuple(dataset.ids[plan.selected_rows].tolist())
+        assert plan.excluded_ids == tuple(dataset.ids[plan.excluded_rows].tolist())
+        digest.update(repr((plan.selected_ids, plan.excluded_ids)).encode())
+    assert digest.hexdigest() == ORACLE_PLANS_DIGEST
+
+
+def test_plan_rows_partition_the_dataset():
+    rng = np.random.default_rng(8)
+    ds = uniform_dataset(50, num_classes=3)
+    plan = select_subset(rng.uniform(0, 1, 50), ds, 0.3, True)
+    rows = np.concatenate([plan.selected_rows, plan.excluded_rows])
+    assert np.array_equal(np.sort(rows), np.arange(50))
+    assert plan.selected[plan.selected_rows].all() and not plan.selected[plan.excluded_rows].any()
+    assert plan.selected_rows.size == subset_size(50, 0.3)
+
+
+@pytest.mark.parametrize(
+    "mask",
+    [np.ones(5, dtype=bool), np.ones(7, dtype=bool), np.ones(6, dtype=np.int64),
+     np.ones((6, 1), dtype=bool)],
+    ids=["short", "long", "integer", "two-dimensional"],
+)
+def test_subset_plan_rejects_malformed_masks(mask):
+    with pytest.raises(SelectionError, match="mask"):
+        SubsetPlan(ids=np.arange(6), selected=mask, alpha=0.3, epoch=1, per_class_counts={})
+
+
+def test_ledger_rows_reject_a_plan_for_other_ids():
+    ds = uniform_dataset(4)
+    ledger = ImportanceLedger([0, 1, 2, 5], window=3)
+    ledger.record_losses([0, 1, 2, 5], [1.0, 2.0, 3.0, 4.0], epoch=1)
+    plan = select_subset(np.arange(4.0), ds, 0.5, False, epoch=1)
+    with pytest.raises(LedgerError, match="different sample ids"):
+        ledger_rows(ledger, plan, lambda_var=1.0, epoch=1)

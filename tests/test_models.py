@@ -1,5 +1,6 @@
 """Numeric core: forward passes, losses, gradients, Adam, checkpoints."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -466,6 +467,13 @@ def test_adam_shape_mismatch_raises():
     bad_w = [np.zeros((2, 2)) for _ in params.weights]
     with pytest.raises(ShapeError):
         adam_step(params, bad_w, [np.zeros_like(b) for b in params.biases], state, 0.1)
+    # as many floats as the layer, in the wrong shape: rejected before any update
+    before = params.copy()
+    transposed = [np.ones_like(w.T) for w in params.weights]
+    with pytest.raises(ShapeError, match="gradient shape"):
+        adam_step(params, transposed, [np.ones_like(b) for b in params.biases], state, 0.1)
+    assert params.allclose(before)
+    assert state.step == 0
 
 
 def test_adam_rejects_nonpositive_lr():
@@ -496,6 +504,70 @@ def test_training_steps_are_deterministic():
     assert run().allclose(run())
 
 
+def reference_adam_step(weights, biases, grads_w, grads_b, moments, lr, t):
+    """Adam layer by layer on separate arrays, as the optimizer ran before its
+    parameters shared one vector; ``moments`` is a list of (m, v) per array."""
+    for param, grad, (m, v) in zip(weights + biases, grads_w + grads_b, moments):
+        m *= 0.9
+        m += (1.0 - 0.9) * grad
+        v *= 0.999
+        v += (1.0 - 0.999) * grad * grad
+        m_hat = m / (1.0 - 0.9**t)
+        v_hat = v / (1.0 - 0.999**t)
+        param -= lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+
+
+@pytest.mark.parametrize(
+    "arch",
+    [MlpArch(4, (6, 5), 3), ConvDensityArch(7, 6, (3, 2))],
+    ids=["mlp", "conv"],
+)
+def test_flat_adam_is_bit_equal_to_per_layer_reference(arch):
+    rng = np.random.default_rng(31)
+    params = init_params(arch, np.random.default_rng(30))
+    weights = [w.copy() for w in params.weights]
+    biases = [b.copy() for b in params.biases]
+    moments = [(np.zeros_like(a), np.zeros_like(a)) for a in weights + biases]
+    state = init_adam_state(params)
+    for t in range(1, 51):
+        grads_w = [rng.standard_normal(w.shape) * 10.0 ** rng.integers(-6, 2) for w in weights]
+        grads_b = [rng.standard_normal(b.shape) for b in biases]
+        lr = float(rng.uniform(1e-4, 1e-1))
+        adam_step(params, grads_w, grads_b, state, lr)
+        reference_adam_step(weights, biases, grads_w, grads_b, moments, lr, t)
+        for got, want in zip(params.weights + params.biases, weights + biases):
+            assert (got == want).all()
+    assert state.step == 50
+
+
+def test_layer_arrays_are_views_of_the_flat_vector():
+    params = init_params(ConvDensityArch(6, 5, (2, 3)), np.random.default_rng(0))
+    arrays = [a for pair in zip(params.weights, params.biases) for a in pair]
+    assert params.flat.flags.c_contiguous and params.flat.dtype == np.float64
+    # weights then bias, layer by layer: the checkpoint's order
+    assert np.array_equal(params.flat, np.concatenate([a.ravel() for a in arrays]))
+    offset = 0
+    for a in arrays:
+        assert np.shares_memory(a, params.flat)
+        a[...] = np.arange(a.size).reshape(a.shape) + offset
+        offset += a.size
+    assert np.array_equal(params.flat, np.arange(params.flat.size))
+    params.flat[:] = -1.0
+    assert all((a == -1.0).all() for a in arrays)
+
+
+def test_model_params_copy_shares_no_memory():
+    params = mlp(hidden=(6, 5))
+    clone = params.copy()
+    assert clone.allclose(params)
+    for a in [clone.flat, *clone.weights, *clone.biases]:
+        for b in [params.flat, *params.weights, *params.biases]:
+            assert not np.shares_memory(a, b)
+    clone.weights[1][0, 0] += 1.0
+    assert not clone.allclose(params)
+    assert params.allclose(mlp(hidden=(6, 5)))
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 
@@ -516,6 +588,29 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path, arch):
     path2 = tmp_path / "model2.bin"
     save_params(loaded, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+# sha256 of the checkpoint files written by the per-layer code these replaced
+CHECKPOINT_DIGESTS = {
+    "mlp": "160ad2d32cc652ede6e99145141a6f5907bdaa61d795c6f696c66f4ed45d88af",
+    "conv": "93babfabfb8ee9b30de32f914818078ae7f2f56e9e6455b69e0651693e7cb500",
+}
+
+
+@pytest.mark.parametrize(
+    "name, arch",
+    [("mlp", MlpArch(4, (6, 5), 3)), ("conv", ConvDensityArch(8, 6, (3, 2)))],
+    ids=["mlp", "conv"],
+)
+def test_checkpoint_bytes_match_golden_digest(tmp_path, name, arch):
+    params = init_params(arch, np.random.default_rng(21))
+    rng = np.random.default_rng(5)
+    for b in params.biases:
+        b[:] = rng.standard_normal(b.shape)
+    path = tmp_path / "model.bin"
+    save_params(params, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CHECKPOINT_DIGESTS[name]
+    assert load_params(path).allclose(params)
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):
@@ -539,6 +634,15 @@ def test_checkpoint_rejects_truncation(tmp_path):
             load_params(path)
 
 
+@pytest.mark.parametrize("extra", [b"\x00", b"\x00" * 8])
+def test_checkpoint_rejects_trailing_bytes(tmp_path, extra):
+    path = tmp_path / "model.bin"
+    save_params(mlp(), path)
+    path.write_bytes(path.read_bytes() + extra)
+    with pytest.raises(CorruptDataError, match=f"{len(extra)} trailing bytes"):
+        load_params(path)
+
+
 @pytest.mark.parametrize("descriptor", [b'{"kind": "mlp"}', b"[]", b"{}"],
                          ids=["missing-fields", "not-an-object", "no-kind"])
 def test_checkpoint_rejects_malformed_descriptor(tmp_path, descriptor):
@@ -551,19 +655,20 @@ def test_checkpoint_rejects_malformed_descriptor(tmp_path, descriptor):
 def test_model_params_validates_shapes_against_architecture():
     arch = MlpArch(4, (6,), 3)
     good = init_params(arch, np.random.default_rng(0))
+    first_layer = good.weights[0].size + good.biases[0].size
     with pytest.raises(ShapeError):
-        ModelParams(arch=arch, weights=[good.weights[0]], biases=[good.biases[0]])
+        ModelParams(arch, good.flat[:first_layer].copy())
     with pytest.raises(ShapeError):
-        ModelParams(
-            arch=arch,
-            weights=[np.zeros((4, 7)), good.weights[1]],
-            biases=[b.copy() for b in good.biases],
-        )
+        ModelParams(arch, np.zeros(good.flat.size + 1))
+    with pytest.raises(ShapeError):
+        ModelParams(arch, good.flat.reshape(1, -1))
 
 
 def test_adam_state_shapes_follow_params():
     params = init_params(ConvDensityArch(6, 6, (2, 3)), np.random.default_rng(0))
     state = init_adam_state(params)
     assert isinstance(state, AdamState)
-    for m, w in zip(state.m_weights, params.weights):
-        assert m.shape == w.shape
+    for moment in (state.m, state.v):
+        assert moment.shape == params.flat.shape
+        assert not moment.any()
+        assert not np.shares_memory(moment, params.flat)

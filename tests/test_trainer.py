@@ -1,16 +1,21 @@
 """Training loop: schedules, parity, budgets, early stopping, manifests."""
 
+import collections
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
+import tftb.importance
+import tftb.trainer
 from tftb.budget import VirtualClock  # noqa: F401 (used in helper and tests)
 from tftb.data import (
     Dataset, synth_classification, synth_counting, train_val_split,
 )
 from tftb.errors import BudgetError, ConfigError, SelectionError, TrainingAbort
+from tftb.importance import ImportanceLedger, subset_size
 from tftb.nn import MlpArch, ConvDensityArch, init_params
 from tftb.trainer import (
     TrainConfig,
@@ -383,3 +388,50 @@ def test_budget_trace_accounts_for_all_charged_time():
                            ledger_writer=dumps.append)
     assert len(dumps) == ranks == 1 + sum(1 for r in dumped.epochs if r["phase"] == "selective")
     assert dumped.budget["consumed_total"] == pytest.approx(expected + ledger_cost * ranks)
+
+
+def test_trainer_calls_each_layer_function_once_per_unit_of_work(monkeypatch):
+    """The benchmark times the trainer's layers by wrapping these names, so
+    each must be called once per batch, chunk or ranking it does."""
+    calls = collections.Counter()
+
+    def count(owner, name, label):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[label] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for name in ("loss_and_grad", "per_sample_losses", "adam_step", "select_subset",
+                 "merge_and_reselect"):
+        count(tftb.trainer, name, name)
+    count(tftb.importance, "select_subset", "importance.select_subset")
+    count(ImportanceLedger, "record_losses", "record_losses")
+    count(ImportanceLedger, "effective_scores", "effective_scores")
+
+    train, val = class_data(seed=3, n_per_class=60)
+    cfg = TrainConfig(mode="tftb", alpha=0.4, max_epochs=5, seed=0, early_stop_patience=50,
+                      refresh_excluded_period=1, rerank_period=2)
+    _, manifest = train_tftb(model_for(train), train, val, cfg, clock=virtual())
+    batches = sum(r["batches"] for r in manifest.epochs)
+    selective = [r["epoch"] for r in manifest.epochs if r["phase"] == "selective"]
+    assert manifest.stop_reason == "epoch_cap" and len(selective) == 4
+    # a refresh after every selective epoch, a rerank after every second one
+    refresh_chunks = len(selective) * math.ceil(
+        (len(train) - subset_size(len(train), cfg.alpha)) / cfg.batch_size
+    )
+    reranks = sum(1 for e in selective if (e - cfg.warmup_epochs) % cfg.rerank_period == 0)
+    val_batches = len(manifest.epochs) * math.ceil(len(val) / cfg.batch_size)
+    assert dict(calls) == {
+        "loss_and_grad": batches,
+        "adam_step": batches,
+        "record_losses": batches + refresh_chunks,
+        "per_sample_losses": refresh_chunks + val_batches,
+        "select_subset": 1,
+        "merge_and_reselect": reranks,
+        "importance.select_subset": reranks,
+        "effective_scores": 1 + reranks,
+    }
+    assert (batches, refresh_chunks, reranks) == (30, 12, 2)
