@@ -43,14 +43,6 @@ def _parse_int_tuple(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(",") if part.strip())
 
 
-def _parse_float_list(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part.strip()]
-
-
-def _parse_int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part.strip()]
-
-
 # config-file key -> (section, field, converter); sections are the TrainConfig,
 # the AlphaSchedule nested inside it, and the ExperimentSpec
 CONFIG_KEYS = {
@@ -191,8 +183,11 @@ def _cmd_compare(args) -> int:
 
 def _cmd_sweep(args) -> int:
     spec = _build_spec(args)
-    alphas = _parse_float_list(args.alphas) if args.alphas else []
-    seeds = _parse_int_list(args.seeds) if args.seeds else [spec.config.seed]
+    try:
+        alphas = [float(part) for part in (args.alphas or "").split(",") if part.strip()]
+        seeds = _parse_int_tuple(args.seeds) if args.seeds else [spec.config.seed]
+    except ValueError as exc:
+        raise ConfigError(f"--alphas and --seeds take comma-separated numbers: {exc}") from exc
     _, summary = run_sweep(spec, alphas, seeds, out_dir=args.out)
     for row in summary:
         print(

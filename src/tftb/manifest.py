@@ -18,6 +18,14 @@ from .errors import ManifestError
 
 SCHEMA_VERSION = 1
 
+# the JSON type of every field a manifest must have; "error" and "created_at"
+# may also be null or absent
+FIELD_TYPES = {
+    "mode": str, "seed": int, "config": dict, "dataset": dict, "epochs": list,
+    "budget": dict, "final_metrics": dict, "stop_reason": str,
+}
+OPTIONAL_FIELD_TYPES = {"error": dict, "created_at": str}
+
 
 @dataclass
 class EpochReport:
@@ -75,28 +83,29 @@ class RunManifest:
             payload = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ManifestError(f"manifest is not valid JSON: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise ManifestError(f"manifest must be a JSON object, got {type(payload).__name__}")
         version = payload.get("schema_version")
-        if version != SCHEMA_VERSION:
+        if type(version) is not int or version != SCHEMA_VERSION:
             raise ManifestError(
                 f"manifest schema version {version!r} not supported (expected {SCHEMA_VERSION})"
             )
-        return cls(
-            mode=payload["mode"],
-            seed=payload["seed"],
-            config=payload["config"],
-            dataset=payload["dataset"],
-            epochs=payload["epochs"],
-            budget=payload["budget"],
-            final_metrics=payload["final_metrics"],
-            stop_reason=payload["stop_reason"],
-            error=payload.get("error"),
-            schema_version=version,
-            created_at=payload.get("created_at"),
-        )
+        for key, kind in FIELD_TYPES.items():
+            if not isinstance(payload.get(key), kind) or isinstance(payload[key], bool):
+                raise ManifestError(f"manifest field {key!r} must be a {kind.__name__}")
+        for key, kind in OPTIONAL_FIELD_TYPES.items():
+            if not isinstance(payload.get(key, None), (kind, type(None))):
+                raise ManifestError(f"manifest field {key!r} must be a {kind.__name__} or null")
+        fields = {key: payload.get(key) for key in (*FIELD_TYPES, *OPTIONAL_FIELD_TYPES)}
+        return cls(schema_version=version, **fields)
 
     @classmethod
     def load(cls, path) -> "RunManifest":
-        return cls.from_json(Path(path).read_text())
+        try:
+            text = Path(path).read_text()
+        except UnicodeDecodeError as exc:
+            raise ManifestError(f"{path}: manifest is not UTF-8 text: {exc}") from exc
+        return cls.from_json(text)
 
     def loss_curve_rows(self) -> list[tuple[int, str, float]]:
         rows: list[tuple[int, str, float]] = []

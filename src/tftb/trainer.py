@@ -14,9 +14,13 @@ needed, so baseline and selective runs are comparable per epoch index.
 Batch order within the subset is shuffled: selection is by importance,
 ordering stays random.
 
-Both modes share the loop.  The baseline trains on the full dataset with
-fresh random shuffles each epoch and identical optimizer, losses, budget
-enforcement, and early stopping.
+Both modes share one epoch loop, whose phase is ``warmup``, ``selective``
+or ``full``.  The baseline trains on the full dataset with fresh random
+shuffles each epoch and identical optimizer, losses, budget enforcement, and
+early stopping.  Every timed section -- shuffle, batch, validation, rank,
+refresh, ledger dump -- runs through ``BudgetClock.section``, which charges
+it, and the time around it, to the budget and skips it once it no longer
+fits.
 """
 
 from __future__ import annotations
@@ -192,7 +196,7 @@ def _run(params, train_set, val_set, cfg, clock, ledger_writer):
     selective = cfg.mode == "tftb"
 
     rng = np.random.default_rng(cfg.seed)
-    budget = BudgetClock(cfg.budget_seconds)
+    budget = BudgetClock(cfg.budget_seconds, clock)
     adam_state = init_adam_state(params)
 
     # pools and batches are arrays of dataset rows, and a dataset's rows are
@@ -230,21 +234,28 @@ def _run(params, train_set, val_set, cfg, clock, ledger_writer):
             ledger.record_losses(batch_ids, result.per_sample_losses, epoch)
         return result
 
-    def dump_ledger():
-        if ledger_writer is not None:
-            with clock.measure("ledger") as span:
-                ledger_writer(ledger_rows(ledger, plan, cfg.lambda_var, epoch))
-            budget.charge(span.elapsed)
+    def select():
+        if plan is None:
+            scores = ledger.effective_scores(cfg.lambda_var)
+            return select_subset(scores, train_set, alpha_now, cfg.stratified, epoch=epoch)
+        return merge_and_reselect(
+            ledger, plan, train_set, alpha_now,
+            lambda_var=cfg.lambda_var,
+            stratified=cfg.stratified,
+            epoch=epoch,
+        )
 
-    def run_validation():
-        if not have_val:
-            return None, False
-        if budget.tb is not None and not budget.fits(budget.tb * n_val_batches):
-            return None, True  # no room left; let the caller stop on budget
-        with clock.measure("validation") as span:
-            loss = _mean_eval_loss(params, val_set, cfg.loss_kind, cfg.batch_size)
-        budget.charge(span.elapsed)
-        return loss, False
+    def dump_ledger():
+        ledger_writer(ledger_rows(ledger, plan, cfg.lambda_var, epoch))
+
+    def rank():
+        """(Re-)select the subset, then dump the ledger; each only if it still fits."""
+        nonlocal plan
+        done = budget.section("rank", select, estimate=budget.longest("rank"))
+        if done is not None:
+            plan = done.value
+            if ledger_writer is not None:
+                budget.section("ledger", dump_ledger, estimate=budget.longest("ledger"))
 
     def assemble_manifest(reason, error=None):
         budget_trace = budget.trace()
@@ -283,110 +294,49 @@ def _run(params, train_set, val_set, cfg, clock, ledger_writer):
         )
 
     try:
-        # ---- warm-up: full-dataset epochs; measures tb, seeds the ledger ----
-        warm_elapsed = 0.0
-        warm_batches = 0
-        for _ in range(cfg.warmup_epochs):
-            epoch += 1
-            loss_weighted = 0.0
-            samples_seen = 0
-            epoch_wall = 0.0
-            with clock.measure("shuffle") as span:
-                warmup_batches = _epoch_batches(all_rows, sizes, rng)
-            warm_elapsed += span.elapsed  # folded into the tb measurement window
-            epoch_wall += span.elapsed
-            for batch in warmup_batches:
-                with clock.measure("batch") as span:
-                    result = batch_step(batch)
-                warm_batches += 1
-                warm_elapsed += span.elapsed
-                epoch_wall += span.elapsed
-                samples_seen += len(batch)
-                loss_weighted += result.mean_loss * len(batch)
-                if cfg.budget_seconds is not None:
-                    if warm_batches == 1:
-                        projected = span.elapsed * n_b * cfg.warmup_epochs
-                        if projected > cfg.budget_seconds:
-                            raise BudgetError(
-                                f"budget {cfg.budget_seconds}s smaller than projected "
-                                f"warm-up cost {projected:.3f}s "
-                                f"({n_b * cfg.warmup_epochs} batches at {span.elapsed:.4f}s)"
-                            )
-                    if warm_elapsed + budget.consumed > cfg.budget_seconds:
-                        raise BudgetError(
-                            f"budget {cfg.budget_seconds}s exhausted during warm-up "
-                            f"({warm_elapsed:.3f}s elapsed after {warm_batches} batches)"
-                        )
-            val_loss, _ = run_validation()
-            if val_loss is not None:
-                val_losses.append(val_loss)
-            mean_train = loss_weighted / samples_seen
-            train_loss_hist.append(mean_train)
-            reports.append(
-                EpochReport(
-                    epoch=epoch,
-                    phase="warmup",
-                    mean_train_loss=mean_train,
-                    val_loss=val_loss,
-                    selected_size=n,
-                    alpha=0.0,
-                    samples_seen=samples_seen,
-                    batches=n_b,
-                    wall_seconds=epoch_wall,
-                    consumed_seconds=budget.consumed + warm_elapsed,
-                )
-            )
-            if early_stop_check(val_losses, cfg.early_stop_patience):
-                stop_reason = "early_stop"
-                break
-        budget.measure_warmup(warm_batches, warm_elapsed)
-
-        # ---- initial ranking and subset selection ----
-        if selective and stop_reason is None:
-            with clock.measure("rank") as span:
-                scores = ledger.effective_scores(cfg.lambda_var)
-                plan = select_subset(scores, train_set, alpha_now, cfg.stratified, epoch=epoch)
-            budget.charge(span.elapsed)
-            dump_ledger()
-        planned_initial = budget.plan_iterations()
-
-        # ---- main loop: one epoch-equivalent per iteration ----
+        # one epoch-equivalent per iteration: full-dataset warm-up epochs that
+        # measure tb and seed the ledger, then selective (tftb) or full epochs
         while stop_reason is None:
-            if cfg.max_epochs is not None and epoch >= cfg.max_epochs:
-                stop_reason = "epoch_cap"
-                break
-            if budget.should_stop():
-                stop_reason = "budget_exhausted"
-                break
-            planned = budget.plan_iterations()
-            if planned == 0:
-                stop_reason = "budget_exhausted"
-                break
+            warm = epoch < cfg.warmup_epochs
+            planned = None if warm else budget.plan_iterations()
+            if not warm:
+                if cfg.max_epochs is not None and epoch >= cfg.max_epochs:
+                    stop_reason = "epoch_cap"
+                    break
+                if budget.should_stop() or planned == 0:
+                    stop_reason = "budget_exhausted"
+                    break
 
             epoch += 1
-            pool = plan.selected_rows if selective else all_rows
-            with clock.measure("shuffle") as span:
-                batches = _epoch_batches(pool, sizes, rng)
-            budget.charge(span.elapsed)
+            phase = "warmup" if warm else "selective" if selective else "full"
+            pool = plan.selected_rows if phase == "selective" else all_rows
+            # warm-up sections are never skipped: a budget they overrun is an error
+            shuffled = budget.section(
+                "shuffle", _epoch_batches, pool, sizes, rng,
+                estimate=None if warm else budget.longest("shuffle"),
+            )
+            batches = shuffled.value if shuffled else []
             cap = n_b if planned is None else min(n_b, planned)
 
             loss_weighted = 0.0
             samples_seen = 0
-            epoch_wall = 0.0
+            epoch_wall = shuffled.elapsed if shuffled else 0.0
             ran = 0
             stopped_mid_epoch = False
             for batch in batches[:cap]:
-                if budget.should_stop():
+                done = budget.section("batch", batch_step, batch,
+                                      estimate=None if warm else budget.tb)
+                if done is None:
                     stopped_mid_epoch = True
                     break
-                with clock.measure("batch") as span:
-                    result = batch_step(batch)
-                budget.observe_batch(span.elapsed)
-                epoch_wall += span.elapsed
                 ran += 1
+                epoch_wall += done.elapsed
                 samples_seen += len(batch)
-                loss_weighted += result.mean_loss * len(batch)
-            executed_batches += ran
+                loss_weighted += done.value.mean_loss * len(batch)
+                if warm and cfg.budget_seconds is not None:
+                    _check_warmup_fits(budget, done.elapsed, n_b * cfg.warmup_epochs)
+            if not warm:
+                executed_batches += ran
             if ran == 0:
                 epoch -= 1
                 stop_reason = "budget_exhausted"
@@ -394,21 +344,26 @@ def _run(params, train_set, val_set, cfg, clock, ledger_writer):
 
             val_loss = None
             no_room_for_val = False
-            if not stopped_mid_epoch:
-                val_loss, no_room_for_val = run_validation()
-            if val_loss is not None:
-                val_losses.append(val_loss)
+            if have_val and not stopped_mid_epoch:
+                done = budget.section(
+                    "validation", _mean_eval_loss, params, val_set, cfg.loss_kind, cfg.batch_size,
+                    estimate=None if warm else budget.tb * n_val_batches,
+                )
+                no_room_for_val = done is None
+                if done is not None:
+                    val_loss = done.value
+                    val_losses.append(val_loss)
 
             mean_train = loss_weighted / samples_seen
             train_loss_hist.append(mean_train)
             reports.append(
                 EpochReport(
                     epoch=epoch,
-                    phase="selective" if selective else "full",
+                    phase=phase,
                     mean_train_loss=mean_train,
                     val_loss=val_loss,
                     selected_size=len(pool),
-                    alpha=alpha_now if selective else 0.0,
+                    alpha=alpha_now if phase == "selective" else 0.0,
                     samples_seen=samples_seen,
                     batches=ran,
                     wall_seconds=epoch_wall,
@@ -422,37 +377,28 @@ def _run(params, train_set, val_set, cfg, clock, ledger_writer):
                 stop_reason = "planned_iterations_exhausted"
             elif early_stop_check(val_losses, cfg.early_stop_patience):
                 stop_reason = "early_stop"
-            if stop_reason is not None:
-                break
 
-            if selective:
+            if warm and (epoch == cfg.warmup_epochs or stop_reason is not None):
+                budget.finish_warmup()
+                if selective and stop_reason is None:
+                    rank()
+                planned_initial = budget.plan_iterations()
+            elif phase == "selective" and stop_reason is None:
                 schedule = cfg.adaptive_alpha
                 if schedule.enabled and len(train_loss_hist) >= schedule.window:
                     alpha_now = adapt_alpha(alpha_now, train_loss_hist, schedule)
-                if (
-                    cfg.refresh_excluded_period
-                    and (epoch - cfg.warmup_epochs) % cfg.refresh_excluded_period == 0
-                    and plan.excluded_rows.size
-                ):
-                    est = (budget.tb or 0.0) * epoch_equivalent_batches(
-                        plan.excluded_rows.size, cfg.batch_size
+                since_warmup = epoch - cfg.warmup_epochs
+                period = cfg.refresh_excluded_period
+                if period and since_warmup % period == 0 and plan.excluded_rows.size:
+                    excluded = plan.excluded_rows
+                    chunks = epoch_equivalent_batches(excluded.size, cfg.batch_size)
+                    budget.section(
+                        "refresh", _refresh_excluded,
+                        params, feats, targets, ids, excluded, cfg, ledger, epoch,
+                        estimate=budget.tb * chunks,
                     )
-                    if budget.fits(est):
-                        with clock.measure("refresh") as span:
-                            _refresh_excluded(
-                                params, feats, targets, ids, plan.excluded_rows, cfg, ledger, epoch
-                            )
-                        budget.charge(span.elapsed)
-                if (epoch - cfg.warmup_epochs) % cfg.rerank_period == 0:
-                    with clock.measure("rank") as span:
-                        plan = merge_and_reselect(
-                            ledger, plan, train_set, alpha_now,
-                            lambda_var=cfg.lambda_var,
-                            stratified=cfg.stratified,
-                            epoch=epoch,
-                        )
-                    budget.charge(span.elapsed)
-                    dump_ledger()
+                if since_warmup % cfg.rerank_period == 0:
+                    rank()
     except NonFiniteError as exc:
         manifest = assemble_manifest(
             "non_finite_abort",
@@ -461,6 +407,23 @@ def _run(params, train_set, val_set, cfg, clock, ledger_writer):
         raise TrainingAbort(str(exc), manifest=manifest) from exc
 
     return params, assemble_manifest(stop_reason or "epoch_cap")
+
+
+def _check_warmup_fits(budget, batch_seconds, warmup_batches):
+    """Raise BudgetError when the first warm-up batch projects a warm-up longer
+    than the budget, or when the warm-up has overrun it."""
+    T = budget.total_budget
+    done = budget.sections["batch"].count
+    if done == 1 and batch_seconds * warmup_batches > T:
+        raise BudgetError(
+            f"budget {T}s smaller than projected warm-up cost {batch_seconds * warmup_batches:.3f}s"
+            f" ({warmup_batches} batches at {batch_seconds:.4f}s)"
+        )
+    consumed = budget.consumed
+    if consumed > T:
+        raise BudgetError(
+            f"budget {T}s exhausted during warm-up ({consumed:.3f}s elapsed after {done} batches)"
+        )
 
 
 def _refresh_excluded(params, feats, targets, ids, rows, cfg, ledger, epoch):

@@ -114,11 +114,12 @@ def test_criterion_01b_budget_compliance_virtual_clock():
     # direct clock-level script: stop flips exactly when the next batch
     # no longer fits, and the overshoot never exceeds the longest batch
     script = [0.11, 0.09, 0.30, 0.08, 0.12, 0.25, 0.05]
-    clock = BudgetClock(total_budget=1.0)
-    clock.measure_warmup(batches_processed=1, elapsed=0.10)
+    clock = BudgetClock(1.0, VirtualClock(sequences={"batch": [0.10] + script}))
+    clock.section("batch", lambda: None)
+    clock.finish_warmup()
     i = 0
     while not clock.should_stop() and i < len(script):
-        clock.observe_batch(script[i])
+        clock.section("batch", lambda: None, estimate=clock.tb)
         i += 1
     assert clock.consumed <= 1.0 + max([0.10] + script[:i]) + 1e-12
 

@@ -1,4 +1,10 @@
-"""Budget accounting: warm-up measurement, iteration planning, hard stops."""
+"""Budget accounting: warm-up measurement, iteration planning, hard stops.
+
+Every section runs through ``BudgetClock.section`` on a ``VirtualClock``, so
+consumption is the clock's scripted time since the budget started.
+"""
+
+import math
 
 import numpy as np
 import pytest
@@ -8,144 +14,203 @@ from tftb.errors import BudgetError
 from tftb.trainer import epoch_equivalent_batches
 
 
+def run(budget, label, times=1):
+    for _ in range(times):
+        budget.section(label, lambda: None)
+
+
+def warmed(total, batches, elapsed, clock=None):
+    """A budget after a warm-up of ``batches`` batches lasting ``elapsed`` in all."""
+    clock = clock or VirtualClock(sequences={"batch": [elapsed / batches] * batches})
+    budget = BudgetClock(total, clock)
+    run(budget, "batch", batches)
+    budget.finish_warmup()
+    return budget
+
+
 def test_measure_warmup_direct_formula():
-    clock = BudgetClock(total_budget=100.0)
-    clock.measure_warmup(batches_processed=20, elapsed=4.0)  # B=10, m=2
+    clock = warmed(100.0, batches=20, elapsed=4.0)  # B=10, m=2
     assert clock.tb == pytest.approx(0.2)
     assert clock.consumed == pytest.approx(4.0)
 
-    small = BudgetClock(total_budget=1.0)
-    small.measure_warmup(batches_processed=1, elapsed=0.05)  # B=1, m=1
+    small = warmed(1.0, batches=1, elapsed=0.05)  # B=1, m=1
     assert small.tb == pytest.approx(0.05)
     assert small.consumed == pytest.approx(0.05)
 
+    # shuffles belong to the warm-up's measurement window
+    budget = BudgetClock(100.0, VirtualClock(costs={"shuffle": 0.5, "batch": 0.25}))
+    run(budget, "shuffle")
+    run(budget, "batch", 6)
+    budget.finish_warmup()
+    assert budget.tb == budget.tb_initial == 2.0 / 6
+    assert budget.trace()["warmup_elapsed"] == 2.0
+
 
 def test_measure_warmup_rejects_zero_batches():
-    clock = BudgetClock(total_budget=10.0)
+    clock = BudgetClock(10.0, VirtualClock(costs={"shuffle": 1.0}))
+    run(clock, "shuffle")
     with pytest.raises(BudgetError):
-        clock.measure_warmup(batches_processed=0, elapsed=1.0)
+        clock.finish_warmup()
 
 
 def test_plan_iterations_arithmetic():
-    clock = BudgetClock(total_budget=10.0)
-    clock.measure_warmup(batches_processed=10, elapsed=2.0)  # tb = 0.2, consumed = 2
+    clock = warmed(10.0, batches=10, elapsed=2.0)  # tb = 0.2, consumed = 2
     assert clock.plan_iterations() == 40
 
-    exhausted = BudgetClock(total_budget=5.0)
-    exhausted.measure_warmup(batches_processed=10, elapsed=2.0)
-    exhausted.charge(3.5)
+    exhausted = warmed(5.0, batches=10, elapsed=2.0,
+                       clock=VirtualClock(costs={"batch": 0.2, "rank": 3.5}))
+    run(exhausted, "rank")
     assert exhausted.plan_iterations() == 0
 
 
 def test_plan_iterations_in_epoch_equivalents():
-    clock = BudgetClock(total_budget=10.0)
-    clock.measure_warmup(batches_processed=10, elapsed=2.0)  # tb = 0.2, 40 batches left
+    clock = warmed(10.0, batches=10, elapsed=2.0)  # tb = 0.2, 40 batches left
     batches = clock.plan_iterations()
     per_epoch = epoch_equivalent_batches(320, 32)
     assert batches / per_epoch == pytest.approx(4.0)
 
 
 def test_plan_iterations_monotone_in_consumed():
-    clock = BudgetClock(total_budget=10.0)
-    clock.measure_warmup(batches_processed=10, elapsed=1.0)
+    clock = warmed(10.0, batches=10, elapsed=1.0,
+                   clock=VirtualClock(costs={"batch": 0.1, "rank": 0.17}))
     previous = clock.plan_iterations()
     for _ in range(40):
-        clock.charge(0.17)
+        run(clock, "rank")
         now = clock.plan_iterations()
         assert now <= previous
         previous = now
 
 
 def test_should_stop_overrun_avoidance_rule():
-    clock = BudgetClock(total_budget=10.0)
-    clock.measure_warmup(batches_processed=10, elapsed=2.0)  # tb = 0.2
-    clock.charge(10.0 - clock.consumed - 0.1)  # consumed = T - 0.5 * tb
+    vclock = VirtualClock(costs={"batch": 0.2, "validation": 10.0 - 2.0 - 0.1})
+    clock = warmed(10.0, batches=10, elapsed=2.0, clock=vclock)  # tb = 0.2
+    run(clock, "validation")  # consumed = T - 0.5 * tb
     assert clock.should_stop()
+    assert clock.section("batch", lambda: None, estimate=clock.tb) is None
 
-    fresh = BudgetClock(total_budget=10.0)
+    fresh = BudgetClock(10.0, VirtualClock())
     fresh.tb = 0.2
     assert not fresh.should_stop()
 
 
 def test_should_stop_flips_exactly_when_next_batch_no_longer_fits():
     durations = [0.3, 0.3, 0.3, 0.3]
-    clock = BudgetClock(total_budget=1.0)
-    clock.measure_warmup(batches_processed=1, elapsed=0.3)
+    clock = warmed(1.0, batches=1, elapsed=0.3,
+                   clock=VirtualClock(sequences={"batch": [0.3] + durations}))
     ran = 0
     while not clock.should_stop():
-        clock.observe_batch(durations[ran])
+        clock.section("batch", lambda: None, estimate=clock.tb)
         ran += 1
     # 0.3 warm-up + two more 0.3 batches fit; a third would overrun
     assert ran == 2
     assert clock.consumed == pytest.approx(0.9)
+    assert clock.section("batch", lambda: None, estimate=clock.tb) is None
 
 
 def test_charge_identity_and_additivity():
-    clock = BudgetClock(total_budget=10.0)
-    clock.charge(0.0)
+    clock = BudgetClock(10.0, VirtualClock(costs={"free": 0.0, "rank": 1.5}))
+    run(clock, "free")
     assert clock.consumed == 0.0
-    clock.charge(1.5)
-    clock.charge(1.5)
+    run(clock, "rank", 2)
     assert clock.consumed == pytest.approx(3.0)
+    assert clock.sections["rank"].count == 2
+    assert clock.sections["rank"].total == pytest.approx(3.0)
+    assert clock.longest("rank") == 1.5 and clock.longest("never") is None
+    # a section cannot take negative time, so consumption never runs backwards
     with pytest.raises(BudgetError):
-        clock.charge(-0.1)
+        VirtualClock(costs={"rank": -0.1})
+    with pytest.raises(BudgetError):
+        VirtualClock(sequences={"rank": [0.1, -0.1]})
+
+
+def test_section_refuses_work_that_no_longer_fits():
+    clock = BudgetClock(1.0, VirtualClock(costs={"rank": 0.75}))
+    calls = []
+    done = clock.section("rank", calls.append, 1)  # no estimate yet: always runs
+    assert done.elapsed == 0.75 and calls == [1]
+    assert clock.section("rank", calls.append, 2, estimate=clock.longest("rank")) is None
+    assert calls == [1] and clock.sections["rank"].count == 1 and clock.consumed == 0.75
+    assert clock.section("rank", calls.append, 3, estimate=0.25).value is None
+    assert calls == [1, 3] and clock.consumed == 1.5  # the estimate was short
+
+    unbudgeted = BudgetClock(None, VirtualClock(costs={"rank": 0.75}))
+    assert unbudgeted.section("rank", lambda: "ran", estimate=1e9).value == "ran"
+
+
+def test_consumed_includes_time_between_sections():
+    class SteppedClock(VirtualClock):
+        """A virtual clock on which every read of the time takes half a second."""
+
+        def now(self):
+            self._t += 0.5
+            return self._t
+
+    clock = BudgetClock(10.0, SteppedClock(costs={"batch": 1.0}))
+    run(clock, "batch")
+    assert clock.sections["batch"].total == 1.0
+    assert clock.consumed == 1.5  # the section plus the read that ends it
 
 
 def test_randomized_schedules_never_overrun_by_more_than_one_batch():
     rng = np.random.default_rng(13)
     for _ in range(200):
         total = float(rng.uniform(0.5, 5.0))
-        clock = BudgetClock(total_budget=total)
-        clock.measure_warmup(batches_processed=1, elapsed=float(rng.uniform(0.01, 0.2)))
+        warm = float(rng.uniform(0.01, 0.2))
+        # enough batches of at least 0.005 s to exhaust any budget drawn
+        durations = rng.uniform(0.005, 0.4, size=math.ceil(total / 0.005) + 1).tolist()
+        clock = warmed(total, batches=1, elapsed=warm,
+                       clock=VirtualClock(sequences={"batch": [warm] + durations}))
         max_duration = clock.tb
+        ran = 0
         while not clock.should_stop():
-            duration = float(rng.uniform(0.005, 0.4))
-            clock.observe_batch(duration)
-            max_duration = max(max_duration, duration)
+            clock.section("batch", lambda: None, estimate=clock.tb)
+            max_duration = max(max_duration, durations[ran])
+            ran += 1
         assert clock.consumed <= total + max_duration + 1e-9
         assert clock.tb_max == pytest.approx(max_duration)
 
 
 def test_consumed_never_decreases():
-    clock = BudgetClock(total_budget=50.0)
-    clock.measure_warmup(batches_processed=4, elapsed=1.0)
-    seen = [clock.consumed]
     rng = np.random.default_rng(0)
-    for _ in range(100):
-        if rng.uniform() < 0.5:
-            clock.observe_batch(float(rng.uniform(0, 0.3)))
-        else:
-            clock.charge(float(rng.uniform(0, 0.1)))
+    batch_like = rng.uniform(size=100) < 0.5
+    clock = warmed(50.0, batches=4, elapsed=1.0, clock=VirtualClock(sequences={
+        "batch": [0.25] * 4 + rng.uniform(0, 0.3, size=100).tolist(),
+        "rank": rng.uniform(0, 0.1, size=100).tolist(),
+    }))
+    seen = [clock.consumed]
+    for is_batch in batch_like:
+        run(clock, "batch" if is_batch else "rank")
         assert clock.consumed >= seen[-1]
         seen.append(clock.consumed)
 
 
 def test_budget_none_disables_enforcement_but_keeps_accounting():
-    clock = BudgetClock(total_budget=None)
-    clock.measure_warmup(batches_processed=2, elapsed=0.0)  # allowed when unbudgeted
-    clock.observe_batch(1.0)
+    clock = BudgetClock(None, VirtualClock(sequences={"batch": [0.0, 0.0, 1.0]}))
+    run(clock, "batch", 2)
+    clock.finish_warmup()  # zero warm-up time is allowed when unbudgeted
+    run(clock, "batch")
     assert not clock.should_stop()
     assert clock.plan_iterations() is None
     assert clock.trace()["consumed_total"] == pytest.approx(1.0)
 
 
 def test_budgeted_zero_warmup_elapsed_is_an_error():
-    clock = BudgetClock(total_budget=5.0)
+    clock = BudgetClock(5.0, VirtualClock())
+    run(clock, "batch", 2)
     with pytest.raises(BudgetError, match="zero elapsed"):
-        clock.measure_warmup(batches_processed=2, elapsed=0.0)
+        clock.finish_warmup()
 
 
 def test_plan_iterations_requires_a_measured_batch_time():
-    clock = BudgetClock(total_budget=5.0)
+    clock = BudgetClock(5.0, VirtualClock())
     with pytest.raises(BudgetError, match="warm-up"):
         clock.plan_iterations()
 
 
 def test_ewma_tracks_batch_time_drift():
-    clock = BudgetClock(total_budget=1000.0)
-    clock.measure_warmup(batches_processed=1, elapsed=0.1)
-    for _ in range(200):
-        clock.observe_batch(0.4)
+    clock = warmed(1000.0, batches=1, elapsed=0.1,
+                   clock=VirtualClock(costs={"batch": 0.4}, sequences={"batch": [0.1]}))
+    run(clock, "batch", 200)
     assert clock.tb == pytest.approx(0.4, rel=1e-3)
     assert clock.tb_initial == pytest.approx(0.1)
 

@@ -179,6 +179,25 @@ def test_sweep_with_empty_alpha_list_is_usage_error(tmp_path):
     assert code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("flag, value", [("--alphas", "0.3,x"), ("--seeds", "1,y")])
+def test_sweep_with_unparsable_list_is_usage_error(tmp_path, capsys, flag, value):
+    code = main(["sweep", "--task", "classify-synth", flag, value, "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and repr(value.split(",")[1]) in err
+
+
+@pytest.mark.parametrize("text", ["[]", "null", '{"schema_version": 1}', "\xff"])
+def test_compare_reports_a_malformed_manifest_without_a_traceback(tmp_path, capsys, text):
+    good = RunManifest(mode="tftb", seed=1, config={}, dataset={})
+    good.save(tmp_path / "good.json")
+    (tmp_path / "bad.json").write_bytes(text.encode("latin-1"))
+    code = main(["compare", str(tmp_path / "good.json"), str(tmp_path / "bad.json"),
+                 "--out", str(tmp_path / "cmp")])
+    assert code != EXIT_OK
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_ledger_csv_is_written_when_requested(tmp_path):
     assert main(train_args(tmp_path, "--ledger-csv")) == EXIT_OK
     run_dir = tmp_path / "runs" / "classify-synth_tftb_alpha0.3_seed1"

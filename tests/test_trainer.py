@@ -4,6 +4,7 @@ import collections
 import dataclasses
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -388,6 +389,46 @@ def test_budget_trace_accounts_for_all_charged_time():
                            ledger_writer=dumps.append)
     assert len(dumps) == ranks == 1 + sum(1 for r in dumped.epochs if r["phase"] == "selective")
     assert dumped.budget["consumed_total"] == pytest.approx(expected + ledger_cost * ranks)
+
+
+@pytest.mark.parametrize("slow", ["rank", "ledger"])
+def test_scripted_rank_cost_never_overruns_the_budget(slow):
+    """A rerank or ledger dump starts only while its longest run so far still
+    fits; the first has nothing to estimate from and always runs."""
+    train, val = class_data(seed=2, n_per_class=300)  # 810 train samples
+    budget = 5.0
+    cfg = TrainConfig(mode="tftb", alpha=0.3, max_epochs=None, seed=0, early_stop_patience=50,
+                      budget_seconds=budget)
+    dumps = []
+    clock = VirtualClock(costs={"batch": 0.01, slow: 2.0})
+    _, manifest = train_tftb(model_for(train), train, val, cfg, clock=clock,
+                             ledger_writer=dumps.append)
+    trace = manifest.budget
+    assert trace["consumed_total"] <= budget + trace["tb_max"] + 0.5
+    assert manifest.stop_reason == "budget_exhausted"
+    # 0.26 s of warm-up epochs; the first 2 s section runs at 0.26 s and the
+    # second at 2.52 s, but the third, at 4.78 s, no longer fits: it is
+    # skipped, and the last selective epoch trains until the budget is spent
+    assert [r["batches"] for r in manifest.epochs] == [26, 26, 26, 22]
+    assert len(dumps) == 2
+    assert trace["consumed_total"] == pytest.approx(budget)
+
+
+def test_real_clock_wall_time_matches_charged_time():
+    """Consumption is read off the run's clock, so a run's own wall time
+    exceeds consumed_total by at most 1% of T + 0.05 s (README)."""
+    full = synth_classification(1, n_per_class=12500, num_classes=4, easy_fraction=0.5)
+    train, val = train_val_split(full, 0.1, 1)  # 45k training samples
+    budget = 4.0
+    cfg = TrainConfig(mode="tftb", alpha=0.3, max_epochs=None, seed=1, early_stop_patience=1000,
+                      budget_seconds=budget)
+    params = init_params(MlpArch(4, (16,), 4), np.random.default_rng(1))
+    start = time.monotonic()
+    _, manifest = train_tftb(params, train, val, cfg)
+    wall = time.monotonic() - start
+    consumed = manifest.budget["consumed_total"]
+    assert manifest.stop_reason in ("budget_exhausted", "planned_iterations_exhausted")
+    assert 0.0 <= wall - consumed <= 0.01 * budget + 0.05, (wall, consumed)
 
 
 def test_trainer_calls_each_layer_function_once_per_unit_of_work(monkeypatch):
