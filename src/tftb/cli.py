@@ -8,7 +8,8 @@ Commands:
 
 Configuration can come from a flat key=value text file (``--config``); CLI
 flags override file values, which override the built-in defaults.  Exit
-codes: 0 success, 2 configuration error, 3 training error, 4 I/O error.
+codes: 0 success, 2 configuration error (a malformed or incomparable
+manifest given to ``compare`` included), 3 training error, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .errors import ConfigError, TftbError, TrainingAbort
+from .errors import ConfigError, ManifestError, TftbError, TrainingAbort
 from .experiments import TASKS, ExperimentSpec, run_experiment, run_sweep
 from .importance import AlphaSchedule
 from .manifest import RunManifest
@@ -226,7 +227,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, ManifestError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except TrainingAbort as exc:

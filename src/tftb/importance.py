@@ -9,7 +9,9 @@ the top ``(1 - alpha)`` fraction, either globally or per class.
 
 All per-sample state is held in arrays in ascending-id order: the ledger's
 ``ids``, its loss windows, the scores ``effective_scores`` returns, and the
-scores ``select_subset`` takes.
+scores ``select_subset`` takes.  The ledger is written by row: a ledger
+built from a dataset's ids has the dataset's rows, so the trainer records a
+batch of losses under the same row indices it trained on.
 
 Samples outside the active subset receive no new losses; their history (and
 hence their score) goes stale until the full universe is merged and re-ranked,
@@ -30,9 +32,6 @@ from .data.dataset import Dataset
 from .errors import ConfigError, LedgerError, SelectionError
 
 
-_INF_BITS = np.float64(np.inf).view(np.uint64)
-
-
 def round_half_up(x: float) -> int:
     # tiny nudge so values like 0.7 * 50000 = 34999.999999999996 land right
     return int(math.floor(x + 0.5 + 1e-9))
@@ -46,12 +45,12 @@ def subset_size(n: int, alpha: float) -> int:
 class ImportanceLedger:
     """Per-sample loss history over a sliding window of the last W passes.
 
-    Row ``r`` of every array belongs to ``ids[r]``, and ids ascend.  Each row
-    of the ``(N, W)`` loss array is a ring, so recording a loss moves no
-    other loss.  A row's ring state ``s`` counts its losses while the ring
-    fills (``s < W``) and is ``W`` plus the column of its oldest loss once it
-    is full; the next loss goes to column ``s % W``.  ``last_observed_epoch``
-    is -1 for ids never observed.
+    Row ``r`` of every array belongs to ``ids[r]``, and ids ascend, so a
+    ledger built from a dataset's ids has the dataset's rows.  Each row of
+    the ``(N, W)`` loss array holds that row's last W losses oldest first,
+    right-aligned behind zero padding; ``_counts[r]`` counts the losses ever
+    recorded for it, so the last ``min(_counts[r], W)`` entries are valid.
+    ``last_observed_epoch`` is -1 for rows never observed.
     """
 
     def __init__(self, sample_ids, window: int):
@@ -62,57 +61,39 @@ class ImportanceLedger:
         if self.ids.size == 0:
             raise LedgerError("ledger needs at least one sample id")
         self._losses = np.zeros((self.ids.size, window))
-        self._ring = np.zeros(self.ids.size, dtype=np.int64)
+        self._counts = np.zeros(self.ids.size, dtype=np.int64)
         self.last_observed_epoch = np.full(self.ids.size, -1, dtype=np.int64)
-        # lookup tables by ring state: the column the next loss goes to, the
-        # state after it, and the window's columns, oldest loss first
-        states = np.arange(2 * window)
-        oldest = np.where(states < window, 0, states - window)
-        self._next_column = states % window
-        self._next_state = np.where(states + 1 < 2 * window, states + 1, window)
-        self._window_columns = (oldest[:, None] + np.arange(window)) % window
 
     def __len__(self) -> int:
         return self.ids.size
 
-    def history(self, sample_id: int) -> tuple[float, ...]:
-        row = int(np.searchsorted(self.ids, sample_id))
-        if row == self.ids.size or self.ids[row] != sample_id:
-            raise LedgerError(f"unknown sample id {sample_id}")
-        state = self._ring[row]
-        window = self._losses[row, self._window_columns[state]]
-        return tuple(window[: min(state, self.window)].tolist())
+    def history(self, row: int) -> tuple[float, ...]:
+        """The losses recorded for row ``row`` of ``ids``, oldest first."""
+        valid = min(int(self._counts[row]), self.window)
+        return tuple(self._losses[row, self.window - valid :].tolist())
 
-    def record_losses(self, sample_ids, losses, epoch: int) -> None:
-        """Append ``losses[k]`` to the window of ``sample_ids[k]``, in call order.
+    def record_losses(self, rows, losses, epoch: int) -> None:
+        """Append ``losses[k]`` to the window of row ``rows[k]`` of ``ids``, in call order.
 
-        The whole call is checked before anything is written, so a rejected
-        call leaves the ledger unchanged.
+        The losses are taken as given: the model's loss functions have
+        already rejected non-finite ones.  Rows outside ``ids`` are rejected
+        before anything is written.
         """
-        sample_ids = np.asarray(sample_ids, dtype=np.int64)
+        rows = np.asarray(rows, dtype=np.intp)
         losses = np.asarray(losses, dtype=np.float64)
-        if sample_ids.ndim != 1 or losses.shape != sample_ids.shape:
+        if rows.ndim != 1 or losses.shape != rows.shape:
             raise LedgerError(
-                f"need one loss per sample id, got shapes {losses.shape} and {sample_ids.shape}"
+                f"need one loss per row, got shapes {losses.shape} and {rows.shape}"
             )
-        rows = self.ids.searchsorted(sample_ids)
-        known = self.ids.take(rows, mode="clip") == sample_ids
-        # read as unsigned integers, the bits of finite losses >= +0.0 are
-        # those below the bits of +inf: one comparison rejects negative,
-        # infinite and NaN losses (and -0.0, which the exact check lets pass)
-        if np.count_nonzero(known & (losses.view(np.uint64) < _INF_BITS)) < rows.size:
-            bad = ~known | ~(np.isfinite(losses) & (losses >= 0.0))
-            if bad.any():
-                k = int(bad.argmax())
-                if not known[k]:
-                    raise LedgerError(f"unknown sample id {sample_ids[k]}")
-                raise LedgerError(
-                    f"sample {sample_ids[k]}: loss must be finite and >= 0, got {losses[k]}"
-                )
         self._append(rows, losses, epoch)
 
     def _append(self, rows: np.ndarray, losses: np.ndarray, epoch: int) -> None:
         ordered = np.sort(rows)
+        if ordered.size and (ordered[0] < 0 or ordered[-1] >= self.ids.size):
+            raise LedgerError(
+                f"rows must index the ledger's {self.ids.size} ids, "
+                f"got rows {ordered[0]} to {ordered[-1]}"
+            )
         if np.count_nonzero(ordered[1:] == ordered[:-1]):
             # a row repeated in the call appends once per occurrence, in call
             # order: first occurrences now, the rest after them
@@ -122,26 +103,25 @@ class ImportanceLedger:
             self._append(rows[first], losses[first], epoch)
             self._append(rows[later], losses[later], epoch)
             return
-        state = self._ring[rows]
-        self._losses[rows, self._next_column[state]] = losses
-        self._ring[rows] = self._next_state[state]
+        self._losses[rows, :-1] = self._losses[rows, 1:]
+        self._losses[rows, -1] = losses
+        self._counts[rows] += 1
         self.last_observed_epoch[rows] = epoch
 
     def moments(self) -> tuple[np.ndarray, np.ndarray]:
         """Mean and population std of each window's valid losses; NaN where empty.
 
-        The windows are summed oldest loss first with the zero padding last,
-        so for W < 8, where numpy sums a row in order, each row's sums equal
+        The windows are summed zero padding first, then oldest loss first, so
+        for W < 8, where numpy sums a row in order, each row's sums equal
         those of its valid losses alone: the results are bit-identical to
-        ``np.mean`` and ``np.std`` of the history.
+        ``np.mean`` and ``np.std`` of the history (but for the sign of a
+        partial window of -0.0 losses alone, whose padded sum is +0.0).
         """
-        # every row's window, oldest loss first and zero-padded
-        windows = np.take_along_axis(self._losses, self._window_columns[self._ring], axis=1)
-        counts = np.minimum(self._ring, self.window)
-        valid = np.arange(self.window) < counts[:, None]
+        counts = np.minimum(self._counts, self.window)
+        valid = np.arange(self.window) >= (self.window - counts)[:, None]
         with np.errstate(invalid="ignore", divide="ignore"):
-            mean = windows.sum(axis=1) / counts
-            dev = np.where(valid, windows - mean[:, None], 0.0)
+            mean = self._losses.sum(axis=1) / counts
+            dev = np.where(valid, self._losses - mean[:, None], 0.0)
             std = np.sqrt((dev * dev).sum(axis=1) / counts)
         return mean, std
 
@@ -151,7 +131,7 @@ class ImportanceLedger:
         Every id must have at least one observation; selection before the
         warm-up pass has finished is a caller bug.
         """
-        empty = self._ring == 0
+        empty = self._counts == 0
         if empty.any():
             raise LedgerError(
                 f"sample {self.ids[empty.argmax()]} has no observed losses; "
@@ -321,9 +301,15 @@ def merge_and_reselect(
     stratified: bool,
     epoch: int = 0,
 ) -> SubsetPlan:
-    """Re-rank the full id universe (stale scores included) and re-partition."""
+    """Re-rank the full id universe (stale scores included) and re-partition.
+
+    Scores are matched to the dataset by row, so the ledger and the previous
+    plan must both be over the dataset's ids.
+    """
     if not np.array_equal(previous.ids, dataset.ids):
         raise SelectionError("previous subset plan does not partition this dataset's ids")
+    if not np.array_equal(ledger.ids, dataset.ids):
+        raise SelectionError("ledger rows are not this dataset's ids")
     scores = ledger.effective_scores(lambda_var)
     return select_subset(scores, dataset, alpha, stratified, epoch=epoch)
 

@@ -1,7 +1,8 @@
 """Adam optimizer with standard defaults; only the learning rate is exposed.
 
-The moments are two vectors laid out like ``ModelParams.flat``, so one step
-is one element-wise update over the whole parameter vector.
+The gradient is a ``ModelParams`` and the moments are two vectors, all laid
+out like ``ModelParams.flat``, so one step is one element-wise update over
+the whole parameter vector.
 """
 
 from __future__ import annotations
@@ -30,10 +31,6 @@ def init_adam_state(params: ModelParams) -> AdamState:
 
 
 def _update(param, grad, m, v, lr, t):
-    if param.shape != m.shape:
-        raise ShapeError(
-            f"adam: moment shape {m.shape} does not match parameter shape {param.shape}"
-        )
     m *= BETA1
     m += (1.0 - BETA1) * grad
     v *= BETA2
@@ -44,30 +41,26 @@ def _update(param, grad, m, v, lr, t):
 
 
 def adam_step(
-    params: ModelParams,
-    grad_weights: list[np.ndarray],
-    grad_biases: list[np.ndarray],
-    state: AdamState,
-    lr: float,
+    params: ModelParams, grad: ModelParams, state: AdamState, lr: float
 ) -> tuple[ModelParams, AdamState]:
     """One in-place Adam update; returns the mutated params and state.
 
-    The per-layer gradients are checked against the parameter shapes and
-    joined in ``params.flat`` order, so every parameter takes the same
-    element-wise update it would take layer by layer.
+    ``grad`` is laid out like ``params`` (``loss_and_grad`` returns it so),
+    so the update is one element-wise pass over ``params.flat`` and
+    ``grad.flat``, and every parameter takes the update it would take layer
+    by layer.
     """
     if lr <= 0:
         raise ConfigError(f"learning rate must be positive, got {lr}")
-    for grads, layers in ((grad_weights, params.weights), (grad_biases, params.biases)):
-        if len(grads) != len(layers):
-            raise ShapeError("adam: gradient list length does not match parameter layers")
-        for grad, param in zip(grads, layers):
-            if grad.shape != param.shape:
-                raise ShapeError(
-                    f"adam: gradient shape {grad.shape} does not match "
-                    f"parameter shape {param.shape}"
-                )
-    grad = np.concatenate([g.ravel() for pair in zip(grad_weights, grad_biases) for g in pair])
+    if grad.arch != params.arch:
+        raise ShapeError(
+            f"adam: gradient of a {grad.arch} does not match parameters of a {params.arch}"
+        )
+    if state.m.shape != params.flat.shape:
+        raise ShapeError(
+            f"adam: moment shape {state.m.shape} does not match parameter shape "
+            f"{params.flat.shape}"
+        )
     state.step += 1
-    _update(params.flat, grad, state.m, state.v, lr, state.step)
+    _update(params.flat, grad.flat, state.m, state.v, lr, state.step)
     return params, state

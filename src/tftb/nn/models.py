@@ -8,7 +8,9 @@
 
 Parameters, activations, and gradients are float64 numpy arrays throughout.
 A model's parameters are one contiguous vector, ``ModelParams.flat``, with
-per-layer views ``weights`` and ``biases``.
+per-layer views ``weights`` and ``biases``.  ``loss_and_grad`` returns the
+gradient in the same layout, as a ``ModelParams`` whose views the backward
+passes write into, so the optimizer takes it as one vector.
 No autodiff: each architecture's backward pass is written out explicitly and
 is checked against central finite differences in the test suite.
 
@@ -25,6 +27,7 @@ and that buffer.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass, field
@@ -123,9 +126,15 @@ def arch_from_descriptor(desc: dict) -> Architecture:
     raise ShapeError(f"unknown architecture kind: {kind!r}")
 
 
-def _flat_shapes(arch: Architecture) -> list[tuple[int, ...]]:
-    """Shape of every parameter array in ``ModelParams.flat`` order."""
-    return [shape for pair in arch.layer_shapes() for shape in pair]
+@functools.cache
+def _layout(arch: Architecture) -> tuple[tuple[tuple[int, ...], int, int], ...]:
+    """``(shape, start, stop)`` of every parameter array in ``ModelParams.flat``
+    order; computed once per architecture, since every gradient has it too."""
+    spans, offset = [], 0
+    for shape in (shape for pair in arch.layer_shapes() for shape in pair):
+        spans.append((shape, offset, offset + math.prod(shape)))
+        offset += math.prod(shape)
+    return tuple(spans)
 
 
 @dataclass(eq=False)
@@ -146,22 +155,19 @@ class ModelParams:
 
     def __post_init__(self):
         self.flat = as_f64(self.flat)
-        shapes = _flat_shapes(self.arch)
-        size = sum(math.prod(s) for s in shapes)
+        spans = _layout(self.arch)
+        size = spans[-1][2]
         if self.flat.shape != (size,):
             raise ShapeError(
                 f"{self.arch.kind} parameters: expected a vector of {size} floats, "
                 f"got shape {self.flat.shape}"
             )
-        views, offset = [], 0
-        for shape in shapes:
-            views.append(self.flat[offset : offset + math.prod(shape)].reshape(shape))
-            offset += math.prod(shape)
+        views = [self.flat[start:stop].reshape(shape) for shape, start, stop in spans]
         self.weights, self.biases = views[0::2], views[1::2]
 
     @classmethod
     def zeros(cls, arch: Architecture) -> "ModelParams":
-        return cls(arch, np.zeros(sum(math.prod(s) for s in _flat_shapes(arch))))
+        return cls(arch, np.zeros(_layout(arch)[-1][2]))
 
     def copy(self) -> "ModelParams":
         return ModelParams(self.arch, self.flat.copy())
@@ -185,12 +191,12 @@ def init_params(arch: Architecture, rng: np.random.Generator) -> ModelParams:
 
 @dataclass
 class LossBatchResult:
-    """Per-sample losses plus gradients of the batch-mean loss."""
+    """Per-sample losses plus the gradient of the batch-mean loss, laid out
+    like the parameters it belongs to."""
 
     per_sample_losses: np.ndarray
     mean_loss: float
-    grad_weights: list[np.ndarray]
-    grad_biases: list[np.ndarray]
+    grad: ModelParams
 
 
 # ---------------------------------------------------------------------------
@@ -220,17 +226,13 @@ def _mlp_forward(params: ModelParams, x: np.ndarray):
     return a, activations
 
 
-def _mlp_backward(params: ModelParams, activations, d_out: np.ndarray):
-    grad_w = [np.empty(0)] * len(params.weights)
-    grad_b = [np.empty(0)] * len(params.biases)
+def _mlp_backward(params: ModelParams, activations, d_out: np.ndarray, grad: ModelParams):
     delta = d_out
     for i in range(len(params.weights) - 1, -1, -1):
-        a_prev = activations[i]
-        grad_w[i] = a_prev.T @ delta
-        grad_b[i] = delta.sum(axis=0)
+        np.matmul(activations[i].T, delta, out=grad.weights[i])
+        delta.sum(axis=0, out=grad.biases[i])
         if i > 0:
             delta = (delta @ params.weights[i].T) * (activations[i] > 0.0)
-    return grad_w, grad_b
 
 
 def _patch_buffer(floats: int) -> np.ndarray:
@@ -286,12 +288,12 @@ def _conv(src: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _conv_weight_grad(src: np.ndarray, d_z: np.ndarray, w_shape) -> np.ndarray:
-    """Gradient of ``w`` in ``_conv(src, w)`` for output gradient ``d_z``."""
-    d_w = np.zeros((w_shape[0], int(np.prod(w_shape[1:]))))
-    for lo, hi, patches in _patches(src, w_shape[2]):
-        d_w += d_z[:, lo:hi] @ patches.T
-    return d_w.reshape(w_shape)
+def _conv_weight_grad(src: np.ndarray, d_z: np.ndarray, d_w: np.ndarray) -> None:
+    """Add the gradient of ``w`` in ``_conv(src, w)`` for output gradient
+    ``d_z`` into ``d_w``, an array shaped like ``w``."""
+    d_w_mat = d_w.reshape(d_w.shape[0], -1)
+    for lo, hi, patches in _patches(src, d_w.shape[2]):
+        d_w_mat += d_z[:, lo:hi] @ patches.T
 
 
 def _conv_input_grad(w: np.ndarray, d_z: np.ndarray, image_shape) -> np.ndarray:
@@ -337,22 +339,23 @@ def _conv_forward(params: ModelParams, x: np.ndarray):
     return z3.reshape(n, h, wid), (x_pad, a1_pad, a2)
 
 
-def _conv_backward(params: ModelParams, cache, d_out: np.ndarray):
+def _conv_backward(params: ModelParams, cache, d_out: np.ndarray, grad: ModelParams):
+    # grad starts at zero: the weight gradients are sums over patch chunks
     x_pad, a1_pad, a2 = cache
     w1, w2, w3 = params.weights
     n, h, wid = d_out.shape
     p = w1.shape[2] // 2
     d_z3 = d_out.reshape(1, -1)
-    d_w3 = (d_z3 @ a2.T).reshape(w3.shape)
+    np.matmul(d_z3, a2.T, out=grad.weights[2].reshape(1, -1))
     d_z2 = w3.reshape(-1, 1) @ d_z3
     d_z2 *= a2 > 0.0
-    d_w2 = _conv_weight_grad(a1_pad, d_z2, w2.shape)
+    _conv_weight_grad(a1_pad, d_z2, grad.weights[1])
     d_z1 = _conv_input_grad(w2, d_z2, (n, h, wid))
     d_z1 *= (a1_pad[:, :, p : p + h, p : p + wid] > 0.0).reshape(d_z1.shape)
     # the input image needs no gradient
-    d_w1 = _conv_weight_grad(x_pad, d_z1, w1.shape)
-    d_b = [d.sum(axis=1) for d in (d_z1, d_z2, d_z3)]
-    return [d_w1, d_w2, d_w3], d_b
+    _conv_weight_grad(x_pad, d_z1, grad.weights[0])
+    for d_z, d_b in zip((d_z1, d_z2, d_z3), grad.biases):
+        d_z.sum(axis=1, out=d_b)
 
 
 def _forward_cached(params: ModelParams, batch: np.ndarray):
@@ -451,15 +454,11 @@ def loss_and_grad(
             f"non-finite {loss_kind} loss for sample id {sid}", sample_id=sid
         )
 
-    if params.arch.kind == "mlp":
-        grad_w, grad_b = _mlp_backward(params, cache, d_out)
-    else:
-        grad_w, grad_b = _conv_backward(params, cache, d_out)
+    grad = ModelParams.zeros(params.arch)
+    backward = _mlp_backward if params.arch.kind == "mlp" else _conv_backward
+    backward(params, cache, d_out, grad)
     return LossBatchResult(
-        per_sample_losses=per_sample,
-        mean_loss=float(per_sample.mean()),
-        grad_weights=grad_w,
-        grad_biases=grad_b,
+        per_sample_losses=per_sample, mean_loss=float(per_sample.mean()), grad=grad
     )
 
 

@@ -200,7 +200,8 @@ def _run(params, train_set, val_set, cfg, clock, ledger_writer):
     adam_state = init_adam_state(params)
 
     # pools and batches are arrays of dataset rows, and a dataset's rows are
-    # in ascending-id order, so a pool lists its rows in ascending-id order
+    # in ascending-id order, so a pool lists its rows in ascending-id order;
+    # the ledger is built from the same ids, so its rows are these rows too
     feats, targets, ids = train_set.features, train_set.targets, train_set.ids
     all_rows = np.arange(len(train_set))
 
@@ -225,13 +226,12 @@ def _run(params, train_set, val_set, cfg, clock, ledger_writer):
     planned_initial: int | None = None
 
     def batch_step(batch):
-        batch_ids = ids[batch]
         result = loss_and_grad(
-            params, feats[batch], targets[batch], cfg.loss_kind, sample_ids=batch_ids
+            params, feats[batch], targets[batch], cfg.loss_kind, sample_ids=ids[batch]
         )
-        adam_step(params, result.grad_weights, result.grad_biases, adam_state, cfg.lr)
+        adam_step(params, result.grad, adam_state, cfg.lr)
         if ledger is not None:
-            ledger.record_losses(batch_ids, result.per_sample_losses, epoch)
+            ledger.record_losses(batch, result.per_sample_losses, epoch)
         return result
 
     def select():
@@ -394,7 +394,7 @@ def _run(params, train_set, val_set, cfg, clock, ledger_writer):
                     chunks = epoch_equivalent_batches(excluded.size, cfg.batch_size)
                     budget.section(
                         "refresh", _refresh_excluded,
-                        params, feats, targets, ids, excluded, cfg, ledger, epoch,
+                        params, feats, targets, excluded, cfg, ledger, epoch,
                         estimate=budget.tb * chunks,
                     )
                 if since_warmup % cfg.rerank_period == 0:
@@ -426,9 +426,9 @@ def _check_warmup_fits(budget, batch_seconds, warmup_batches):
         )
 
 
-def _refresh_excluded(params, feats, targets, ids, rows, cfg, ledger, epoch):
+def _refresh_excluded(params, feats, targets, rows, cfg, ledger, epoch):
     """Forward-only loss pass over excluded samples to un-stale their scores."""
     for lo in range(0, len(rows), cfg.batch_size):
         chunk = rows[lo : lo + cfg.batch_size]
         losses = per_sample_losses(params, feats[chunk], targets[chunk], cfg.loss_kind)
-        ledger.record_losses(ids[chunk], losses, epoch)
+        ledger.record_losses(chunk, losses, epoch)

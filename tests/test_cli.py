@@ -194,8 +194,19 @@ def test_compare_reports_a_malformed_manifest_without_a_traceback(tmp_path, caps
     (tmp_path / "bad.json").write_bytes(text.encode("latin-1"))
     code = main(["compare", str(tmp_path / "good.json"), str(tmp_path / "bad.json"),
                  "--out", str(tmp_path / "cmp")])
-    assert code != EXIT_OK
-    assert capsys.readouterr().err.startswith("error: ")
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("configuration error: ")
+
+
+def test_compare_reports_a_fingerprint_mismatch_as_a_configuration_error(tmp_path, capsys):
+    for name, fingerprint in (("a", "0" * 16), ("b", "1" * 16)):
+        RunManifest(mode="tftb", seed=1, config={},
+                    dataset={"train_fingerprint": fingerprint}).save(tmp_path / f"{name}.json")
+    code = main(["compare", str(tmp_path / "a.json"), str(tmp_path / "b.json"),
+                 "--out", str(tmp_path / "cmp")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and "fingerprints differ" in err
 
 
 def test_ledger_csv_is_written_when_requested(tmp_path):

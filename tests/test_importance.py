@@ -5,7 +5,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from tftb.data import Dataset
+from tftb.budget import VirtualClock
+from tftb.data import Dataset, synth_classification, train_val_split
 from tftb.errors import ConfigError, LedgerError, SelectionError
 from tftb.importance import (
     AlphaSchedule,
@@ -18,6 +19,8 @@ from tftb.importance import (
     select_subset,
     subset_size,
 )
+from tftb.nn import MlpArch, init_params
+from tftb.trainer import TrainConfig, train_tftb
 
 _FEATURES = np.zeros(1)
 
@@ -40,71 +43,50 @@ def uniform_dataset(n, num_classes=1):
 
 def test_record_losses_bookkeeping():
     ledger = ImportanceLedger([5, 6], window=4)
-    ledger.record_losses([5], [2.0], epoch=1)
-    assert ledger.history(5) == (2.0,)
-    assert ledger.history(6) == ()
+    ledger.record_losses([0], [2.0], epoch=1)  # row 0 is id 5
+    assert ledger.history(0) == (2.0,)
+    assert ledger.history(1) == ()
     assert ledger.last_observed_epoch.tolist() == [1, -1]  # id 6 never observed
 
 
 def test_record_losses_window_keeps_last_w():
     ledger = ImportanceLedger([1], window=3)
     for epoch, loss in enumerate([1.0, 2.0, 3.0, 4.0], start=1):
-        ledger.record_losses([1], [loss], epoch)
-    assert ledger.history(1) == (2.0, 3.0, 4.0)
+        ledger.record_losses([0], [loss], epoch)
+    assert ledger.history(0) == (2.0, 3.0, 4.0)
     assert ledger.last_observed_epoch[0] == 4
 
 
 def test_record_losses_empty_observation_list_is_identity():
     ledger = ImportanceLedger([1, 2], window=3)
-    ledger.record_losses([1], [0.5], epoch=1)
-    before = {i: ledger.history(i) for i in ledger.ids}
+    ledger.record_losses([0], [0.5], epoch=1)
+    before = [ledger.history(r) for r in range(len(ledger))]
     ledger.record_losses([], [], epoch=2)
-    assert {i: ledger.history(i) for i in ledger.ids} == before
+    assert [ledger.history(r) for r in range(len(ledger))] == before
 
 
-def test_record_losses_rejects_unknown_id_and_bad_losses():
-    ledger = ImportanceLedger([1], window=3)
-    with pytest.raises(LedgerError, match="unknown sample id 99"):
-        ledger.record_losses([99], [1.0], epoch=1)
-    with pytest.raises(LedgerError):
-        ledger.record_losses([1], [-0.5], epoch=1)
-    with pytest.raises(LedgerError):
-        ledger.record_losses([1], [float("nan")], epoch=1)
+@pytest.mark.parametrize(
+    "rows", [[0, -1], [2, 3], [3, 0, 3]], ids=["negative", "past-end", "repeated-past-end"]
+)
+def test_record_losses_rejects_rows_outside_the_ledger_and_writes_nothing(rows):
+    ledger = ImportanceLedger([1, 2, 3], window=2)
+    ledger.record_losses([0, 1, 2], [0.5, 1.0, 1.5], epoch=1)
+    before = [ledger.history(r) for r in range(3)], ledger.last_observed_epoch.tolist()
+    with pytest.raises(LedgerError, match="rows must index the ledger's 3 ids"):
+        ledger.record_losses(rows, np.ones(len(rows)), epoch=2)
+    assert ([ledger.history(r) for r in range(3)], ledger.last_observed_epoch.tolist()) == before
 
 
 def test_record_losses_accepts_signed_zero_and_extreme_finite_losses():
     ledger = ImportanceLedger([1, 2, 3], window=2)
-    ledger.record_losses([3, 1, 2], [-0.0, 5e-324, np.finfo(np.float64).max], epoch=1)
-    assert [ledger.history(i) for i in (1, 2, 3)] == [(5e-324,), (1.7976931348623157e308,), (0.0,)]
-
-
-@pytest.mark.parametrize(
-    "ids, losses, named",
-    [
-        ([1, 99, 2], [1.0, 1.0, 1.0], "unknown sample id 99"),
-        ([1, 3, 2], [1.0, -0.5, 1.0], "sample 3"),
-        ([2, 1], [float("nan"), 1.0], "sample 2"),
-        ([1, 2], [1.0, float("inf")], "sample 2"),
-        ([3, 1], [-float("inf"), 1.0], "sample 3"),
-        ([1, 2], [-0.0, -5e-324], "sample 2"),
-        ([2, 99], [float("nan"), 1.0], "sample 2"),
-    ],
-    ids=["unknown", "negative", "nan", "inf", "minus-inf", "negative-subnormal",
-         "nan-before-unknown"],
-)
-def test_rejected_record_names_the_id_and_leaves_the_ledger_unchanged(ids, losses, named):
-    ledger = ImportanceLedger([1, 2, 3], window=2)
-    ledger.record_losses([1, 2, 3, 3], [0.5, 1.0, 1.5, 2.0], epoch=1)
-    before = [ledger.history(i) for i in (1, 2, 3)], ledger.last_observed_epoch.tolist()
-    with pytest.raises(LedgerError, match=named):
-        ledger.record_losses(ids, losses, epoch=2)
-    assert ([ledger.history(i) for i in (1, 2, 3)], ledger.last_observed_epoch.tolist()) == before
+    ledger.record_losses([2, 0, 1], [-0.0, 5e-324, np.finfo(np.float64).max], epoch=1)
+    assert [ledger.history(r) for r in (0, 1, 2)] == [(5e-324,), (1.7976931348623157e308,), (0.0,)]
 
 
 def test_effective_scores_degenerate_and_two_point_cases():
     ledger = ImportanceLedger([1, 2], window=5)
-    ledger.record_losses([1, 2], [2.0, 1.0], epoch=1)
-    ledger.record_losses([2], [3.0], epoch=2)
+    ledger.record_losses([0, 1], [2.0, 1.0], epoch=1)
+    ledger.record_losses([1], [3.0], epoch=2)
     scores = dict(zip(ledger.ids.tolist(), ledger.effective_scores(lambda_var=1.0).tolist()))
     assert scores[1] == 2.0  # single observation: std term is zero
     assert scores[2] == pytest.approx(3.0)  # mean 2.0 + population std 1.0
@@ -112,7 +94,7 @@ def test_effective_scores_degenerate_and_two_point_cases():
 
 def test_effective_scores_requires_warmup_coverage():
     ledger = ImportanceLedger([1, 2], window=5)
-    ledger.record_losses([1], [2.0], epoch=1)
+    ledger.record_losses([0], [2.0], epoch=1)
     with pytest.raises(LedgerError, match="warm-up"):
         ledger.effective_scores(1.0)
 
@@ -138,7 +120,7 @@ def test_effective_scores_match_two_pass_oracle():
 def test_lambda_zero_reduces_to_running_mean():
     ledger = ImportanceLedger([1], window=5)
     for epoch, loss in enumerate([1.0, 2.0, 6.0]):
-        ledger.record_losses([1], [loss], epoch)
+        ledger.record_losses([0], [loss], epoch)
     assert ledger.effective_scores(0.0)[0] == pytest.approx(3.0)
 
 
@@ -174,10 +156,11 @@ def test_array_ledger_matches_list_ledger_on_random_streams(window):
     for epoch, batch in enumerate(calls, start=1):
         losses = rng.uniform(0.0, 5.0, size=batch.size)
         losses[rng.uniform(size=batch.size) < 0.05] = 0.0
-        ledger.record_losses(batch, losses, epoch)
+        ledger.record_losses(np.searchsorted(ids, batch), losses, epoch)
         ref.record(batch.tolist(), losses.tolist(), epoch)
         seen.update("full" if len(h) == window else "partial" for h in ref.hist.values())
-        assert [ledger.history(i) for i in ids] == [tuple(ref.hist[i]) for i in ids.tolist()]
+        want_hist = [tuple(ref.hist[i]) for i in ids.tolist()]
+        assert [ledger.history(r) for r in range(ids.size)] == want_hist
         assert ledger.last_observed_epoch.tolist() == [ref.last.get(i, -1) for i in ids.tolist()]
         want_moments = np.array([ref.moments(i) for i in ids.tolist()]).T
         for lambda_var in (None, 0.0, 1.0, 0.37):
@@ -192,6 +175,40 @@ def test_array_ledger_matches_list_ledger_on_random_streams(window):
                 np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
     assert seen == ({"full"} if window == 1 else {"full", "partial"})
     assert np.unique(np.concatenate(calls), return_counts=True)[1].max() > window  # evictions
+
+
+def test_trainer_writes_match_list_ledger_across_reshuffle_seams(monkeypatch):
+    """An active pool smaller than two batches, so batches straddle reshuffle
+    seams and repeat rows: every write the trainer makes, replayed into the
+    list reference by row, gives the same histories and moments."""
+    calls = []
+    record = ImportanceLedger.record_losses
+
+    def recorded(ledger, rows, losses, epoch):
+        calls.append((ledger, np.array(rows), np.array(losses), epoch))
+        record(ledger, rows, losses, epoch)
+
+    monkeypatch.setattr(ImportanceLedger, "record_losses", recorded)
+    train, val = train_val_split(synth_classification(3, 20, 3, 0.5), 0.1, 3)
+    cfg = TrainConfig(mode="tftb", alpha=0.6, batch_size=16, max_epochs=6, seed=1,
+                      early_stop_patience=50, refresh_excluded_period=1)
+    params = init_params(MlpArch(train.feature_shape[0], (8,), 3), np.random.default_rng(0))
+    _, manifest = train_tftb(params, train, val, cfg, clock=VirtualClock(costs={"batch": 0.01}))
+    selective = [r for r in manifest.epochs if r["phase"] == "selective"]
+    assert len(selective) == 5
+    assert all(r["selected_size"] < 2 * cfg.batch_size for r in selective)
+    ledger = calls[0][0]
+    assert all(call[0] is ledger for call in calls)
+    assert any(np.unique(rows).size < rows.size for _, rows, _, _ in calls)
+
+    rows = range(len(train))
+    ref = ListLedger(rows, cfg.score_window)
+    for _, batch, losses, epoch in calls:
+        ref.record(batch.tolist(), losses.tolist(), epoch)
+    assert [ledger.history(r) for r in rows] == [tuple(ref.hist[r]) for r in rows]
+    assert ledger.last_observed_epoch.tolist() == [ref.last[r] for r in rows]
+    want = np.array([ref.moments(r) for r in rows]).T
+    assert np.array(ledger.moments()).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +336,7 @@ def test_select_subset_validates_alpha_and_coverage():
 
 def seeded_ledger(ds, rng, window=5):
     ledger = ImportanceLedger(ds.ids, window)
-    ledger.record_losses(ds.ids, [float(rng.uniform(0, 4)) for _ in ds.ids], epoch=1)
+    ledger.record_losses(np.arange(len(ds)), [float(rng.uniform(0, 4)) for _ in ds.ids], epoch=1)
     return ledger
 
 
@@ -353,6 +370,13 @@ def test_merge_rejects_plan_for_other_dataset():
     plan = select_subset(ledger.effective_scores(1.0), other, 0.25, False)
     with pytest.raises(SelectionError, match="partition"):
         merge_and_reselect(ledger, plan, ds, 0.25, lambda_var=1.0, stratified=False)
+    # a ledger over other ids: its rows' scores would land on the wrong samples
+    ds = uniform_dataset(4)
+    ledger = ImportanceLedger([10, 11, 12, 13], window=3)
+    ledger.record_losses([0, 1, 2, 3], [4.0, 3.0, 2.0, 1.0], epoch=1)
+    plan = select_subset(np.arange(4.0), ds, 0.5, False, epoch=1)
+    with pytest.raises(SelectionError, match="ledger"):
+        merge_and_reselect(ledger, plan, ds, 0.5, lambda_var=1.0, stratified=False, epoch=2)
 
 
 def test_partition_survives_fifty_merges_of_random_streams():
@@ -363,7 +387,7 @@ def test_partition_survives_fifty_merges_of_random_streams():
     all_ids = set(ds.ids)
     for epoch in range(2, 52):
         observed = [float(rng.uniform(0, 4)) for _ in plan.selected_ids]
-        ledger.record_losses(plan.selected_ids, observed, epoch)
+        ledger.record_losses(plan.selected_rows, observed, epoch)
         plan = merge_and_reselect(ledger, plan, ds, 0.3, lambda_var=1.0, stratified=True, epoch=epoch)
         assert set(plan.selected_ids) | set(plan.excluded_ids) == all_ids
         assert set(plan.selected_ids) & set(plan.excluded_ids) == set()
@@ -378,7 +402,7 @@ def test_identical_observation_streams_give_identical_plans():
         plan = select_subset(ledger.effective_scores(1.0), ds, 0.4, True, epoch=1)
         for epoch in range(2, 12):
             losses = [float(rng.uniform(0, 2)) for _ in plan.selected_ids]
-            ledger.record_losses(plan.selected_ids, losses, epoch)
+            ledger.record_losses(plan.selected_rows, losses, epoch)
             plan = merge_and_reselect(ledger, plan, ds, 0.4, lambda_var=1.0, stratified=True, epoch=epoch)
         return plan
 
@@ -457,11 +481,11 @@ def test_ledger_rows_match_golden_digest():
     n = 60
     ds = Dataset(np.arange(0, 2 * n, 2), np.zeros((n, 1)), np.arange(n) % 3, 3, "train")
     ledger = ImportanceLedger(ds.ids, 4)
-    ledger.record_losses(ds.ids, rng.uniform(0, 3, n), 1)
+    ledger.record_losses(np.arange(n), rng.uniform(0, 3, n), 1)
     plan = select_subset(ledger.effective_scores(0.5), ds, 0.4, True, epoch=1)
     digest = hashlib.sha256()
     for epoch in range(2, 8):
-        selected = np.array(plan.selected_ids)
+        selected = plan.selected_rows
         ledger.record_losses(selected, rng.uniform(0, 3, selected.size), epoch)
         plan = merge_and_reselect(ledger, plan, ds, 0.4, lambda_var=0.5, stratified=True,
                                   epoch=epoch)
@@ -513,7 +537,7 @@ def test_subset_plan_rejects_malformed_masks(mask):
 def test_ledger_rows_reject_a_plan_for_other_ids():
     ds = uniform_dataset(4)
     ledger = ImportanceLedger([0, 1, 2, 5], window=3)
-    ledger.record_losses([0, 1, 2, 5], [1.0, 2.0, 3.0, 4.0], epoch=1)
+    ledger.record_losses([0, 1, 2, 3], [1.0, 2.0, 3.0, 4.0], epoch=1)
     plan = select_subset(np.arange(4.0), ds, 0.5, False, epoch=1)
     with pytest.raises(LedgerError, match="different sample ids"):
         ledger_rows(ledger, plan, lambda_var=1.0, epoch=1)

@@ -109,8 +109,7 @@ def test_perfect_fit_pixelwise_l2_gives_zero_loss_and_zero_gradient():
     result = loss_and_grad(params, x, target, "pixelwise_l2")
     assert np.array_equal(result.per_sample_losses, np.zeros(2))
     assert result.mean_loss == 0.0
-    for g in result.grad_weights + result.grad_biases:
-        assert np.array_equal(g, np.zeros_like(g))
+    assert np.array_equal(result.grad.flat, np.zeros_like(params.flat))
 
 
 def test_per_sample_loss_additivity():
@@ -130,9 +129,10 @@ def test_loss_gradients_have_parameter_shapes():
     params = mlp()
     rng = np.random.default_rng(0)
     result = loss_and_grad(params, rng.standard_normal((3, 4)), np.array([0, 1, 2]), "cross_entropy")
-    for g, w in zip(result.grad_weights, params.weights):
+    assert result.grad.arch == params.arch
+    for g, w in zip(result.grad.weights, params.weights):
         assert g.shape == w.shape
-    for g, b in zip(result.grad_biases, params.biases):
+    for g, b in zip(result.grad.biases, params.biases):
         assert g.shape == b.shape
 
 
@@ -262,7 +262,7 @@ def test_conv_matches_nested_loop_reference(arch, batch):
     result = loss_and_grad(params, x, targets, "pixelwise_l2")
     d_out = 2.0 * (want_out - targets) / want_out.size  # batch-mean pixelwise L2
     want_w, want_b = reference_conv_grads(params, x, d_out)
-    for got, want in zip(result.grad_weights + result.grad_biases, want_w + want_b):
+    for got, want in zip(result.grad.weights + result.grad.biases, want_w + want_b):
         assert got.shape == want.shape
         assert rel_error(got, want) < 1e-12
 
@@ -372,7 +372,7 @@ def max_fd_relative_error(params, x, targets, loss_kind, h=1e-5):
         return float(per_sample_losses(params, x, targets, loss_kind).mean())
 
     worst = 0.0
-    for arrays, grads in ((params.weights, result.grad_weights), (params.biases, result.grad_biases)):
+    for arrays, grads in ((params.weights, result.grad.weights), (params.biases, result.grad.biases)):
         for arr, grad in zip(arrays, grads):
             flat, gflat = arr.reshape(-1), grad.reshape(-1)
             for k in range(flat.size):
@@ -417,10 +417,9 @@ def test_adam_zero_gradient_is_a_fixed_point():
     params = mlp()
     before = params.copy()
     state = init_adam_state(params)
-    zeros_w = [np.zeros_like(w) for w in params.weights]
-    zeros_b = [np.zeros_like(b) for b in params.biases]
+    zeros = ModelParams.zeros(params.arch)
     for _ in range(5):
-        adam_step(params, zeros_w, zeros_b, state, lr=0.1)
+        adam_step(params, zeros, state, lr=0.1)
     assert params.allclose(before)
     assert state.step == 5
 
@@ -429,7 +428,9 @@ def test_adam_first_step_magnitude_is_just_under_lr():
     params = scalar_param()
     state = init_adam_state(params)
     lr = 0.05
-    adam_step(params, [np.ones((1, 1))], [np.zeros(1)], state, lr)
+    grad = ModelParams.zeros(params.arch)
+    grad.weights[0][:] = 1.0
+    adam_step(params, grad, state, lr)
     delta = abs(params.weights[0][0, 0] - 1.0)
     assert 0.99 * lr < delta <= lr
 
@@ -439,9 +440,11 @@ def test_adam_quadratic_descent_matches_scalar_simulation_oracle():
     state = init_adam_state(params)
     lr = 0.1
     trajectory = []
+    grad = ModelParams.zeros(params.arch)
     for _ in range(10):
         w = params.weights[0][0, 0]
-        adam_step(params, [np.array([[2.0 * w]])], [np.zeros(1)], state, lr)
+        grad.weights[0][0, 0] = 2.0 * w
+        adam_step(params, grad, state, lr)
         trajectory.append(params.weights[0][0, 0])
 
     # independent plain-python Adam on f(w) = w^2 from w = 1
@@ -464,29 +467,27 @@ def test_adam_quadratic_descent_matches_scalar_simulation_oracle():
 def test_adam_shape_mismatch_raises():
     params = mlp()
     state = init_adam_state(params)
-    bad_w = [np.zeros((2, 2)) for _ in params.weights]
     with pytest.raises(ShapeError):
-        adam_step(params, bad_w, [np.zeros_like(b) for b in params.biases], state, 0.1)
-    # as many floats as the layer, in the wrong shape: rejected before any update
+        adam_step(params, ModelParams.zeros(MlpArch(2, (2,), 2)), state, 0.1)
+    # as many floats as the model (51), for another architecture: rejected
+    # before any update
     before = params.copy()
-    transposed = [np.ones_like(w.T) for w in params.weights]
-    with pytest.raises(ShapeError, match="gradient shape"):
-        adam_step(params, transposed, [np.ones_like(b) for b in params.biases], state, 0.1)
+    other = ModelParams(MlpArch(16, (), 3), np.ones(params.flat.size))
+    with pytest.raises(ShapeError, match="gradient of"):
+        adam_step(params, other, state, 0.1)
+    # moments of another model: also rejected before the step is counted
+    foreign = init_adam_state(mlp(hidden=(5,)))
+    with pytest.raises(ShapeError, match="moment shape"):
+        adam_step(params, ModelParams.zeros(params.arch), foreign, 0.1)
     assert params.allclose(before)
-    assert state.step == 0
+    assert state.step == 0 and foreign.step == 0
 
 
 def test_adam_rejects_nonpositive_lr():
     params = mlp()
     state = init_adam_state(params)
     with pytest.raises(ConfigError):
-        adam_step(
-            params,
-            [np.zeros_like(w) for w in params.weights],
-            [np.zeros_like(b) for b in params.biases],
-            state,
-            0.0,
-        )
+        adam_step(params, ModelParams.zeros(params.arch), state, 0.0)
 
 
 def test_training_steps_are_deterministic():
@@ -498,7 +499,7 @@ def test_training_steps_are_deterministic():
             x = rng.standard_normal((8, 4))
             y = rng.integers(0, 3, 8)
             res = loss_and_grad(params, x, y, "cross_entropy")
-            adam_step(params, res.grad_weights, res.grad_biases, state, 0.01)
+            adam_step(params, res.grad, state, 0.01)
         return params
 
     assert run().allclose(run())
@@ -529,11 +530,14 @@ def test_flat_adam_is_bit_equal_to_per_layer_reference(arch):
     biases = [b.copy() for b in params.biases]
     moments = [(np.zeros_like(a), np.zeros_like(a)) for a in weights + biases]
     state = init_adam_state(params)
+    grad = ModelParams.zeros(arch)
     for t in range(1, 51):
         grads_w = [rng.standard_normal(w.shape) * 10.0 ** rng.integers(-6, 2) for w in weights]
         grads_b = [rng.standard_normal(b.shape) for b in biases]
+        for view, g in zip(grad.weights + grad.biases, grads_w + grads_b):
+            view[...] = g
         lr = float(rng.uniform(1e-4, 1e-1))
-        adam_step(params, grads_w, grads_b, state, lr)
+        adam_step(params, grad, state, lr)
         reference_adam_step(weights, biases, grads_w, grads_b, moments, lr, t)
         for got, want in zip(params.weights + params.biases, weights + biases):
             assert (got == want).all()

@@ -15,7 +15,7 @@ from tftb.budget import VirtualClock  # noqa: F401 (used in helper and tests)
 from tftb.data import (
     Dataset, synth_classification, synth_counting, train_val_split,
 )
-from tftb.errors import BudgetError, ConfigError, SelectionError, TrainingAbort
+from tftb.errors import BudgetError, ConfigError, NonFiniteError, SelectionError, TrainingAbort
 from tftb.importance import ImportanceLedger, subset_size
 from tftb.nn import MlpArch, ConvDensityArch, init_params
 from tftb.trainer import (
@@ -255,6 +255,22 @@ def test_non_finite_loss_aborts_with_diagnostic_manifest():
     assert manifest is not None
     assert manifest.stop_reason == "non_finite_abort"
     assert manifest.error["sample_id"] in set(train.ids)
+
+
+def test_refresh_with_non_finite_params_raises_and_leaves_the_ledger_unchanged():
+    """The ledger takes losses as given; the forward pass is what rejects
+    non-finite ones, before the refresh writes a row."""
+    train, _ = class_data(seed=4)
+    rows = np.arange(len(train))
+    ledger = ImportanceLedger(train.ids, window=3)
+    ledger.record_losses(rows, np.linspace(0.0, 1.0, rows.size), epoch=1)
+    before = [ledger.history(r) for r in rows], ledger.last_observed_epoch.tolist()
+    params = model_for(train)
+    params.flat[:] = np.nan
+    with pytest.raises(NonFiniteError):
+        tftb.trainer._refresh_excluded(params, train.features, train.targets, rows,
+                                       TrainConfig(mode="tftb"), ledger, epoch=2)
+    assert ([ledger.history(r) for r in rows], ledger.last_observed_epoch.tolist()) == before
 
 
 def test_shuffled_id_order_trains_like_ascending_order():
