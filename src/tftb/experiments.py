@@ -66,6 +66,10 @@ class ExperimentSpec:
             raise ConfigError("classify-cifar10 needs data_dir pointing at the binary batches")
         if not 0.0 < self.val_fraction < 0.5:
             raise ConfigError(f"val_fraction must be in (0, 0.5), got {self.val_fraction}")
+        if not _positive_ints(self.hidden):
+            raise ConfigError(f"hidden must list positive layer widths, got {self.hidden}")
+        if len(self.conv_channels) != 2 or not _positive_ints(self.conv_channels):
+            raise ConfigError(f"conv_channels must be two positive ints, got {self.conv_channels}")
         self.config.validate()
 
     def to_dict(self) -> dict:
@@ -78,6 +82,10 @@ class ExperimentSpec:
             f"{self.task}_{self.config.mode}_alpha{self.config.alpha:g}"
             f"_seed{self.config.seed}"
         )
+
+
+def _positive_ints(values) -> bool:
+    return all(isinstance(v, (int, np.integer)) and v > 0 for v in values)
 
 
 def build_task(spec: ExperimentSpec):

@@ -149,20 +149,9 @@ def _ranking(ids: np.ndarray, scores: np.ndarray, *outer_keys) -> np.ndarray:
     return np.lexsort((ids, -scores) + outer_keys)
 
 
-def rank(ids, scores) -> np.ndarray:
-    """Ids in descending score order; ties broken by ascending id."""
-    ids = np.asarray(ids, dtype=np.int64)
-    scores = np.asarray(scores, dtype=np.float64)
-    if ids.size == 0:
-        raise LedgerError("cannot rank an empty score array")
-    if scores.shape != ids.shape:
-        raise LedgerError(f"need one score per id, got shapes {scores.shape} and {ids.shape}")
-    return ids[_ranking(ids, scores)]
-
-
 @dataclass(frozen=True, eq=False)
 class SubsetPlan:
-    """The current selected/excluded partition and the alpha that produced it.
+    """The current selected/excluded partition of a dataset's samples.
 
     ``selected[r]`` tells whether the sample ``ids[r]`` is in the active
     subset; ``ids`` are the dataset's, in its row order, so the mask is a
@@ -171,8 +160,6 @@ class SubsetPlan:
 
     ids: np.ndarray
     selected: np.ndarray
-    alpha: float
-    epoch: int
     per_class_counts: dict[int, int]
 
     def __post_init__(self):
@@ -204,8 +191,7 @@ class SubsetPlan:
         return (
             np.array_equal(self.ids, other.ids)
             and np.array_equal(self.selected, other.selected)
-            and (self.alpha, self.epoch, self.per_class_counts)
-            == (other.alpha, other.epoch, other.per_class_counts)
+            and self.per_class_counts == other.per_class_counts
         )
 
 
@@ -243,13 +229,7 @@ def _stratified_quotas(class_sizes: dict[int, int], alpha: float, total_target: 
     return quotas
 
 
-def select_subset(
-    scores,
-    dataset: Dataset,
-    alpha: float,
-    stratified: bool,
-    epoch: int = 0,
-) -> SubsetPlan:
+def select_subset(scores, dataset: Dataset, alpha: float, stratified: bool) -> SubsetPlan:
     """Keep the top (1 - alpha) fraction by score, globally or per class.
 
     ``scores`` holds one score per row of ``dataset``, that is in ascending-id
@@ -286,8 +266,6 @@ def select_subset(
     return SubsetPlan(
         ids=ids,
         selected=selected,
-        alpha=alpha,
-        epoch=epoch,
         per_class_counts=dict(zip(counted_classes.tolist(), counts.tolist())),
     )
 
@@ -299,7 +277,6 @@ def merge_and_reselect(
     alpha: float,
     lambda_var: float,
     stratified: bool,
-    epoch: int = 0,
 ) -> SubsetPlan:
     """Re-rank the full id universe (stale scores included) and re-partition.
 
@@ -311,7 +288,7 @@ def merge_and_reselect(
     if not np.array_equal(ledger.ids, dataset.ids):
         raise SelectionError("ledger rows are not this dataset's ids")
     scores = ledger.effective_scores(lambda_var)
-    return select_subset(scores, dataset, alpha, stratified, epoch=epoch)
+    return select_subset(scores, dataset, alpha, stratified)
 
 
 @dataclass(frozen=True)

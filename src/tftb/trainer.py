@@ -17,10 +17,12 @@ ordering stays random.
 Both modes share one epoch loop, whose phase is ``warmup``, ``selective``
 or ``full``.  The baseline trains on the full dataset with fresh random
 shuffles each epoch and identical optimizer, losses, budget enforcement, and
-early stopping.  Every timed section -- shuffle, batch, validation, rank,
-refresh, ledger dump -- runs through ``BudgetClock.section``, which charges
-it, and the time around it, to the budget and skips it once it no longer
-fits.
+early stopping.  The loop only sequences the work: every timed section --
+shuffle, batch, validation, rank, refresh, ledger dump -- runs through
+``BudgetClock.section`` under its label and, where the work is counted in
+batches, its size in batches.  The clock charges it, and the time around it,
+to the budget, applies the warm-up checks, and skips the section once its
+estimate no longer fits.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import numpy as np
 
 from .budget import BudgetClock, WallClock
 from .data.dataset import Dataset
-from .errors import BudgetError, ConfigError, NonFiniteError, SelectionError, TrainingAbort
+from .errors import ConfigError, NonFiniteError, SelectionError, TrainingAbort
 from .importance import (
     AlphaSchedule,
     ImportanceLedger,
@@ -132,25 +134,17 @@ def early_stop_check(val_losses, patience: int) -> bool:
     return stale >= patience
 
 
-def _epoch_batch_sizes(n_total: int, batch_size: int) -> list[int]:
-    n_batches = epoch_equivalent_batches(n_total, batch_size)
-    tail = n_total - batch_size * (n_batches - 1)
-    return [batch_size] * (n_batches - 1) + [tail]
-
-
-def _epoch_batches(
-    pool: np.ndarray, sizes: list[int], rng: np.random.Generator
-) -> list[np.ndarray]:
-    """Cut one epoch-equivalent of batches from the pool, cycling with reshuffles."""
+def _epoch_batches(pool: np.ndarray, n_total: int, rng: np.random.Generator) -> np.ndarray:
+    """The row order of one epoch-equivalent: ``n_total`` draws from the pool,
+    cycling it with a fresh shuffle each pass; batches are consecutive slices."""
     if len(pool) == 0:
         raise SelectionError("the active subset is empty: alpha leaves no sample to train on")
-    needed = sum(sizes)
     perms = []
-    while len(perms) * len(pool) < needed:
+    while len(perms) * len(pool) < n_total:
         perm = pool.copy()
         rng.shuffle(perm)
         perms.append(perm)
-    return np.split(np.concatenate(perms)[:needed], np.cumsum(sizes)[:-1])
+    return np.concatenate(perms)[:n_total]
 
 
 def _mean_eval_loss(params, dataset: Dataset, loss_kind, batch_size) -> float:
@@ -195,23 +189,21 @@ def _run(params, train_set, val_set, cfg, clock, ledger_writer):
         raise ConfigError("training set is empty")
     selective = cfg.mode == "tftb"
 
+    n = len(train_set)
+    n_b = epoch_equivalent_batches(n, cfg.batch_size)
     rng = np.random.default_rng(cfg.seed)
-    budget = BudgetClock(cfg.budget_seconds, clock)
+    budget = BudgetClock(cfg.budget_seconds, clock, warmup_batches=n_b * cfg.warmup_epochs)
     adam_state = init_adam_state(params)
 
     # pools and batches are arrays of dataset rows, and a dataset's rows are
     # in ascending-id order, so a pool lists its rows in ascending-id order;
     # the ledger is built from the same ids, so its rows are these rows too
     feats, targets, ids = train_set.features, train_set.targets, train_set.ids
-    all_rows = np.arange(len(train_set))
+    all_rows = np.arange(n)
 
     have_val = len(val_set) > 0
     if have_val:
         n_val_batches = epoch_equivalent_batches(len(val_set), cfg.batch_size)
-
-    n = len(train_set)
-    sizes = _epoch_batch_sizes(n, cfg.batch_size)
-    n_b = len(sizes)
 
     ledger = ImportanceLedger(ids, cfg.score_window) if selective else None
     plan: SubsetPlan | None = None
@@ -222,8 +214,6 @@ def _run(params, train_set, val_set, cfg, clock, ledger_writer):
     train_loss_hist: list[float] = []
     stop_reason: str | None = None
     epoch = 0
-    executed_batches = 0
-    planned_initial: int | None = None
 
     def batch_step(batch):
         result = loss_and_grad(
@@ -237,12 +227,11 @@ def _run(params, train_set, val_set, cfg, clock, ledger_writer):
     def select():
         if plan is None:
             scores = ledger.effective_scores(cfg.lambda_var)
-            return select_subset(scores, train_set, alpha_now, cfg.stratified, epoch=epoch)
+            return select_subset(scores, train_set, alpha_now, cfg.stratified)
         return merge_and_reselect(
             ledger, plan, train_set, alpha_now,
             lambda_var=cfg.lambda_var,
             stratified=cfg.stratified,
-            epoch=epoch,
         )
 
     def dump_ledger():
@@ -251,21 +240,15 @@ def _run(params, train_set, val_set, cfg, clock, ledger_writer):
     def rank():
         """(Re-)select the subset, then dump the ledger; each only if it still fits."""
         nonlocal plan
-        done = budget.section("rank", select, estimate=budget.longest("rank"))
+        done = budget.section("rank", select)
         if done is not None:
             plan = done.value
             if ledger_writer is not None:
-                budget.section("ledger", dump_ledger, estimate=budget.longest("ledger"))
+                budget.section("ledger", dump_ledger)
 
     def assemble_manifest(reason, error=None):
         budget_trace = budget.trace()
-        budget_trace.update(
-            {
-                "planned_batches_initial": planned_initial,
-                "executed_batches": executed_batches,
-                "epoch_equivalent_batches": n_b,
-            }
-        )
+        budget_trace["epoch_equivalent_batches"] = n_b
         return RunManifest(
             mode=cfg.mode,
             seed=cfg.seed,
@@ -303,29 +286,24 @@ def _run(params, train_set, val_set, cfg, clock, ledger_writer):
                 if cfg.max_epochs is not None and epoch >= cfg.max_epochs:
                     stop_reason = "epoch_cap"
                     break
-                if budget.should_stop() or planned == 0:
+                if planned == 0:
                     stop_reason = "budget_exhausted"
                     break
 
             epoch += 1
             phase = "warmup" if warm else "selective" if selective else "full"
             pool = plan.selected_rows if phase == "selective" else all_rows
-            # warm-up sections are never skipped: a budget they overrun is an error
-            shuffled = budget.section(
-                "shuffle", _epoch_batches, pool, sizes, rng,
-                estimate=None if warm else budget.longest("shuffle"),
-            )
-            batches = shuffled.value if shuffled else []
-            cap = n_b if planned is None else min(n_b, planned)
+            shuffled = budget.section("shuffle", _epoch_batches, pool, n, rng)
+            cap = 0 if shuffled is None else (n_b if planned is None else min(n_b, planned))
 
             loss_weighted = 0.0
             samples_seen = 0
             epoch_wall = shuffled.elapsed if shuffled else 0.0
             ran = 0
             stopped_mid_epoch = False
-            for batch in batches[:cap]:
-                done = budget.section("batch", batch_step, batch,
-                                      estimate=None if warm else budget.tb)
+            for lo in range(0, cap * cfg.batch_size, cfg.batch_size):
+                batch = shuffled.value[lo : lo + cfg.batch_size]
+                done = budget.section("batch", batch_step, batch, batches=1)
                 if done is None:
                     stopped_mid_epoch = True
                     break
@@ -333,10 +311,6 @@ def _run(params, train_set, val_set, cfg, clock, ledger_writer):
                 epoch_wall += done.elapsed
                 samples_seen += len(batch)
                 loss_weighted += done.value.mean_loss * len(batch)
-                if warm and cfg.budget_seconds is not None:
-                    _check_warmup_fits(budget, done.elapsed, n_b * cfg.warmup_epochs)
-            if not warm:
-                executed_batches += ran
             if ran == 0:
                 epoch -= 1
                 stop_reason = "budget_exhausted"
@@ -347,7 +321,7 @@ def _run(params, train_set, val_set, cfg, clock, ledger_writer):
             if have_val and not stopped_mid_epoch:
                 done = budget.section(
                     "validation", _mean_eval_loss, params, val_set, cfg.loss_kind, cfg.batch_size,
-                    estimate=None if warm else budget.tb * n_val_batches,
+                    batches=n_val_batches,
                 )
                 no_room_for_val = done is None
                 if done is not None:
@@ -379,10 +353,11 @@ def _run(params, train_set, val_set, cfg, clock, ledger_writer):
                 stop_reason = "early_stop"
 
             if warm and (epoch == cfg.warmup_epochs or stop_reason is not None):
-                budget.finish_warmup()
+                # the first ranking and ledger dump have nothing to be gated on:
+                # they run before the warm-up ends and plans the batches that remain
                 if selective and stop_reason is None:
                     rank()
-                planned_initial = budget.plan_iterations()
+                budget.finish_warmup()
             elif phase == "selective" and stop_reason is None:
                 schedule = cfg.adaptive_alpha
                 if schedule.enabled and len(train_loss_hist) >= schedule.window:
@@ -395,7 +370,7 @@ def _run(params, train_set, val_set, cfg, clock, ledger_writer):
                     budget.section(
                         "refresh", _refresh_excluded,
                         params, feats, targets, excluded, cfg, ledger, epoch,
-                        estimate=budget.tb * chunks,
+                        batches=chunks,
                     )
                 if since_warmup % cfg.rerank_period == 0:
                     rank()
@@ -407,23 +382,6 @@ def _run(params, train_set, val_set, cfg, clock, ledger_writer):
         raise TrainingAbort(str(exc), manifest=manifest) from exc
 
     return params, assemble_manifest(stop_reason or "epoch_cap")
-
-
-def _check_warmup_fits(budget, batch_seconds, warmup_batches):
-    """Raise BudgetError when the first warm-up batch projects a warm-up longer
-    than the budget, or when the warm-up has overrun it."""
-    T = budget.total_budget
-    done = budget.sections["batch"].count
-    if done == 1 and batch_seconds * warmup_batches > T:
-        raise BudgetError(
-            f"budget {T}s smaller than projected warm-up cost {batch_seconds * warmup_batches:.3f}s"
-            f" ({warmup_batches} batches at {batch_seconds:.4f}s)"
-        )
-    consumed = budget.consumed
-    if consumed > T:
-        raise BudgetError(
-            f"budget {T}s exhausted during warm-up ({consumed:.3f}s elapsed after {done} batches)"
-        )
 
 
 def _refresh_excluded(params, feats, targets, rows, cfg, ledger, epoch):

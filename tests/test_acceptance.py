@@ -118,8 +118,8 @@ def test_criterion_01b_budget_compliance_virtual_clock():
     clock.section("batch", lambda: None)
     clock.finish_warmup()
     i = 0
-    while not clock.should_stop() and i < len(script):
-        clock.section("batch", lambda: None, estimate=clock.tb)
+    while clock.plan_iterations() > 0 and i < len(script):
+        clock.section("batch", lambda: None, batches=1)
         i += 1
     assert clock.consumed <= 1.0 + max([0.10] + script[:i]) + 1e-12
 

@@ -1,7 +1,8 @@
 """Budget accounting: warm-up measurement, iteration planning, hard stops.
 
 Every section runs through ``BudgetClock.section`` on a ``VirtualClock``, so
-consumption is the clock's scripted time since the budget started.
+consumption is the clock's scripted time since the budget started, and every
+gating rule is checked on the clock alone.
 """
 
 import math
@@ -85,12 +86,12 @@ def test_should_stop_overrun_avoidance_rule():
     vclock = VirtualClock(costs={"batch": 0.2, "validation": 10.0 - 2.0 - 0.1})
     clock = warmed(10.0, batches=10, elapsed=2.0, clock=vclock)  # tb = 0.2
     run(clock, "validation")  # consumed = T - 0.5 * tb
-    assert clock.should_stop()
-    assert clock.section("batch", lambda: None, estimate=clock.tb) is None
+    assert clock.plan_iterations() == 0
+    assert clock.section("batch", lambda: None, batches=1) is None
 
     fresh = BudgetClock(10.0, VirtualClock())
     fresh.tb = 0.2
-    assert not fresh.should_stop()
+    assert fresh.plan_iterations() == 50
 
 
 def test_should_stop_flips_exactly_when_next_batch_no_longer_fits():
@@ -98,13 +99,13 @@ def test_should_stop_flips_exactly_when_next_batch_no_longer_fits():
     clock = warmed(1.0, batches=1, elapsed=0.3,
                    clock=VirtualClock(sequences={"batch": [0.3] + durations}))
     ran = 0
-    while not clock.should_stop():
-        clock.section("batch", lambda: None, estimate=clock.tb)
+    while clock.plan_iterations() > 0:
+        clock.section("batch", lambda: None, batches=1)
         ran += 1
     # 0.3 warm-up + two more 0.3 batches fit; a third would overrun
     assert ran == 2
     assert clock.consumed == pytest.approx(0.9)
-    assert clock.section("batch", lambda: None, estimate=clock.tb) is None
+    assert clock.section("batch", lambda: None, batches=1) is None
 
 
 def test_charge_identity_and_additivity():
@@ -115,7 +116,7 @@ def test_charge_identity_and_additivity():
     assert clock.consumed == pytest.approx(3.0)
     assert clock.sections["rank"].count == 2
     assert clock.sections["rank"].total == pytest.approx(3.0)
-    assert clock.longest("rank") == 1.5 and clock.longest("never") is None
+    assert clock.sections["rank"].longest == 1.5 and "never" not in clock.sections
     # a section cannot take negative time, so consumption never runs backwards
     with pytest.raises(BudgetError):
         VirtualClock(costs={"rank": -0.1})
@@ -124,17 +125,86 @@ def test_charge_identity_and_additivity():
 
 
 def test_section_refuses_work_that_no_longer_fits():
-    clock = BudgetClock(1.0, VirtualClock(costs={"rank": 0.75}))
+    costs = {"batch": 0.25, "rank": 0.75, "refresh": 0.75}
+    clock = warmed(1.5, batches=1, elapsed=0.25, clock=VirtualClock(costs=costs))  # tb = 0.25
     calls = []
-    done = clock.section("rank", calls.append, 1)  # no estimate yet: always runs
+    done = clock.section("rank", calls.append, 1)  # no rank yet: always runs
     assert done.elapsed == 0.75 and calls == [1]
-    assert clock.section("rank", calls.append, 2, estimate=clock.longest("rank")) is None
-    assert calls == [1] and clock.sections["rank"].count == 1 and clock.consumed == 0.75
-    assert clock.section("rank", calls.append, 3, estimate=0.25).value is None
-    assert calls == [1, 3] and clock.consumed == 1.5  # the estimate was short
+    assert clock.section("rank", calls.append, 2) is None  # 1.0 + longest 0.75 > 1.5
+    assert calls == [1] and clock.sections["rank"].count == 1 and clock.consumed == 1.0
+    assert clock.section("refresh", calls.append, 3, batches=1).value is None  # 1.0 + tb fits
+    assert calls == [1, 3] and clock.consumed == 1.75  # the estimate was short
 
-    unbudgeted = BudgetClock(None, VirtualClock(costs={"rank": 0.75}))
-    assert unbudgeted.section("rank", lambda: "ran", estimate=1e9).value == "ran"
+    unbudgeted = warmed(None, batches=1, elapsed=0.25, clock=VirtualClock(costs=costs))
+    assert unbudgeted.section("rank", lambda: "ran", batches=10**9).value == "ran"
+
+
+# the estimate of each label's section after the warm-up, at tb = 0.25: work
+# counted in batches at tb per batch, any other section at the longest of
+# its label so far (here its first one, which costs 0.5)
+LABEL_BATCHES = {"batch": 1, "validation": 3, "refresh": 2, "shuffle": None, "rank": None,
+                 "ledger": None}
+
+
+@pytest.mark.parametrize("slack", [-0.125, 0.0, 0.125])
+@pytest.mark.parametrize("label", list(LABEL_BATCHES))
+def test_section_refuses_exactly_when_consumed_plus_estimate_exceeds_the_budget(label, slack):
+    total, tb = 4.0, 0.25
+    batches = LABEL_BATCHES[label]
+    estimate = tb * batches if batches else 0.5
+    before = tb + (0.5 if batches is None else 0.0)  # warm-up, then a first section
+    costs = {"batch": tb, "pad": total + slack - estimate - before}
+    if batches is None:
+        costs[label] = 0.5
+    clock = warmed(total, batches=1, elapsed=tb, clock=VirtualClock(costs=costs))
+    if batches is None:
+        assert clock.section(label, lambda: None) is not None  # the first one always runs
+    run(clock, "pad")
+    assert clock.consumed + estimate == total + slack
+    count = clock.sections[label].count
+    done = clock.section(label, lambda: "ran", batches=batches)
+    if slack > 0:
+        assert done is None
+        assert clock.sections[label].count == count
+        assert clock.consumed == total + slack - estimate
+    else:
+        assert done.value == "ran"
+
+
+def test_nothing_is_refused_during_the_warmup():
+    clock = BudgetClock(1.0, VirtualClock(costs={"batch": 0.25, "rank": 0.5}))
+    # an estimate of a million batches, and a second rank past the budget, still run
+    assert clock.section("batch", lambda: "ran", batches=10**6).value == "ran"
+    assert clock.section("rank", lambda: "ran").value == "ran"
+    assert clock.section("rank", lambda: "ran").value == "ran"
+    assert clock.consumed == 1.25
+    for label, batches in LABEL_BATCHES.items():
+        if label != "batch":
+            assert clock.section(label, lambda: "ran", batches=batches).value == "ran"
+    # a warm-up batch after the budget is spent is an error, not a skipped batch
+    with pytest.raises(BudgetError, match="exhausted during warm-up"):
+        clock.section("batch", lambda: None)
+
+
+def test_warmup_projection_and_overrun_raise_on_the_clock_alone():
+    # the first batch projects 5 batches at 0.25 s: longer than T = 1.0
+    clock = BudgetClock(1.0, VirtualClock(costs={"batch": 0.25}), warmup_batches=5)
+    with pytest.raises(BudgetError, match="projected warm-up cost 1.250s"):
+        clock.section("batch", lambda: None, batches=1)
+
+    # 4 projected batches fit exactly; a fifth warm-up batch overruns
+    clock = BudgetClock(1.0, VirtualClock(costs={"batch": 0.25}), warmup_batches=4)
+    for _ in range(4):
+        clock.section("batch", lambda: None, batches=1)
+    assert clock.consumed == 1.0
+    with pytest.raises(BudgetError, match=r"exhausted during warm-up \(1.250s elapsed after 5"):
+        clock.section("batch", lambda: None, batches=1)
+
+    # unbudgeted, neither check applies
+    clock = BudgetClock(None, VirtualClock(costs={"batch": 0.25}), warmup_batches=5)
+    for _ in range(6):
+        clock.section("batch", lambda: None, batches=1)
+    assert clock.consumed == 1.5
 
 
 def test_consumed_includes_time_between_sections():
@@ -148,7 +218,8 @@ def test_consumed_includes_time_between_sections():
     clock = BudgetClock(10.0, SteppedClock(costs={"batch": 1.0}))
     run(clock, "batch")
     assert clock.sections["batch"].total == 1.0
-    assert clock.consumed == 1.5  # the section plus the read that ends it
+    # the section, the read of the warm-up overrun check, and the read that ends it
+    assert clock.consumed == 2.0
 
 
 def test_randomized_schedules_never_overrun_by_more_than_one_batch():
@@ -162,8 +233,8 @@ def test_randomized_schedules_never_overrun_by_more_than_one_batch():
                        clock=VirtualClock(sequences={"batch": [warm] + durations}))
         max_duration = clock.tb
         ran = 0
-        while not clock.should_stop():
-            clock.section("batch", lambda: None, estimate=clock.tb)
+        while clock.plan_iterations() > 0:
+            clock.section("batch", lambda: None, batches=1)
             max_duration = max(max_duration, durations[ran])
             ran += 1
         assert clock.consumed <= total + max_duration + 1e-9
@@ -189,7 +260,7 @@ def test_budget_none_disables_enforcement_but_keeps_accounting():
     run(clock, "batch", 2)
     clock.finish_warmup()  # zero warm-up time is allowed when unbudgeted
     run(clock, "batch")
-    assert not clock.should_stop()
+    assert clock.section("batch", lambda: "ran", batches=10**9).value == "ran"
     assert clock.plan_iterations() is None
     assert clock.trace()["consumed_total"] == pytest.approx(1.0)
 

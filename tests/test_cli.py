@@ -209,6 +209,23 @@ def test_compare_reports_a_fingerprint_mismatch_as_a_configuration_error(tmp_pat
     assert err.startswith("configuration error: ") and "fingerprints differ" in err
 
 
+@pytest.mark.parametrize("text", [
+    b"task = count-synth\nconv_channels = 6\n",
+    b"task = count-synth\nconv_channels = 4,4,4\n",
+    b"task = count-synth\nconv_channels = 0,6\n",
+    b"hidden = 0\n",
+    b"hidden = -3\n",
+    b"task = classify-synth\n# caf\xe9\n",
+], ids=["conv-one", "conv-three", "conv-zero", "hidden-zero", "hidden-negative", "not-utf8"])
+def test_malformed_config_file_is_a_configuration_error(tmp_path, capsys, text):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(text)
+    code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "runs")])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("configuration error: ")
+    assert not (tmp_path / "runs").exists()
+
+
 def test_ledger_csv_is_written_when_requested(tmp_path):
     assert main(train_args(tmp_path, "--ledger-csv")) == EXIT_OK
     run_dir = tmp_path / "runs" / "classify-synth_tftb_alpha0.3_seed1"

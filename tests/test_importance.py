@@ -15,7 +15,6 @@ from tftb.importance import (
     adapt_alpha,
     ledger_rows,
     merge_and_reselect,
-    rank,
     select_subset,
     subset_size,
 )
@@ -215,27 +214,10 @@ def test_trainer_writes_match_list_ledger_across_reshuffle_seams(monkeypatch):
 # ranking
 
 
-def test_rank_three_elements():
-    assert rank([0, 1, 2], [0.2, 0.9, 0.5]).tolist() == [1, 2, 0]
-
-
-def test_rank_ties_break_by_ascending_id():
-    assert rank([3, 1, 2], [1.0, 1.0, 1.0]).tolist() == [1, 2, 3]
-
-
-def test_rank_matches_comparison_sort_oracle():
-    rng = np.random.default_rng(3)
-    for _ in range(1000):
-        n = int(rng.integers(1, 40))
-        ids = rng.choice(10_000, size=n, replace=False)
-        scores = np.array([float(rng.integers(0, 5)) for _ in ids])  # many ties
-        want = sorted(range(n), key=lambda k: (-scores[k], ids[k]))
-        assert rank(ids, scores).tolist() == ids[want].tolist()
-
-
 def test_rank_rejects_nan_naming_id():
+    ds = make_dataset({1: 0, 7: 0})
     with pytest.raises(LedgerError, match="sample id 7"):
-        rank([1, 7], [0.5, float("nan")])
+        select_subset(np.array([0.5, float("nan")]), ds, alpha=0.5, stratified=False)
 
 
 # ---------------------------------------------------------------------------
@@ -305,13 +287,11 @@ def test_monotone_selection_within_class():
 def test_rank_order_invariant_under_positive_scaling():
     rng = np.random.default_rng(4)
     ds = uniform_dataset(50, num_classes=2)
-    ids = np.arange(50)
     scores = np.array([float(rng.uniform(0.1, 5.0)) for _ in range(50)])
     base = select_subset(scores, ds, alpha=0.3, stratified=True)
     for c in (0.001, 7.3, 1e6):
         scaled = select_subset(c * scores, ds, 0.3, True)
         assert scaled.selected_ids == base.selected_ids
-        assert rank(ids, scores).tolist() == rank(ids, c * scores).tolist()
 
 
 def test_select_subset_errors_when_class_unretainable():
@@ -344,8 +324,8 @@ def test_merge_and_reselect_is_idempotent_when_nothing_changes():
     rng = np.random.default_rng(9)
     ds = uniform_dataset(40, num_classes=2)
     ledger = seeded_ledger(ds, rng)
-    plan1 = select_subset(ledger.effective_scores(1.0), ds, 0.3, True, epoch=1)
-    plan2 = merge_and_reselect(ledger, plan1, ds, 0.3, lambda_var=1.0, stratified=True, epoch=2)
+    plan1 = select_subset(ledger.effective_scores(1.0), ds, 0.3, True)
+    plan2 = merge_and_reselect(ledger, plan1, ds, 0.3, lambda_var=1.0, stratified=True)
     assert plan2.selected_ids == plan1.selected_ids
     assert plan2.excluded_ids == plan1.excluded_ids
 
@@ -354,11 +334,11 @@ def test_stale_high_score_reenters_after_merge():
     ds = uniform_dataset(6)
     ledger = ImportanceLedger(ds.ids, window=3)
     ledger.record_losses(range(6), [float(5 - i) for i in range(6)], epoch=1)
-    plan = select_subset(ledger.effective_scores(1.0), ds, alpha=0.5, stratified=False, epoch=1)
+    plan = select_subset(ledger.effective_scores(1.0), ds, alpha=0.5, stratified=False)
     assert set(plan.selected_ids) == {0, 1, 2}
     # selected samples' losses collapse; excluded id 3 keeps its stale score 2.0
     ledger.record_losses([0, 1, 2], [0.1, 0.1, 0.1], epoch=2)
-    merged = merge_and_reselect(ledger, plan, ds, 0.5, lambda_var=0.0, stratified=False, epoch=2)
+    merged = merge_and_reselect(ledger, plan, ds, 0.5, lambda_var=0.0, stratified=False)
     assert 3 in merged.selected_ids
 
 
@@ -374,21 +354,21 @@ def test_merge_rejects_plan_for_other_dataset():
     ds = uniform_dataset(4)
     ledger = ImportanceLedger([10, 11, 12, 13], window=3)
     ledger.record_losses([0, 1, 2, 3], [4.0, 3.0, 2.0, 1.0], epoch=1)
-    plan = select_subset(np.arange(4.0), ds, 0.5, False, epoch=1)
+    plan = select_subset(np.arange(4.0), ds, 0.5, False)
     with pytest.raises(SelectionError, match="ledger"):
-        merge_and_reselect(ledger, plan, ds, 0.5, lambda_var=1.0, stratified=False, epoch=2)
+        merge_and_reselect(ledger, plan, ds, 0.5, lambda_var=1.0, stratified=False)
 
 
 def test_partition_survives_fifty_merges_of_random_streams():
     rng = np.random.default_rng(14)
     ds = uniform_dataset(500, num_classes=5)
     ledger = seeded_ledger(ds, rng)
-    plan = select_subset(ledger.effective_scores(1.0), ds, 0.3, True, epoch=1)
+    plan = select_subset(ledger.effective_scores(1.0), ds, 0.3, True)
     all_ids = set(ds.ids)
     for epoch in range(2, 52):
         observed = [float(rng.uniform(0, 4)) for _ in plan.selected_ids]
         ledger.record_losses(plan.selected_rows, observed, epoch)
-        plan = merge_and_reselect(ledger, plan, ds, 0.3, lambda_var=1.0, stratified=True, epoch=epoch)
+        plan = merge_and_reselect(ledger, plan, ds, 0.3, lambda_var=1.0, stratified=True)
         assert set(plan.selected_ids) | set(plan.excluded_ids) == all_ids
         assert set(plan.selected_ids) & set(plan.excluded_ids) == set()
         assert len(plan.selected_ids) == subset_size(500, 0.3)
@@ -399,11 +379,11 @@ def test_identical_observation_streams_give_identical_plans():
         rng = np.random.default_rng(77)
         ds = uniform_dataset(120, num_classes=3)
         ledger = seeded_ledger(ds, rng)
-        plan = select_subset(ledger.effective_scores(1.0), ds, 0.4, True, epoch=1)
+        plan = select_subset(ledger.effective_scores(1.0), ds, 0.4, True)
         for epoch in range(2, 12):
             losses = [float(rng.uniform(0, 2)) for _ in plan.selected_ids]
             ledger.record_losses(plan.selected_rows, losses, epoch)
-            plan = merge_and_reselect(ledger, plan, ds, 0.4, lambda_var=1.0, stratified=True, epoch=epoch)
+            plan = merge_and_reselect(ledger, plan, ds, 0.4, lambda_var=1.0, stratified=True)
         return plan
 
     a, b = run(), run()
@@ -463,7 +443,7 @@ def test_ledger_rows_report_selection_flags():
     ds = uniform_dataset(4)
     ledger = ImportanceLedger(ds.ids, window=3)
     ledger.record_losses(range(4), [float(i) for i in range(4)], epoch=1)
-    plan = select_subset(ledger.effective_scores(1.0), ds, 0.5, False, epoch=1)
+    plan = select_subset(ledger.effective_scores(1.0), ds, 0.5, False)
     rows = ledger_rows(ledger, plan, lambda_var=1.0, epoch=1)
     assert [r[0] for r in rows] == [1, 1, 1, 1]
     assert [r[1] for r in rows] == [0, 1, 2, 3]
@@ -482,13 +462,12 @@ def test_ledger_rows_match_golden_digest():
     ds = Dataset(np.arange(0, 2 * n, 2), np.zeros((n, 1)), np.arange(n) % 3, 3, "train")
     ledger = ImportanceLedger(ds.ids, 4)
     ledger.record_losses(np.arange(n), rng.uniform(0, 3, n), 1)
-    plan = select_subset(ledger.effective_scores(0.5), ds, 0.4, True, epoch=1)
+    plan = select_subset(ledger.effective_scores(0.5), ds, 0.4, True)
     digest = hashlib.sha256()
     for epoch in range(2, 8):
         selected = plan.selected_rows
         ledger.record_losses(selected, rng.uniform(0, 3, selected.size), epoch)
-        plan = merge_and_reselect(ledger, plan, ds, 0.4, lambda_var=0.5, stratified=True,
-                                  epoch=epoch)
+        plan = merge_and_reselect(ledger, plan, ds, 0.4, lambda_var=0.5, stratified=True)
         digest.update(repr(ledger_rows(ledger, plan, 0.5, epoch)).encode())
     assert digest.hexdigest() == LEDGER_ROWS_DIGEST
 
@@ -531,13 +510,13 @@ def test_plan_rows_partition_the_dataset():
 )
 def test_subset_plan_rejects_malformed_masks(mask):
     with pytest.raises(SelectionError, match="mask"):
-        SubsetPlan(ids=np.arange(6), selected=mask, alpha=0.3, epoch=1, per_class_counts={})
+        SubsetPlan(ids=np.arange(6), selected=mask, per_class_counts={})
 
 
 def test_ledger_rows_reject_a_plan_for_other_ids():
     ds = uniform_dataset(4)
     ledger = ImportanceLedger([0, 1, 2, 5], window=3)
     ledger.record_losses([0, 1, 2, 3], [1.0, 2.0, 3.0, 4.0], epoch=1)
-    plan = select_subset(np.arange(4.0), ds, 0.5, False, epoch=1)
+    plan = select_subset(np.arange(4.0), ds, 0.5, False)
     with pytest.raises(LedgerError, match="different sample ids"):
         ledger_rows(ledger, plan, lambda_var=1.0, epoch=1)

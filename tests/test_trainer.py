@@ -21,7 +21,6 @@ from tftb.nn import MlpArch, ConvDensityArch, init_params
 from tftb.trainer import (
     TrainConfig,
     _epoch_batches,
-    _epoch_batch_sizes,
     early_stop_check,
     epoch_equivalent_batches,
     train_baseline,
@@ -57,25 +56,30 @@ def test_epoch_equivalent_batches_examples():
         epoch_equivalent_batches(0, 32)
 
 
+def epoch_slices(order, batch_size):
+    """The batches the epoch loop cuts from one epoch's row order."""
+    n_b = epoch_equivalent_batches(len(order), batch_size)
+    return [order[lo : lo + batch_size] for lo in range(0, n_b * batch_size, batch_size)]
+
+
 def test_epoch_batch_sizes_cover_the_dataset_exactly():
-    sizes = _epoch_batch_sizes(100, 32)
+    rng = np.random.default_rng(0)
+    sizes = [len(b) for b in epoch_slices(_epoch_batches(np.arange(100), 100, rng), 32)]
     assert sizes == [32, 32, 32, 4]
-    assert _epoch_batch_sizes(64, 32) == [32, 32]
+    assert [len(b) for b in epoch_slices(_epoch_batches(np.arange(64), 64, rng), 32)] == [32, 32]
 
 
 def test_epoch_batch_ids_is_a_permutation_when_pool_is_full():
     rng = np.random.default_rng(0)
     pool = np.arange(100)
-    batches = _epoch_batches(pool, _epoch_batch_sizes(100, 32), rng)
-    flat = np.concatenate(batches)
+    flat = _epoch_batches(pool, 100, rng)
     assert sorted(flat.tolist()) == pool.tolist()
 
 
 def test_epoch_batch_ids_cycles_smaller_pools_with_full_exposure():
     rng = np.random.default_rng(0)
     pool = np.arange(70)  # X_s of 70 in a 100-sample run
-    batches = _epoch_batches(pool, _epoch_batch_sizes(100, 32), rng)
-    flat = np.concatenate(batches)
+    flat = _epoch_batches(pool, 100, rng)
     assert len(flat) == 100
     assert set(flat.tolist()) == set(pool.tolist())  # 100 draws from 70 rows cover each
 
@@ -309,7 +313,7 @@ def test_warmup_covers_every_sample_id_m_times():
     pool = np.arange(37)
     counts = np.zeros(37, dtype=np.int64)
     for _ in range(3):  # m = 3 warm-up epochs
-        for batch in _epoch_batches(pool, _epoch_batch_sizes(37, 8), rng):
+        for batch in epoch_slices(_epoch_batches(pool, 37, rng), 8):
             np.add.at(counts, batch, 1)
     assert (counts == 3).all()
 
