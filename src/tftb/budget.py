@@ -34,7 +34,6 @@ TB_EWMA_BETA = 0.9
 
 @dataclass
 class Span:
-    label: str
     elapsed: float = 0.0
     value: Any = None  # what the work measured by ``BudgetClock.section`` returned
 
@@ -49,7 +48,7 @@ class WallClock:
 
     @contextmanager
     def measure(self, label: str = "work"):
-        span = Span(label)
+        span = Span()
         start = time.monotonic()
         try:
             yield span
@@ -94,7 +93,7 @@ class VirtualClock:
 
     @contextmanager
     def measure(self, label: str = "work"):
-        span = Span(label)
+        span = Span()
         try:
             yield span
         finally:
@@ -119,8 +118,8 @@ class BudgetClock:
     """
 
     def __init__(self, total_budget: float | None, clock, warmup_batches: int = 0):
-        if total_budget is not None and total_budget <= 0:
-            raise BudgetError(f"time budget must be positive, got {total_budget}")
+        if total_budget is not None and not 0 < total_budget < math.inf:
+            raise BudgetError(f"time budget must be finite and > 0, got {total_budget}")
         self.total_budget = total_budget
         self.clock = clock
         self.warmup_batches = warmup_batches

@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigError, ManifestError, TftbError, TrainingAbort
-from .experiments import TASKS, ExperimentSpec, run_experiment, run_sweep
+from .experiments import TASKS, ExperimentSpec, run_experiment, run_sweep, sweep_summary_line
 from .importance import AlphaSchedule
 from .manifest import RunManifest
 from .metrics import compare_runs
@@ -195,10 +195,7 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(f"--alphas and --seeds take comma-separated numbers: {exc}") from exc
     _, summary = run_sweep(spec, alphas, seeds, out_dir=args.out)
     for row in summary:
-        print(
-            f"alpha={row['alpha']:g}: {row['metric']} = "
-            f"{row['mean']:.4f} +/- {row['std']:.4f}  (n={row['n_runs']})"
-        )
+        print(sweep_summary_line(row))
     return EXIT_OK
 
 

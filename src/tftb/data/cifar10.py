@@ -50,16 +50,6 @@ def _read_records(path) -> np.ndarray:
     return records
 
 
-def read_batch_file(path) -> tuple[np.ndarray, np.ndarray]:
-    """Parse one binary batch: (labels uint8 (n,), pixels float64 (n, 3072) in [0,1]).
-
-    Accepts any whole number of records; ``load_cifar10`` enforces the
-    10000-records-per-file convention on top of this.
-    """
-    records = _read_records(path)
-    return records[:, 0].copy(), records[:, 1:].astype(np.float64) / 255.0
-
-
 def _read_split(paths) -> tuple[np.ndarray, np.ndarray]:
     """(int64 labels, float64 pixels in [0,1]) of whole files; one float64 copy."""
     expected = RECORDS_PER_FILE * RECORD_BYTES

@@ -42,7 +42,7 @@ def density_map(dot: DotMap, sigma: float) -> np.ndarray:
     Each point contributes exp(-((x-px)^2 + (y-py)^2) / (2 sigma^2)) sampled
     at integer pixel coordinates, divided by its own in-bounds total.
     """
-    if sigma <= 0:
+    if not sigma > 0:
         raise ConfigError(f"sigma must be positive, got {sigma}")
     out = np.zeros((dot.height, dot.width))
     ys = np.arange(dot.height, dtype=np.float64)

@@ -170,6 +170,14 @@ def run_experiment(spec: ExperimentSpec, out_dir=None, clock=None):
     return params, manifest, run_dir
 
 
+def sweep_summary_line(row: dict) -> str:
+    """One alpha's line of a sweep summary."""
+    return (
+        f"alpha={row['alpha']:g}: {row['metric']} = "
+        f"{row['mean']:.4f} +/- {row['std']:.4f}  (n={row['n_runs']})"
+    )
+
+
 def run_sweep(spec: ExperimentSpec, alphas, seeds, out_dir=None, clock=None):
     """One run per (alpha, seed); returns (manifests, summary rows per alpha)."""
     if not alphas:
@@ -211,10 +219,6 @@ def run_sweep(spec: ExperimentSpec, alphas, seeds, out_dir=None, clock=None):
             writer.writeheader()
             writer.writerows(summary)
         lines = [f"sweep over alphas {list(alphas)}, seeds {list(seeds)} ({spec.task})"]
-        for row in summary:
-            lines.append(
-                f"  alpha={row['alpha']:g}: {row['metric']} = "
-                f"{row['mean']:.4f} +/- {row['std']:.4f}  (n={row['n_runs']})"
-            )
+        lines.extend(f"  {sweep_summary_line(row)}" for row in summary)
         (out_dir / "sweep_summary.txt").write_text("\n".join(lines) + "\n")
     return manifests, summary

@@ -146,7 +146,7 @@ def _ranking(ids: np.ndarray, scores: np.ndarray, *outer_keys) -> np.ndarray:
     nan = np.isnan(scores)
     if nan.any():
         raise LedgerError(f"NaN score for sample id {ids[nan.argmax()]}")
-    return np.lexsort((ids, -scores) + outer_keys)
+    return np.lexsort((-scores,) + outer_keys)  # stable: ties keep the ascending-id row order
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,10 +180,6 @@ class SubsetPlan:
     @cached_property
     def selected_ids(self) -> tuple[int, ...]:
         return tuple(self.ids[self.selected_rows].tolist())
-
-    @cached_property
-    def excluded_ids(self) -> tuple[int, ...]:
-        return tuple(self.ids[self.excluded_rows].tolist())
 
     def __eq__(self, other):
         if not isinstance(other, SubsetPlan):

@@ -59,20 +59,7 @@ class RunManifest:
     created_at: str | None = None
 
     def to_json(self) -> str:
-        payload = {
-            "schema_version": self.schema_version,
-            "mode": self.mode,
-            "seed": self.seed,
-            "config": self.config,
-            "dataset": self.dataset,
-            "epochs": self.epochs,
-            "budget": self.budget,
-            "final_metrics": self.final_metrics,
-            "stop_reason": self.stop_reason,
-            "error": self.error,
-            "created_at": self.created_at,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
     def save(self, path) -> None:
         Path(path).write_text(self.to_json())

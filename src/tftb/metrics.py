@@ -50,15 +50,15 @@ def predicted_count(density: np.ndarray) -> float:
 
 def evaluate_classifier(params: ModelParams, dataset, batch_size: int = 256) -> dict:
     feats, targets = dataset.features, dataset.targets
-    hits = 0
+    predictions = np.empty(len(dataset), dtype=np.int64)
     loss_total = 0.0
     for lo in range(0, len(dataset), batch_size):
         rows = slice(lo, lo + batch_size)
         logits = forward(params, feats[rows])
-        hits += int(np.count_nonzero(np.argmax(logits, axis=1) == targets[rows]))
+        predictions[rows] = np.argmax(logits, axis=1)
         loss_total += float(output_losses(logits, targets[rows], "cross_entropy").sum())
     return {
-        "accuracy": hits / len(dataset),
+        "accuracy": accuracy(predictions, targets),
         "mean_loss": loss_total / len(dataset),
         "n_samples": len(dataset),
     }
@@ -108,9 +108,9 @@ class RunComparison:
     label_a: str
     label_b: str
     metrics: list[MetricDelta]
-    curve: list[tuple[int, float, float]]  # (epoch, train_loss_a, train_loss_b)
-    extra_epochs_a: list[tuple[int, float]]
-    extra_epochs_b: list[tuple[int, float]]
+    horizon: int  # epochs both runs reported
+    extra_epochs_a: int  # epochs past the horizon
+    extra_epochs_b: int
 
     def to_csv_text(self) -> str:
         out = io.StringIO()
@@ -131,19 +131,15 @@ class RunComparison:
             return "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
         lines = [fmt(headers), fmt(["-" * w for w in widths])]
         lines.extend(fmt(r) for r in rows)
-        if self.curve:
+        if self.horizon:
             lines.append("")
-            lines.append(f"aligned train-loss horizon: {len(self.curve)} epochs")
+            lines.append(f"aligned train-loss horizon: {self.horizon} epochs")
             if self.extra_epochs_a or self.extra_epochs_b:
                 lines.append(
-                    f"unaligned remainder: {len(self.extra_epochs_a)} epochs ({self.label_a}), "
-                    f"{len(self.extra_epochs_b)} epochs ({self.label_b})"
+                    f"unaligned remainder: {self.extra_epochs_a} epochs ({self.label_a}), "
+                    f"{self.extra_epochs_b} epochs ({self.label_b})"
                 )
         return "\n".join(lines) + "\n"
-
-
-def _train_curve(manifest: RunManifest) -> list[tuple[int, float]]:
-    return [(r["epoch"], r["mean_train_loss"]) for r in manifest.epochs]
 
 
 def compare_runs(a: RunManifest, b: RunManifest, label_a: str = "a", label_b: str = "b") -> RunComparison:
@@ -161,14 +157,12 @@ def compare_runs(a: RunManifest, b: RunManifest, label_a: str = "a", label_b: st
         )
     shared = [k for k in a.final_metrics if k in b.final_metrics and k != "n_samples"]
     metrics = [MetricDelta(k, float(a.final_metrics[k]), float(b.final_metrics[k])) for k in shared]
-    curve_a, curve_b = _train_curve(a), _train_curve(b)
-    horizon = min(len(curve_a), len(curve_b))
-    curve = [(curve_a[i][0], curve_a[i][1], curve_b[i][1]) for i in range(horizon)]
+    horizon = min(len(a.epochs), len(b.epochs))
     return RunComparison(
         label_a=label_a,
         label_b=label_b,
         metrics=metrics,
-        curve=curve,
-        extra_epochs_a=curve_a[horizon:],
-        extra_epochs_b=curve_b[horizon:],
+        horizon=horizon,
+        extra_epochs_a=len(a.epochs) - horizon,
+        extra_epochs_b=len(b.epochs) - horizon,
     )

@@ -6,7 +6,9 @@
                       convolutions with ReLU, then a 1x1 convolution down to a
                       single-channel map the size of the input image.
 
-Parameters, activations, and gradients are float64 numpy arrays throughout.
+Parameters, activations, and gradients are C-contiguous float64 numpy
+arrays throughout, which gives the finite-difference checks headroom; NaN
+or Inf in any of them is an error state, never a value.
 A model's parameters are one contiguous vector, ``ModelParams.flat``, with
 per-layer views ``weights`` and ``biases``.  ``loss_and_grad`` returns the
 gradient in the same layout, as a ``ModelParams`` whose views the backward
@@ -37,13 +39,24 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import NonFiniteError, ShapeError
-from .tensor import as_f64, require_finite
 
 LOSS_KINDS = ("cross_entropy", "pixelwise_l2")
 
 # Size of the per-thread im2col patch buffer the convolutions share: 1 MiB.
 PATCH_BUFFER_FLOATS = 1 << 17
 _scratch = threading.local()
+
+
+def as_f64(values) -> np.ndarray:
+    """Coerce to a C-contiguous float64 array."""
+    return np.ascontiguousarray(values, dtype=np.float64)
+
+
+def require_finite(arr: np.ndarray, context: str) -> np.ndarray:
+    """Raise NonFiniteError if ``arr`` contains NaN/Inf; return it otherwise."""
+    if not np.isfinite(arr).all():
+        raise NonFiniteError(f"non-finite values in {context}")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -367,7 +380,7 @@ def _forward_cached(params: ModelParams, batch: np.ndarray):
 
 def forward(params: ModelParams, batch) -> np.ndarray:
     """Model output: (batch, num_classes) logits or (batch, H, W) density."""
-    out, _ = _forward_cached(params, as_f64(batch))
+    out, _ = _forward_cached(params, batch)
     return require_finite(out, f"{params.arch.kind} forward output")
 
 
@@ -443,7 +456,7 @@ def loss_and_grad(
     """
     # overflow here surfaces as a NonFiniteError below, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        out, cache = _forward_cached(params, as_f64(batch))
+        out, cache = _forward_cached(params, batch)
         per_sample, d_out = _loss(out, targets, loss_kind)
 
     bad = np.flatnonzero(~np.isfinite(per_sample))
@@ -473,5 +486,5 @@ def output_losses(output: np.ndarray, targets, loss_kind: str) -> np.ndarray:
 def per_sample_losses(params: ModelParams, batch, targets, loss_kind: str) -> np.ndarray:
     """Forward-only per-sample losses (used to refresh excluded samples)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        out, _ = _forward_cached(params, as_f64(batch))
+        out, _ = _forward_cached(params, batch)
     return output_losses(out, targets, loss_kind)

@@ -81,12 +81,12 @@ class TrainConfig:
             raise ConfigError(f"warmup_epochs must be >= 1, got {self.warmup_epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
+        if not 0 < self.lr < math.inf:
+            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
         if self.loss_kind not in LOSS_KINDS:
             raise ConfigError(f"loss_kind must be one of {LOSS_KINDS}, got {self.loss_kind!r}")
-        if self.budget_seconds is not None and self.budget_seconds <= 0:
-            raise ConfigError(f"budget_seconds must be positive, got {self.budget_seconds}")
+        if self.budget_seconds is not None and not 0 < self.budget_seconds < math.inf:
+            raise ConfigError(f"budget_seconds must be finite and > 0, got {self.budget_seconds}")
         if self.max_epochs is not None and self.max_epochs < self.warmup_epochs:
             raise ConfigError(
                 f"max_epochs ({self.max_epochs}) smaller than warmup_epochs ({self.warmup_epochs})"
@@ -95,8 +95,8 @@ class TrainConfig:
             raise ConfigError("either budget_seconds or max_epochs must be set")
         if self.rerank_period < 1:
             raise ConfigError(f"rerank_period must be >= 1, got {self.rerank_period}")
-        if self.lambda_var < 0:
-            raise ConfigError(f"lambda_var must be >= 0, got {self.lambda_var}")
+        if not 0 <= self.lambda_var < math.inf:
+            raise ConfigError(f"lambda_var must be finite and >= 0, got {self.lambda_var}")
         if self.score_window < 1:
             raise ConfigError(f"score_window must be >= 1, got {self.score_window}")
         if self.early_stop_patience < 1:

@@ -216,7 +216,18 @@ def test_compare_reports_a_fingerprint_mismatch_as_a_configuration_error(tmp_pat
     b"hidden = 0\n",
     b"hidden = -3\n",
     b"task = classify-synth\n# caf\xe9\n",
-], ids=["conv-one", "conv-three", "conv-zero", "hidden-zero", "hidden-negative", "not-utf8"])
+    *(b"max_epochs = 2\nn_per_class = 20\n" + line for line in (
+        b"budget_seconds = inf\n",
+        b"budget_seconds = nan\n",
+        b"lr = nan\n",
+        b"lambda_var = nan\n",
+        b"lambda_var = inf\n",
+        b"mode = baseline\nlambda_var = nan\n",
+        b"task = count-synth\nsigma = nan\n",
+    )),
+], ids=["conv-one", "conv-three", "conv-zero", "hidden-zero", "hidden-negative", "not-utf8",
+        "budget-inf", "budget-nan", "lr-nan", "lambda-nan", "lambda-inf", "baseline-lambda-nan",
+        "sigma-nan"])
 def test_malformed_config_file_is_a_configuration_error(tmp_path, capsys, text):
     cfg = tmp_path / "bad.cfg"
     cfg.write_bytes(text)

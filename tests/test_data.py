@@ -12,12 +12,11 @@ from tftb.data import (
     DotMap,
     density_map,
     load_cifar10,
-    read_batch_file,
     synth_classification,
     synth_counting,
     train_val_split,
 )
-from tftb.data.cifar10 import RECORD_BYTES, STATS_CHUNK_RECORDS, channel_stats
+from tftb.data.cifar10 import RECORD_BYTES, STATS_CHUNK_RECORDS, _read_records, channel_stats
 from tftb.errors import ConfigError, CorruptDataError, ShapeError
 
 # ---------------------------------------------------------------------------
@@ -32,39 +31,37 @@ def write_records(path, labels, pixel_byte=0):
     path.write_bytes(bytes(out))
 
 
-def test_single_record_file_parses_label_and_scaled_pixels(tmp_path):
+def test_single_record_file_parses_label_and_pixel_bytes(tmp_path):
     path = tmp_path / "one.bin"
     write_records(path, [3], pixel_byte=255)
-    labels, pixels = read_batch_file(path)
-    assert labels.tolist() == [3]
-    assert pixels.shape == (1, 3072)
-    assert np.array_equal(pixels, np.ones((1, 3072)))
+    records = _read_records(path)
+    assert records.dtype == np.uint8
+    assert records[:, 0].tolist() == [3]
+    assert records.shape == (1, RECORD_BYTES)
+    assert np.array_equal(records[:, 1:], np.full((1, 3072), 255))
 
 
 def test_truncated_file_is_a_framing_error(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"\x00" * (RECORD_BYTES * 4 - 1))
     with pytest.raises(CorruptDataError, match="not a whole number"):
-        read_batch_file(path)
+        _read_records(path)
 
 
 def test_label_byte_above_nine_reports_record_offset(tmp_path):
     path = tmp_path / "bad_label.bin"
     write_records(path, [1, 14, 2])
     with pytest.raises(CorruptDataError, match=rf"record 1 at byte offset {RECORD_BYTES}"):
-        read_batch_file(path)
+        _read_records(path)
 
 
-def test_read_batch_file_is_deterministic(tmp_path):
+def test_read_records_is_deterministic(tmp_path):
     rng = np.random.default_rng(0)
     blob = rng.integers(0, 256, RECORD_BYTES * 3, dtype=np.uint8)
     blob[::RECORD_BYTES] = rng.integers(0, 10, 3, dtype=np.uint8)
     path = tmp_path / "rand.bin"
     path.write_bytes(blob.tobytes())
-    l1, p1 = read_batch_file(path)
-    l2, p2 = read_batch_file(path)
-    assert np.array_equal(l1, l2)
-    assert np.array_equal(p1, p2)
+    assert np.array_equal(_read_records(path), _read_records(path))
 
 
 def test_load_cifar10_standard_layout_counts_and_normalization(cifar_dir):

@@ -1,11 +1,14 @@
 """Experiment assembly: task presets, artifact emission, sweeps."""
 
+import dataclasses
+import json
+
 import pytest
 
 from tftb.budget import VirtualClock
 from tftb.errors import ConfigError
 from tftb.experiments import ExperimentSpec, build_task, run_experiment, run_sweep
-from tftb.manifest import RunManifest
+from tftb.manifest import FIELD_TYPES, OPTIONAL_FIELD_TYPES, RunManifest
 from tftb.nn import load_params
 from tftb.trainer import TrainConfig
 
@@ -80,6 +83,17 @@ def test_run_experiment_writes_all_artifacts(tmp_path):
     assert manifest.dataset["test_fingerprint"]
     assert manifest.config["experiment"]["task"] == "classify-synth"
     assert "accuracy" in manifest.final_metrics
+
+
+def test_manifest_keys_are_the_typed_fields_of_run_manifest(tmp_path):
+    """``to_json`` writes every dataclass field, and ``from_json`` type-checks
+    each of them, so a field added without a type entry cannot be dropped."""
+    _, _, run_dir = run_experiment(
+        small_spec(), out_dir=tmp_path, clock=VirtualClock(costs={"batch": 0.01})
+    )
+    keys = set(json.loads((run_dir / "manifest.json").read_text()))
+    assert keys == {*FIELD_TYPES, *OPTIONAL_FIELD_TYPES, "schema_version"}
+    assert keys == {f.name for f in dataclasses.fields(RunManifest)}
 
 
 def test_run_experiment_counting_reports_both_error_conventions():

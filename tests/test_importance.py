@@ -256,7 +256,7 @@ def test_select_subset_alpha_zero_selects_everything():
     scores = np.ones(17)
     plan = select_subset(scores, ds, alpha=0.0, stratified=True)
     assert set(plan.selected_ids) == set(range(17))
-    assert plan.excluded_ids == ()
+    assert plan.excluded_rows.size == 0
 
 
 def test_select_subset_partition_invariant():
@@ -266,8 +266,9 @@ def test_select_subset_partition_invariant():
     for alpha in (0.0, 0.25, 0.5, 0.9):
         for stratified in (False, True):
             plan = select_subset(scores, ds, alpha, stratified)
-            assert set(plan.selected_ids) | set(plan.excluded_ids) == set(range(101))
-            assert set(plan.selected_ids) & set(plan.excluded_ids) == set()
+            excluded = set(plan.ids[plan.excluded_rows].tolist())
+            assert set(plan.selected_ids) | excluded == set(range(101))
+            assert set(plan.selected_ids) & excluded == set()
             assert len(plan.selected_ids) == subset_size(101, alpha)
 
 
@@ -327,7 +328,7 @@ def test_merge_and_reselect_is_idempotent_when_nothing_changes():
     plan1 = select_subset(ledger.effective_scores(1.0), ds, 0.3, True)
     plan2 = merge_and_reselect(ledger, plan1, ds, 0.3, lambda_var=1.0, stratified=True)
     assert plan2.selected_ids == plan1.selected_ids
-    assert plan2.excluded_ids == plan1.excluded_ids
+    assert np.array_equal(plan2.excluded_rows, plan1.excluded_rows)
 
 
 def test_stale_high_score_reenters_after_merge():
@@ -369,8 +370,9 @@ def test_partition_survives_fifty_merges_of_random_streams():
         observed = [float(rng.uniform(0, 4)) for _ in plan.selected_ids]
         ledger.record_losses(plan.selected_rows, observed, epoch)
         plan = merge_and_reselect(ledger, plan, ds, 0.3, lambda_var=1.0, stratified=True)
-        assert set(plan.selected_ids) | set(plan.excluded_ids) == all_ids
-        assert set(plan.selected_ids) & set(plan.excluded_ids) == set()
+        excluded = set(plan.ids[plan.excluded_rows].tolist())
+        assert set(plan.selected_ids) | excluded == all_ids
+        assert set(plan.selected_ids) & excluded == set()
         assert len(plan.selected_ids) == subset_size(500, 0.3)
 
 
@@ -485,10 +487,11 @@ def test_plan_id_tuples_match_golden_digest_on_the_oracle_cases():
         scores = np.array([float(rng.integers(0, 8)) for _ in ids])
         alpha = float(rng.uniform(0.0, 0.9))
         plan = select_subset(scores, dataset, alpha, stratified=False)
-        assert all(type(i) is int for i in plan.selected_ids + plan.excluded_ids)
+        excluded = tuple(plan.ids[plan.excluded_rows].tolist())
+        assert np.array_equal(plan.ids, dataset.ids)
+        assert all(type(i) is int for i in plan.selected_ids + excluded)
         assert plan.selected_ids == tuple(dataset.ids[plan.selected_rows].tolist())
-        assert plan.excluded_ids == tuple(dataset.ids[plan.excluded_rows].tolist())
-        digest.update(repr((plan.selected_ids, plan.excluded_ids)).encode())
+        digest.update(repr((plan.selected_ids, excluded)).encode())
     assert digest.hexdigest() == ORACLE_PLANS_DIGEST
 
 

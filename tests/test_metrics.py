@@ -190,9 +190,9 @@ def test_unequal_curves_align_on_the_shorter_horizon():
     a = manifest_with({"accuracy": 0.5}, epochs=[epoch(i, 1.0 - 0.1 * i) for i in range(1, 6)])
     b = manifest_with({"accuracy": 0.6}, epochs=[epoch(i, 0.9 - 0.1 * i) for i in range(1, 4)])
     cmp = compare_runs(a, b)
-    assert len(cmp.curve) == 3
-    assert len(cmp.extra_epochs_a) == 2
-    assert cmp.extra_epochs_b == []
+    assert cmp.horizon == 3
+    assert cmp.extra_epochs_a == 2
+    assert cmp.extra_epochs_b == 0
     assert "unaligned remainder" in cmp.to_table_text()
 
 
