@@ -4,7 +4,7 @@ Commands:
 
     tftb train   --task classify-synth --mode tftb --alpha 0.3 --out runs/
     tftb compare runs/a/manifest.json runs/b/manifest.json --out cmp/
-    tftb sweep   --task classify-synth --alphas 0.3,0.4 --seeds 1,2,3 --out runs/
+    tftb sweep   --task classify-synth --mode tftb --alphas 0.3,0.4 --seeds 1,2,3 --out runs/
 
 Configuration can come from a flat key=value text file (``--config``); CLI
 flags override file values, which override the built-in defaults.  Exit
@@ -125,9 +125,7 @@ def _build_spec(args) -> ExperimentSpec:
 
     schedule = AlphaSchedule(**sections["schedule"])
     train = TrainConfig(adaptive_alpha=schedule, **sections["train"])
-    spec = ExperimentSpec(config=train, **sections["spec"])
-    spec.validate()
-    return spec
+    return ExperimentSpec(config=train, **sections["spec"])
 
 
 def _add_train_flags(parser: argparse.ArgumentParser) -> None:

@@ -1,8 +1,9 @@
 """Experiment assembly: task presets, run execution, artifact emission.
 
 An ``ExperimentSpec`` binds a task (which datasets and model preset to build)
-to a ``TrainConfig``.  ``run_experiment`` builds the data, trains, evaluates
-the held-out test split, and optionally writes the run directory:
+to a ``TrainConfig``; both are frozen and check their fields when built.
+``run_experiment`` builds the data, trains, evaluates the held-out test
+split, and optionally writes the run directory:
 
     manifest.json    -- full run manifest (see tftb.manifest)
     loss_curve.csv   -- epoch, split, loss
@@ -22,11 +23,11 @@ import numpy as np
 from .data.cifar10 import load_cifar10
 from .data.dataset import Dataset, train_val_split
 from .data.synthetic import synth_classification, synth_counting
-from .errors import ConfigError
+from .errors import ConfigError, ShapeError
 from .manifest import RunManifest, write_ledger_csv
 from .metrics import evaluate_classifier, evaluate_counter
 from .nn.checkpoint import save_params
-from .nn.models import ConvDensityArch, MlpArch, init_params
+from .nn.models import Architecture, ConvDensityArch, MlpArch, init_params
 from .trainer import TrainConfig, train_baseline, train_tftb
 
 TASKS = ("classify-synth", "classify-cifar10", "count-synth")
@@ -35,7 +36,7 @@ TASKS = ("classify-synth", "classify-cifar10", "count-synth")
 TEST_SEED_OFFSET = 100_000
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentSpec:
     task: str = "classify-synth"
     config: TrainConfig = field(default_factory=TrainConfig)
@@ -59,18 +60,25 @@ class ExperimentSpec:
     val_fraction: float = 0.10
     ledger_csv: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.task not in TASKS:
             raise ConfigError(f"unknown task {self.task!r}; valid tasks: {', '.join(TASKS)}")
         if self.task == "classify-cifar10" and not self.data_dir:
             raise ConfigError("classify-cifar10 needs data_dir pointing at the binary batches")
         if not 0.0 < self.val_fraction < 0.5:
             raise ConfigError(f"val_fraction must be in (0, 0.5), got {self.val_fraction}")
-        if not _positive_ints(self.hidden):
-            raise ConfigError(f"hidden must list positive layer widths, got {self.hidden}")
-        if len(self.conv_channels) != 2 or not _positive_ints(self.conv_channels):
-            raise ConfigError(f"conv_channels must be two positive ints, got {self.conv_channels}")
-        self.config.validate()
+        try:
+            self.architecture()
+        except ShapeError as exc:
+            raise ConfigError(f"{self.task} model: {exc}") from exc
+
+    def architecture(self) -> Architecture:
+        """The model preset of this spec's task."""
+        if self.task == "classify-synth":
+            return MlpArch(self.feature_dim, tuple(self.hidden), self.num_classes)
+        if self.task == "classify-cifar10":
+            return MlpArch(3072, tuple(self.hidden), 10)
+        return ConvDensityArch(self.image_size, self.image_size, tuple(self.conv_channels))
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -82,10 +90,6 @@ class ExperimentSpec:
             f"{self.task}_{self.config.mode}_alpha{self.config.alpha:g}"
             f"_seed{self.config.seed}"
         )
-
-
-def _positive_ints(values) -> bool:
-    return all(isinstance(v, (int, np.integer)) and v > 0 for v in values)
 
 
 def build_task(spec: ExperimentSpec):
@@ -104,13 +108,11 @@ def build_task(spec: ExperimentSpec):
             split_tag="test",
         )
         train, val = train_val_split(full, spec.val_fraction, seed)
-        arch = MlpArch(spec.feature_dim, tuple(spec.hidden), spec.num_classes)
-        return train, val, test, arch, "cross_entropy"
+        return train, val, test, spec.architecture(), "cross_entropy"
     if spec.task == "classify-cifar10":
         full, test = load_cifar10(spec.data_dir)
         train, val = train_val_split(full, spec.val_fraction, seed)
-        arch = MlpArch(3072, tuple(spec.hidden), 10)
-        return train, val, test, arch, "cross_entropy"
+        return train, val, test, spec.architecture(), "cross_entropy"
     # count-synth
     full = synth_counting(seed, spec.n_images, spec.image_size, spec.max_objects, spec.sigma)
     test = synth_counting(
@@ -122,13 +124,11 @@ def build_task(spec: ExperimentSpec):
         split_tag="test",
     )
     train, val = train_val_split(full, spec.val_fraction, seed)
-    arch = ConvDensityArch(spec.image_size, spec.image_size, tuple(spec.conv_channels))
-    return train, val, test, arch, "pixelwise_l2"
+    return train, val, test, spec.architecture(), "pixelwise_l2"
 
 
 def run_experiment(spec: ExperimentSpec, out_dir=None, clock=None):
     """Run one experiment; returns (params, manifest, run_dir or None)."""
-    spec.validate()
     train, val, test, arch, loss_kind = build_task(spec)
     cfg = dataclasses.replace(
         spec.config,
@@ -184,19 +184,18 @@ def run_sweep(spec: ExperimentSpec, alphas, seeds, out_dir=None, clock=None):
         raise ConfigError("sweep needs at least one alpha")
     if not seeds:
         raise ConfigError("sweep needs at least one seed")
-    for alpha in alphas:
-        if not 0.0 <= alpha < 1.0:
-            raise ConfigError(f"sweep alpha must be in [0, 1), got {alpha}")
+    if spec.config.mode == "baseline" and len(alphas) > 1:
+        raise ConfigError("baseline ignores alpha: sweep one alpha, or set mode = tftb")
+    # every run's spec is built, and so checked, before the first run starts
+    grid = [[dataclasses.replace(spec, config=dataclasses.replace(spec.config, alpha=a, seed=s))
+             for s in seeds] for a in alphas]
 
     manifests: list[RunManifest] = []
     primary = "accuracy" if spec.task.startswith("classify") else "mae"
     summary = []
-    for alpha in alphas:
+    for alpha, run_specs in zip(alphas, grid):
         values = []
-        for seed in seeds:
-            run_spec = dataclasses.replace(
-                spec, config=dataclasses.replace(spec.config, alpha=alpha, seed=seed)
-            )
+        for run_spec in run_specs:
             _, manifest, _ = run_experiment(run_spec, out_dir=out_dir, clock=clock)
             manifests.append(manifest)
             values.append(float(manifest.final_metrics[primary]))

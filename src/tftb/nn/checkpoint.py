@@ -4,7 +4,8 @@ Layout (all integers little-endian):
 
     bytes 0..7    magic  b"TFTBPAR1"
     u32           length L of the architecture descriptor
-    L bytes       descriptor, UTF-8 JSON (see ``Architecture.descriptor``)
+    L bytes       descriptor, UTF-8 JSON with sorted keys: ``kind`` plus
+                  exactly the architecture's fields (``arch.descriptor()``)
     per layer     raw little-endian float64 buffers, weights then bias,
                   in layer order; shapes are implied by the descriptor
 
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import CorruptDataError, ShapeError
-from .models import ModelParams, arch_from_descriptor
+from .models import ModelParams, _layout, arch_from_descriptor
 
 MAGIC = b"TFTBPAR1"
 
@@ -49,13 +50,12 @@ def load_params(path) -> ModelParams:
         raise CorruptDataError(f"{path}: unreadable architecture descriptor: {exc}") from exc
     try:
         arch = arch_from_descriptor(desc)
-        layer_shapes = arch.layer_shapes()
-    except (AttributeError, KeyError, TypeError, ValueError, ShapeError) as exc:
+    except (AttributeError, TypeError, ShapeError) as exc:
         raise CorruptDataError(
             f"{path}: invalid architecture descriptor {desc!r}: {exc!r}"
         ) from exc
 
-    n_bytes = 8 * sum(int(np.prod(w)) + int(np.prod(b)) for w, b in layer_shapes)
+    n_bytes = 8 * _layout(arch)[-1][2]
     data = blob[desc_end:]
     if len(data) < n_bytes:
         raise CorruptDataError(

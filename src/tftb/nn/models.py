@@ -32,7 +32,7 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Sequence, Union
 
 import numpy as np
@@ -59,13 +59,31 @@ def require_finite(arr: np.ndarray, context: str) -> np.ndarray:
     return arr
 
 
+class _Arch:
+    """What both architectures share: the size check and the descriptor."""
+
+    def _check_sizes(self, *sizes) -> None:
+        # bool is a subclass of int, but True is not a size
+        if not all(isinstance(v, int) and not isinstance(v, bool) and v > 0 for v in sizes):
+            raise ShapeError(f"{self.kind} sizes must be positive ints: {self!r}")
+
+    def descriptor(self) -> dict:
+        """The checkpoint descriptor: ``kind`` plus exactly the fields."""
+        return {"kind": self.kind, **asdict(self)}
+
+
 @dataclass(frozen=True)
-class MlpArch:
+class MlpArch(_Arch):
     input_dim: int
     hidden: tuple[int, ...]
     num_classes: int
 
     kind = "mlp"
+
+    def __post_init__(self):
+        if not isinstance(self.hidden, tuple):
+            raise ShapeError(f"mlp hidden widths must be a tuple, got {self.hidden!r}")
+        self._check_sizes(self.input_dim, *self.hidden, self.num_classes)
 
     def layer_shapes(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         dims = [self.input_dim, *self.hidden, self.num_classes]
@@ -74,17 +92,9 @@ class MlpArch:
     def input_shape(self) -> tuple[int, ...]:
         return (self.input_dim,)
 
-    def descriptor(self) -> dict:
-        return {
-            "kind": self.kind,
-            "input_dim": self.input_dim,
-            "hidden": list(self.hidden),
-            "num_classes": self.num_classes,
-        }
-
 
 @dataclass(frozen=True)
-class ConvDensityArch:
+class ConvDensityArch(_Arch):
     image_height: int
     image_width: int
     channels: tuple[int, int] = (8, 8)
@@ -93,6 +103,9 @@ class ConvDensityArch:
     kind = "conv_density"
 
     def __post_init__(self):
+        if not isinstance(self.channels, tuple) or len(self.channels) != 2:
+            raise ShapeError(f"conv_density takes a tuple of two channel counts: {self!r}")
+        self._check_sizes(self.image_height, self.image_width, *self.channels, self.kernel_size)
         if self.kernel_size % 2 != 1:
             raise ShapeError("conv kernel size must be odd for same padding")
 
@@ -108,35 +121,21 @@ class ConvDensityArch:
     def input_shape(self) -> tuple[int, ...]:
         return (self.image_height, self.image_width)
 
-    def descriptor(self) -> dict:
-        return {
-            "kind": self.kind,
-            "image_height": self.image_height,
-            "image_width": self.image_width,
-            "channels": list(self.channels),
-            "kernel_size": self.kernel_size,
-        }
-
 
 Architecture = Union[MlpArch, ConvDensityArch]
+_BY_KIND = {arch.kind: arch for arch in (MlpArch, ConvDensityArch)}
 
 
 def arch_from_descriptor(desc: dict) -> Architecture:
-    kind = desc.get("kind")
-    if kind == "mlp":
-        return MlpArch(
-            input_dim=int(desc["input_dim"]),
-            hidden=tuple(int(h) for h in desc["hidden"]),
-            num_classes=int(desc["num_classes"]),
-        )
-    if kind == "conv_density":
-        return ConvDensityArch(
-            image_height=int(desc["image_height"]),
-            image_width=int(desc["image_width"]),
-            channels=tuple(int(c) for c in desc["channels"]),
-            kernel_size=int(desc["kernel_size"]),
-        )
-    raise ShapeError(f"unknown architecture kind: {kind!r}")
+    """The architecture ``desc`` describes (lists read as tuples), checked by its constructor."""
+    cls = _BY_KIND.get(desc.get("kind"))
+    if cls is None:
+        raise ShapeError(f"unknown architecture kind: {desc.get('kind')!r}")
+    values = {k: tuple(v) if isinstance(v, list) else v for k, v in desc.items() if k != "kind"}
+    names = {f.name for f in fields(cls)}
+    if values.keys() != names:
+        raise ShapeError(f"{cls.kind} has the fields {sorted(names)}, got {sorted(values)}")
+    return cls(**values)
 
 
 @functools.cache

@@ -53,8 +53,10 @@ from .nn.models import LOSS_KINDS, ModelParams, loss_and_grad, per_sample_losses
 MODES = ("baseline", "tftb")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
+    """Training settings, checked when built; vary one with ``dataclasses.replace``."""
+
     mode: str = "baseline"
     alpha: float = 0.3
     warmup_epochs: int = 1
@@ -72,7 +74,7 @@ class TrainConfig:
     adaptive_alpha: AlphaSchedule = field(default_factory=AlphaSchedule)
     refresh_excluded_period: int = 0  # 0 disables forward-only score refreshes
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if not 0.0 <= self.alpha < 1.0:
@@ -184,7 +186,6 @@ def train_baseline(
 
 
 def _run(params, train_set, val_set, cfg, clock, ledger_writer):
-    cfg.validate()
     if len(train_set) == 0:
         raise ConfigError("training set is empty")
     selective = cfg.mode == "tftb"

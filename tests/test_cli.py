@@ -172,6 +172,16 @@ def test_sweep_runs_grid_and_writes_summary(tmp_path, capsys):
     assert "alpha=0.3" in capsys.readouterr().out
 
 
+def test_baseline_sweep_over_several_alphas_is_a_configuration_error(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    code = main(["sweep", "--task", "classify-synth", "--alphas", "0.1,0.3", "--seeds", "1,2",
+                 "--n-per-class", "20", "--num-classes", "2", "--max-epochs", "3",
+                 "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("configuration error:")
+    assert not out.exists()
+
+
 def test_sweep_with_empty_alpha_list_is_usage_error(tmp_path):
     code = main(
         ["sweep", "--task", "classify-synth", "--alphas", "", "--out", str(tmp_path)]

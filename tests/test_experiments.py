@@ -67,7 +67,7 @@ def test_build_task_cifar10_wires_loader_and_mlp(cifar_dir):
 
 def test_cifar10_task_requires_data_dir():
     with pytest.raises(ConfigError, match="data_dir"):
-        small_spec(task="classify-cifar10").validate()
+        small_spec(task="classify-cifar10")
 
 
 def test_run_experiment_writes_all_artifacts(tmp_path):
@@ -128,6 +128,29 @@ def test_run_sweep_grid_and_summary(tmp_path):
     assert "alpha=0.2" in text
 
 
+def test_run_sweep_checks_every_spec_before_the_first_run(tmp_path):
+    with pytest.raises(ConfigError, match="alpha"):
+        run_sweep(small_spec(), alphas=[0.3, 1.5], seeds=[1], out_dir=tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_baseline_sweeps_one_alpha_only(tmp_path):
+    with pytest.raises(ConfigError, match="baseline ignores alpha"):
+        run_sweep(small_spec(mode="baseline"), alphas=[0.1, 0.3], seeds=[1], out_dir=tmp_path)
+    assert list(tmp_path.iterdir()) == []
+    manifests, summary = run_sweep(
+        small_spec(mode="baseline"), alphas=[0.3], seeds=[1, 2],
+        out_dir=tmp_path, clock=VirtualClock(costs={"batch": 0.01}),
+    )
+    assert len(manifests) == 2
+    assert summary[0]["n_runs"] == 2
+
+
+def test_experiment_spec_cannot_be_assigned():
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        small_spec().task = "count-synth"
+
+
 def test_run_sweep_rejects_empty_grids():
     with pytest.raises(ConfigError):
         run_sweep(small_spec(), alphas=[], seeds=[1])
@@ -137,4 +160,4 @@ def test_run_sweep_rejects_empty_grids():
 
 def test_unknown_task_is_rejected():
     with pytest.raises(ConfigError, match="valid tasks"):
-        small_spec(task="classify-mnist").validate()
+        small_spec(task="classify-mnist")

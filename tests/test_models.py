@@ -1,6 +1,7 @@
 """Numeric core: forward passes, losses, gradients, Adam, checkpoints."""
 
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from tftb.nn import (
     per_sample_losses,
     save_params,
 )
+from tftb.nn.models import arch_from_descriptor
 
 
 def mlp(input_dim=4, hidden=(6,), num_classes=3, seed=0):
@@ -95,6 +97,23 @@ def test_conv_forward_output_matches_input_image_shape():
 def test_conv_arch_rejects_even_kernel():
     with pytest.raises(ShapeError, match="odd"):
         ConvDensityArch(8, 8, (2, 2), kernel_size=4)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: MlpArch(3, (0,), 2),
+        lambda: MlpArch(True, (4,), 2),
+        lambda: ConvDensityArch(0, 8),
+        lambda: ConvDensityArch(8, 8, (2, 2, 2)),
+        lambda: MlpArch(3, [4], 2),
+    ],
+    ids=["mlp-zero-width", "mlp-bool-input", "conv-zero-height", "conv-three-channels",
+         "mlp-list-hidden"],
+)
+def test_arch_rejects_sizes_that_are_not_positive_ints(build):
+    with pytest.raises(ShapeError, match="positive ints|two channel counts|tuple"):
+        build()
 
 
 # ---------------------------------------------------------------------------
@@ -647,13 +666,45 @@ def test_checkpoint_rejects_trailing_bytes(tmp_path, extra):
         load_params(path)
 
 
-@pytest.mark.parametrize("descriptor", [b'{"kind": "mlp"}', b"[]", b"{}"],
-                         ids=["missing-fields", "not-an-object", "no-kind"])
-def test_checkpoint_rejects_malformed_descriptor(tmp_path, descriptor):
-    path = tmp_path / "model.bin"
-    path.write_bytes(b"TFTBPAR1" + len(descriptor).to_bytes(4, "little") + descriptor)
+def _checkpoint(path, descriptor: bytes, n_floats: int = 0):
+    path.write_bytes(b"TFTBPAR1" + len(descriptor).to_bytes(4, "little") + descriptor
+                     + bytes(8 * n_floats))
+    return path
+
+
+@pytest.mark.parametrize(
+    "descriptor, n_floats",
+    [
+        (b'{"kind": "mlp"}', 0),
+        (b"[]", 0),
+        (b"{}", 0),
+        (b'{"kind": "mlp", "input_dim": 0, "hidden": [], "num_classes": 0}', 0),
+        (b'{"kind": "mlp", "input_dim": 2, "hidden": "1", "num_classes": 2}', 7),
+        (b'{"kind": "mlp", "input_dim": 2.9, "hidden": [true], "num_classes": 1}', 5),
+        (b'{"kind": "conv_density", "image_height": -3, "image_width": 4, '
+         b'"channels": [1, 1], "kernel_size": 3}', 22),
+        (b'{"kind": "mlp", "input_dim": 2, "hidden": [], "num_classes": 2, "dropout": 0.5}', 6),
+    ],
+    ids=["missing-fields", "not-an-object", "no-kind", "zero-sizes", "hidden-string",
+         "float-and-bool-sizes", "negative-height", "extra-key"],
+)
+def test_checkpoint_rejects_malformed_descriptor(tmp_path, descriptor, n_floats):
     with pytest.raises(CorruptDataError, match="descriptor"):
-        load_params(path)
+        load_params(_checkpoint(tmp_path / "model.bin", descriptor, n_floats))
+
+
+def test_checkpoint_checks_the_payload_size_before_allocating(tmp_path):
+    # 10^12 parameters claimed, none present: refused from the header alone
+    descriptor = b'{"kind": "mlp", "input_dim": 1000000, "hidden": [], "num_classes": 1000000}'
+    with pytest.raises(CorruptDataError, match="truncated"):
+        load_params(_checkpoint(tmp_path / "model.bin", descriptor))
+
+
+@pytest.mark.parametrize("arch", [MlpArch(4, (6, 5), 3), ConvDensityArch(8, 6, (3, 2), 5)],
+                         ids=["mlp", "conv"])
+def test_arch_from_descriptor_inverts_descriptor(arch):
+    assert arch_from_descriptor(arch.descriptor()) == arch
+    assert arch_from_descriptor(json.loads(json.dumps(arch.descriptor()))) == arch
 
 
 def test_model_params_validates_shapes_against_architecture():

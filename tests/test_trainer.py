@@ -101,17 +101,24 @@ def test_early_stop_counter_resets_on_boundary_improvement():
 
 
 def test_train_config_validation():
-    TrainConfig().validate()
+    TrainConfig()
     with pytest.raises(ConfigError):
-        TrainConfig(mode="magic").validate()
+        TrainConfig(mode="magic")
     with pytest.raises(ConfigError):
-        TrainConfig(alpha=1.0).validate()
+        TrainConfig(alpha=1.0)
     with pytest.raises(ConfigError):
-        TrainConfig(max_epochs=None, budget_seconds=None).validate()
+        TrainConfig(max_epochs=None, budget_seconds=None)
     with pytest.raises(ConfigError):
-        TrainConfig(max_epochs=2, warmup_epochs=3).validate()
+        TrainConfig(max_epochs=2, warmup_epochs=3)
     with pytest.raises(ConfigError):
-        TrainConfig(loss_kind="huber").validate()
+        TrainConfig(loss_kind="huber")
+
+
+def test_train_config_is_checked_again_when_replaced_and_cannot_be_assigned():
+    with pytest.raises(ConfigError, match="alpha"):
+        dataclasses.replace(TrainConfig(), alpha=1.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        TrainConfig().alpha = 1.0
 
 
 def test_mode_mismatch_is_rejected():
