@@ -20,6 +20,7 @@ without sleeping.
 from __future__ import annotations
 
 import math
+import statistics
 import time
 from collections import defaultdict
 from contextlib import contextmanager
@@ -30,6 +31,9 @@ from .errors import BudgetError
 
 # smoothing for the running batch-time estimate after warm-up
 TB_EWMA_BETA = 0.9
+# warm-up batches whose median projects the warm-up's cost: enough that a
+# cold first batch of the process cannot move the projection
+WARMUP_PROJECTION_BATCHES = 8
 
 
 @dataclass
@@ -114,7 +118,8 @@ class BudgetClock:
     ``total_budget=None`` disables enforcement but keeps the accounting, so
     exposure-capped runs still report a full budget trace.
     ``warmup_batches`` is the number of batches the warm-up will run, from
-    which its first batch projects the warm-up's cost; 0 skips the projection.
+    which the median of its first ``WARMUP_PROJECTION_BATCHES`` batches (all
+    of them, if fewer) projects the warm-up's cost; 0 skips the projection.
     """
 
     def __init__(self, total_budget: float | None, clock, warmup_batches: int = 0):
@@ -130,6 +135,7 @@ class BudgetClock:
         self.tb_max = 0.0
         self.warmup_elapsed: float | None = None
         self.warmup_count = 0  # batches the warm-up ran
+        self._projecting: list[float] = []  # the warm-up batch times that project it
         self.planned_initial: int | None = None
 
     @property
@@ -143,8 +149,8 @@ class BudgetClock:
         Returns the finished span, whose ``value`` is what ``work`` returned,
         or None without running ``work`` when its estimate no longer fits the
         budget.  During the warm-up (until ``finish_warmup`` sets the batch
-        time ``tb``) nothing is refused; instead the first warm-up batch
-        raises if it projects a warm-up longer than the budget, and any
+        time ``tb``) nothing is refused; instead the warm-up raises once its
+        first few batches project it longer than the budget, and any
         warm-up batch raises once the budget is spent.  After it, work
         counted in ``batches`` is estimated at ``tb`` per batch, any other
         section at the longest ``label`` section so far, and the first
@@ -161,7 +167,7 @@ class BudgetClock:
         stats.longest = max(stats.longest, span.elapsed)
         if label == "batch":
             if self.tb is None:
-                self._check_warmup(span.elapsed, stats.count)
+                self._check_warmup(span.elapsed)
             else:
                 self.tb_max = max(self.tb_max, span.elapsed)
                 self.tb = TB_EWMA_BETA * self.tb + (1.0 - TB_EWMA_BETA) * span.elapsed
@@ -179,18 +185,23 @@ class BudgetClock:
             return False  # the first section of a label
         return self.consumed + estimate > self.total_budget
 
-    def _check_warmup(self, batch_seconds: float, done: int) -> None:
+    def _check_warmup(self, batch_seconds: float) -> None:
         T = self.total_budget
         if T is None:
             return
-        projected = batch_seconds * self.warmup_batches
-        if done == 1 and projected > T:
-            raise BudgetError(
-                f"budget {T}s smaller than projected warm-up cost {projected:.3f}s"
-                f" ({self.warmup_batches} batches at {batch_seconds:.4f}s)"
-            )
+        wanted = min(WARMUP_PROJECTION_BATCHES, self.warmup_batches)
+        if len(self._projecting) < wanted:
+            self._projecting.append(batch_seconds)
+            median = statistics.median(self._projecting)
+            projected = median * self.warmup_batches
+            if len(self._projecting) == wanted and projected > T:
+                raise BudgetError(
+                    f"budget {T}s smaller than projected warm-up cost {projected:.3f}s"
+                    f" ({self.warmup_batches} batches at a median {median:.4f}s)"
+                )
         consumed = self.consumed
         if consumed > T:
+            done = self.sections["batch"].count
             raise BudgetError(
                 f"budget {T}s exhausted during warm-up ({consumed:.3f}s elapsed after {done} batches)"
             )

@@ -5,13 +5,16 @@ effective score is ``mean + lambda_var * std`` over a sliding window, so
 samples the model still struggles with rank high, and samples whose loss
 swings between passes get an extra push to stay in the pool.  Ranking is
 descending by score with ascending-id tie-breaks, and the active subset keeps
-the top ``(1 - alpha)`` fraction, either globally or per class.
+the top ``(1 - alpha)`` fraction, either globally or per class.  Nothing is
+sorted: each class's quota-th best score is found by partition, and the
+subset is every score above it plus the ties at it in ascending-id order,
+so selection is O(N) per class.
 
 All per-sample state is held in arrays in ascending-id order: the ledger's
 ``ids``, its loss windows, the scores ``effective_scores`` returns, and the
 scores ``select_subset`` takes.  The ledger is written by row: a ledger
-built from a dataset's ids has the dataset's rows, so the trainer records a
-batch of losses under the same row indices it trained on.
+built from a dataset's ids has the dataset's rows, so the trainer records an
+epoch's losses under the same row indices it trained on, in one call.
 
 Samples outside the active subset receive no new losses; their history (and
 hence their score) goes stale until the full universe is merged and re-ranked,
@@ -111,18 +114,26 @@ class ImportanceLedger:
     def moments(self) -> tuple[np.ndarray, np.ndarray]:
         """Mean and population std of each window's valid losses; NaN where empty.
 
-        The windows are summed zero padding first, then oldest loss first, so
-        for W < 8, where numpy sums a row in order, each row's sums equal
-        those of its valid losses alone: the results are bit-identical to
-        ``np.mean`` and ``np.std`` of the history (but for the sign of a
-        partial window of -0.0 losses alone, whose padded sum is +0.0).
+        Both sums run column by column in storage order, zero padding first,
+        then oldest loss first, so each row's sums equal the in-order sums
+        of its valid losses alone: the results are bit-identical to
+        ``np.mean`` and ``np.std`` of the history wherever numpy sums in
+        order, which it does for W < 8 (but for the sign of a partial
+        window of -0.0 losses alone, whose padded sum is +0.0).
         """
         counts = np.minimum(self._counts, self.window)
-        valid = np.arange(self.window) >= (self.window - counts)[:, None]
+        first_valid = self.window - counts  # column of each row's oldest valid loss
+        total, squares, dev = (np.zeros(self.ids.size) for _ in range(3))
         with np.errstate(invalid="ignore", divide="ignore"):
-            mean = self._losses.sum(axis=1) / counts
-            dev = np.where(valid, self._losses - mean[:, None], 0.0)
-            std = np.sqrt((dev * dev).sum(axis=1) / counts)
+            for column in self._losses.T:
+                total += column
+            mean = total / counts
+            for j, column in enumerate(self._losses.T):
+                np.subtract(column, mean, out=dev)
+                np.multiply(dev, dev, out=dev)
+                np.copyto(dev, 0.0, where=first_valid > j)  # padding adds zero
+                squares += dev
+            std = np.sqrt(squares / counts)
         return mean, std
 
     def effective_scores(self, lambda_var: float) -> np.ndarray:
@@ -141,12 +152,21 @@ class ImportanceLedger:
         return mean + lambda_var * std
 
 
-def _ranking(ids: np.ndarray, scores: np.ndarray, *outer_keys) -> np.ndarray:
-    """Positions sorted by the outer keys, then descending score, then ascending id."""
-    nan = np.isnan(scores)
-    if nan.any():
-        raise LedgerError(f"NaN score for sample id {ids[nan.argmax()]}")
-    return np.lexsort((-scores,) + outer_keys)  # stable: ties keep the ascending-id row order
+def _top_rows(scores: np.ndarray, quota: int) -> np.ndarray:
+    """Positions of the ``quota`` best ``scores``: descending score, ties
+    taken in ascending position, without sorting.
+
+    The ``quota``-th best score is found by partition; every score above it
+    is in, and the ties at it fill the remaining places in position order.
+    """
+    if quota >= scores.size:
+        return np.arange(scores.size)
+    if quota == 0:
+        return np.arange(0)
+    cut = np.partition(scores, scores.size - quota)[scores.size - quota]
+    above = np.flatnonzero(scores > cut)
+    ties = np.flatnonzero(scores == cut)[: quota - above.size]
+    return np.concatenate((above, ties))
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,19 +264,19 @@ def select_subset(scores, dataset: Dataset, alpha: float, stratified: bool) -> S
         )
 
     total_target = subset_size(ids.size, alpha)
-    groups = tags if stratified else np.zeros_like(tags)
-    classes, sizes = np.unique(groups, return_counts=True)
     if stratified:
-        class_sizes = dict(zip(classes.tolist(), sizes.tolist()))
-        quotas = _stratified_quotas(class_sizes, alpha, total_target)
-        quota = np.array([quotas[c] for c in classes.tolist()])
-    else:
-        quota = np.array([total_target])
-    # one sort groups the samples by class, best first within each class
-    order = _ranking(ids, scores, groups)
-    place_in_class = np.arange(ids.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        classes, sizes = np.unique(tags, return_counts=True)
+        quotas = _stratified_quotas(dict(zip(classes.tolist(), sizes.tolist())), alpha, total_target)
+    nan = np.isnan(scores)
+    if nan.any():
+        raise LedgerError(f"NaN score for sample id {ids[nan.argmax()]}")
     selected = np.zeros(ids.size, dtype=bool)
-    selected[order] = place_in_class < np.repeat(quota, sizes)
+    if stratified:
+        for c, quota in quotas.items():
+            rows = np.flatnonzero(tags == c)
+            selected[rows[_top_rows(scores[rows], quota)]] = True
+    else:
+        selected[_top_rows(scores, total_target)] = True
 
     counted_classes, counts = np.unique(tags[selected], return_counts=True)
     return SubsetPlan(

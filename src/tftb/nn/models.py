@@ -6,15 +6,23 @@
                       convolutions with ReLU, then a 1x1 convolution down to a
                       single-channel map the size of the input image.
 
-Parameters, activations, and gradients are C-contiguous float64 numpy
-arrays throughout, which gives the finite-difference checks headroom; NaN
-or Inf in any of them is an error state, never a value.
+Parameters, activations, and gradients are float64 numpy arrays
+throughout, which gives the finite-difference checks headroom; NaN or Inf
+in any of them is an error state, never a value.
 A model's parameters are one contiguous vector, ``ModelParams.flat``, with
 per-layer views ``weights`` and ``biases``.  ``loss_and_grad`` returns the
 gradient in the same layout, as a ``ModelParams`` whose views the backward
 passes write into, so the optimizer takes it as one vector.
 No autodiff: each architecture's backward pass is written out explicitly and
 is checked against central finite differences in the test suite.
+
+The arithmetic runs in a ``BatchStep``: the buffers of one batch for one
+architecture, batch size and loss kind, which every operation fills through
+``out=``.  A training run builds one step and checks its data once with
+``check_inputs``; then a batch is arithmetic plus one finite-loss check and
+allocates nothing that grows with the batch.  ``forward``,
+``loss_and_grad`` and ``per_sample_losses`` without ``step=`` check their
+arguments and run the same arithmetic on a step of their own.
 
 Convolutions are im2col + GEMM: activations are kept channel-major,
 (C, N*H*W), the k x k patches of a chunk of whole samples are copied into one
@@ -23,8 +31,8 @@ product per chunk (BLAS, via ``@``) does the work: ``W @ patches`` forward,
 ``d_z @ patches.T`` for the weight gradient, and the same patch product on
 ``d_z`` with the flipped, transposed kernel for the input gradient, which
 the first layer skips.  Patch memory is thus bounded by the buffer, not the
-batch; a step holds the cached layer inputs, a few activation-sized arrays
-and that buffer.
+batch; a step holds the layer inputs, a few activation-sized arrays and
+their gradients.
 """
 
 from __future__ import annotations
@@ -45,11 +53,25 @@ LOSS_KINDS = ("cross_entropy", "pixelwise_l2")
 # Size of the per-thread im2col patch buffer the convolutions share: 1 MiB.
 PATCH_BUFFER_FLOATS = 1 << 17
 _scratch = threading.local()
+PAGE_BYTES = 4096
 
 
 def as_f64(values) -> np.ndarray:
     """Coerce to a C-contiguous float64 array."""
     return np.ascontiguousarray(values, dtype=np.float64)
+
+
+def _empty(shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+    """An uninitialised array that starts on a page boundary.
+
+    A step's buffers and the patch buffer are allocated so.  Left where the
+    heap puts them, the same conv step ran 10-20% faster or slower with the
+    directory the program was started from; page-aligned, it does not vary.
+    """
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    raw = np.empty(nbytes + PAGE_BYTES, dtype=np.uint8)
+    start = -raw.ctypes.data % PAGE_BYTES
+    return raw[start : start + nbytes].view(dtype).reshape(shape)
 
 
 def require_finite(arr: np.ndarray, context: str) -> np.ndarray:
@@ -92,6 +114,9 @@ class MlpArch(_Arch):
     def input_shape(self) -> tuple[int, ...]:
         return (self.input_dim,)
 
+    def output_shape(self) -> tuple[int, ...]:
+        return (self.num_classes,)
+
 
 @dataclass(frozen=True)
 class ConvDensityArch(_Arch):
@@ -121,6 +146,9 @@ class ConvDensityArch(_Arch):
     def input_shape(self) -> tuple[int, ...]:
         return (self.image_height, self.image_width)
 
+    def output_shape(self) -> tuple[int, ...]:
+        return self.input_shape()
+
 
 Architecture = Union[MlpArch, ConvDensityArch]
 _BY_KIND = {arch.kind: arch for arch in (MlpArch, ConvDensityArch)}
@@ -138,10 +166,9 @@ def arch_from_descriptor(desc: dict) -> Architecture:
     return cls(**values)
 
 
-@functools.cache
 def _layout(arch: Architecture) -> tuple[tuple[tuple[int, ...], int, int], ...]:
     """``(shape, start, stop)`` of every parameter array in ``ModelParams.flat``
-    order; computed once per architecture, since every gradient has it too."""
+    order."""
     spans, offset = [], 0
     for shape in (shape for pair in arch.layer_shapes() for shape in pair):
         spans.append((shape, offset, offset + math.prod(shape)))
@@ -212,10 +239,10 @@ class LossBatchResult:
 
 
 # ---------------------------------------------------------------------------
-# forward passes
+# input checks
 
 
-def _check_batch(arch: Architecture, batch: np.ndarray) -> np.ndarray:
+def _check_batch(arch: Architecture, batch) -> np.ndarray:
     batch = as_f64(batch)
     want = arch.input_shape()
     if batch.ndim != len(want) + 1 or tuple(batch.shape[1:]) != want:
@@ -226,25 +253,45 @@ def _check_batch(arch: Architecture, batch: np.ndarray) -> np.ndarray:
     return batch
 
 
-def _mlp_forward(params: ModelParams, x: np.ndarray):
-    # Cache post-activation of every layer; activations[0] is the input.
-    activations = [x]
-    a = x
-    last = len(params.weights) - 1
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = a @ w + b
-        a = z if i == last else np.maximum(z, 0.0)
-        activations.append(a)
-    return a, activations
+def _check_targets(targets, loss_kind: str, output_shape: tuple[int, ...]) -> np.ndarray:
+    """``targets`` as the array the loss reads, checked against the shape of
+    the model output they belong to."""
+    n = output_shape[0]
+    if loss_kind == "cross_entropy":
+        y = np.asarray(targets)
+        if y.shape != (n,):
+            raise ShapeError(
+                f"cross_entropy targets: expected shape ({n},) of class indices, "
+                f"got {tuple(y.shape)}"
+            )
+        y = y.astype(np.int64, copy=False)
+        num_classes = math.prod(output_shape[1:])
+        if y.min(initial=0) < 0 or y.max(initial=0) >= num_classes:
+            raise ShapeError(
+                f"cross_entropy targets out of range [0, {num_classes}): "
+                f"min {y.min()}, max {y.max()}"
+            )
+        return y
+    if loss_kind == "pixelwise_l2":
+        t = as_f64(targets)
+        if t.shape != output_shape:
+            raise ShapeError(
+                f"pixelwise_l2 targets: expected shape {output_shape}, got {tuple(t.shape)}"
+            )
+        return t
+    raise ShapeError(f"unknown loss kind {loss_kind!r}; expected one of {LOSS_KINDS}")
 
 
-def _mlp_backward(params: ModelParams, activations, d_out: np.ndarray, grad: ModelParams):
-    delta = d_out
-    for i in range(len(params.weights) - 1, -1, -1):
-        np.matmul(activations[i].T, delta, out=grad.weights[i])
-        delta.sum(axis=0, out=grad.biases[i])
-        if i > 0:
-            delta = (delta @ params.weights[i].T) * (activations[i] > 0.0)
+def check_inputs(arch: Architecture, features, targets, loss_kind: str):
+    """``(features, targets)`` as float64 / int64 arrays, checked against the
+    architecture's input and output shapes and the loss kind: what a step
+    then reads without checking again."""
+    features = _check_batch(arch, features)
+    return features, _check_targets(targets, loss_kind, (len(features), *arch.output_shape()))
+
+
+# ---------------------------------------------------------------------------
+# convolution kernels
 
 
 def _patch_buffer(floats: int) -> np.ndarray:
@@ -259,7 +306,7 @@ def _patch_buffer(floats: int) -> np.ndarray:
         return np.empty(floats)
     buf = getattr(_scratch, "patches", None)
     if buf is None:
-        buf = _scratch.patches = np.empty(PATCH_BUFFER_FLOATS)
+        buf = _scratch.patches = _empty((PATCH_BUFFER_FLOATS,))
     return buf
 
 
@@ -285,158 +332,322 @@ def _patches(src: np.ndarray, k: int):
         yield n0 * pixels, n1 * pixels, chunk.reshape(rows, -1)
 
 
-def _conv(src: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _conv(src: np.ndarray, w: np.ndarray, out: np.ndarray) -> None:
     """Stride-1 same-padded convolution as chunked GEMMs.
 
     ``src`` is the padded channel-major input (Cin, N, H+k-1, W+k-1) and
-    ``w`` (Cout, Cin, k, k); returns the bias-free (Cout, N*H*W) output.
+    ``w`` (Cout, Cin, k, k); writes the bias-free output into ``out``,
+    (Cout, N*H*W).
     """
-    _, n, hp, wp = src.shape
-    k = w.shape[2]
-    out = np.empty((w.shape[0], n * (hp - k + 1) * (wp - k + 1)))
     w_mat = w.reshape(w.shape[0], -1)
-    for lo, hi, patches in _patches(src, k):
+    for lo, hi, patches in _patches(src, w.shape[2]):
         np.matmul(w_mat, patches, out=out[:, lo:hi])
-    return out
 
 
 def _conv_weight_grad(src: np.ndarray, d_z: np.ndarray, d_w: np.ndarray) -> None:
-    """Add the gradient of ``w`` in ``_conv(src, w)`` for output gradient
-    ``d_z`` into ``d_w``, an array shaped like ``w``."""
+    """Write the gradient of ``w`` in ``_conv(src, w, ...)`` for output
+    gradient ``d_z`` into ``d_w``, an array shaped like ``w``: the sum of
+    one patch product per chunk."""
+    d_w[...] = 0.0
     d_w_mat = d_w.reshape(d_w.shape[0], -1)
     for lo, hi, patches in _patches(src, d_w.shape[2]):
         d_w_mat += d_z[:, lo:hi] @ patches.T
 
 
-def _conv_input_grad(w: np.ndarray, d_z: np.ndarray, image_shape) -> np.ndarray:
-    """Gradient of the unpadded input of ``_conv(src, w)``: the same
-    convolution of the padded ``d_z`` with the flipped, transposed kernel."""
-    k = w.shape[2]
-    flipped = np.ascontiguousarray(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
-    return _conv(_pad(d_z.reshape(w.shape[0], *image_shape), k // 2), flipped)
-
-
-def _pad(a: np.ndarray, p: int, relu: bool = False) -> np.ndarray:
-    """Zero-pad the image axes of a channel-major (C, N, H, W) array by ``p``,
-    applying ReLU on the way in if ``relu``."""
-    c, n, h, w = a.shape
-    out = np.zeros((c, n, h + 2 * p, w + 2 * p))
-    inner = out[:, :, p : p + h, p : p + w]
+def _pad_into(dst: np.ndarray, src: np.ndarray, p: int, relu: bool = False) -> None:
+    """Write a channel-major (C, N, H, W) ``src`` into ``dst``, (C, N, H+2p,
+    W+2p), zero-padded by ``p`` on the image axes, applying ReLU on the way
+    in if ``relu``."""
+    h, w = src.shape[2:]
+    dst[:, :, :p] = 0.0
+    dst[:, :, p + h :] = 0.0
+    dst[:, :, p : p + h, :p] = 0.0
+    dst[:, :, p : p + h, p + w :] = 0.0
+    inner = dst[:, :, p : p + h, p : p + w]
     if relu:
-        np.maximum(a, 0.0, out=inner)
+        np.maximum(src, 0.0, out=inner)
     else:
-        inner[...] = a
-    return out
-
-
-def _conv_forward(params: ModelParams, x: np.ndarray):
-    # Activations are channel-major (C, N*H*W); x arrives (N, H, W), one channel.
-    # Only layer inputs are cached: relu(z) > 0 exactly where z > 0, so the
-    # post-activations double as the backward pass's ReLU masks.
-    n, h, wid = x.shape
-    w1, w2, w3 = params.weights
-    b1, b2, b3 = params.biases
-    p = w1.shape[2] // 2
-    x_pad = _pad(x[None], p)
-    z1 = _conv(x_pad, w1)
-    z1 += b1[:, None]
-    a1_pad = _pad(z1.reshape(-1, n, h, wid), p, relu=True)
-    del z1  # free before the second convolution allocates its output
-    a2 = _conv(a1_pad, w2)
-    a2 += b2[:, None]
-    np.maximum(a2, 0.0, out=a2)
-    # the 1x1 head is a plain matrix product in this layout
-    z3 = w3.reshape(1, -1) @ a2
-    z3 += b3[:, None]
-    return z3.reshape(n, h, wid), (x_pad, a1_pad, a2)
-
-
-def _conv_backward(params: ModelParams, cache, d_out: np.ndarray, grad: ModelParams):
-    # grad starts at zero: the weight gradients are sums over patch chunks
-    x_pad, a1_pad, a2 = cache
-    w1, w2, w3 = params.weights
-    n, h, wid = d_out.shape
-    p = w1.shape[2] // 2
-    d_z3 = d_out.reshape(1, -1)
-    np.matmul(d_z3, a2.T, out=grad.weights[2].reshape(1, -1))
-    d_z2 = w3.reshape(-1, 1) @ d_z3
-    d_z2 *= a2 > 0.0
-    _conv_weight_grad(a1_pad, d_z2, grad.weights[1])
-    d_z1 = _conv_input_grad(w2, d_z2, (n, h, wid))
-    d_z1 *= (a1_pad[:, :, p : p + h, p : p + wid] > 0.0).reshape(d_z1.shape)
-    # the input image needs no gradient
-    _conv_weight_grad(x_pad, d_z1, grad.weights[0])
-    for d_z, d_b in zip((d_z1, d_z2, d_z3), grad.biases):
-        d_z.sum(axis=1, out=d_b)
-
-
-def _forward_cached(params: ModelParams, batch: np.ndarray):
-    batch = _check_batch(params.arch, batch)
-    if params.arch.kind == "mlp":
-        return _mlp_forward(params, batch)
-    return _conv_forward(params, batch)
-
-
-def forward(params: ModelParams, batch) -> np.ndarray:
-    """Model output: (batch, num_classes) logits or (batch, H, W) density."""
-    out, _ = _forward_cached(params, batch)
-    return require_finite(out, f"{params.arch.kind} forward output")
+        inner[...] = src
 
 
 # ---------------------------------------------------------------------------
 # losses
 
 
-def _cross_entropy(output: np.ndarray, targets) -> tuple[np.ndarray, np.ndarray]:
-    n = output.shape[0]
-    logits = output.reshape(n, -1)
-    y = np.asarray(targets)
-    if y.shape != (n,):
-        raise ShapeError(
-            f"cross_entropy targets: expected shape ({n},) of class indices, "
-            f"got {tuple(y.shape)}"
+class _Loss:
+    """The buffers and arithmetic of one loss kind over up to ``batch_size``
+    model outputs of shape ``output_shape``: per-sample losses and the
+    gradient of the batch-mean loss with respect to the output, ``d_out``."""
+
+    def __init__(self, kind: str, batch_size: int, output_shape: tuple[int, ...]):
+        b, k = batch_size, math.prod(output_shape)
+        self.losses = _empty((b,))
+        if kind == "cross_entropy":
+            self._shifted = _empty((b, k))
+            # exp(shifted), then, with the gradient, the softmax less the target
+            self._exp = _empty((b, k))
+            self.d_out = self._exp.reshape(b, *output_shape)
+            self._exp_flat = self._exp.reshape(-1)
+            self._top, self._total, self._log_total = (_empty((b, 1)) for _ in range(3))
+            self._row_starts = np.arange(b) * k  # flat index of each row's first logit
+            self._row_starts.flags.writeable = False  # a constant, not a buffer
+            self._flat_index = _empty((b,), np.intp)
+        else:
+            self.d_out = _empty((b, *output_shape))  # the difference, then its gradient
+            self._square = _empty((b, *output_shape))
+        self._kind, self._k = kind, k
+
+    def run(self, output: np.ndarray, targets: np.ndarray, grad: bool) -> np.ndarray:
+        """Per-sample losses of ``output``; with ``grad``, also ``d_out[:m]``."""
+        if self._kind == "cross_entropy":
+            return self._cross_entropy(output, targets, grad)
+        return self._pixelwise_l2(output, targets, grad)
+
+    def _cross_entropy(self, output: np.ndarray, y: np.ndarray, grad: bool) -> np.ndarray:
+        m = len(output)
+        logits = output.reshape(m, self._k)
+        top, total, log_total = self._top[:m], self._total[:m], self._log_total[:m]
+        shifted, exp = self._shifted[:m], self._exp[:m]
+        np.maximum.reduce(logits, axis=1, keepdims=True, out=top)
+        np.subtract(logits, top, out=shifted)
+        np.exp(shifted, out=exp)
+        np.add.reduce(exp, axis=1, keepdims=True, out=total)
+        np.log(total, out=log_total)
+        # the target's log-probability, shifted - log_total, negated; the
+        # index is in range, as the targets were checked by check_inputs
+        index = np.add(self._row_starts[:m], y, out=self._flat_index[:m])
+        losses = self._shifted.take(index, out=self.losses[:m], mode="clip")
+        np.subtract(losses, log_total[:, 0], out=losses)
+        np.negative(losses, out=losses)
+        if grad:
+            d_logits = np.divide(exp, total, out=exp)
+            self._exp_flat[index] -= 1.0
+            d_logits /= m  # gradient of the batch-mean loss
+        return losses
+
+    def _pixelwise_l2(self, output: np.ndarray, t: np.ndarray, grad: bool) -> np.ndarray:
+        m = len(output)
+        diff, square = self.d_out[:m], self._square[:m]
+        np.subtract(output, t, out=diff)
+        np.multiply(diff, diff, out=square)
+        losses = np.mean(square.reshape(m, self._k), axis=1, out=self.losses[:m])
+        if grad:
+            diff *= 2.0 / output.size  # gradient of the batch-mean loss
+        return losses
+
+
+def output_losses(output: np.ndarray, targets, loss_kind: str) -> np.ndarray:
+    """Per-sample losses of a ``forward`` output, so a caller that needs both
+    the output and the losses runs the model once."""
+    y = _check_targets(targets, loss_kind, output.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        losses = _Loss(loss_kind, len(output), output.shape[1:]).run(output, y, False)
+    return require_finite(losses, f"{loss_kind} per-sample losses")
+
+
+# ---------------------------------------------------------------------------
+# the bound step
+
+
+class BatchStep:
+    """Every buffer one batch step writes, bound to an architecture, a batch
+    size and a loss kind (None: forward passes only), checked when built.
+
+    A step is built with the buffers of the forward pass: the activations
+    and padded conv inputs, and the loss's.  Each other group is made on the
+    first call that writes it: the backward pass's ``d_z`` buffers and the
+    gradient ``ModelParams`` by ``loss_and_grad``, the gathered batch by
+    ``gather`` and the optimizer's two temporaries by ``adam_step``, so a
+    step built for one call holds only what that call writes.  A batch of
+    ``m <= batch_size`` samples works in the first ``m`` samples of each
+    buffer, so a short tail batch takes views.  Every call writes a buffer
+    before it reads it, so no result depends on what the buffers held
+    before; what a call returns are views of them, valid until its next
+    call.  Calls take their arguments as ``check_inputs`` returns them and
+    check nothing but the finiteness of the losses.
+    """
+
+    def __init__(self, arch: Architecture, batch_size: int, loss_kind: str | None = None):
+        if batch_size < 1:
+            raise ShapeError(f"a batch step needs a batch size >= 1, got {batch_size}")
+        if loss_kind is not None and loss_kind not in LOSS_KINDS:
+            raise ShapeError(f"unknown loss kind {loss_kind!r}; expected one of {LOSS_KINDS}")
+        self.arch, self.batch_size, self.loss_kind = arch, batch_size, loss_kind
+        b = batch_size
+        if arch.kind == "mlp":
+            self._acts = [_empty((b, d)) for d in (*arch.hidden, arch.num_classes)]
+        else:
+            (c1, c2), k = arch.channels, arch.kernel_size
+            h, w = arch.input_shape()
+            padded, pixels = (b, h + k - 1, w + k - 1), b * h * w
+            self._x_pad = _empty((1, *padded))
+            self._a1_pad = _empty((c1, *padded))
+            # z1; a2 once z1 has passed into a1_pad; d_z1 once a2 is spent
+            self._z = _empty((max(c1, c2) * pixels,))
+            self._z3 = _empty((1, pixels))
+        if loss_kind is not None:
+            self._loss = _Loss(loss_kind, b, arch.output_shape())
+
+    @functools.cached_property
+    def grad(self) -> ModelParams:
+        """The gradient ``loss_and_grad`` writes."""
+        return ModelParams.zeros(self.arch)
+
+    @functools.cached_property
+    def adam_scratch(self) -> tuple[np.ndarray, np.ndarray]:
+        """The two temporaries of ``adam_step``, laid out like ``ModelParams.flat``."""
+        shape = self.grad.flat.shape
+        return _empty(shape), _empty(shape)
+
+    @functools.cached_property
+    def _gathered(self) -> tuple[np.ndarray, np.ndarray]:
+        b, arch = self.batch_size, self.arch
+        if self.loss_kind == "cross_entropy":
+            targets = _empty((b,), np.int64)
+        else:
+            targets = _empty((b, *arch.output_shape()))
+        return _empty((b, *arch.input_shape())), targets
+
+    @functools.cached_property
+    def _backward_buffers(self) -> tuple:
+        b, arch = self.batch_size, self.arch
+        if arch.kind == "mlp":
+            return [_empty((b, d)) for d in arch.hidden], [_empty((b, d), bool) for d in arch.hidden]
+        (c1, c2), k = arch.channels, arch.kernel_size
+        h, w = arch.input_shape()
+        pixels = b * h * w
+        return (
+            _empty((c2, pixels)),  # d_z2
+            _empty((c2, b, h + k - 1, w + k - 1)),  # d_z2, padded
+            _empty((c1, b, h, w), bool),
+            _empty((c2, pixels), bool),
         )
-    y = y.astype(np.int64)
-    num_classes = logits.shape[1]
-    if y.min(initial=0) < 0 or y.max(initial=0) >= num_classes:
-        raise ShapeError(
-            f"cross_entropy targets out of range [0, {num_classes}): "
-            f"min {y.min()}, max {y.max()}"
-        )
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    sum_exp = exp.sum(axis=1, keepdims=True)
-    log_probs = shifted - np.log(sum_exp)
-    per_sample = -log_probs[np.arange(n), y]
-    probs = exp / sum_exp
-    d_logits = probs.copy()
-    d_logits[np.arange(n), y] -= 1.0
-    d_logits /= n  # gradient of the batch-mean loss
-    return per_sample, d_logits.reshape(output.shape)
+
+    def gather(self, features: np.ndarray, targets: np.ndarray, rows: np.ndarray):
+        """Copy ``features[rows]`` and ``targets[rows]`` into the step's input
+        buffers and return them: ``(batch, targets)``.  A row out of range
+        raises ``IndexError``, as indexing would."""
+        m = len(rows)
+        inputs, gathered = self._gathered
+        x = features.take(rows, axis=0, out=inputs[:m])
+        y = targets.take(rows, axis=0, out=gathered[:m])
+        return x, y
+
+    def forward(self, params: ModelParams, batch: np.ndarray) -> np.ndarray:
+        if self.arch.kind == "mlp":
+            return self._mlp_forward(params, batch)
+        return self._conv_forward(params, batch)
+
+    def per_sample_losses(self, params: ModelParams, batch, targets) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):
+            losses = self._loss.run(self.forward(params, batch), targets, False)
+        return require_finite(losses, f"{self.loss_kind} per-sample losses")
+
+    def loss_and_grad(self, params: ModelParams, batch, targets, sample_ids=None) -> LossBatchResult:
+        # overflow here surfaces as a NonFiniteError below, not as a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            losses = self._loss.run(self.forward(params, batch), targets, True)
+            mean_loss = float(np.add.reduce(losses)) / len(losses)
+        if not math.isfinite(mean_loss):
+            bad = np.flatnonzero(~np.isfinite(losses))
+            if bad.size:
+                idx = int(bad[0])
+                sid = int(sample_ids[idx]) if sample_ids is not None else idx
+                raise NonFiniteError(
+                    f"non-finite {self.loss_kind} loss for sample id {sid}", sample_id=sid
+                )
+        backward = self._mlp_backward if self.arch.kind == "mlp" else self._conv_backward
+        backward(params, batch, self._loss.d_out[: len(batch)])
+        return LossBatchResult(per_sample_losses=losses, mean_loss=mean_loss, grad=self.grad)
+
+    def _mlp_forward(self, params: ModelParams, x: np.ndarray) -> np.ndarray:
+        # a ReLU after every layer but the logit head
+        m, last = len(x), len(params.weights) - 1
+        a = x
+        for i, (w, b, z) in enumerate(zip(params.weights, params.biases, self._acts)):
+            a = np.matmul(a, w, out=z[:m])
+            a += b
+            if i != last:
+                np.maximum(a, 0.0, out=a)
+        return a
+
+    def _mlp_backward(self, params: ModelParams, x: np.ndarray, d_out: np.ndarray) -> None:
+        m, grad = len(x), self.grad
+        d_zs, masks = self._backward_buffers
+        inputs = [x] + [a[:m] for a in self._acts[:-1]]  # each layer's input
+        delta = d_out
+        for i in range(len(params.weights) - 1, -1, -1):
+            np.matmul(inputs[i].T, delta, out=grad.weights[i])
+            np.add.reduce(delta, axis=0, out=grad.biases[i])
+            if i > 0:
+                below = np.matmul(delta, params.weights[i].T, out=d_zs[i - 1][:m])
+                below *= np.greater(inputs[i], 0.0, out=masks[i - 1][:m])
+                delta = below
+
+    def _conv_forward(self, params: ModelParams, x: np.ndarray) -> np.ndarray:
+        # Activations are channel-major (C, N*H*W); x arrives (N, H, W), one channel.
+        # Only layer inputs are kept: relu(z) > 0 exactly where z > 0, so the
+        # post-activations double as the backward pass's ReLU masks.
+        m, h, wid = x.shape
+        pixels = m * h * wid
+        w1, w2, w3 = params.weights
+        b1, b2, b3 = params.biases
+        c1, c2 = len(w1), len(w2)
+        p = w1.shape[2] // 2
+        x_pad, a1_pad = self._x_pad[:, :m], self._a1_pad[:, :m]
+        _pad_into(x_pad, x[None], p)
+        z1 = self._z[: c1 * pixels].reshape(c1, pixels)
+        _conv(x_pad, w1, z1)
+        z1 += b1[:, None]
+        _pad_into(a1_pad, z1.reshape(c1, m, h, wid), p, relu=True)
+        a2 = self._z[: c2 * pixels].reshape(c2, pixels)
+        _conv(a1_pad, w2, a2)
+        a2 += b2[:, None]
+        np.maximum(a2, 0.0, out=a2)
+        # the 1x1 head is a plain matrix product in this layout
+        z3 = np.matmul(w3.reshape(1, -1), a2, out=self._z3[:, :pixels])
+        z3 += b3[:, None]
+        return z3.reshape(m, h, wid)
+
+    def _conv_backward(self, params: ModelParams, x: np.ndarray, d_out: np.ndarray) -> None:
+        m, h, wid = x.shape
+        pixels = m * h * wid
+        w1, w2, w3 = params.weights
+        c1, c2 = len(w1), len(w2)
+        grad = self.grad
+        d_z2_buf, d_z2_pad_buf, mask1_buf, mask2_buf = self._backward_buffers
+        p = w1.shape[2] // 2
+        x_pad, a1_pad = self._x_pad[:, :m], self._a1_pad[:, :m]
+        a2 = self._z[: c2 * pixels].reshape(c2, pixels)
+        d_z3 = d_out.reshape(1, -1)
+        np.matmul(d_z3, a2.T, out=grad.weights[2].reshape(1, -1))
+        d_z2 = np.matmul(w3.reshape(-1, 1), d_z3, out=d_z2_buf[:, :pixels])
+        d_z2 *= np.greater(a2, 0.0, out=mask2_buf[:, :pixels])
+        _conv_weight_grad(a1_pad, d_z2, grad.weights[1])
+        # the input gradient of the second layer: the same convolution of the
+        # padded d_z2 with the flipped, transposed kernel, written over a2,
+        # which is spent; the first layer's input, the image, needs none
+        d_z2_pad = d_z2_pad_buf[:, :m]
+        _pad_into(d_z2_pad, d_z2.reshape(c2, m, h, wid), p)
+        flipped = np.ascontiguousarray(w2[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+        d_z1 = self._z[: c1 * pixels].reshape(c1, pixels)
+        _conv(d_z2_pad, flipped, d_z1)
+        mask1 = np.greater(a1_pad[:, :, p : p + h, p : p + wid], 0.0, out=mask1_buf[:, :m])
+        d_z1 *= mask1.reshape(d_z1.shape)
+        _conv_weight_grad(x_pad, d_z1, grad.weights[0])
+        for d_z, d_b in zip((d_z1, d_z2, d_z3), grad.biases):
+            d_z.sum(axis=1, out=d_b)
 
 
-def _pixelwise_l2(output: np.ndarray, targets) -> tuple[np.ndarray, np.ndarray]:
-    t = as_f64(targets)
-    if t.shape != output.shape:
-        raise ShapeError(
-            f"pixelwise_l2 targets: expected shape {tuple(output.shape)}, "
-            f"got {tuple(t.shape)}"
-        )
-    n = output.shape[0]
-    per_element = output.size // n
-    diff = output - t
-    per_sample = (diff * diff).reshape(n, -1).mean(axis=1)
-    d_out = (2.0 / (n * per_element)) * diff
-    return per_sample, d_out
+# ---------------------------------------------------------------------------
+# checked entry points: each runs a step of its own
 
 
-def _loss(output: np.ndarray, targets, loss_kind: str) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample losses and the batch-mean loss gradient of a model output."""
-    if loss_kind == "cross_entropy":
-        return _cross_entropy(output, targets)
-    if loss_kind == "pixelwise_l2":
-        return _pixelwise_l2(output, targets)
-    raise ShapeError(f"unknown loss kind {loss_kind!r}; expected one of {LOSS_KINDS}")
+def forward(params: ModelParams, batch) -> np.ndarray:
+    """Model output: (batch, num_classes) logits or (batch, H, W) density."""
+    batch = _check_batch(params.arch, batch)
+    out = BatchStep(params.arch, max(1, len(batch))).forward(params, batch)
+    return require_finite(out, f"{params.arch.kind} forward output")
 
 
 def loss_and_grad(
@@ -445,6 +656,8 @@ def loss_and_grad(
     targets,
     loss_kind: str,
     sample_ids: Sequence[int] | None = None,
+    *,
+    step: BatchStep | None = None,
 ) -> LossBatchResult:
     """Per-sample losses plus gradients of the batch-mean loss.
 
@@ -452,38 +665,24 @@ def loss_and_grad(
     logits; ``pixelwise_l2`` is the per-sample mean squared element
     difference.  Both apply to either architecture, so gradient checks can
     cover the full model/loss cross product.
+
+    Without ``step`` the arguments are checked, an empty batch is refused,
+    and the work runs on a step of its own.  With ``step``, one built for ``params.arch`` and
+    ``loss_kind``, they are taken as ``check_inputs`` returns them, and the
+    result's arrays are the step's buffers, valid until its next call.
     """
-    # overflow here surfaces as a NonFiniteError below, not as a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        out, cache = _forward_cached(params, batch)
-        per_sample, d_out = _loss(out, targets, loss_kind)
-
-    bad = np.flatnonzero(~np.isfinite(per_sample))
-    if bad.size:
-        idx = int(bad[0])
-        sid = int(sample_ids[idx]) if sample_ids is not None else idx
-        raise NonFiniteError(
-            f"non-finite {loss_kind} loss for sample id {sid}", sample_id=sid
-        )
-
-    grad = ModelParams.zeros(params.arch)
-    backward = _mlp_backward if params.arch.kind == "mlp" else _conv_backward
-    backward(params, cache, d_out, grad)
-    return LossBatchResult(
-        per_sample_losses=per_sample, mean_loss=float(per_sample.mean()), grad=grad
-    )
+    if step is None:
+        batch, targets = check_inputs(params.arch, batch, targets, loss_kind)
+        step = BatchStep(params.arch, len(batch), loss_kind)
+    return step.loss_and_grad(params, batch, targets, sample_ids)
 
 
-def output_losses(output: np.ndarray, targets, loss_kind: str) -> np.ndarray:
-    """Per-sample losses of a ``forward`` output, so a caller that needs both
-    the output and the losses runs the model once."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        per_sample, _ = _loss(output, targets, loss_kind)
-    return require_finite(per_sample, f"{loss_kind} per-sample losses")
-
-
-def per_sample_losses(params: ModelParams, batch, targets, loss_kind: str) -> np.ndarray:
-    """Forward-only per-sample losses (used to refresh excluded samples)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        out, _ = _forward_cached(params, batch)
-    return output_losses(out, targets, loss_kind)
+def per_sample_losses(
+    params: ModelParams, batch, targets, loss_kind: str, *, step: BatchStep | None = None
+) -> np.ndarray:
+    """Forward-only per-sample losses (used to refresh excluded samples and
+    to validate); ``step`` as in ``loss_and_grad``."""
+    if step is None:
+        batch, targets = check_inputs(params.arch, batch, targets, loss_kind)
+        step = BatchStep(params.arch, max(1, len(batch)), loss_kind)
+    return step.per_sample_losses(params, batch, targets)

@@ -18,11 +18,21 @@ Both modes share one epoch loop, whose phase is ``warmup``, ``selective``
 or ``full``.  The baseline trains on the full dataset with fresh random
 shuffles each epoch and identical optimizer, losses, budget enforcement, and
 early stopping.  The loop only sequences the work: every timed section --
-shuffle, batch, validation, rank, refresh, ledger dump -- runs through
-``BudgetClock.section`` under its label and, where the work is counted in
-batches, its size in batches.  The clock charges it, and the time around it,
-to the budget, applies the warm-up checks, and skips the section once its
-estimate no longer fits.
+shuffle, batch, validation, rank, refresh, ledger dump -- runs
+through ``BudgetClock.section`` under its label and, where the work is
+counted in batches, its size in batches.  The clock charges it, and the time
+around it, to the budget, applies the warm-up checks, and skips the section
+once its estimate no longer fits.
+
+A run checks its data once and builds one ``BatchStep`` for its
+architecture, batch size and loss kind; every batch, validation and refresh
+pass runs on that step's buffers, through ``loss_and_grad``, ``adam_step``
+and ``per_sample_losses`` with ``step=``.  A batch keeps its losses in an
+epoch buffer laid out like the epoch's row order, and the ledger is written
+once per epoch and once per refresh.  The epoch's write runs in the section
+that closes it, ``validation``, before the validation pass, so a run that
+cannot afford it ends before anything reads the ledger; an epoch cut short
+by a refused batch ends the run, and is not written.
 """
 
 from __future__ import annotations
@@ -48,7 +58,14 @@ from .importance import (
 )
 from .manifest import EpochReport, RunManifest
 from .nn.adam import init_adam_state, adam_step
-from .nn.models import LOSS_KINDS, ModelParams, loss_and_grad, per_sample_losses
+from .nn.models import (
+    LOSS_KINDS,
+    BatchStep,
+    ModelParams,
+    check_inputs,
+    loss_and_grad,
+    per_sample_losses,
+)
 
 MODES = ("baseline", "tftb")
 
@@ -149,13 +166,13 @@ def _epoch_batches(pool: np.ndarray, n_total: int, rng: np.random.Generator) -> 
     return np.concatenate(perms)[:n_total]
 
 
-def _mean_eval_loss(params, dataset: Dataset, loss_kind, batch_size) -> float:
+def _mean_eval_loss(params, feats, targets, step: BatchStep) -> float:
     total = 0.0
-    for lo in range(0, len(dataset), batch_size):
-        rows = slice(lo, lo + batch_size)
-        losses = per_sample_losses(params, dataset.features[rows], dataset.targets[rows], loss_kind)
+    for lo in range(0, len(feats), step.batch_size):
+        rows = slice(lo, lo + step.batch_size)
+        losses = per_sample_losses(params, feats[rows], targets[rows], step.loss_kind, step=step)
         total += float(losses.sum())
-    return total / len(dataset)
+    return total / len(feats)
 
 
 def train_tftb(
@@ -195,18 +212,27 @@ def _run(params, train_set, val_set, cfg, clock, ledger_writer):
     rng = np.random.default_rng(cfg.seed)
     budget = BudgetClock(cfg.budget_seconds, clock, warmup_batches=n_b * cfg.warmup_epochs)
     adam_state = init_adam_state(params)
+    # the data are checked once, here; the step checks nothing but the losses
+    step = BatchStep(params.arch, cfg.batch_size, cfg.loss_kind)
+    feats, targets = check_inputs(params.arch, train_set.features, train_set.targets, cfg.loss_kind)
 
     # pools and batches are arrays of dataset rows, and a dataset's rows are
     # in ascending-id order, so a pool lists its rows in ascending-id order;
     # the ledger is built from the same ids, so its rows are these rows too
-    feats, targets, ids = train_set.features, train_set.targets, train_set.ids
+    ids = train_set.ids
     all_rows = np.arange(n)
 
     have_val = len(val_set) > 0
+    n_val_batches = 0
     if have_val:
         n_val_batches = epoch_equivalent_batches(len(val_set), cfg.batch_size)
+        val_feats, val_targets = check_inputs(
+            params.arch, val_set.features, val_set.targets, cfg.loss_kind
+        )
 
     ledger = ImportanceLedger(ids, cfg.score_window) if selective else None
+    # an epoch's losses in its row order, written to the ledger when it ends
+    epoch_losses = np.empty(n) if selective else None
     plan: SubsetPlan | None = None
     alpha_now = cfg.alpha
 
@@ -216,14 +242,21 @@ def _run(params, train_set, val_set, cfg, clock, ledger_writer):
     stop_reason: str | None = None
     epoch = 0
 
-    def batch_step(batch):
-        result = loss_and_grad(
-            params, feats[batch], targets[batch], cfg.loss_kind, sample_ids=ids[batch]
-        )
-        adam_step(params, result.grad, adam_state, cfg.lr)
+    def batch_step(batch, lo):
+        x, y = step.gather(feats, targets, batch)
+        result = loss_and_grad(params, x, y, cfg.loss_kind, sample_ids=ids[batch], step=step)
+        adam_step(params, result.grad, adam_state, cfg.lr, step=step)
+        if epoch_losses is not None:
+            epoch_losses[lo : lo + len(batch)] = result.per_sample_losses
+        return result.mean_loss
+
+    def close_epoch(rows):
+        """Write the epoch's losses to the ledger, then score the validation set."""
         if ledger is not None:
-            ledger.record_losses(batch, result.per_sample_losses, epoch)
-        return result
+            ledger.record_losses(rows, epoch_losses[: len(rows)], epoch)
+        if have_val:
+            return _mean_eval_loss(params, val_feats, val_targets, step)
+        return None
 
     def select():
         if plan is None:
@@ -301,31 +334,33 @@ def _run(params, train_set, val_set, cfg, clock, ledger_writer):
             samples_seen = 0
             epoch_wall = shuffled.elapsed if shuffled else 0.0
             ran = 0
-            stopped_mid_epoch = False
+            out_of_budget = False
             for lo in range(0, cap * cfg.batch_size, cfg.batch_size):
                 batch = shuffled.value[lo : lo + cfg.batch_size]
-                done = budget.section("batch", batch_step, batch, batches=1)
+                done = budget.section("batch", batch_step, batch, lo, batches=1)
                 if done is None:
-                    stopped_mid_epoch = True
+                    out_of_budget = True
                     break
                 ran += 1
                 epoch_wall += done.elapsed
                 samples_seen += len(batch)
-                loss_weighted += done.value.mean_loss * len(batch)
+                loss_weighted += done.value * len(batch)
             if ran == 0:
                 epoch -= 1
                 stop_reason = "budget_exhausted"
                 break
 
             val_loss = None
-            no_room_for_val = False
-            if have_val and not stopped_mid_epoch:
+            if not out_of_budget and (have_val or ledger is not None):
+                # the epoch's one ledger write runs in its closing section, so
+                # a run that cannot afford it ends here, before anything reads
+                # the ledger
                 done = budget.section(
-                    "validation", _mean_eval_loss, params, val_set, cfg.loss_kind, cfg.batch_size,
+                    "validation", close_epoch, shuffled.value[:samples_seen],
                     batches=n_val_batches,
                 )
-                no_room_for_val = done is None
-                if done is not None:
+                out_of_budget = done is None
+                if done is not None and done.value is not None:
                     val_loss = done.value
                     val_losses.append(val_loss)
 
@@ -346,7 +381,7 @@ def _run(params, train_set, val_set, cfg, clock, ledger_writer):
                 )
             )
 
-            if stopped_mid_epoch or no_room_for_val:
+            if out_of_budget:
                 stop_reason = "budget_exhausted"
             elif ran < n_b:
                 stop_reason = "planned_iterations_exhausted"
@@ -370,7 +405,7 @@ def _run(params, train_set, val_set, cfg, clock, ledger_writer):
                     chunks = epoch_equivalent_batches(excluded.size, cfg.batch_size)
                     budget.section(
                         "refresh", _refresh_excluded,
-                        params, feats, targets, excluded, cfg, ledger, epoch,
+                        params, feats, targets, excluded, step, ledger, epoch,
                         batches=chunks,
                     )
                 if since_warmup % cfg.rerank_period == 0:
@@ -385,9 +420,14 @@ def _run(params, train_set, val_set, cfg, clock, ledger_writer):
     return params, assemble_manifest(stop_reason or "epoch_cap")
 
 
-def _refresh_excluded(params, feats, targets, rows, cfg, ledger, epoch):
-    """Forward-only loss pass over excluded samples to un-stale their scores."""
-    for lo in range(0, len(rows), cfg.batch_size):
-        chunk = rows[lo : lo + cfg.batch_size]
-        losses = per_sample_losses(params, feats[chunk], targets[chunk], cfg.loss_kind)
-        ledger.record_losses(chunk, losses, epoch)
+def _refresh_excluded(params, feats, targets, rows, step: BatchStep, ledger, epoch):
+    """Forward-only loss pass over excluded samples to un-stale their scores,
+    written to the ledger in one call once every chunk has passed."""
+    losses = np.empty(len(rows))
+    for lo in range(0, len(rows), step.batch_size):
+        chunk = rows[lo : lo + step.batch_size]
+        x, y = step.gather(feats, targets, chunk)
+        losses[lo : lo + len(chunk)] = per_sample_losses(
+            params, x, y, step.loss_kind, step=step
+        )
+    ledger.record_losses(rows, losses, epoch)

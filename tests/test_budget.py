@@ -187,8 +187,11 @@ def test_nothing_is_refused_during_the_warmup():
 
 
 def test_warmup_projection_and_overrun_raise_on_the_clock_alone():
-    # the first batch projects 5 batches at 0.25 s: longer than T = 1.0
+    # a warm-up of 5 batches projects from all 5: 5 at 0.25 s, longer than
+    # T = 1.0, so the fifth batch, the projecting one, raises
     clock = BudgetClock(1.0, VirtualClock(costs={"batch": 0.25}), warmup_batches=5)
+    for _ in range(4):
+        clock.section("batch", lambda: None, batches=1)
     with pytest.raises(BudgetError, match="projected warm-up cost 1.250s"):
         clock.section("batch", lambda: None, batches=1)
 
@@ -205,6 +208,26 @@ def test_warmup_projection_and_overrun_raise_on_the_clock_alone():
     for _ in range(6):
         clock.section("batch", lambda: None, batches=1)
     assert clock.consumed == 1.5
+
+
+def test_a_cold_first_batch_does_not_refuse_a_warmup_that_fits():
+    # the first batch of a process is cold: 10x the rest.  Projected from it
+    # alone, 40 batches would take 4 s; they take 0.49 s, within T = 1.0
+    clock = BudgetClock(1.0, VirtualClock(sequences={"batch": [0.1] + [0.01] * 39}),
+                        warmup_batches=40)
+    run(clock, "batch", 40)
+    clock.finish_warmup()
+    assert clock.consumed == pytest.approx(0.49)
+    assert clock.plan_iterations() > 0
+
+
+def test_a_steady_warmup_past_the_budget_raises_before_the_budget_is_spent():
+    # 100 batches of 0.02 s cannot fit T = 1.0; the eighth batch projects it
+    clock = BudgetClock(1.0, VirtualClock(costs={"batch": 0.02}), warmup_batches=100)
+    run(clock, "batch", 7)
+    with pytest.raises(BudgetError, match=r"projected warm-up cost 2.000s \(100 batches"):
+        run(clock, "batch")
+    assert clock.consumed == pytest.approx(0.16)
 
 
 def test_consumed_includes_time_between_sections():

@@ -311,6 +311,18 @@ def test_select_subset_validates_alpha_and_coverage():
         select_subset(np.array([1.0]), ds, alpha=0.5, stratified=False)
 
 
+def test_threshold_selection_edge_quotas():
+    # quota 1 among two tied scores takes the lower row; a one-sample class
+    # with quota 1 keeps its sample
+    ds = make_dataset({0: 0, 1: 0, 2: 1})
+    plan = select_subset(np.ones(3), ds, alpha=0.5, stratified=True)
+    assert plan.selected_rows.tolist() == [0, 2]
+    # a global quota of 1 among eleven ties
+    assert select_subset(np.ones(11), uniform_dataset(11), 0.9, False).selected_rows.tolist() == [0]
+    # alpha 0: every quota is its class size
+    assert select_subset(np.ones(3), ds, alpha=0.0, stratified=True).selected.all()
+
+
 # ---------------------------------------------------------------------------
 # merge and reselect
 

@@ -727,3 +727,153 @@ def test_adam_state_shapes_follow_params():
         assert moment.shape == params.flat.shape
         assert not moment.any()
         assert not np.shares_memory(moment, params.flat)
+
+
+# ---------------------------------------------------------------------------
+# the bound batch step
+
+
+def step_buffers(step):
+    """Every writable array a step holds, its patch buffer included."""
+    from tftb.nn import models
+
+    found, todo = [], [step, getattr(models._scratch, "patches", None)]
+    while todo:
+        obj = todo.pop()
+        if isinstance(obj, np.ndarray):
+            if obj.flags.writeable:
+                found.append(obj)
+        elif isinstance(obj, ModelParams):
+            found.append(obj.flat)
+        elif isinstance(obj, (list, tuple)):
+            todo.extend(obj)
+        elif hasattr(obj, "__dict__") and not isinstance(obj, (MlpArch, ConvDensityArch)):
+            todo.extend(vars(obj).values())
+    return found
+
+
+def spoil(step, keep=None):
+    """Fill every buffer of ``step`` but ``keep`` with garbage."""
+    for buf in step_buffers(step):
+        if keep is None or not np.shares_memory(buf, keep):
+            buf[...] = np.nan if buf.dtype.kind == "f" else True if buf.dtype == bool else -7
+
+
+@pytest.mark.parametrize("spoiled", [False, True], ids=["as-left", "nan-between-calls"])
+@pytest.mark.parametrize("loss_kind", ["cross_entropy", "pixelwise_l2"])
+@pytest.mark.parametrize(
+    "arch", [MlpArch(4, (24, 5), 4), ConvDensityArch(9, 7, (3, 2), 5)], ids=["mlp", "conv"]
+)
+def test_bound_step_is_bit_identical_to_the_checked_calls(arch, loss_kind, spoiled):
+    """A run of batches with a short tail through one bound step gives the
+    losses and parameters of the public calls, bit for bit, whatever its
+    buffers held before each call."""
+    from tftb.nn.models import BatchStep, check_inputs
+
+    rng = np.random.default_rng(3)
+    n, batch = 45, 8  # five full batches and a tail of 5
+    out_shape = (arch.num_classes,) if arch.kind == "mlp" else arch.input_shape()
+    feats = rng.standard_normal((n, *arch.input_shape()))
+    targets = (rng.integers(0, math.prod(out_shape), n) if loss_kind == "cross_entropy"
+               else rng.standard_normal((n, *out_shape)))
+    feats, targets = check_inputs(arch, feats, targets, loss_kind)
+    bound, public = init_params(arch, rng), None
+    public = bound.copy()
+    bound_state, public_state = init_adam_state(bound), init_adam_state(public)
+    step = BatchStep(arch, batch, loss_kind)
+    for epoch in range(3):
+        order = rng.permutation(n)
+        for lo in range(0, n, batch):
+            rows = order[lo : lo + batch]
+            if spoiled:
+                spoil(step)
+            x, y = step.gather(feats, targets, rows)
+            got = loss_and_grad(bound, x, y, loss_kind, step=step)
+            want = loss_and_grad(public, feats[rows], targets[rows], loss_kind)
+            assert got.per_sample_losses.tobytes() == want.per_sample_losses.tobytes()
+            assert got.mean_loss == want.mean_loss
+            assert got.grad.flat.tobytes() == want.grad.flat.tobytes()
+            if spoiled:  # all but the gradient the optimizer takes
+                spoil(step, keep=got.grad.flat)
+            adam_step(bound, got.grad, bound_state, 0.01, step=step)
+            adam_step(public, want.grad, public_state, 0.01)
+            assert bound.flat.tobytes() == public.flat.tobytes()
+        if spoiled:
+            spoil(step)
+        got = per_sample_losses(bound, feats[:batch - 3], targets[:batch - 3], loss_kind, step=step)
+        want = per_sample_losses(public, feats[:batch - 3], targets[:batch - 3], loss_kind)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_bound_step_names_the_sample_of_a_non_finite_loss():
+    from tftb.nn.models import BatchStep
+
+    params = mlp(num_classes=3)
+    params.weights[0][0, 0] = np.inf
+    step = BatchStep(params.arch, 4, "cross_entropy")
+    x, y = step.gather(np.ones((3, 4)), np.array([0, 1, 2]), np.array([2, 1]))
+    with pytest.raises(NonFiniteError) as err:
+        loss_and_grad(params, x, y, "cross_entropy", sample_ids=[22, 11], step=step)
+    assert err.value.sample_id == 22
+
+
+def test_warm_conv_step_takes_no_page_faults():
+    """A warm step on the conv model allocates nothing that grows with the
+    batch, so the heap neither grows nor is trimmed back between steps and
+    touches no fresh page.  (Allocating its arrays per call, the same step
+    took about 1.3k minor faults.)"""
+    import resource
+
+    from tftb.nn.models import BatchStep
+
+    arch = ConvDensityArch(24, 24, (6, 6))
+    params = init_params(arch, np.random.default_rng(0))
+    state = init_adam_state(params)
+    rng = np.random.default_rng(1)
+    feats, maps = rng.standard_normal((96, 24, 24)), rng.standard_normal((96, 24, 24))
+    step = BatchStep(arch, 32, "pixelwise_l2")
+
+    def steps(count):
+        for i in range(count):
+            x, y = step.gather(feats, maps, np.arange(32 * (i % 3), 32 * (i % 3 + 1)))
+            result = loss_and_grad(params, x, y, "pixelwise_l2", step=step)
+            adam_step(params, result.grad, state, 1e-3, step=step)
+
+    steps(3)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    steps(20)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults <= 20 * 10, f"{faults / 20:.0f} minor faults per warm step"
+
+
+def test_refused_checkpoints_leave_no_state_behind(tmp_path):
+    """A descriptor that names an architecture, in a checkpoint refused for
+    its payload, leaves nothing of that architecture alive in the process."""
+    import gc
+
+    descriptor = b'{"kind": "mlp", "input_dim": 987653, "hidden": [], "num_classes": 3}'
+    for n_floats in (0, 3):
+        with pytest.raises(CorruptDataError, match="truncated"):
+            load_params(_checkpoint(tmp_path / "model.bin", descriptor, n_floats))
+    gc.collect()
+    assert not [o for o in gc.get_objects() if isinstance(o, MlpArch) and o.input_dim == 987653]
+
+
+def test_gather_refuses_a_row_out_of_range():
+    from tftb.nn.models import BatchStep
+
+    step = BatchStep(MlpArch(4, (3,), 2), 4, "cross_entropy")
+    with pytest.raises(IndexError):
+        step.gather(np.ones((3, 4)), np.array([0, 1, 1]), np.array([0, 3]))
+
+
+@pytest.mark.parametrize(
+    "arch", [MlpArch(4, (5,), 3), ConvDensityArch(5, 5, (2, 2))], ids=["mlp", "conv"]
+)
+def test_an_empty_batch_has_empty_outputs_and_no_gradient(arch):
+    params = init_params(arch, np.random.default_rng(0))
+    x = np.zeros((0, *arch.input_shape()))
+    assert forward(params, x).shape == (0, *arch.output_shape())
+    assert per_sample_losses(params, x, np.zeros(0, int), "cross_entropy").shape == (0,)
+    with pytest.raises(ShapeError, match="batch size >= 1, got 0"):
+        loss_and_grad(params, x, np.zeros(0, int), "cross_entropy")

@@ -18,6 +18,7 @@ from tftb.data import (
 from tftb.errors import BudgetError, ConfigError, NonFiniteError, SelectionError, TrainingAbort
 from tftb.importance import ImportanceLedger, subset_size
 from tftb.nn import MlpArch, ConvDensityArch, init_params
+from tftb.nn.models import BatchStep
 from tftb.trainer import (
     TrainConfig,
     _epoch_batches,
@@ -278,9 +279,10 @@ def test_refresh_with_non_finite_params_raises_and_leaves_the_ledger_unchanged()
     before = [ledger.history(r) for r in rows], ledger.last_observed_epoch.tolist()
     params = model_for(train)
     params.flat[:] = np.nan
+    step = BatchStep(params.arch, 32, "cross_entropy")
     with pytest.raises(NonFiniteError):
         tftb.trainer._refresh_excluded(params, train.features, train.targets, rows,
-                                       TrainConfig(mode="tftb"), ledger, epoch=2)
+                                       step, ledger, epoch=2)
     assert ([ledger.history(r) for r in rows], ledger.last_observed_epoch.tolist()) == before
 
 
@@ -460,7 +462,8 @@ def test_real_clock_wall_time_matches_charged_time():
 
 def test_trainer_calls_each_layer_function_once_per_unit_of_work(monkeypatch):
     """The benchmark times the trainer's layers by wrapping these names, so
-    each must be called once per batch, chunk or ranking it does."""
+    each must be called once per batch, chunk or ranking it does; the ledger
+    is written once per epoch and once per refresh."""
     calls = collections.Counter()
 
     def count(owner, name, label):
@@ -495,7 +498,7 @@ def test_trainer_calls_each_layer_function_once_per_unit_of_work(monkeypatch):
     assert dict(calls) == {
         "loss_and_grad": batches,
         "adam_step": batches,
-        "record_losses": batches + refresh_chunks,
+        "record_losses": len(manifest.epochs) + len(selective),
         "per_sample_losses": refresh_chunks + val_batches,
         "select_subset": 1,
         "merge_and_reselect": reranks,
@@ -503,3 +506,103 @@ def test_trainer_calls_each_layer_function_once_per_unit_of_work(monkeypatch):
         "effective_scores": 1 + reranks,
     }
     assert (batches, refresh_chunks, reranks) == (30, 12, 2)
+
+
+@pytest.mark.parametrize("budget", [None, 0.9], ids=["epoch-cap", "mid-epoch-stop"])
+def test_one_ledger_write_per_epoch_equals_per_batch_writes(monkeypatch, budget):
+    """An epoch's one ledger write holds the rows and losses of its batches in
+    batch order, and leaves the windows, counts and last observed epochs as
+    writing each batch would: with the active pool cycled within an epoch,
+    so rows repeat in one write, and with a budget that ends the run inside
+    an epoch, which is then not written, since nothing reads the ledger after
+    the run ends."""
+    events = []
+    step = tftb.trainer.loss_and_grad
+    record = ImportanceLedger.record_losses
+
+    def traced_step(params, batch, targets, loss_kind, sample_ids=None, **kwargs):
+        result = step(params, batch, targets, loss_kind, sample_ids=sample_ids, **kwargs)
+        events.append(("batch", np.array(sample_ids), result.per_sample_losses.copy()))
+        return result
+
+    def traced_record(ledger, rows, losses, epoch):
+        events.append(("write", ledger, np.array(rows), np.array(losses), epoch))
+        record(ledger, rows, losses, epoch)
+
+    monkeypatch.setattr(tftb.trainer, "loss_and_grad", traced_step)
+    monkeypatch.setattr(ImportanceLedger, "record_losses", traced_record)
+    train, val = class_data(seed=5)  # 108 training samples, 7 batches of 16
+    cfg = TrainConfig(mode="tftb", alpha=0.6, batch_size=16, seed=1, early_stop_patience=50,
+                      refresh_excluded_period=1, budget_seconds=budget,
+                      max_epochs=5 if budget is None else None)
+    _, manifest = train_tftb(model_for(train), train, val, cfg, clock=virtual())
+    n_b = manifest.budget["epoch_equivalent_batches"]
+    assert (manifest.epochs[-1]["batches"] < n_b) == (budget is not None)
+
+    ledger = next(event[1] for event in events if event[0] == "write")
+    # the reference is written through the unwrapped method, so it logs nothing
+    reference = ImportanceLedger(train.ids, cfg.score_window)
+    pending, epoch_writes, repeats = [], 0, False
+    for kind, *event in events:
+        if kind == "batch":
+            pending.append(event)
+            continue
+        _, rows, losses, epoch = event
+        if pending:  # the epoch's write
+            assert np.array_equal(train.ids[rows], np.concatenate([ids for ids, _ in pending]))
+            assert np.array_equal(losses, np.concatenate([batch for _, batch in pending]))
+            for ids, batch in pending:
+                record(reference, np.searchsorted(train.ids, ids), batch, epoch)
+            repeats |= np.unique(rows).size < rows.size
+            epoch_writes += 1
+            pending = []
+        else:  # a refresh
+            record(reference, rows, losses, epoch)
+    cut_short = budget is not None
+    assert len(pending) == (manifest.epochs[-1]["batches"] if cut_short else 0)
+    assert repeats
+    assert epoch_writes == len(manifest.epochs) - cut_short
+    assert np.array_equal(ledger._losses, reference._losses)
+    assert np.array_equal(ledger._counts, reference._counts)
+    assert np.array_equal(ledger.last_observed_epoch, reference.last_observed_epoch)
+
+
+def test_a_refused_closing_section_ends_the_run_before_any_ledger_write_or_rank(monkeypatch):
+    """The epoch's ledger write runs in the section that closes it, so when
+    that section no longer fits, the run ends before the ledger is written or
+    ranked again."""
+    writes = []
+    record = ImportanceLedger.record_losses
+
+    def counted(ledger, rows, losses, epoch):
+        writes.append(epoch)
+        record(ledger, rows, losses, epoch)
+
+    monkeypatch.setattr(ImportanceLedger, "record_losses", counted)
+    train, val = class_data(seed=2, n_per_class=300)  # 810 train, 90 val: 26 and 3 batches
+    cfg = TrainConfig(mode="tftb", alpha=0.3, max_epochs=None, seed=0, early_stop_patience=50,
+                      budget_seconds=1.04)
+    dumps = []
+    # the warm-up ends at 0.76 s; the second epoch's batches end at 1.02 s,
+    # and its closing section, estimated at 3 batches, would end at 1.05 s
+    clock = VirtualClock(costs={"batch": 0.01, "validation": 0.5})
+    _, manifest = train_tftb(model_for(train), train, val, cfg, clock=clock,
+                             ledger_writer=dumps.append)
+    assert manifest.stop_reason == "budget_exhausted"
+    assert [r["batches"] for r in manifest.epochs] == [26, 26]
+    assert manifest.epochs[-1]["val_loss"] is None
+    assert writes == [1]  # the warm-up's
+    assert len(dumps) == 1  # the warm-up's ranking only
+    assert manifest.budget["consumed_total"] == pytest.approx(1.02)
+
+
+def test_a_cold_first_batch_does_not_refuse_a_budget_the_warmup_fits():
+    train, val = class_data(seed=3, n_per_class=120)  # 324 train samples, 11 batches
+    cfg = TrainConfig(mode="tftb", alpha=0.3, max_epochs=None, seed=0, early_stop_patience=50,
+                      budget_seconds=0.5)
+    # projected from the first batch alone, the warm-up would take 1.1 s
+    clock = VirtualClock(costs={"batch": 0.01}, sequences={"batch": [0.1]})
+    _, manifest = train_tftb(model_for(train), train, val, cfg, clock=clock)
+    assert manifest.budget["warmup_elapsed"] == pytest.approx(0.2)
+    assert any(r["phase"] == "selective" for r in manifest.epochs)
+    assert manifest.stop_reason in ("budget_exhausted", "planned_iterations_exhausted")
