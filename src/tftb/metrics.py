@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ManifestError
 from .manifest import RunManifest
-from .nn.models import ModelParams, forward, output_losses
+from .nn.models import BatchStep, ModelParams, check_inputs, forward, output_losses
 
 HIGHER_IS_BETTER = {"accuracy"}
 
@@ -49,14 +49,16 @@ def predicted_count(density: np.ndarray) -> float:
 
 
 def evaluate_classifier(params: ModelParams, dataset, batch_size: int = 256) -> dict:
-    feats, targets = dataset.features, dataset.targets
+    """Accuracy and mean cross-entropy, one forward pass per batch."""
+    feats, targets = check_inputs(params.arch, dataset.features, dataset.targets, "cross_entropy")
+    step = BatchStep(params.arch, batch_size, "cross_entropy")
     predictions = np.empty(len(dataset), dtype=np.int64)
     loss_total = 0.0
     for lo in range(0, len(dataset), batch_size):
         rows = slice(lo, lo + batch_size)
-        logits = forward(params, feats[rows])
+        logits = forward(params, feats[rows], step)
         predictions[rows] = np.argmax(logits, axis=1)
-        loss_total += float(output_losses(logits, targets[rows], "cross_entropy").sum())
+        loss_total += float(output_losses(logits, targets[rows], step).sum())
     return {
         "accuracy": accuracy(predictions, targets),
         "mean_loss": loss_total / len(dataset),
@@ -65,15 +67,17 @@ def evaluate_classifier(params: ModelParams, dataset, batch_size: int = 256) -> 
 
 
 def evaluate_counter(params: ModelParams, dataset, batch_size: int = 64) -> dict:
-    feats, maps = dataset.features, dataset.targets
+    """Count errors and mean pixelwise L2 loss, one forward pass per batch."""
+    feats, maps = check_inputs(params.arch, dataset.features, dataset.targets, "pixelwise_l2")
+    step = BatchStep(params.arch, batch_size, "pixelwise_l2")
     true_counts = maps.reshape(len(dataset), -1).sum(axis=1)
     est_counts = np.empty(len(dataset))
     loss_total = 0.0
     for lo in range(0, len(dataset), batch_size):
         rows = slice(lo, lo + batch_size)
-        pred = forward(params, feats[rows])
+        pred = forward(params, feats[rows], step)
         est_counts[rows] = [predicted_count(p) for p in pred]
-        loss_total += float(output_losses(pred, maps[rows], "pixelwise_l2").sum())
+        loss_total += float(output_losses(pred, maps[rows], step).sum())
     mae, mse = counting_errors(est_counts, true_counts)
     return {
         "mae": mae,

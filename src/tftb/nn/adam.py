@@ -1,13 +1,14 @@
 """Adam optimizer with standard defaults; only the learning rate is exposed.
 
-The gradient is a ``ModelParams`` and the moments are two vectors, all laid
-out like ``ModelParams.flat``, so one step is one element-wise update over
-the whole parameter vector.
+The gradient is a ``ModelParams``; the moments and the update's two
+temporaries are vectors laid out like ``ModelParams.flat``, all held by
+``AdamState``, so one step is one element-wise update over the whole
+parameter vector that allocates nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,10 +25,13 @@ class AdamState:
     step: int
     m: np.ndarray
     v: np.ndarray
+    # the update's two temporaries, written before they are read
+    tmp: np.ndarray = field(repr=False)
+    denom: np.ndarray = field(repr=False)
 
 
 def init_adam_state(params: ModelParams) -> AdamState:
-    return AdamState(step=0, m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
+    return AdamState(0, *(np.zeros_like(params.flat) for _ in range(4)))
 
 
 def _update(param, grad, m, v, lr, t, tmp, denom):
@@ -48,32 +52,28 @@ def _update(param, grad, m, v, lr, t, tmp, denom):
 
 
 def adam_step(
-    params: ModelParams, grad: ModelParams, state: AdamState, lr: float, *, step=None
+    params: ModelParams, grad: ModelParams, state: AdamState, lr: float
 ) -> tuple[ModelParams, AdamState]:
     """One in-place Adam update; returns the mutated params and state.
 
     ``grad`` is laid out like ``params`` (``loss_and_grad`` returns it so),
     so the update is one element-wise pass over ``params.flat`` and
     ``grad.flat``, and every parameter takes the update it would take layer
-    by layer.  Without ``step`` the arguments are checked and the update
-    runs on temporaries of its own; with a ``BatchStep`` built for
-    ``params.arch``, on the step's, and nothing is checked again.
+    by layer.  A learning rate that is not positive, a gradient of another
+    architecture or moments of another size are refused before anything is
+    written.
     """
-    if step is None:
-        if lr <= 0:
-            raise ConfigError(f"learning rate must be positive, got {lr}")
-        if grad.arch != params.arch:
-            raise ShapeError(
-                f"adam: gradient of a {grad.arch} does not match parameters of a {params.arch}"
-            )
-        if state.m.shape != params.flat.shape:
-            raise ShapeError(
-                f"adam: moment shape {state.m.shape} does not match parameter shape "
-                f"{params.flat.shape}"
-            )
-        scratch = (np.empty_like(params.flat), np.empty_like(params.flat))
-    else:
-        scratch = step.adam_scratch
+    if lr <= 0:
+        raise ConfigError(f"learning rate must be positive, got {lr}")
+    if grad.arch != params.arch:
+        raise ShapeError(
+            f"adam: gradient of a {grad.arch} does not match parameters of a {params.arch}"
+        )
+    if state.m.shape != params.flat.shape:
+        raise ShapeError(
+            f"adam: moment shape {state.m.shape} does not match parameter shape "
+            f"{params.flat.shape}"
+        )
     state.step += 1
-    _update(params.flat, grad.flat, state.m, state.v, lr, state.step, *scratch)
+    _update(params.flat, grad.flat, state.m, state.v, lr, state.step, state.tmp, state.denom)
     return params, state

@@ -16,13 +16,13 @@ passes write into, so the optimizer takes it as one vector.
 No autodiff: each architecture's backward pass is written out explicitly and
 is checked against central finite differences in the test suite.
 
-The arithmetic runs in a ``BatchStep``: the buffers of one batch for one
-architecture, batch size and loss kind, which every operation fills through
-``out=``.  A training run builds one step and checks its data once with
-``check_inputs``; then a batch is arithmetic plus one finite-loss check and
-allocates nothing that grows with the batch.  ``forward``,
-``loss_and_grad`` and ``per_sample_losses`` without ``step=`` check their
-arguments and run the same arithmetic on a step of their own.
+A model runs one way: every operation takes a ``BatchStep``, the buffers
+of up to ``batch_size`` samples for one architecture and loss kind, and
+fills them through ``out=``.  Values are checked once, where they enter:
+the data by ``check_inputs``, the batch size and loss kind by the step's
+constructor (an architecture checks itself).  An operation checks only
+that the batch fits its step and that its result is finite, and allocates
+nothing that grows with the batch.
 
 Convolutions are im2col + GEMM: activations are kept channel-major,
 (C, N*H*W), the k x k patches of a chunk of whole samples are copied into one
@@ -242,17 +242,6 @@ class LossBatchResult:
 # input checks
 
 
-def _check_batch(arch: Architecture, batch) -> np.ndarray:
-    batch = as_f64(batch)
-    want = arch.input_shape()
-    if batch.ndim != len(want) + 1 or tuple(batch.shape[1:]) != want:
-        raise ShapeError(
-            f"{arch.kind} input: expected (batch, {', '.join(map(str, want))}), "
-            f"got {tuple(batch.shape)}"
-        )
-    return batch
-
-
 def _check_targets(targets, loss_kind: str, output_shape: tuple[int, ...]) -> np.ndarray:
     """``targets`` as the array the loss reads, checked against the shape of
     the model output they belong to."""
@@ -264,6 +253,8 @@ def _check_targets(targets, loss_kind: str, output_shape: tuple[int, ...]) -> np
                 f"cross_entropy targets: expected shape ({n},) of class indices, "
                 f"got {tuple(y.shape)}"
             )
+        if y.dtype.kind not in "iu":
+            raise ShapeError(f"cross_entropy targets must be integer class indices, got {y.dtype}")
         y = y.astype(np.int64, copy=False)
         num_classes = math.prod(output_shape[1:])
         if y.min(initial=0) < 0 or y.max(initial=0) >= num_classes:
@@ -286,7 +277,13 @@ def check_inputs(arch: Architecture, features, targets, loss_kind: str):
     """``(features, targets)`` as float64 / int64 arrays, checked against the
     architecture's input and output shapes and the loss kind: what a step
     then reads without checking again."""
-    features = _check_batch(arch, features)
+    features = as_f64(features)
+    want = arch.input_shape()
+    if features.ndim != len(want) + 1 or tuple(features.shape[1:]) != want:
+        raise ShapeError(
+            f"{arch.kind} input: expected (batch, {', '.join(map(str, want))}), "
+            f"got {tuple(features.shape)}"
+        )
     return features, _check_targets(targets, loss_kind, (len(features), *arch.output_shape()))
 
 
@@ -436,44 +433,35 @@ class _Loss:
         return losses
 
 
-def output_losses(output: np.ndarray, targets, loss_kind: str) -> np.ndarray:
-    """Per-sample losses of a ``forward`` output, so a caller that needs both
-    the output and the losses runs the model once."""
-    y = _check_targets(targets, loss_kind, output.shape)
-    with np.errstate(over="ignore", invalid="ignore"):
-        losses = _Loss(loss_kind, len(output), output.shape[1:]).run(output, y, False)
-    return require_finite(losses, f"{loss_kind} per-sample losses")
-
-
 # ---------------------------------------------------------------------------
 # the bound step
 
 
 class BatchStep:
     """Every buffer one batch step writes, bound to an architecture, a batch
-    size and a loss kind (None: forward passes only), checked when built.
+    size and a loss kind; the constructor checks the batch size and loss kind.
 
     A step is built with the buffers of the forward pass: the activations
     and padded conv inputs, and the loss's.  Each other group is made on the
     first call that writes it: the backward pass's ``d_z`` buffers and the
-    gradient ``ModelParams`` by ``loss_and_grad``, the gathered batch by
-    ``gather`` and the optimizer's two temporaries by ``adam_step``, so a
-    step built for one call holds only what that call writes.  A batch of
-    ``m <= batch_size`` samples works in the first ``m`` samples of each
-    buffer, so a short tail batch takes views.  Every call writes a buffer
-    before it reads it, so no result depends on what the buffers held
-    before; what a call returns are views of them, valid until its next
-    call.  Calls take their arguments as ``check_inputs`` returns them and
-    check nothing but the finiteness of the losses.
+    gradient ``ModelParams`` by ``loss_and_grad`` and the gathered batch by
+    ``gather``, so a step that only runs forward passes holds only what they
+    write.  A batch of ``m <= batch_size`` samples works in the first ``m``
+    samples of each buffer, so a short tail batch takes views.  Every call
+    writes a buffer before it reads it, so no result depends on what the
+    buffers held before; what a call returns are views of them, valid until
+    the step's next call.
     """
 
-    def __init__(self, arch: Architecture, batch_size: int, loss_kind: str | None = None):
-        if batch_size < 1:
-            raise ShapeError(f"a batch step needs a batch size >= 1, got {batch_size}")
-        if loss_kind is not None and loss_kind not in LOSS_KINDS:
+    def __init__(self, arch: Architecture, batch_size: int, loss_kind: str):
+        # bool is a subclass of int, but True is not a batch size
+        is_int = isinstance(batch_size, (int, np.integer)) and not isinstance(batch_size, bool)
+        if not is_int or batch_size < 1:
+            raise ShapeError(f"a batch step needs an int batch size >= 1, got {batch_size!r}")
+        if loss_kind not in LOSS_KINDS:
             raise ShapeError(f"unknown loss kind {loss_kind!r}; expected one of {LOSS_KINDS}")
-        self.arch, self.batch_size, self.loss_kind = arch, batch_size, loss_kind
-        b = batch_size
+        self.arch, self.batch_size, self.loss_kind = arch, int(batch_size), loss_kind
+        b = self.batch_size
         if arch.kind == "mlp":
             self._acts = [_empty((b, d)) for d in (*arch.hidden, arch.num_classes)]
         else:
@@ -485,19 +473,12 @@ class BatchStep:
             # z1; a2 once z1 has passed into a1_pad; d_z1 once a2 is spent
             self._z = _empty((max(c1, c2) * pixels,))
             self._z3 = _empty((1, pixels))
-        if loss_kind is not None:
-            self._loss = _Loss(loss_kind, b, arch.output_shape())
+        self._loss = _Loss(loss_kind, b, arch.output_shape())
 
     @functools.cached_property
     def grad(self) -> ModelParams:
         """The gradient ``loss_and_grad`` writes."""
         return ModelParams.zeros(self.arch)
-
-    @functools.cached_property
-    def adam_scratch(self) -> tuple[np.ndarray, np.ndarray]:
-        """The two temporaries of ``adam_step``, laid out like ``ModelParams.flat``."""
-        shape = self.grad.flat.shape
-        return _empty(shape), _empty(shape)
 
     @functools.cached_property
     def _gathered(self) -> tuple[np.ndarray, np.ndarray]:
@@ -527,38 +508,16 @@ class BatchStep:
         """Copy ``features[rows]`` and ``targets[rows]`` into the step's input
         buffers and return them: ``(batch, targets)``.  A row out of range
         raises ``IndexError``, as indexing would."""
-        m = len(rows)
+        m = _fit(self, rows)
         inputs, gathered = self._gathered
         x = features.take(rows, axis=0, out=inputs[:m])
         y = targets.take(rows, axis=0, out=gathered[:m])
         return x, y
 
-    def forward(self, params: ModelParams, batch: np.ndarray) -> np.ndarray:
+    def _forward(self, params: ModelParams, batch: np.ndarray) -> np.ndarray:
         if self.arch.kind == "mlp":
             return self._mlp_forward(params, batch)
         return self._conv_forward(params, batch)
-
-    def per_sample_losses(self, params: ModelParams, batch, targets) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):
-            losses = self._loss.run(self.forward(params, batch), targets, False)
-        return require_finite(losses, f"{self.loss_kind} per-sample losses")
-
-    def loss_and_grad(self, params: ModelParams, batch, targets, sample_ids=None) -> LossBatchResult:
-        # overflow here surfaces as a NonFiniteError below, not as a warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            losses = self._loss.run(self.forward(params, batch), targets, True)
-            mean_loss = float(np.add.reduce(losses)) / len(losses)
-        if not math.isfinite(mean_loss):
-            bad = np.flatnonzero(~np.isfinite(losses))
-            if bad.size:
-                idx = int(bad[0])
-                sid = int(sample_ids[idx]) if sample_ids is not None else idx
-                raise NonFiniteError(
-                    f"non-finite {self.loss_kind} loss for sample id {sid}", sample_id=sid
-                )
-        backward = self._mlp_backward if self.arch.kind == "mlp" else self._conv_backward
-        backward(params, batch, self._loss.d_out[: len(batch)])
-        return LossBatchResult(per_sample_losses=losses, mean_loss=mean_loss, grad=self.grad)
 
     def _mlp_forward(self, params: ModelParams, x: np.ndarray) -> np.ndarray:
         # a ReLU after every layer but the logit head
@@ -640,49 +599,68 @@ class BatchStep:
 
 
 # ---------------------------------------------------------------------------
-# checked entry points: each runs a step of its own
+# the operations: each runs on the step it is given, on arguments as
+# check_inputs returns them
 
 
-def forward(params: ModelParams, batch) -> np.ndarray:
+def _fit(step: BatchStep, batch, least: int = 0) -> int:
+    """``len(batch)``, refused unless it lies in ``[least, step.batch_size]``."""
+    m = len(batch)
+    if not least <= m <= step.batch_size:
+        raise ShapeError(f"a batch of {m} samples: this call takes {least} to {step.batch_size}")
+    return m
+
+
+def forward(params: ModelParams, batch, step: BatchStep) -> np.ndarray:
     """Model output: (batch, num_classes) logits or (batch, H, W) density."""
-    batch = _check_batch(params.arch, batch)
-    out = BatchStep(params.arch, max(1, len(batch))).forward(params, batch)
-    return require_finite(out, f"{params.arch.kind} forward output")
+    _fit(step, batch)
+    return require_finite(step._forward(params, batch), f"{params.arch.kind} forward output")
+
+
+def output_losses(output: np.ndarray, targets, step: BatchStep) -> np.ndarray:
+    """Per-sample losses of a ``forward`` output of the same step, so a caller
+    that needs both the output and the losses runs the model once."""
+    _fit(step, output)
+    with np.errstate(over="ignore", invalid="ignore"):
+        losses = step._loss.run(output, targets, False)
+    return require_finite(losses, f"{step.loss_kind} per-sample losses")
+
+
+def per_sample_losses(params: ModelParams, batch, targets, step: BatchStep) -> np.ndarray:
+    """Forward-only per-sample losses (used to refresh excluded samples and
+    to validate)."""
+    _fit(step, batch)
+    with np.errstate(over="ignore", invalid="ignore"):
+        output = step._forward(params, batch)
+    return output_losses(output, targets, step)
 
 
 def loss_and_grad(
-    params: ModelParams,
-    batch,
-    targets,
-    loss_kind: str,
-    sample_ids: Sequence[int] | None = None,
-    *,
-    step: BatchStep | None = None,
+    params: ModelParams, batch, targets, step: BatchStep, sample_ids: Sequence[int] | None = None
 ) -> LossBatchResult:
-    """Per-sample losses plus gradients of the batch-mean loss.
+    """Per-sample losses plus gradients of the batch-mean loss, for a batch
+    of at least one sample.
 
     ``cross_entropy`` treats the model output flattened per sample as class
     logits; ``pixelwise_l2`` is the per-sample mean squared element
     difference.  Both apply to either architecture, so gradient checks can
-    cover the full model/loss cross product.
-
-    Without ``step`` the arguments are checked, an empty batch is refused,
-    and the work runs on a step of its own.  With ``step``, one built for ``params.arch`` and
-    ``loss_kind``, they are taken as ``check_inputs`` returns them, and the
-    result's arrays are the step's buffers, valid until its next call.
+    cover the full model/loss cross product.  A non-finite loss raises
+    ``NonFiniteError`` naming ``sample_ids[i]``, or the row ``i`` without
+    them.  The result's arrays are the step's buffers.
     """
-    if step is None:
-        batch, targets = check_inputs(params.arch, batch, targets, loss_kind)
-        step = BatchStep(params.arch, len(batch), loss_kind)
-    return step.loss_and_grad(params, batch, targets, sample_ids)
-
-
-def per_sample_losses(
-    params: ModelParams, batch, targets, loss_kind: str, *, step: BatchStep | None = None
-) -> np.ndarray:
-    """Forward-only per-sample losses (used to refresh excluded samples and
-    to validate); ``step`` as in ``loss_and_grad``."""
-    if step is None:
-        batch, targets = check_inputs(params.arch, batch, targets, loss_kind)
-        step = BatchStep(params.arch, max(1, len(batch)), loss_kind)
-    return step.per_sample_losses(params, batch, targets)
+    m = _fit(step, batch, least=1)
+    # overflow here surfaces as a NonFiniteError below, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        losses = step._loss.run(step._forward(params, batch), targets, True)
+        mean_loss = float(np.add.reduce(losses)) / m
+    if not math.isfinite(mean_loss):
+        bad = np.flatnonzero(~np.isfinite(losses))
+        if bad.size:
+            idx = int(bad[0])
+            sid = int(sample_ids[idx]) if sample_ids is not None else idx
+            raise NonFiniteError(
+                f"non-finite {step.loss_kind} loss for sample id {sid}", sample_id=sid
+            )
+    backward = step._mlp_backward if step.arch.kind == "mlp" else step._conv_backward
+    backward(params, batch, step._loss.d_out[:m])
+    return LossBatchResult(per_sample_losses=losses, mean_loss=mean_loss, grad=step.grad)

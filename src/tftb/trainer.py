@@ -26,8 +26,9 @@ once its estimate no longer fits.
 
 A run checks its data once and builds one ``BatchStep`` for its
 architecture, batch size and loss kind; every batch, validation and refresh
-pass runs on that step's buffers, through ``loss_and_grad``, ``adam_step``
-and ``per_sample_losses`` with ``step=``.  A batch keeps its losses in an
+pass runs on that step's buffers, through ``loss_and_grad`` and
+``per_sample_losses``, and ``adam_step`` updates the parameters with the
+temporaries its state holds.  A batch keeps its losses in an
 epoch buffer laid out like the epoch's row order, and the ledger is written
 once per epoch and once per refresh.  The epoch's write runs in the section
 that closes it, ``validation``, before the validation pass, so a run that
@@ -170,7 +171,7 @@ def _mean_eval_loss(params, feats, targets, step: BatchStep) -> float:
     total = 0.0
     for lo in range(0, len(feats), step.batch_size):
         rows = slice(lo, lo + step.batch_size)
-        losses = per_sample_losses(params, feats[rows], targets[rows], step.loss_kind, step=step)
+        losses = per_sample_losses(params, feats[rows], targets[rows], step)
         total += float(losses.sum())
     return total / len(feats)
 
@@ -244,8 +245,8 @@ def _run(params, train_set, val_set, cfg, clock, ledger_writer):
 
     def batch_step(batch, lo):
         x, y = step.gather(feats, targets, batch)
-        result = loss_and_grad(params, x, y, cfg.loss_kind, sample_ids=ids[batch], step=step)
-        adam_step(params, result.grad, adam_state, cfg.lr, step=step)
+        result = loss_and_grad(params, x, y, step, sample_ids=ids[batch])
+        adam_step(params, result.grad, adam_state, cfg.lr)
         if epoch_losses is not None:
             epoch_losses[lo : lo + len(batch)] = result.per_sample_losses
         return result.mean_loss
@@ -427,7 +428,5 @@ def _refresh_excluded(params, feats, targets, rows, step: BatchStep, ledger, epo
     for lo in range(0, len(rows), step.batch_size):
         chunk = rows[lo : lo + step.batch_size]
         x, y = step.gather(feats, targets, chunk)
-        losses[lo : lo + len(chunk)] = per_sample_losses(
-            params, x, y, step.loss_kind, step=step
-        )
+        losses[lo : lo + len(chunk)] = per_sample_losses(params, x, y, step)
     ledger.record_losses(rows, losses, epoch)

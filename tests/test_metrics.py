@@ -105,17 +105,17 @@ def test_evaluators_match_two_pass_forward_then_losses():
     # the evaluators run the model once per batch; a second forward pass for
     # the losses, as per_sample_losses does, must give bit-identical metrics
     from tftb.data import synth_classification, synth_counting
-    from tftb.nn import ConvDensityArch, MlpArch, forward, init_params, per_sample_losses
+    from tftb.nn import BatchStep, ConvDensityArch, MlpArch, forward, init_params
+    from tftb.nn import per_sample_losses
 
     def two_pass(params, feats, targets, loss_kind, batch_size, read):
         outs, loss_total = [], 0.0
         for lo in range(0, len(feats), batch_size):
-            outs.append(read(forward(params, feats[lo : lo + batch_size])))
-            loss_total += float(
-                per_sample_losses(
-                    params, feats[lo : lo + batch_size], targets[lo : lo + batch_size], loss_kind
-                ).sum()
-            )
+            x, y = feats[lo : lo + batch_size], targets[lo : lo + batch_size]
+            # a step of its own per pass and per batch
+            outs.append(read(forward(params, x, BatchStep(params.arch, len(x), loss_kind))))
+            step = BatchStep(params.arch, len(x), loss_kind)
+            loss_total += float(per_sample_losses(params, x, y, step).sum())
         return np.concatenate(outs), loss_total / len(feats)
 
     cls = synth_classification(3, 150, 3, 0.8)  # 450 samples: two batches of 256

@@ -10,15 +10,18 @@ import pytest
 from tftb.errors import ConfigError, CorruptDataError, NonFiniteError, ShapeError
 from tftb.nn import (
     AdamState,
+    BatchStep,
     ConvDensityArch,
     MlpArch,
     ModelParams,
     adam_step,
+    check_inputs,
     forward,
     init_adam_state,
     init_params,
     load_params,
     loss_and_grad,
+    output_losses,
     per_sample_losses,
     save_params,
 )
@@ -27,6 +30,11 @@ from tftb.nn.models import arch_from_descriptor
 
 def mlp(input_dim=4, hidden=(6,), num_classes=3, seed=0):
     return init_params(MlpArch(input_dim, hidden, num_classes), np.random.default_rng(seed))
+
+
+def step_for(params, batch, loss_kind="cross_entropy"):
+    """A step just large enough for ``batch``."""
+    return BatchStep(params.arch, max(1, len(batch)), loss_kind)
 
 
 # ---------------------------------------------------------------------------
@@ -39,9 +47,9 @@ def test_zero_weight_mlp_gives_zero_logits_and_uniform_loss():
     for w in params.weights:
         w[:] = 0.0
     x = np.random.default_rng(1).standard_normal((6, 5))
-    logits = forward(params, x)
+    logits = forward(params, x, step_for(params, x))
     assert np.array_equal(logits, np.zeros((6, 10)))
-    result = loss_and_grad(params, x, np.zeros(6, dtype=int), "cross_entropy")
+    result = loss_and_grad(params, x, np.zeros(6, dtype=int), step_for(params, x))
     assert np.allclose(result.per_sample_losses, math.log(10), atol=1e-12)
 
 
@@ -50,7 +58,8 @@ def test_identity_linear_model_passes_input_through():
     params = init_params(arch, np.random.default_rng(0))
     params.weights[0][:] = np.eye(3)
     params.biases[0][:] = 0.0
-    out = forward(params, np.array([[1.0, 2.0, 3.0]]))
+    x = np.array([[1.0, 2.0, 3.0]])
+    out = forward(params, x, step_for(params, x))
     assert np.array_equal(out, np.array([[1.0, 2.0, 3.0]]))
 
 
@@ -76,22 +85,21 @@ def test_mlp_forward_matches_straight_line_matmul_oracle():
             out[k] = acc
         return out
 
-    got = forward(params, x)
+    got = forward(params, x, step_for(params, x))
     want = np.array([oracle(row) for row in x])
     assert np.allclose(got, want, atol=1e-12)
 
 
-def test_forward_shape_mismatch_names_expected_and_actual():
-    params = mlp(input_dim=4)
+def test_check_inputs_shape_mismatch_names_expected_and_actual():
     with pytest.raises(ShapeError, match=r"expected \(batch, 4\).*\(3, 5\)"):
-        forward(params, np.zeros((3, 5)))
+        check_inputs(MlpArch(4, (6,), 3), np.zeros((3, 5)), np.zeros(3, int), "cross_entropy")
 
 
 def test_conv_forward_output_matches_input_image_shape():
     arch = ConvDensityArch(9, 7, (3, 2))
     params = init_params(arch, np.random.default_rng(0))
-    out = forward(params, np.random.default_rng(1).standard_normal((4, 9, 7)))
-    assert out.shape == (4, 9, 7)
+    x = np.random.default_rng(1).standard_normal((4, 9, 7))
+    assert forward(params, x, step_for(params, x)).shape == (4, 9, 7)
 
 
 def test_conv_arch_rejects_even_kernel():
@@ -124,8 +132,9 @@ def test_perfect_fit_pixelwise_l2_gives_zero_loss_and_zero_gradient():
     arch = ConvDensityArch(6, 6, (2, 2))
     params = init_params(arch, np.random.default_rng(3))
     x = np.random.default_rng(4).standard_normal((2, 6, 6))
-    target = forward(params, x)
-    result = loss_and_grad(params, x, target, "pixelwise_l2")
+    step = step_for(params, x, "pixelwise_l2")
+    target = forward(params, x, step).copy()
+    result = loss_and_grad(params, x, target, step)
     assert np.array_equal(result.per_sample_losses, np.zeros(2))
     assert result.mean_loss == 0.0
     assert np.array_equal(result.grad.flat, np.zeros_like(params.flat))
@@ -137,7 +146,7 @@ def test_per_sample_loss_additivity():
     for _ in range(10):
         x = rng.standard_normal((17, 4))
         y = rng.integers(0, 5, 17)
-        result = loss_and_grad(params, x, y, "cross_entropy")
+        result = loss_and_grad(params, x, y, step_for(params, x))
         assert result.per_sample_losses.shape == (17,)
         assert (result.per_sample_losses >= 0).all()
         rel = abs(result.mean_loss - result.per_sample_losses.mean()) / max(result.mean_loss, 1e-300)
@@ -147,7 +156,8 @@ def test_per_sample_loss_additivity():
 def test_loss_gradients_have_parameter_shapes():
     params = mlp()
     rng = np.random.default_rng(0)
-    result = loss_and_grad(params, rng.standard_normal((3, 4)), np.array([0, 1, 2]), "cross_entropy")
+    x = rng.standard_normal((3, 4))
+    result = loss_and_grad(params, x, np.array([0, 1, 2]), step_for(params, x))
     assert result.grad.arch == params.arch
     for g, w in zip(result.grad.weights, params.weights):
         assert g.shape == w.shape
@@ -160,14 +170,23 @@ def test_non_finite_loss_carries_offending_sample_id():
     params.weights[0][0, 0] = np.inf
     x = np.ones((3, 4))
     with pytest.raises(NonFiniteError) as err:
-        loss_and_grad(params, x, np.array([0, 1, 2]), "cross_entropy", sample_ids=[11, 22, 33])
+        loss_and_grad(params, x, np.array([0, 1, 2]), step_for(params, x), sample_ids=[11, 22, 33])
     assert err.value.sample_id == 11
 
 
 def test_cross_entropy_rejects_out_of_range_targets():
-    params = mlp(num_classes=3)
     with pytest.raises(ShapeError, match="out of range"):
-        loss_and_grad(params, np.zeros((2, 4)), np.array([0, 3]), "cross_entropy")
+        check_inputs(MlpArch(4, (6,), 3), np.zeros((2, 4)), np.array([0, 3]), "cross_entropy")
+
+
+@pytest.mark.parametrize("labels", [[0.5, 2.9], np.array([0.0, 2.0]), [True, False]],
+                         ids=["fractional", "whole-floats", "bools"])
+def test_cross_entropy_refuses_labels_that_are_not_integers(labels):
+    # a cast would train [0.5, 2.9] as [0, 2]
+    with pytest.raises(ShapeError, match="integer class indices, got (float64|bool)"):
+        check_inputs(MlpArch(4, (6,), 3), np.zeros((2, 4)), labels, "cross_entropy")
+    _, y = check_inputs(MlpArch(4, (6,), 3), np.zeros((2, 4)), np.uint8([0, 2]), "cross_entropy")
+    assert y.dtype == np.int64 and y.tolist() == [0, 2]
 
 
 def test_per_sample_losses_match_loss_and_grad():
@@ -175,9 +194,11 @@ def test_per_sample_losses_match_loss_and_grad():
     params = mlp(num_classes=4)
     x = rng.standard_normal((9, 4))
     y = rng.integers(0, 4, 9)
-    full = loss_and_grad(params, x, y, "cross_entropy")
-    light = per_sample_losses(params, x, y, "cross_entropy")
-    assert np.array_equal(full.per_sample_losses, light)
+    full = loss_and_grad(params, x, y, step_for(params, x)).per_sample_losses.copy()
+    light = per_sample_losses(params, x, y, step_for(params, x))
+    assert np.array_equal(full, light)
+    step = step_for(params, x)
+    assert np.array_equal(output_losses(forward(params, x, step), y, step), light)
 
 
 # ---------------------------------------------------------------------------
@@ -276,9 +297,10 @@ def test_conv_matches_nested_loop_reference(arch, batch):
     targets = rng.standard_normal(x.shape)
 
     want_out, _ = reference_conv_model(params, x)
-    assert rel_error(forward(params, x), want_out) < 1e-12
+    step = step_for(params, x, "pixelwise_l2")
+    assert rel_error(forward(params, x, step), want_out) < 1e-12
 
-    result = loss_and_grad(params, x, targets, "pixelwise_l2")
+    result = loss_and_grad(params, x, targets, step)
     d_out = 2.0 * (want_out - targets) / want_out.size  # batch-mean pixelwise L2
     want_w, want_b = reference_conv_grads(params, x, d_out)
     for got, want in zip(result.grad.weights + result.grad.biases, want_w + want_b):
@@ -303,8 +325,9 @@ def test_conv_step_memory_is_bounded_by_the_design(batch):
 
     36 planes, so the bound is 40 planes (10% headroom for temporaries of
     the small weight gradients and Python objects) plus one patch buffer,
-    which the first traced call may allocate.  A whole-batch patch matrix
-    does not fit: the second layer's alone is 54 planes (6 channels x 3 x 3
+    which the first traced call may allocate.  The step is built inside the
+    traced window, so its buffers count.  A whole-batch patch matrix does
+    not fit: the second layer's alone is 54 planes (6 channels x 3 x 3
     taps).
     """
     import tracemalloc
@@ -320,8 +343,9 @@ def test_conv_step_memory_is_bounded_by_the_design(batch):
     bound = 40 * plane_bytes + 8 * PATCH_BUFFER_FLOATS
     tracemalloc.start()
     try:
+        step = BatchStep(arch, batch, "pixelwise_l2")
         for _ in range(2):  # the second call reuses the first one's patch buffer
-            result = loss_and_grad(params, x, targets, "pixelwise_l2")
+            result = loss_and_grad(params, x, targets, step)
             del result
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -385,10 +409,12 @@ def gradcheck_instance(arch, loss_kind, seed, margin=1e-3):
 
 
 def max_fd_relative_error(params, x, targets, loss_kind, h=1e-5):
-    result = loss_and_grad(params, x, targets, loss_kind)
+    x, targets = check_inputs(params.arch, x, targets, loss_kind)
+    step = step_for(params, x, loss_kind)
+    result = loss_and_grad(params, x, targets, step)
 
-    def mean_loss():
-        return float(per_sample_losses(params, x, targets, loss_kind).mean())
+    def mean_loss():  # a forward pass leaves the step's gradient as it is
+        return float(per_sample_losses(params, x, targets, step).mean())
 
     worst = 0.0
     for arrays, grads in ((params.weights, result.grad.weights), (params.biases, result.grad.biases)):
@@ -517,7 +543,7 @@ def test_training_steps_are_deterministic():
         for _ in range(12):
             x = rng.standard_normal((8, 4))
             y = rng.integers(0, 3, 8)
-            res = loss_and_grad(params, x, y, "cross_entropy")
+            res = loss_and_grad(params, x, y, step_for(params, x))
             adam_step(params, res.grad, state, 0.01)
         return params
 
@@ -729,6 +755,16 @@ def test_adam_state_shapes_follow_params():
         assert not np.shares_memory(moment, params.flat)
 
 
+def test_adam_temporaries_share_no_memory_with_the_moments_or_the_parameters():
+    params = mlp(hidden=(6, 5))
+    state = init_adam_state(params)
+    arrays = [state.tmp, state.denom, state.m, state.v, params.flat]
+    for i, temporary in enumerate(arrays[:2]):
+        assert temporary.shape == params.flat.shape
+        for other in arrays[i + 1 :]:
+            assert not np.shares_memory(temporary, other)
+
+
 # ---------------------------------------------------------------------------
 # the bound batch step
 
@@ -764,12 +800,11 @@ def spoil(step, keep=None):
 @pytest.mark.parametrize(
     "arch", [MlpArch(4, (24, 5), 4), ConvDensityArch(9, 7, (3, 2), 5)], ids=["mlp", "conv"]
 )
-def test_bound_step_is_bit_identical_to_the_checked_calls(arch, loss_kind, spoiled):
-    """A run of batches with a short tail through one bound step gives the
-    losses and parameters of the public calls, bit for bit, whatever its
-    buffers held before each call."""
-    from tftb.nn.models import BatchStep, check_inputs
-
+def test_a_reused_step_is_bit_identical_to_a_fresh_step_per_call(arch, loss_kind, spoiled):
+    """A run of batches with a short tail through one step gives the losses
+    and parameters of a fresh step per call, bit for bit, whatever the
+    reused step's buffers (and the optimizer's temporaries) held before
+    each call."""
     rng = np.random.default_rng(3)
     n, batch = 45, 8  # five full batches and a tail of 5
     out_shape = (arch.num_classes,) if arch.kind == "mlp" else arch.input_shape()
@@ -777,43 +812,49 @@ def test_bound_step_is_bit_identical_to_the_checked_calls(arch, loss_kind, spoil
     targets = (rng.integers(0, math.prod(out_shape), n) if loss_kind == "cross_entropy"
                else rng.standard_normal((n, *out_shape)))
     feats, targets = check_inputs(arch, feats, targets, loss_kind)
-    bound, public = init_params(arch, rng), None
-    public = bound.copy()
-    bound_state, public_state = init_adam_state(bound), init_adam_state(public)
+    reused = init_params(arch, rng)
+    fresh = reused.copy()
+    reused_state, fresh_state = init_adam_state(reused), init_adam_state(fresh)
     step = BatchStep(arch, batch, loss_kind)
+
+    def spoil_all(keep=None):
+        spoil(step, keep)
+        reused_state.tmp[...] = reused_state.denom[...] = np.nan
+
     for epoch in range(3):
         order = rng.permutation(n)
         for lo in range(0, n, batch):
             rows = order[lo : lo + batch]
             if spoiled:
-                spoil(step)
+                spoil_all()
             x, y = step.gather(feats, targets, rows)
-            got = loss_and_grad(bound, x, y, loss_kind, step=step)
-            want = loss_and_grad(public, feats[rows], targets[rows], loss_kind)
+            got = loss_and_grad(reused, x, y, step)
+            want = loss_and_grad(fresh, feats[rows], targets[rows],
+                                 BatchStep(arch, len(rows), loss_kind))
             assert got.per_sample_losses.tobytes() == want.per_sample_losses.tobytes()
             assert got.mean_loss == want.mean_loss
             assert got.grad.flat.tobytes() == want.grad.flat.tobytes()
             if spoiled:  # all but the gradient the optimizer takes
-                spoil(step, keep=got.grad.flat)
-            adam_step(bound, got.grad, bound_state, 0.01, step=step)
-            adam_step(public, want.grad, public_state, 0.01)
-            assert bound.flat.tobytes() == public.flat.tobytes()
+                spoil_all(keep=got.grad.flat)
+            adam_step(reused, got.grad, reused_state, 0.01)
+            adam_step(fresh, want.grad, fresh_state, 0.01)
+            assert reused.flat.tobytes() == fresh.flat.tobytes()
         if spoiled:
-            spoil(step)
-        got = per_sample_losses(bound, feats[:batch - 3], targets[:batch - 3], loss_kind, step=step)
-        want = per_sample_losses(public, feats[:batch - 3], targets[:batch - 3], loss_kind)
+            spoil_all()
+        short = slice(0, batch - 3)
+        got = per_sample_losses(reused, feats[short], targets[short], step)
+        want = per_sample_losses(fresh, feats[short], targets[short],
+                                 BatchStep(arch, batch - 3, loss_kind))
         assert got.tobytes() == want.tobytes()
 
 
 def test_bound_step_names_the_sample_of_a_non_finite_loss():
-    from tftb.nn.models import BatchStep
-
     params = mlp(num_classes=3)
     params.weights[0][0, 0] = np.inf
     step = BatchStep(params.arch, 4, "cross_entropy")
     x, y = step.gather(np.ones((3, 4)), np.array([0, 1, 2]), np.array([2, 1]))
     with pytest.raises(NonFiniteError) as err:
-        loss_and_grad(params, x, y, "cross_entropy", sample_ids=[22, 11], step=step)
+        loss_and_grad(params, x, y, step, sample_ids=[22, 11])
     assert err.value.sample_id == 22
 
 
@@ -823,8 +864,6 @@ def test_warm_conv_step_takes_no_page_faults():
     touches no fresh page.  (Allocating its arrays per call, the same step
     took about 1.3k minor faults.)"""
     import resource
-
-    from tftb.nn.models import BatchStep
 
     arch = ConvDensityArch(24, 24, (6, 6))
     params = init_params(arch, np.random.default_rng(0))
@@ -836,8 +875,8 @@ def test_warm_conv_step_takes_no_page_faults():
     def steps(count):
         for i in range(count):
             x, y = step.gather(feats, maps, np.arange(32 * (i % 3), 32 * (i % 3 + 1)))
-            result = loss_and_grad(params, x, y, "pixelwise_l2", step=step)
-            adam_step(params, result.grad, state, 1e-3, step=step)
+            result = loss_and_grad(params, x, y, step)
+            adam_step(params, result.grad, state, 1e-3)
 
     steps(3)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -860,8 +899,6 @@ def test_refused_checkpoints_leave_no_state_behind(tmp_path):
 
 
 def test_gather_refuses_a_row_out_of_range():
-    from tftb.nn.models import BatchStep
-
     step = BatchStep(MlpArch(4, (3,), 2), 4, "cross_entropy")
     with pytest.raises(IndexError):
         step.gather(np.ones((3, 4)), np.array([0, 1, 1]), np.array([0, 3]))
@@ -872,8 +909,41 @@ def test_gather_refuses_a_row_out_of_range():
 )
 def test_an_empty_batch_has_empty_outputs_and_no_gradient(arch):
     params = init_params(arch, np.random.default_rng(0))
-    x = np.zeros((0, *arch.input_shape()))
-    assert forward(params, x).shape == (0, *arch.output_shape())
-    assert per_sample_losses(params, x, np.zeros(0, int), "cross_entropy").shape == (0,)
-    with pytest.raises(ShapeError, match="batch size >= 1, got 0"):
-        loss_and_grad(params, x, np.zeros(0, int), "cross_entropy")
+    step = BatchStep(arch, 4, "cross_entropy")
+    x, y = check_inputs(arch, np.zeros((0, *arch.input_shape())), np.zeros(0, int), "cross_entropy")
+    assert forward(params, x, step).shape == (0, *arch.output_shape())
+    assert per_sample_losses(params, x, y, step).shape == (0,)
+    with pytest.raises(ShapeError, match="batch of 0 samples: this call takes 1 to 4"):
+        loss_and_grad(params, x, y, step)
+
+
+@pytest.mark.parametrize(
+    "arch", [MlpArch(4, (5,), 3), ConvDensityArch(5, 5, (2, 2))], ids=["mlp", "conv"]
+)
+def test_a_batch_larger_than_its_step_is_refused(arch):
+    params = init_params(arch, np.random.default_rng(0))
+    step = BatchStep(arch, 4, "cross_entropy")
+    x, y = check_inputs(arch, np.zeros((5, *arch.input_shape())), np.zeros(5, int), "cross_entropy")
+    calls = [
+        lambda: forward(params, x, step),
+        lambda: per_sample_losses(params, x, y, step),
+        lambda: loss_and_grad(params, x, y, step),
+        lambda: output_losses(np.zeros((5, *arch.output_shape())), y, step),
+        lambda: step.gather(x, y, np.arange(5)),
+    ]
+    for call in calls:
+        with pytest.raises(ShapeError, match="batch of 5 samples: this call takes [01] to 4"):
+            call()
+
+
+@pytest.mark.parametrize("size", [2.5, True, 0, -1, "4", None])
+def test_a_step_refuses_a_batch_size_that_is_not_a_positive_int(size):
+    with pytest.raises(ShapeError, match="int batch size >= 1"):
+        BatchStep(MlpArch(4, (3,), 2), size, "cross_entropy")
+
+
+def test_a_step_takes_a_numpy_int_batch_size_and_a_known_loss_kind():
+    step = BatchStep(MlpArch(4, (3,), 2), np.int64(3), "pixelwise_l2")
+    assert step.batch_size == 3 and type(step.batch_size) is int
+    with pytest.raises(ShapeError, match="unknown loss kind"):
+        BatchStep(MlpArch(4, (3,), 2), 3, "hinge")

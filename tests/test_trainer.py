@@ -15,10 +15,11 @@ from tftb.budget import VirtualClock  # noqa: F401 (used in helper and tests)
 from tftb.data import (
     Dataset, synth_classification, synth_counting, train_val_split,
 )
-from tftb.errors import BudgetError, ConfigError, NonFiniteError, SelectionError, TrainingAbort
+from tftb.errors import (
+    BudgetError, ConfigError, NonFiniteError, SelectionError, ShapeError, TrainingAbort,
+)
 from tftb.importance import ImportanceLedger, subset_size
-from tftb.nn import MlpArch, ConvDensityArch, init_params
-from tftb.nn.models import BatchStep
+from tftb.nn import BatchStep, MlpArch, ConvDensityArch, init_params
 from tftb.trainer import (
     TrainConfig,
     _epoch_batches,
@@ -286,6 +287,21 @@ def test_refresh_with_non_finite_params_raises_and_leaves_the_ledger_unchanged()
     assert ([ledger.history(r) for r in rows], ledger.last_observed_epoch.tolist()) == before
 
 
+def test_float_class_labels_are_refused_before_the_first_batch(monkeypatch):
+    """A dataset with float labels is unstratified regression data to the
+    dataset; a cross-entropy run refuses it rather than cast the labels,
+    which would train 2.9 as class 2 with stratification off."""
+    train, val = class_data(seed=2)
+    floats = Dataset(train.ids, train.features, train.targets + 0.5, train.num_classes,
+                     train.split_tag, dict(train.meta))
+    assert floats.targets.dtype == np.float64
+    batches = []
+    monkeypatch.setattr(tftb.trainer, "loss_and_grad", lambda *args, **kw: batches.append(1))
+    with pytest.raises(ShapeError, match="integer class indices, got float64"):
+        train_baseline(model_for(train), floats, val, TrainConfig(max_epochs=2), clock=virtual())
+    assert batches == []
+
+
 def test_shuffled_id_order_trains_like_ascending_order():
     train, val = class_data(seed=3)
     perm = np.random.default_rng(1).permutation(len(train))
@@ -520,8 +536,8 @@ def test_one_ledger_write_per_epoch_equals_per_batch_writes(monkeypatch, budget)
     step = tftb.trainer.loss_and_grad
     record = ImportanceLedger.record_losses
 
-    def traced_step(params, batch, targets, loss_kind, sample_ids=None, **kwargs):
-        result = step(params, batch, targets, loss_kind, sample_ids=sample_ids, **kwargs)
+    def traced_step(params, batch, targets, batch_step, sample_ids=None):
+        result = step(params, batch, targets, batch_step, sample_ids=sample_ids)
         events.append(("batch", np.array(sample_ids), result.per_sample_losses.copy()))
         return result
 
