@@ -11,6 +11,26 @@ samples stop paying for themselves early, boundary samples keep paying.
 The counting generator renders blob images from random dot maps and pairs
 them with density-map ground truth, exercising the same math as the
 full-scale point-annotated datasets at a fraction of the size.
+
+Both are deterministic in ``seed`` and read one ``np.random.default_rng(seed)``
+stream in a fixed order, so a dataset is the same bytes from version to
+version (the golden fingerprints in the tests pin them).  Class by class,
+``synth_classification`` draws, in this order:
+
+- for each prototype, a disk angle and radius (``uniform([0, 0], [2 pi, 1])``);
+- for each easy sample, the same two, then one ``uniform(-0.15, 0.15)`` per
+  nuisance column;
+- for each hard sample, a crescent position ``uniform(0, pi)``, then one
+  standard normal per feature column (two noise coordinates, then the
+  nuisance columns).
+
+Image by image, ``synth_counting`` draws the object count ``integers(0,
+max_objects + 1)``, then ``x, y`` of each object (``uniform(0,
+image_size)``), then the background noise image.  Each run of uniform draws
+is one bulk call, and the samples are built with array arithmetic in the
+order of the sample-at-a-time formulas.  Only the hard samples draw one at
+a time: numpy's normal sampler reads a variable number of raw values, so
+where the next uniform sits in the stream is known only after drawing.
 """
 
 from __future__ import annotations
@@ -19,7 +39,7 @@ import numpy as np
 
 from ..errors import ConfigError
 from .dataset import Dataset
-from .density import DotMap, density_map
+from .density import DotMap, check_sigma, density_map, gaussian_kernels
 
 # cluster geometry for synth_classification (unit cluster scale)
 _SEPARATION = 3.0
@@ -32,12 +52,61 @@ _NUISANCE_EASY = 0.15
 _MOON_SCALE = 0.9
 _MOON_NOISE = 0.13
 _NUISANCE_HARD = 0.30
+# blob width of the synth_counting images, in pixels
+_BLOB_SIGMA = 1.2
 
 
-def _unit_disk(rng: np.random.Generator, radius: float) -> np.ndarray:
-    angle = rng.uniform(0.0, 2.0 * np.pi)
-    r = radius * np.sqrt(rng.uniform(0.0, 1.0))
-    return np.array([r * np.cos(angle), r * np.sin(angle)])
+def check_size(name: str, value, minimum: int) -> None:
+    """Refuse ``value`` unless it is an int of at least ``minimum``.
+
+    A numpy integer counts; a bool does not (``True`` is not a size).
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{name} must be an int, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}, got {value}")
+
+
+def check_classification(n_per_class, num_classes, easy_fraction, feature_dim) -> None:
+    """The argument checks of ``synth_classification``, each error naming
+    its parameter; ``ExperimentSpec`` runs them on its fields."""
+    check_size("num_classes", num_classes, 2)
+    check_size("n_per_class", n_per_class, 1)
+    if not 0.0 <= easy_fraction <= 1.0:
+        raise ConfigError(f"easy_fraction must be in [0, 1], got {easy_fraction}")
+    check_size("feature_dim", feature_dim, 2)
+
+
+def check_counting(n_images, image_size, max_objects, sigma) -> None:
+    """The argument checks of ``synth_counting``, each error naming its
+    parameter; ``ExperimentSpec`` runs them on its fields."""
+    check_size("image_size", image_size, 16)
+    check_size("max_objects", max_objects, 1)
+    check_size("n_images", n_images, 1)
+    check_sigma(sigma)
+
+
+def _disk_points(angle_radius: np.ndarray, radius: float) -> np.ndarray:
+    """Points in a disk of ``radius``, one per row of (angle, unit) draws:
+    ``r = radius * sqrt(unit)`` at ``angle``."""
+    angle = angle_radius[:, 0]
+    r = radius * np.sqrt(angle_radius[:, 1])
+    return np.stack([r * np.cos(angle), r * np.sin(angle)], axis=1)
+
+
+def _crescent_frame(centroids: np.ndarray, c: int, neighbour: int):
+    """(midpoint, axis, perp, c is the lower class) of the crescent pair
+    between classes ``c`` and ``neighbour``.
+
+    One canonical frame per unordered class pair, so both classes'
+    crescents land interlocked at the same midline.
+    """
+    lo, hi = min(c, neighbour), max(c, neighbour)
+    midpoint = 0.5 * (centroids[lo] + centroids[hi])
+    axis = centroids[hi] - centroids[lo]
+    axis = axis / np.linalg.norm(axis)
+    perp = np.array([-axis[1], axis[0]])
+    return midpoint, axis, perp, c == lo
 
 
 def synth_classification(
@@ -53,53 +122,61 @@ def synth_classification(
     Deterministic in ``seed``.  With ``easy_fraction=1.0`` every sample lies
     within one cluster scale of its class centroid by construction.
     """
-    if num_classes < 2:
-        raise ConfigError(f"num_classes must be >= 2, got {num_classes}")
-    if n_per_class < 1:
-        raise ConfigError(f"n_per_class must be >= 1, got {n_per_class}")
-    if not 0.0 <= easy_fraction <= 1.0:
-        raise ConfigError(f"easy_fraction must be in [0, 1], got {easy_fraction}")
-    if feature_dim < 2:
-        raise ConfigError(f"feature_dim must be >= 2, got {feature_dim}")
+    check_classification(n_per_class, num_classes, easy_fraction, feature_dim)
 
     rng = np.random.default_rng(seed)
     angles = 2.0 * np.pi * np.arange(num_classes) / num_classes
     centroids = _SEPARATION * np.stack([np.cos(angles), np.sin(angles)], axis=1)
     n_easy = int(round(easy_fraction * n_per_class))
+    n_hard = n_per_class - n_easy
     n_extra = feature_dim - 2
+    # per easy sample: jitter angle, jitter radius, then the nuisance columns
+    easy_low = np.array([0.0, 0.0] + [-_NUISANCE_EASY] * n_extra)
+    easy_high = np.array([2.0 * np.pi, 1.0] + [_NUISANCE_EASY] * n_extra)
+    # per hard sample: two moon-noise coordinates, then the nuisance columns
+    hard_scale = np.array([_MOON_NOISE] * 2 + [_NUISANCE_HARD] * n_extra)
 
     n_total = num_classes * n_per_class
     features = np.empty((n_total, feature_dim))
     for c in range(num_classes):
         # rows of class c: its easy samples, then its hard ones
         easy, hard = np.split(features[c * n_per_class : (c + 1) * n_per_class], [n_easy])
-        center = centroids[c]
-        n_proto = max(1, n_easy // 8) if n_easy else 0
-        protos = [center + _unit_disk(rng, _PROTO_RADIUS) for _ in range(n_proto)]
-        for i in range(n_easy):
-            easy[i, :2] = protos[i % n_proto] + _unit_disk(rng, _JITTER_RADIUS)
-            easy[i, 2:] = rng.uniform(-_NUISANCE_EASY, _NUISANCE_EASY, size=n_extra)
-        for i in range(n_per_class - n_easy):
-            neighbour_class = (c + (1 if i % 2 == 0 else -1)) % num_classes
-            # one canonical frame per unordered class pair so both classes'
-            # crescents land interlocked at the same midline
-            lo, hi = min(c, neighbour_class), max(c, neighbour_class)
-            midpoint = 0.5 * (centroids[lo] + centroids[hi])
-            axis = centroids[hi] - centroids[lo]
-            axis = axis / np.linalg.norm(axis)
-            perp = np.array([-axis[1], axis[0]])
-            t = rng.uniform(0.0, np.pi)
-            if c == lo:
-                local = np.array([np.cos(t), np.sin(t)])
-            else:
-                local = np.array([1.0 - np.cos(t), 0.5 - np.sin(t)])
-            local -= np.array([0.5, 0.125])  # center the moon pair on the midline
-            hard[i, :2] = (
-                midpoint
-                + _MOON_SCALE * (local[0] * axis + local[1] * perp)
-                + rng.normal(0.0, _MOON_NOISE, size=2)
+        if n_easy:
+            n_proto = max(1, n_easy // 8)
+            protos = centroids[c] + _disk_points(
+                rng.uniform([0.0, 0.0], [2.0 * np.pi, 1.0], size=(n_proto, 2)), _PROTO_RADIUS
             )
-            hard[i, 2:] = rng.normal(0.0, _NUISANCE_HARD, size=n_extra)
+            draws = rng.uniform(easy_low, easy_high, size=(n_easy, feature_dim))
+            easy[:, :2] = protos[np.arange(n_easy) % n_proto] + _disk_points(draws, _JITTER_RADIUS)
+            easy[:, 2:] = draws[:, 2:]
+        if not n_hard:
+            continue
+        position = np.empty(n_hard)
+        noise = np.empty((n_hard, feature_dim))
+        for i in range(n_hard):
+            position[i] = rng.random()
+            rng.standard_normal(out=noise[i])
+        # numpy computes uniform(0, pi) as 0.0 + pi * u and normal(0, s) as
+        # 0.0 + s * z; the same arithmetic gives the same bytes
+        t = 0.0 + np.pi * position
+        noise *= hard_scale
+        noise += 0.0
+        # even hard rows face the next class, odd ones the previous
+        for parity, step in ((0, 1), (1, -1)):
+            rows = slice(parity, None, 2)
+            midpoint, axis, perp, lower = _crescent_frame(
+                centroids, c, (c + step) % num_classes
+            )
+            cos_t, sin_t = np.cos(t[rows]), np.sin(t[rows])
+            if lower:
+                l0, l1 = cos_t, sin_t
+            else:
+                l0, l1 = 1.0 - cos_t, 0.5 - sin_t
+            # center the moon pair on the midline
+            l0 = (l0 - 0.5)[:, None]
+            l1 = (l1 - 0.125)[:, None]
+            hard[rows, :2] = midpoint + _MOON_SCALE * (l0 * axis + l1 * perp) + noise[rows, :2]
+        hard[:, 2:] = noise[:, 2:]
 
     return Dataset(
         np.arange(n_total),
@@ -117,14 +194,6 @@ def synth_classification(
     )
 
 
-def _render_blob(image: np.ndarray, x: float, y: float, blob_sigma: float) -> None:
-    h, w = image.shape
-    inv = 1.0 / (2.0 * blob_sigma * blob_sigma)
-    gy = np.exp(-((np.arange(h) - y) ** 2) * inv)
-    gx = np.exp(-((np.arange(w) - x) ** 2) * inv)
-    image += np.outer(gy, gx)
-
-
 def synth_counting(
     seed: int,
     n_images: int,
@@ -134,26 +203,21 @@ def synth_counting(
     split_tag: str = "train",
 ) -> Dataset:
     """Blob images plus density-map targets; counts uniform in [0, max_objects]."""
-    if image_size < 16:
-        raise ConfigError(f"image_size must be >= 16, got {image_size}")
-    if max_objects < 1:
-        raise ConfigError(f"max_objects must be >= 1, got {max_objects}")
-    if n_images < 1:
-        raise ConfigError(f"n_images must be >= 1, got {n_images}")
+    check_counting(n_images, image_size, max_objects, sigma)
 
     rng = np.random.default_rng(seed)
     images = np.empty((n_images, image_size, image_size))
     maps = np.empty((n_images, image_size, image_size))
-    for i in range(n_images):
+    blob_inv = 1.0 / (2.0 * _BLOB_SIGMA * _BLOB_SIGMA)
+    for image, density in zip(images, maps):
         count = int(rng.integers(0, max_objects + 1))
-        points = tuple(
-            (float(rng.uniform(0.0, image_size)), float(rng.uniform(0.0, image_size)))
-            for _ in range(count)
-        )
-        maps[i] = density_map(DotMap(width=image_size, height=image_size, points=points), sigma)
-        images[i] = rng.uniform(0.0, 0.05, size=(image_size, image_size))
-        for x, y in points:
-            _render_blob(images[i], x, y, blob_sigma=1.2)
+        # (x, y) of each object, in object order
+        points = rng.uniform(0.0, image_size, size=(count, 2))
+        dots = DotMap(image_size, image_size, tuple(map(tuple, points.tolist())))
+        density[...] = density_map(dots, sigma)
+        image[...] = rng.uniform(0.0, 0.05, size=(image_size, image_size))
+        for blob in gaussian_kernels(points, image_size, image_size, blob_inv):
+            image += blob
 
     return Dataset(
         np.arange(n_images),

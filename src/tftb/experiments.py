@@ -22,7 +22,13 @@ import numpy as np
 
 from .data.cifar10 import load_cifar10
 from .data.dataset import Dataset, train_val_split
-from .data.synthetic import synth_classification, synth_counting
+from .data.synthetic import (
+    check_classification,
+    check_counting,
+    check_size,
+    synth_classification,
+    synth_counting,
+)
 from .errors import ConfigError, ShapeError
 from .manifest import RunManifest, write_ledger_csv
 from .metrics import evaluate_classifier, evaluate_counter
@@ -67,6 +73,16 @@ class ExperimentSpec:
             raise ConfigError("classify-cifar10 needs data_dir pointing at the binary batches")
         if not 0.0 < self.val_fraction < 0.5:
             raise ConfigError(f"val_fraction must be in (0, 0.5), got {self.val_fraction}")
+        # the generators' own checks, run on this spec's fields, so a bad size
+        # is refused here, under the field's name, not when the data is built
+        if self.task == "classify-synth":
+            check_classification(
+                self.n_per_class, self.num_classes, self.easy_fraction, self.feature_dim
+            )
+            check_size("n_test_per_class", self.n_test_per_class, 1)
+        elif self.task == "count-synth":
+            check_counting(self.n_images, self.image_size, self.max_objects, self.sigma)
+            check_size("n_test_images", self.n_test_images, 1)
         try:
             self.architecture()
         except ShapeError as exc:

@@ -182,6 +182,17 @@ def test_baseline_sweep_over_several_alphas_is_a_configuration_error(tmp_path, c
     assert not out.exists()
 
 
+def test_sweep_names_the_test_split_field_it_refuses(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("task = classify-synth\nmode = tftb\nn_per_class = 20\nn_test_per_class = 0\n")
+    out = tmp_path / "sweep"
+    code = main(["sweep", "--config", str(cfg), "--alphas", "0.1,0.3", "--seeds", "1,2",
+                 "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert "n_test_per_class must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_with_empty_alpha_list_is_usage_error(tmp_path):
     code = main(
         ["sweep", "--task", "classify-synth", "--alphas", "", "--out", str(tmp_path)]

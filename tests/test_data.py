@@ -1,5 +1,6 @@
 """Datasets: CIFAR-10 binary loader, synthetic generators, density maps."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -255,6 +256,214 @@ def test_synth_counting_validates_parameters():
         synth_counting(seed=0, n_images=5, image_size=8, max_objects=3, sigma=2.0)
     with pytest.raises(ConfigError):
         synth_counting(seed=0, n_images=5, image_size=16, max_objects=0, sigma=2.0)
+
+
+_CLASSIFY = dict(seed=0, n_per_class=3, num_classes=2, easy_fraction=0.5, feature_dim=4)
+_COUNT = dict(seed=0, n_images=2, image_size=16, max_objects=3, sigma=2.0)
+
+
+@pytest.mark.parametrize(
+    "generator, defaults, name, value",
+    [
+        (synth_classification, _CLASSIFY, "n_per_class", 2.5),
+        (synth_classification, _CLASSIFY, "n_per_class", True),
+        (synth_classification, _CLASSIFY, "num_classes", 2.0),
+        (synth_classification, _CLASSIFY, "feature_dim", 4.5),
+        (synth_classification, _CLASSIFY, "feature_dim", "4"),
+        (synth_counting, _COUNT, "image_size", 16.5),
+        (synth_counting, _COUNT, "n_images", 2.5),
+        (synth_counting, _COUNT, "max_objects", 2.5),
+        (synth_counting, _COUNT, "max_objects", np.bool_(True)),
+    ],
+    ids=["n_per_class-2.5", "n_per_class-True", "num_classes-2.0", "feature_dim-4.5",
+         "feature_dim-str", "image_size-16.5", "n_images-2.5", "max_objects-2.5",
+         "max_objects-np.True_"],
+)
+def test_generators_refuse_sizes_that_are_not_ints(generator, defaults, name, value):
+    with pytest.raises(ConfigError, match=f"{name} must be an int, got {value!r}"):
+        generator(**{**defaults, name: value})
+
+
+def test_generators_accept_numpy_integer_sizes():
+    want = synth_classification(**_CLASSIFY)
+    got = synth_classification(seed=0, n_per_class=np.int64(3), num_classes=np.int32(2),
+                               easy_fraction=0.5, feature_dim=np.uint8(4))
+    assert got.features.tobytes() == want.features.tobytes()
+    want = synth_counting(**_COUNT)
+    got = synth_counting(seed=0, n_images=np.int64(2), image_size=np.int16(16),
+                         max_objects=np.int64(3), sigma=2.0)
+    assert got.features.tobytes() == want.features.tobytes()
+    assert got.targets.tobytes() == want.targets.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# per-sample reference generators: the generators as they were written before
+# they drew in bulk, one sample, point and blob at a time.  The array
+# generators must give the same bytes.
+
+
+def reference_synth_classification(seed, n_per_class, num_classes, easy_fraction, feature_dim):
+    """Features of ``synth_classification``, one sample at a time."""
+
+    def unit_disk(rng, radius):
+        angle = rng.uniform(0.0, 2.0 * np.pi)
+        r = radius * np.sqrt(rng.uniform(0.0, 1.0))
+        return np.array([r * np.cos(angle), r * np.sin(angle)])
+
+    rng = np.random.default_rng(seed)
+    angles = 2.0 * np.pi * np.arange(num_classes) / num_classes
+    centroids = 3.0 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    n_easy = int(round(easy_fraction * n_per_class))
+    n_extra = feature_dim - 2
+    features = np.empty((num_classes * n_per_class, feature_dim))
+    for c in range(num_classes):
+        easy, hard = np.split(features[c * n_per_class : (c + 1) * n_per_class], [n_easy])
+        center = centroids[c]
+        n_proto = max(1, n_easy // 8) if n_easy else 0
+        protos = [center + unit_disk(rng, 0.45) for _ in range(n_proto)]
+        for i in range(n_easy):
+            easy[i, :2] = protos[i % n_proto] + unit_disk(rng, 0.15)
+            easy[i, 2:] = rng.uniform(-0.15, 0.15, size=n_extra)
+        for i in range(n_per_class - n_easy):
+            neighbour_class = (c + (1 if i % 2 == 0 else -1)) % num_classes
+            lo, hi = min(c, neighbour_class), max(c, neighbour_class)
+            midpoint = 0.5 * (centroids[lo] + centroids[hi])
+            axis = centroids[hi] - centroids[lo]
+            axis = axis / np.linalg.norm(axis)
+            perp = np.array([-axis[1], axis[0]])
+            t = rng.uniform(0.0, np.pi)
+            if c == lo:
+                local = np.array([np.cos(t), np.sin(t)])
+            else:
+                local = np.array([1.0 - np.cos(t), 0.5 - np.sin(t)])
+            local -= np.array([0.5, 0.125])
+            hard[i, :2] = (
+                midpoint
+                + 0.9 * (local[0] * axis + local[1] * perp)
+                + rng.normal(0.0, 0.13, size=2)
+            )
+            hard[i, 2:] = rng.normal(0.0, 0.30, size=n_extra)
+    return features
+
+
+def reference_density_map(width, height, points, sigma):
+    """``density_map`` one kernel at a time."""
+    out = np.zeros((height, width))
+    ys = np.arange(height, dtype=np.float64)
+    xs = np.arange(width, dtype=np.float64)
+    inv = 1.0 / (2.0 * sigma * sigma)
+    for px, py in points:
+        gy = np.exp(-((ys - py) ** 2) * inv)
+        gx = np.exp(-((xs - px) ** 2) * inv)
+        kernel = np.outer(gy, gx)
+        out += kernel / kernel.sum()
+    return out
+
+
+def reference_synth_counting(seed, n_images, image_size, max_objects, sigma):
+    """(images, maps) of ``synth_counting``, one point and one blob at a time."""
+    rng = np.random.default_rng(seed)
+    images = np.empty((n_images, image_size, image_size))
+    maps = np.empty((n_images, image_size, image_size))
+    inv = 1.0 / (2.0 * 1.2 * 1.2)
+    for i in range(n_images):
+        count = int(rng.integers(0, max_objects + 1))
+        points = tuple(
+            (float(rng.uniform(0.0, image_size)), float(rng.uniform(0.0, image_size)))
+            for _ in range(count)
+        )
+        maps[i] = reference_density_map(image_size, image_size, points, sigma)
+        images[i] = rng.uniform(0.0, 0.05, size=(image_size, image_size))
+        for x, y in points:
+            gy = np.exp(-((np.arange(image_size) - y) ** 2) * inv)
+            gx = np.exp(-((np.arange(image_size) - x) ** 2) * inv)
+            images[i] += np.outer(gy, gx)
+    return images, maps
+
+
+@pytest.mark.parametrize(
+    "seed, n_per_class, num_classes, easy_fraction, feature_dim",
+    [
+        (0, 1, 2, 0.5, 2),        # one sample per class, no nuisance columns
+        (1, 7, 2, 0.0, 4),        # all hard, odd count, both neighbours one class
+        (2, 9, 3, 1.0, 3),        # all easy, odd count
+        (5, 33, 8, 0.6, 8),       # the equal-budget shape: 8 classes, six nuisance columns
+        (9, 50, 4, 0.5, 2),
+        (100001, 12500, 4, 0.6, 4),  # the select-heavy train shape
+    ],
+    ids=["one-per-class", "all-hard-2-classes", "all-easy", "8-classes-dim-8", "dim-2",
+         "select-heavy"],
+)
+def test_synth_classification_is_byte_equal_to_the_per_sample_reference(
+    seed, n_per_class, num_classes, easy_fraction, feature_dim
+):
+    ds = synth_classification(seed, n_per_class, num_classes, easy_fraction, feature_dim)
+    want = reference_synth_classification(
+        seed, n_per_class, num_classes, easy_fraction, feature_dim)
+    assert ds.features.tobytes() == want.tobytes()
+    assert np.array_equal(ds.targets, np.repeat(np.arange(num_classes), n_per_class))
+
+
+def test_synth_classification_is_byte_equal_to_the_reference_over_a_grid():
+    grid = itertools.product((0, 7), (1, 2, 3, 10), (2, 3, 5), (0.0, 0.5, 0.6, 1.0), (2, 5))
+    for case in grid:
+        got = synth_classification(*case).features
+        assert got.tobytes() == reference_synth_classification(*case).tobytes(), case
+
+
+def test_density_map_is_byte_equal_to_the_per_kernel_reference():
+    rng = np.random.default_rng(11)
+    # 100 x 90 pixels: a kernel sum longer than numpy's 8192-element buffer
+    for width, height in ((5, 3), (21, 18), (24, 24), (100, 90)):
+        for count in (0, 1, 2, 7):
+            points = tuple(
+                (float(rng.uniform(0, width)), float(rng.uniform(0, height)))
+                for _ in range(count))
+            for sigma in (0.5, 4.0):
+                got = density_map(DotMap(width, height, points), sigma)
+                want = reference_density_map(width, height, points, sigma)
+                assert got.tobytes() == want.tobytes(), (width, height, count, sigma)
+    # integer pixel coordinates convert exactly as the reference's arithmetic does
+    points = ((0, 0), (3, 7), (15, 15))
+    assert (density_map(DotMap(16, 16, points), 2.0).tobytes()
+            == reference_density_map(16, 16, points, 2.0).tobytes())
+
+
+@pytest.mark.parametrize(
+    "seed, n_images, image_size, max_objects, sigma",
+    [
+        (6, 40, 16, 1, 2.0),      # counts 0 and max_objects only
+        (3, 30, 19, 4, 0.7),
+        (1, 1333, 24, 6, 4.0),    # the conv-heavy train shape
+    ],
+    ids=["max-objects-1", "odd-size", "conv-heavy"],
+)
+def test_synth_counting_is_byte_equal_to_the_per_point_reference(
+    seed, n_images, image_size, max_objects, sigma
+):
+    ds = synth_counting(seed, n_images, image_size, max_objects, sigma)
+    images, maps = reference_synth_counting(seed, n_images, image_size, max_objects, sigma)
+    counts = np.round(maps.sum(axis=(1, 2))).astype(int)
+    assert counts.min() == 0 and counts.max() == max_objects
+    assert ds.features.tobytes() == images.tobytes()
+    assert ds.targets.tobytes() == maps.tobytes()
+
+
+def test_synth_classification_peak_memory_is_bounded_per_class():
+    """Traced peak of a select-heavy-sized build is under 3x its features.
+
+    The features (1x) and the int64 ids and labels (0.5x) are the floor; the
+    draws and geometry temporaries of one class at a time sit on top of them
+    (about 0.5x).  A build that drew every class at once would pass 3x.
+    """
+    tracemalloc.start()
+    try:
+        ds = synth_classification(1, 12500, 4, 0.6, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ds.features.nbytes == 50000 * 4 * 8
+    assert peak < 3 * ds.features.nbytes
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,36 @@ def test_run_sweep_grid_and_summary(tmp_path):
     assert "alpha=0.2" in text
 
 
+@pytest.mark.parametrize(
+    "task, name, value, message",
+    [
+        ("classify-synth", "n_per_class", 0, "n_per_class must be >= 1"),
+        ("classify-synth", "n_per_class", 2.5, "n_per_class must be an int"),
+        ("classify-synth", "num_classes", 1, "num_classes must be >= 2"),
+        ("classify-synth", "easy_fraction", 2.0, r"easy_fraction must be in \[0, 1\]"),
+        ("classify-synth", "feature_dim", 1, "feature_dim must be >= 2"),
+        ("classify-synth", "n_test_per_class", 0, "n_test_per_class must be >= 1"),
+        ("count-synth", "n_images", 0, "n_images must be >= 1"),
+        ("count-synth", "image_size", 12, "image_size must be >= 16"),
+        ("count-synth", "max_objects", 2.5, "max_objects must be an int"),
+        ("count-synth", "sigma", 0.0, "sigma must be positive"),
+        ("count-synth", "n_test_images", 0, "n_test_images must be >= 1"),
+    ],
+    ids=["n_per_class-0", "n_per_class-2.5", "num_classes-1", "easy_fraction-2.0",
+         "feature_dim-1", "n_test_per_class-0", "n_images-0", "image_size-12",
+         "max_objects-2.5", "sigma-0.0", "n_test_images-0"],
+)
+def test_spec_checks_its_task_data_fields_when_built(task, name, value, message):
+    with pytest.raises(ConfigError, match=message):
+        small_spec(task=task, **{name: value})
+
+
+def test_spec_data_checks_leave_the_other_task_fields_alone():
+    # count-synth sizes mean nothing to a classify-synth spec, and back
+    small_spec(task="classify-synth", n_images=0, sigma=0.0)
+    small_spec(task="count-synth", n_per_class=0, easy_fraction=2.0)
+
+
 def test_run_sweep_checks_every_spec_before_the_first_run(tmp_path):
     with pytest.raises(ConfigError, match="alpha"):
         run_sweep(small_spec(), alphas=[0.3, 1.5], seeds=[1], out_dir=tmp_path)

@@ -9,8 +9,8 @@ the code alone, so running this on two trees and comparing the outputs with
 ``diff -r`` shows whether a change kept the training behaviour byte for
 byte.  The cases cover both modes, refreshes and reranks every few epochs,
 unstratified selection at several score windows, adaptive alpha, a run
-ended by its budget with scripted rank and refresh costs, and the conv
-model.
+ended by its budget with scripted rank and refresh costs, 8 classes at
+``feature_dim = 8`` (the ``equal-budget`` data shape), and the conv model.
 """
 
 from __future__ import annotations
@@ -69,6 +69,10 @@ def cases():
     yield ("budget-bound",
            _with(CRITERION_10, max_epochs=None, budget_seconds=1.5, refresh_excluded_period=1),
            {**costs, "rank": 0.3, "refresh": 0.2})
+    # the equal-budget data shape: six nuisance columns, neighbours wrap at 8
+    wide = dataclasses.replace(CRITERION_10, num_classes=8, feature_dim=8)
+    yield "classes8-dim8-tftb", wide, costs
+    yield "classes8-dim8-baseline", _with(wide, mode="baseline"), costs
     yield "count-synth-tftb", COUNT_SYNTH, costs
     yield "count-synth-baseline", _with(COUNT_SYNTH, mode="baseline"), costs
 
