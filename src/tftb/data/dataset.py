@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ConfigError, ShapeError
+from ..errors import ConfigError, ShapeError, check_count
 
 # class_tag value for regression datasets, where stratification is off
 UNSTRATIFIED = -1
@@ -123,7 +123,7 @@ def train_val_split(dataset: Dataset, val_fraction: float, seed: int) -> tuple[D
     """Seeded split; ids are retained so the two parts stay disjoint by id."""
     if not 0.0 < val_fraction < 1.0:
         raise ConfigError(f"val_fraction must be in (0, 1), got {val_fraction}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_count("seed", seed, 0))
     order = rng.permutation(len(dataset))
     n_val = max(1, int(round(val_fraction * len(dataset))))
     is_val = np.zeros(len(dataset), dtype=bool)

@@ -11,11 +11,12 @@ bytes as one built a point at a time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import ConfigError, check_count
 
 
 @dataclass(frozen=True)
@@ -25,8 +26,8 @@ class DotMap:
     points: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise ConfigError(f"dot map size {self.width}x{self.height} is empty")
+        object.__setattr__(self, "width", check_count("dot map width", self.width, 1))
+        object.__setattr__(self, "height", check_count("dot map height", self.height, 1))
         for x, y in self.points:
             if not (0 <= x < self.width and 0 <= y < self.height):
                 raise ConfigError(
@@ -39,8 +40,8 @@ class DotMap:
 
 
 def check_sigma(sigma) -> None:
-    if not sigma > 0:
-        raise ConfigError(f"sigma must be positive, got {sigma}")
+    if not 0 < sigma < math.inf:
+        raise ConfigError(f"sigma must be positive and finite, got {sigma}")
 
 
 def gaussian_kernels(points: np.ndarray, height: int, width: int, inv: float) -> np.ndarray:

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import ConfigError, check_count
 from .dataset import Dataset
 from .density import DotMap, check_sigma, density_map, gaussian_kernels
 
@@ -56,34 +56,24 @@ _NUISANCE_HARD = 0.30
 _BLOB_SIGMA = 1.2
 
 
-def check_size(name: str, value, minimum: int) -> None:
-    """Refuse ``value`` unless it is an int of at least ``minimum``.
-
-    A numpy integer counts; a bool does not (``True`` is not a size).
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ConfigError(f"{name} must be an int, got {value!r}")
-    if value < minimum:
-        raise ConfigError(f"{name} must be >= {minimum}, got {value}")
-
-
-def check_classification(n_per_class, num_classes, easy_fraction, feature_dim) -> None:
-    """The argument checks of ``synth_classification``, each error naming
-    its parameter; ``ExperimentSpec`` runs them on its fields."""
-    check_size("num_classes", num_classes, 2)
-    check_size("n_per_class", n_per_class, 1)
+def check_classification(n_per_class, num_classes, easy_fraction, feature_dim):
+    """The argument checks of ``synth_classification``, each error naming its
+    parameter; ``ExperimentSpec`` runs them on its fields.  Returns the counts as ints."""
+    num_classes = check_count("num_classes", num_classes, 2)
+    n_per_class = check_count("n_per_class", n_per_class, 1)
     if not 0.0 <= easy_fraction <= 1.0:
         raise ConfigError(f"easy_fraction must be in [0, 1], got {easy_fraction}")
-    check_size("feature_dim", feature_dim, 2)
+    return n_per_class, num_classes, check_count("feature_dim", feature_dim, 2)
 
 
-def check_counting(n_images, image_size, max_objects, sigma) -> None:
-    """The argument checks of ``synth_counting``, each error naming its
-    parameter; ``ExperimentSpec`` runs them on its fields."""
-    check_size("image_size", image_size, 16)
-    check_size("max_objects", max_objects, 1)
-    check_size("n_images", n_images, 1)
+def check_counting(n_images, image_size, max_objects, sigma):
+    """The argument checks of ``synth_counting``, each error naming its parameter;
+    ``ExperimentSpec`` runs them on its fields.  Returns the counts as ints."""
+    image_size = check_count("image_size", image_size, 16)
+    max_objects = check_count("max_objects", max_objects, 1)
+    n_images = check_count("n_images", n_images, 1)
     check_sigma(sigma)
+    return n_images, image_size, max_objects
 
 
 def _disk_points(angle_radius: np.ndarray, radius: float) -> np.ndarray:
@@ -122,7 +112,10 @@ def synth_classification(
     Deterministic in ``seed``.  With ``easy_fraction=1.0`` every sample lies
     within one cluster scale of its class centroid by construction.
     """
-    check_classification(n_per_class, num_classes, easy_fraction, feature_dim)
+    seed = check_count("seed", seed, 0)
+    n_per_class, num_classes, feature_dim = check_classification(
+        n_per_class, num_classes, easy_fraction, feature_dim
+    )
 
     rng = np.random.default_rng(seed)
     angles = 2.0 * np.pi * np.arange(num_classes) / num_classes
@@ -203,7 +196,8 @@ def synth_counting(
     split_tag: str = "train",
 ) -> Dataset:
     """Blob images plus density-map targets; counts uniform in [0, max_objects]."""
-    check_counting(n_images, image_size, max_objects, sigma)
+    seed = check_count("seed", seed, 0)
+    n_images, image_size, max_objects = check_counting(n_images, image_size, max_objects, sigma)
 
     rng = np.random.default_rng(seed)
     images = np.empty((n_images, image_size, image_size))

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check of a count."""
+
+import numpy as np
 
 
 class TftbError(Exception):
@@ -35,6 +37,16 @@ class BudgetError(TftbError):
 
 class ConfigError(TftbError):
     """Invalid configuration value or unknown configuration key."""
+
+
+def check_count(name: str, value, least: int) -> int:
+    """``value`` as a Python int, refused unless it is an int of at least
+    ``least``; a numpy integer counts, a bool does not (``True`` is no count)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{name} must be an int, got {value!r}")
+    if value < least:
+        raise ConfigError(f"{name} must be >= {least}, got {value}")
+    return int(value)
 
 
 class ManifestError(TftbError):

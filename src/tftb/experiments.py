@@ -25,11 +25,10 @@ from .data.dataset import Dataset, train_val_split
 from .data.synthetic import (
     check_classification,
     check_counting,
-    check_size,
     synth_classification,
     synth_counting,
 )
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, check_count
 from .manifest import RunManifest, write_ledger_csv
 from .metrics import evaluate_classifier, evaluate_counter
 from .nn.checkpoint import save_params
@@ -74,15 +73,23 @@ class ExperimentSpec:
         if not 0.0 < self.val_fraction < 0.5:
             raise ConfigError(f"val_fraction must be in (0, 0.5), got {self.val_fraction}")
         # the generators' own checks, run on this spec's fields, so a bad size
-        # is refused here, under the field's name, not when the data is built
+        # is refused here, under the field's name, not when the data is built;
+        # each count is kept as the int the check returns
+        counts = {}
         if self.task == "classify-synth":
-            check_classification(
+            n, k, dim = check_classification(
                 self.n_per_class, self.num_classes, self.easy_fraction, self.feature_dim
             )
-            check_size("n_test_per_class", self.n_test_per_class, 1)
+            n_test = check_count("n_test_per_class", self.n_test_per_class, 1)
+            counts = dict(n_per_class=n, num_classes=k, feature_dim=dim, n_test_per_class=n_test)
         elif self.task == "count-synth":
-            check_counting(self.n_images, self.image_size, self.max_objects, self.sigma)
-            check_size("n_test_images", self.n_test_images, 1)
+            n, size, objects = check_counting(
+                self.n_images, self.image_size, self.max_objects, self.sigma
+            )
+            n_test = check_count("n_test_images", self.n_test_images, 1)
+            counts = dict(n_images=n, image_size=size, max_objects=objects, n_test_images=n_test)
+        for name, value in counts.items():
+            object.__setattr__(self, name, value)
         try:
             self.architecture()
         except ShapeError as exc:

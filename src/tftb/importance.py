@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .data.dataset import Dataset
-from .errors import ConfigError, LedgerError, SelectionError
+from .errors import ConfigError, LedgerError, SelectionError, check_count
 
 
 def round_half_up(x: float) -> int:
@@ -57,9 +57,7 @@ class ImportanceLedger:
     """
 
     def __init__(self, sample_ids, window: int):
-        if window < 1:
-            raise ConfigError(f"score window must be >= 1, got {window}")
-        self.window = window
+        self.window = window = check_count("score window", window, 1)
         self.ids = np.unique(np.asarray(sample_ids, dtype=np.int64))
         if self.ids.size == 0:
             raise LedgerError("ledger needs at least one sample id")
@@ -220,28 +218,20 @@ def _stratified_quotas(class_sizes: dict[int, int], alpha: float, total_target: 
                 f"alpha={alpha} leaves class {c} (size {class_sizes[c]}) with no retainable samples"
             )
     diff = total_target - sum(quotas.values())
-    if diff == 0:
-        return quotas
-    # push the remainder onto the largest classes first, preferring classes
-    # whose quota was rounded the opposite way so every class stays within
-    # one sample of exact proportionality
+    step = 1 if diff > 0 else -1
+    # move the remainder one sample per class, largest classes first, among
+    # the classes that can move (below their size to gain a sample, above one
+    # to lose one); classes whose quota was rounded the other way go first,
+    # so they move towards their exact share (sorted() is stable, so each
+    # group keeps its size order)
     by_size = sorted(class_sizes, key=lambda c: (-class_sizes[c], c))
-    if diff > 0:
-        preferred = [c for c in by_size if quotas[c] <= exact[c] and quotas[c] < class_sizes[c]]
-        fallback = [c for c in by_size if c not in preferred and quotas[c] < class_sizes[c]]
-        for c in (preferred + fallback)[:diff]:
-            quotas[c] += 1
-        diff = total_target - sum(quotas.values())
-    if diff < 0:
-        preferred = [c for c in by_size if quotas[c] >= exact[c] and quotas[c] > 1]
-        fallback = [c for c in by_size if c not in preferred and quotas[c] > 1]
-        for c in (preferred + fallback)[: -diff]:
-            quotas[c] -= 1
-        diff = total_target - sum(quotas.values())
-    if diff != 0:
+    movable = [c for c in by_size if (quotas[c] < class_sizes[c] if diff > 0 else quotas[c] > 1)]
+    if len(movable) < abs(diff):
         raise SelectionError(
             f"cannot hit subset size {total_target} with class sizes {class_sizes} at alpha={alpha}"
         )
+    for c in sorted(movable, key=lambda c: step * (exact[c] - quotas[c]) < 0)[: abs(diff)]:
+        quotas[c] += step
     return quotas
 
 
@@ -325,10 +315,11 @@ class AlphaSchedule:
     alpha_max: float = 0.9
 
     def __post_init__(self):
-        if self.window < 2:
-            raise ConfigError(f"alpha schedule window must be >= 2, got {self.window}")
-        if self.eps_slow >= self.eps_fast:
-            raise ConfigError("alpha schedule needs eps_slow < eps_fast")
+        object.__setattr__(self, "window", check_count("alpha schedule window", self.window, 2))
+        if not -math.inf < self.eps_slow < self.eps_fast < math.inf:
+            raise ConfigError("alpha schedule needs finite eps_slow < eps_fast")
+        if not 0 < self.delta_alpha < math.inf:
+            raise ConfigError(f"delta_alpha must be finite and > 0, got {self.delta_alpha}")
         if not 0.0 <= self.alpha_min <= self.alpha_max < 1.0:
             raise ConfigError("alpha schedule needs 0 <= alpha_min <= alpha_max < 1")
 

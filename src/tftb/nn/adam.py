@@ -8,6 +8,7 @@ parameter vector that allocates nothing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,12 +60,12 @@ def adam_step(
     ``grad`` is laid out like ``params`` (``loss_and_grad`` returns it so),
     so the update is one element-wise pass over ``params.flat`` and
     ``grad.flat``, and every parameter takes the update it would take layer
-    by layer.  A learning rate that is not positive, a gradient of another
-    architecture or moments of another size are refused before anything is
-    written.
+    by layer.  A learning rate that is not positive and finite, a gradient
+    of another architecture or moments of another size are refused before
+    anything is written.
     """
-    if lr <= 0:
-        raise ConfigError(f"learning rate must be positive, got {lr}")
+    if not 0 < lr < math.inf:
+        raise ConfigError(f"learning rate must be finite and > 0, got {lr}")
     if grad.arch != params.arch:
         raise ShapeError(
             f"adam: gradient of a {grad.arch} does not match parameters of a {params.arch}"

@@ -47,7 +47,7 @@ import numpy as np
 
 from .budget import BudgetClock, WallClock
 from .data.dataset import Dataset
-from .errors import ConfigError, NonFiniteError, SelectionError, TrainingAbort
+from .errors import ConfigError, NonFiniteError, SelectionError, TrainingAbort, check_count
 from .importance import (
     AlphaSchedule,
     ImportanceLedger,
@@ -69,6 +69,12 @@ from .nn.models import (
 )
 
 MODES = ("baseline", "tftb")
+
+# the least value of each count of a TrainConfig; max_epochs only when set
+_COUNTS = {
+    "warmup_epochs": 1, "batch_size": 1, "max_epochs": 1, "rerank_period": 1,
+    "score_window": 1, "early_stop_patience": 1, "refresh_excluded_period": 0, "seed": 0,
+}
 
 
 @dataclass(frozen=True)
@@ -97,10 +103,10 @@ class TrainConfig:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if not 0.0 <= self.alpha < 1.0:
             raise ConfigError(f"alpha must be in [0, 1), got {self.alpha}")
-        if self.warmup_epochs < 1:
-            raise ConfigError(f"warmup_epochs must be >= 1, got {self.warmup_epochs}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        for name, least in _COUNTS.items():
+            value = getattr(self, name)
+            if value is not None or name != "max_epochs":
+                object.__setattr__(self, name, check_count(name, value, least))
         if not 0 < self.lr < math.inf:
             raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
         if self.loss_kind not in LOSS_KINDS:
@@ -113,18 +119,8 @@ class TrainConfig:
             )
         if self.budget_seconds is None and self.max_epochs is None:
             raise ConfigError("either budget_seconds or max_epochs must be set")
-        if self.rerank_period < 1:
-            raise ConfigError(f"rerank_period must be >= 1, got {self.rerank_period}")
         if not 0 <= self.lambda_var < math.inf:
             raise ConfigError(f"lambda_var must be finite and >= 0, got {self.lambda_var}")
-        if self.score_window < 1:
-            raise ConfigError(f"score_window must be >= 1, got {self.score_window}")
-        if self.early_stop_patience < 1:
-            raise ConfigError(f"early_stop_patience must be >= 1, got {self.early_stop_patience}")
-        if self.refresh_excluded_period < 0:
-            raise ConfigError(
-                f"refresh_excluded_period must be >= 0, got {self.refresh_excluded_period}"
-            )
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -132,17 +128,13 @@ class TrainConfig:
 
 def epoch_equivalent_batches(dataset_size: int, batch_size: int) -> int:
     """Batches per epoch-equivalent: one full-dataset exposure."""
-    if dataset_size < 1 or batch_size < 1:
-        raise ConfigError(
-            f"dataset_size and batch_size must be >= 1, got {dataset_size}, {batch_size}"
-        )
-    return math.ceil(dataset_size / batch_size)
+    dataset_size = check_count("dataset_size", dataset_size, 1)
+    return math.ceil(dataset_size / check_count("batch_size", batch_size, 1))
 
 
 def early_stop_check(val_losses, patience: int) -> bool:
     """True iff the best loss has not improved (by > 1e-9) for `patience` epochs."""
-    if patience < 1:
-        raise ConfigError(f"patience must be >= 1, got {patience}")
+    check_count("patience", patience, 1)
     best = math.inf
     stale = 0
     for v in val_losses:

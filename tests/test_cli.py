@@ -182,6 +182,24 @@ def test_baseline_sweep_over_several_alphas_is_a_configuration_error(tmp_path, c
     assert not out.exists()
 
 
+def test_a_negative_seed_is_a_configuration_error(tmp_path, capsys):
+    args = train_args(tmp_path)
+    args[args.index("--seed") + 1] = "-1"
+    assert main(args) == EXIT_CONFIG
+    assert "configuration error: seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_sweep_refuses_a_negative_seed_before_any_run(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    code = main(["sweep", "--task", "classify-synth", "--mode", "tftb", "--alphas", "0.3",
+                 "--seeds", "1,-2", "--n-per-class", "20", "--num-classes", "2",
+                 "--max-epochs", "2", "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert "seed must be >= 0, got -2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_names_the_test_split_field_it_refuses(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("task = classify-synth\nmode = tftb\nn_per_class = 20\nn_test_per_class = 0\n")
@@ -245,10 +263,14 @@ def test_compare_reports_a_fingerprint_mismatch_as_a_configuration_error(tmp_pat
         b"lambda_var = inf\n",
         b"mode = baseline\nlambda_var = nan\n",
         b"task = count-synth\nsigma = nan\n",
+        b"task = count-synth\nsigma = inf\n",
+        b"alpha_delta = nan\n",
+        b"alpha_eps_fast = inf\n",
+        b"seed = -1\n",
     )),
 ], ids=["conv-one", "conv-three", "conv-zero", "hidden-zero", "hidden-negative", "not-utf8",
         "budget-inf", "budget-nan", "lr-nan", "lambda-nan", "lambda-inf", "baseline-lambda-nan",
-        "sigma-nan"])
+        "sigma-nan", "sigma-inf", "alpha-delta-nan", "alpha-eps-fast-inf", "seed-negative"])
 def test_malformed_config_file_is_a_configuration_error(tmp_path, capsys, text):
     cfg = tmp_path / "bad.cfg"
     cfg.write_bytes(text)

@@ -226,8 +226,9 @@ def test_out_of_bounds_point_names_the_point():
 
 
 def test_density_map_rejects_nonpositive_sigma():
-    with pytest.raises(ConfigError):
-        density_map(DotMap(16, 16, ()), sigma=0.0)
+    for sigma in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="sigma must be positive and finite"):
+            density_map(DotMap(16, 16, ()), sigma=sigma)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 import pytest
 
@@ -141,11 +142,12 @@ def test_run_sweep_grid_and_summary(tmp_path):
         ("count-synth", "image_size", 12, "image_size must be >= 16"),
         ("count-synth", "max_objects", 2.5, "max_objects must be an int"),
         ("count-synth", "sigma", 0.0, "sigma must be positive"),
+        ("count-synth", "sigma", math.inf, "sigma must be positive and finite"),
         ("count-synth", "n_test_images", 0, "n_test_images must be >= 1"),
     ],
     ids=["n_per_class-0", "n_per_class-2.5", "num_classes-1", "easy_fraction-2.0",
          "feature_dim-1", "n_test_per_class-0", "n_images-0", "image_size-12",
-         "max_objects-2.5", "sigma-0.0", "n_test_images-0"],
+         "max_objects-2.5", "sigma-0.0", "sigma-inf", "n_test_images-0"],
 )
 def test_spec_checks_its_task_data_fields_when_built(task, name, value, message):
     with pytest.raises(ConfigError, match=message):

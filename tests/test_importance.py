@@ -1,6 +1,7 @@
 """Importance scores, ranking, subset selection, and the alpha schedule."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from tftb.budget import VirtualClock
 from tftb.data import Dataset, synth_classification, train_val_split
 from tftb.errors import ConfigError, LedgerError, SelectionError
 from tftb.importance import (
+    _stratified_quotas,
     AlphaSchedule,
     ImportanceLedger,
     SubsetPlan,
@@ -323,6 +325,29 @@ def test_threshold_selection_edge_quotas():
     assert select_subset(np.ones(3), ds, alpha=0.0, stratified=True).selected.all()
 
 
+@pytest.mark.parametrize(
+    "alpha, want",
+    [
+        # exact 2.76, 1.38, 1.38 round to 3 + 1 + 1 = 5 of 6: the extra sample
+        # goes to class 1, rounded down, not to the larger class 0, rounded up
+        (0.54, {0: 3, 1: 2, 2: 1}),
+        # exact 3.18, 1.59, 1.59 round to 3 + 2 + 2 = 7 of 6: class 1, rounded
+        # up, gives one back, not the larger class 0, rounded down
+        (0.47, {0: 3, 1: 1, 2: 2}),
+    ],
+)
+def test_stratified_quotas_move_the_remainder_onto_classes_rounded_the_other_way(alpha, want):
+    sizes = {0: 6, 1: 3, 2: 3}
+    assert _stratified_quotas(sizes, alpha, subset_size(12, alpha)) == want
+
+
+def test_stratified_quotas_refuse_a_total_no_class_can_move_to():
+    with pytest.raises(SelectionError, match="cannot hit subset size 3"):
+        _stratified_quotas({0: 1, 1: 1}, 0.0, 3)
+    with pytest.raises(SelectionError, match="cannot hit subset size 1"):
+        _stratified_quotas({0: 1, 1: 1}, 0.0, 1)
+
+
 # ---------------------------------------------------------------------------
 # merge and reselect
 
@@ -447,6 +472,11 @@ def test_alpha_schedule_validates():
         AlphaSchedule(eps_slow=0.2, eps_fast=0.1)
     with pytest.raises(ConfigError):
         AlphaSchedule(alpha_min=0.5, alpha_max=0.4)
+    for field, value in [("eps_slow", math.nan), ("eps_slow", -math.inf), ("eps_fast", math.nan),
+                         ("eps_fast", math.inf), ("delta_alpha", math.nan),
+                         ("delta_alpha", math.inf), ("delta_alpha", 0.0)]:
+        with pytest.raises(ConfigError, match=field):
+            AlphaSchedule(**{field: value})
 
 
 # ---------------------------------------------------------------------------

@@ -530,9 +530,14 @@ def test_adam_shape_mismatch_raises():
 
 def test_adam_rejects_nonpositive_lr():
     params = mlp()
+    before = params.copy()
     state = init_adam_state(params)
-    with pytest.raises(ConfigError):
-        adam_step(params, ModelParams.zeros(params.arch), state, 0.0)
+    grad = ModelParams.zeros(params.arch)
+    grad.flat[:] = 1.0
+    for lr in (0.0, -0.1, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="learning rate must be finite and > 0"):
+            adam_step(params, grad, state, lr)
+    assert params.allclose(before) and state.step == 0
 
 
 def test_training_steps_are_deterministic():

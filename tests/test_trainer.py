@@ -234,6 +234,27 @@ def test_epoch_cap_is_recorded_when_it_binds():
     assert len(manifest.epochs) == 3
 
 
+@pytest.mark.parametrize("mode", ["tftb", "baseline"])
+def test_a_run_without_validation_data_runs_to_the_epoch_cap(mode):
+    train, _ = class_data(seed=9)
+    no_val = Dataset(np.empty(0, np.int64), np.empty((0, train.feature_shape[0])),
+                     np.empty(0, np.int64), train.num_classes, "val")
+    # patience 1 at a flat loss would stop after two epochs if anything were validated
+    cfg = TrainConfig(mode=mode, lr=1e-12, max_epochs=4, early_stop_patience=1, seed=0)
+    run = train_tftb if mode == "tftb" else train_baseline
+    _, manifest = run(model_for(train), train, no_val, cfg, clock=virtual())
+    assert manifest.stop_reason == "epoch_cap"
+    assert [r["val_loss"] for r in manifest.epochs] == [None] * 4
+    assert manifest.final_metrics["final_val_loss"] is None
+    assert manifest.final_metrics["best_val_loss"] is None
+    assert manifest.dataset["val_fingerprint"] is None
+    assert manifest.dataset["n_val"] == 0
+    assert all(split == "train" for _, split, _ in manifest.loss_curve_rows())
+    if mode == "tftb":
+        selective = [r["selected_size"] for r in manifest.epochs if r["phase"] == "selective"]
+        assert selective == [subset_size(len(train), cfg.alpha)] * 3
+
+
 def test_baseline_sanity_loss_decreases_over_twenty_epochs():
     train, val = class_data(seed=12, n_per_class=60)
     cfg = TrainConfig(mode="baseline", max_epochs=20, lr=0.01, seed=0,

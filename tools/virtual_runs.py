@@ -7,7 +7,9 @@ Each run writes its run directory (``manifest.json``, ``loss_curve.csv``,
 ``OUT/<case>/``.  Under a ``VirtualClock`` every artifact is a function of
 the code alone, so running this on two trees and comparing the outputs with
 ``diff -r`` shows whether a change kept the training behaviour byte for
-byte.  The cases cover both modes, refreshes and reranks every few epochs,
+byte.  Every ``manifest.json`` and ``checkpoint.bin`` is read back with
+``RunManifest.load`` and ``load_params``; if one does not load, the script
+exits 1.  The cases cover both modes, refreshes and reranks every few epochs,
 unstratified selection at several score windows, adaptive alpha, a run
 ended by its budget with scripted rank and refresh costs, 8 classes at
 ``feature_dim = 8`` (the ``equal-budget`` data shape), and the conv model.
@@ -20,8 +22,11 @@ import sys
 from pathlib import Path
 
 from tftb.budget import VirtualClock
+from tftb.errors import TftbError
 from tftb.experiments import ExperimentSpec, run_experiment
 from tftb.importance import AlphaSchedule
+from tftb.manifest import RunManifest
+from tftb.nn.checkpoint import load_params
 from tftb.trainer import TrainConfig
 
 # the spec of acceptance criterion 10 (byte-identical manifests)
@@ -82,11 +87,18 @@ def main(argv) -> int:
         print("usage: tools/virtual_runs.py OUT", file=sys.stderr)
         return 2
     out = Path(argv[0])
+    unreadable = 0
     for name, spec, costs in cases():
-        _, manifest, _ = run_experiment(spec, out_dir=out / name,
-                                        clock=VirtualClock(costs=costs))
+        _, manifest, run_dir = run_experiment(spec, out_dir=out / name,
+                                              clock=VirtualClock(costs=costs))
         print(f"{name}: {manifest.stop_reason}, {len(manifest.epochs)} epochs")
-    return 0
+        try:
+            RunManifest.load(run_dir / "manifest.json")
+            load_params(run_dir / "checkpoint.bin")
+        except (TftbError, OSError) as exc:
+            print(f"{name}: an artifact does not read back: {exc}", file=sys.stderr)
+            unreadable += 1
+    return 1 if unreadable else 0
 
 
 if __name__ == "__main__":
