@@ -41,6 +41,13 @@ TASKS = ("classify-synth", "classify-cifar10", "count-synth")
 TEST_SEED_OFFSET = 100_000
 
 
+def _plain(value):
+    """``value`` with numpy integers, alone or in a tuple, as Python ints."""
+    if isinstance(value, tuple):
+        return tuple(map(_plain, value))
+    return int(value) if isinstance(value, np.integer) else value
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     task: str = "classify-synth"
@@ -72,6 +79,10 @@ class ExperimentSpec:
             raise ConfigError("classify-cifar10 needs data_dir pointing at the binary batches")
         if not 0.0 < self.val_fraction < 0.5:
             raise ConfigError(f"val_fraction must be in (0, 0.5), got {self.val_fraction}")
+        # numpy integers become Python ints, so the config echo serialises;
+        # the checks below refuse what this task's fields cannot hold
+        for f in dataclasses.fields(self):
+            object.__setattr__(self, f.name, _plain(getattr(self, f.name)))
         # the generators' own checks, run on this spec's fields, so a bad size
         # is refused here, under the field's name, not when the data is built;
         # each count is kept as the int the check returns

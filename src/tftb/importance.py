@@ -48,22 +48,28 @@ def subset_size(n: int, alpha: float) -> int:
 class ImportanceLedger:
     """Per-sample loss history over a sliding window of the last W passes.
 
-    Row ``r`` of every array belongs to ``ids[r]``, and ids ascend, so a
-    ledger built from a dataset's ids has the dataset's rows.  Each row of
-    the ``(N, W)`` loss array holds that row's last W losses oldest first,
-    right-aligned behind zero padding; ``_counts[r]`` counts the losses ever
-    recorded for it, so the last ``min(_counts[r], W)`` entries are valid.
+    Row ``r`` of every per-sample array belongs to ``ids[r]``, and ids
+    ascend, so a ledger built from a dataset's ids has the dataset's rows.
+    The losses are stored slot-major, ``(W, N)``: column ``r`` holds row
+    ``r``'s last W losses oldest first, right-aligned behind zero padding, so
+    slot ``W - 1`` holds every row's newest loss and each slot is one
+    contiguous vector.  ``_counts[r]`` counts the losses ever recorded for
+    row ``r``, so its last ``min(_counts[r], W)`` slots are valid.
     ``last_observed_epoch`` is -1 for rows never observed.
     """
 
     def __init__(self, sample_ids, window: int):
         self.window = window = check_count("score window", window, 1)
-        self.ids = np.unique(np.asarray(sample_ids, dtype=np.int64))
-        if self.ids.size == 0:
+        ids = np.asarray(sample_ids, dtype=np.int64)
+        # a dataset's ids already ascend strictly, and are kept as they are
+        if ids.ndim != 1 or (ids[1:] <= ids[:-1]).any():
+            ids = np.unique(ids)
+        if ids.size == 0:
             raise LedgerError("ledger needs at least one sample id")
-        self._losses = np.zeros((self.ids.size, window))
-        self._counts = np.zeros(self.ids.size, dtype=np.int64)
-        self.last_observed_epoch = np.full(self.ids.size, -1, dtype=np.int64)
+        self.ids = ids
+        self._losses = np.zeros((window, ids.size))
+        self._counts = np.zeros(ids.size, dtype=np.int64)
+        self.last_observed_epoch = np.full(ids.size, -1, dtype=np.int64)
 
     def __len__(self) -> int:
         return self.ids.size
@@ -71,14 +77,17 @@ class ImportanceLedger:
     def history(self, row: int) -> tuple[float, ...]:
         """The losses recorded for row ``row`` of ``ids``, oldest first."""
         valid = min(int(self._counts[row]), self.window)
-        return tuple(self._losses[row, self.window - valid :].tolist())
+        return tuple(self._losses[self.window - valid :, row].tolist())
 
     def record_losses(self, rows, losses, epoch: int) -> None:
         """Append ``losses[k]`` to the window of row ``rows[k]`` of ``ids``, in call order.
 
         The losses are taken as given: the model's loss functions have
         already rejected non-finite ones.  Rows outside ``ids`` are rejected
-        before anything is written.
+        before anything is written.  Nothing is sorted: a row that occurs m
+        times is shifted m slots, one occurrence level at a time (every
+        row's first occurrence, then every second one, ...), and each level
+        writes each of its rows once.
         """
         rows = np.asarray(rows, dtype=np.intp)
         losses = np.asarray(losses, dtype=np.float64)
@@ -86,33 +95,33 @@ class ImportanceLedger:
             raise LedgerError(
                 f"need one loss per row, got shapes {losses.shape} and {rows.shape}"
             )
-        self._append(rows, losses, epoch)
-
-    def _append(self, rows: np.ndarray, losses: np.ndarray, epoch: int) -> None:
-        ordered = np.sort(rows)
-        if ordered.size and (ordered[0] < 0 or ordered[-1] >= self.ids.size):
-            raise LedgerError(
-                f"rows must index the ledger's {self.ids.size} ids, "
-                f"got rows {ordered[0]} to {ordered[-1]}"
-            )
-        if np.count_nonzero(ordered[1:] == ordered[:-1]):
-            # a row repeated in the call appends once per occurrence, in call
-            # order: first occurrences now, the rest after them
-            _, first = np.unique(rows, return_index=True)
-            later = np.ones(rows.size, dtype=bool)
-            later[first] = False
-            self._append(rows[first], losses[first], epoch)
-            self._append(rows[later], losses[later], epoch)
+        if rows.size == 0:
             return
-        self._losses[rows, :-1] = self._losses[rows, 1:]
-        self._losses[rows, -1] = losses
-        self._counts[rows] += 1
-        self.last_observed_epoch[rows] = epoch
+        n = self.ids.size
+        lo, hi = rows.min(), rows.max()
+        if lo < 0 or hi >= n:
+            raise LedgerError(f"rows must index the ledger's {n} ids, got rows {lo} to {hi}")
+        slots = self._losses
+        occurrences = np.bincount(rows, minlength=n)
+        levels = int(occurrences.max())
+        for level in range(levels):
+            touched = occurrences > level
+            touched = slice(None) if touched.all() else np.flatnonzero(touched)
+            for older, newer in zip(slots[:-1], slots[1:]):
+                older[touched] = newer[touched]
+            if level + 1 == levels:  # what is left holds each row once
+                slots[-1, rows] = losses
+            else:
+                first = _first_occurrences(rows, n)
+                slots[-1, rows[first]] = losses[first]
+                rows, losses = rows[~first], losses[~first]
+        self._counts += occurrences
+        self.last_observed_epoch[occurrences > 0] = epoch
 
     def moments(self) -> tuple[np.ndarray, np.ndarray]:
         """Mean and population std of each window's valid losses; NaN where empty.
 
-        Both sums run column by column in storage order, zero padding first,
+        Both sums run slot by slot in storage order, zero padding first,
         then oldest loss first, so each row's sums equal the in-order sums
         of its valid losses alone: the results are bit-identical to
         ``np.mean`` and ``np.std`` of the history wherever numpy sums in
@@ -120,16 +129,18 @@ class ImportanceLedger:
         window of -0.0 losses alone, whose padded sum is +0.0).
         """
         counts = np.minimum(self._counts, self.window)
-        first_valid = self.window - counts  # column of each row's oldest valid loss
+        first_valid = self.window - counts  # slot of each row's oldest valid loss
         total, squares, dev = (np.zeros(self.ids.size) for _ in range(3))
         with np.errstate(invalid="ignore", divide="ignore"):
-            for column in self._losses.T:
-                total += column
+            for slot in self._losses:
+                total += slot
             mean = total / counts
-            for j, column in enumerate(self._losses.T):
-                np.subtract(column, mean, out=dev)
+            for j, slot in enumerate(self._losses):
+                np.subtract(slot, mean, out=dev)
                 np.multiply(dev, dev, out=dev)
-                np.copyto(dev, 0.0, where=first_valid > j)  # padding adds zero
+                # padding adds zero; scattered to the padded rows, as a copy
+                # masked by a ragged mask costs twice as much
+                dev[np.flatnonzero(first_valid > j)] = 0.0
                 squares += dev
             std = np.sqrt(squares / counts)
         return mean, std
@@ -148,6 +159,16 @@ class ImportanceLedger:
             )
         mean, std = self.moments()
         return mean + lambda_var * std
+
+
+def _first_occurrences(rows: np.ndarray, n: int) -> np.ndarray:
+    """Mask of the positions of ``rows`` (each in ``[0, n)``) that hold a
+    row's first occurrence; ``np.minimum.at`` is defined for repeated rows,
+    where the order of a fancy assignment is not."""
+    positions = np.arange(rows.size)
+    first = np.full(n, rows.size)
+    np.minimum.at(first, rows, positions)
+    return first[rows] == positions
 
 
 def _top_rows(scores: np.ndarray, quota: int) -> np.ndarray:
@@ -235,6 +256,13 @@ def _stratified_quotas(class_sizes: dict[int, int], alpha: float, total_target: 
     return quotas
 
 
+def _class_counts(tags: np.ndarray, least: int) -> dict[int, int]:
+    """{class: rows} of the classes present in ``tags``, ascending; no tag is below ``least``."""
+    counts = np.bincount(tags - least)
+    present = np.flatnonzero(counts)
+    return dict(zip((present + least).tolist(), counts[present].tolist()))
+
+
 def select_subset(scores, dataset: Dataset, alpha: float, stratified: bool) -> SubsetPlan:
     """Keep the top (1 - alpha) fraction by score, globally or per class.
 
@@ -254,9 +282,11 @@ def select_subset(scores, dataset: Dataset, alpha: float, stratified: bool) -> S
         )
 
     total_target = subset_size(ids.size, alpha)
+    # class tags are small ints (labels, or UNSTRATIFIED), so classes are
+    # counted by bincount above the least one
+    least = int(tags.min())
     if stratified:
-        classes, sizes = np.unique(tags, return_counts=True)
-        quotas = _stratified_quotas(dict(zip(classes.tolist(), sizes.tolist())), alpha, total_target)
+        quotas = _stratified_quotas(_class_counts(tags, least), alpha, total_target)
     nan = np.isnan(scores)
     if nan.any():
         raise LedgerError(f"NaN score for sample id {ids[nan.argmax()]}")
@@ -268,11 +298,8 @@ def select_subset(scores, dataset: Dataset, alpha: float, stratified: bool) -> S
     else:
         selected[_top_rows(scores, total_target)] = True
 
-    counted_classes, counts = np.unique(tags[selected], return_counts=True)
     return SubsetPlan(
-        ids=ids,
-        selected=selected,
-        per_class_counts=dict(zip(counted_classes.tolist(), counts.tolist())),
+        ids=ids, selected=selected, per_class_counts=_class_counts(tags[selected], least)
     )
 
 

@@ -84,10 +84,20 @@ def require_finite(arr: np.ndarray, context: str) -> np.ndarray:
 class _Arch:
     """What both architectures share: the size check and the descriptor."""
 
-    def _check_sizes(self, *sizes) -> None:
-        # bool is a subclass of int, but True is not a size
-        if not all(isinstance(v, int) and not isinstance(v, bool) and v > 0 for v in sizes):
-            raise ShapeError(f"{self.kind} sizes must be positive ints: {self!r}")
+    def _check_sizes(self) -> None:
+        """Refuse any size that is not a positive integer and keep each as a
+        Python int; every field is a size or a tuple of sizes.  A numpy
+        integer counts; a bool does not (``True`` is not a size)."""
+        for name in (f.name for f in fields(self)):
+            value = getattr(self, name)
+            sizes = value if isinstance(value, tuple) else (value,)
+            if not all(
+                isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v > 0
+                for v in sizes
+            ):
+                raise ShapeError(f"{self.kind} sizes must be positive ints: {self!r}")
+            sizes = tuple(map(int, sizes))
+            object.__setattr__(self, name, sizes if isinstance(value, tuple) else sizes[0])
 
     def descriptor(self) -> dict:
         """The checkpoint descriptor: ``kind`` plus exactly the fields."""
@@ -105,7 +115,7 @@ class MlpArch(_Arch):
     def __post_init__(self):
         if not isinstance(self.hidden, tuple):
             raise ShapeError(f"mlp hidden widths must be a tuple, got {self.hidden!r}")
-        self._check_sizes(self.input_dim, *self.hidden, self.num_classes)
+        self._check_sizes()
 
     def layer_shapes(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         dims = [self.input_dim, *self.hidden, self.num_classes]
@@ -130,7 +140,7 @@ class ConvDensityArch(_Arch):
     def __post_init__(self):
         if not isinstance(self.channels, tuple) or len(self.channels) != 2:
             raise ShapeError(f"conv_density takes a tuple of two channel counts: {self!r}")
-        self._check_sizes(self.image_height, self.image_width, *self.channels, self.kernel_size)
+        self._check_sizes()
         if self.kernel_size % 2 != 1:
             raise ShapeError("conv kernel size must be odd for same padding")
 

@@ -148,15 +148,17 @@ def early_stop_check(val_losses, patience: int) -> bool:
 
 def _epoch_batches(pool: np.ndarray, n_total: int, rng: np.random.Generator) -> np.ndarray:
     """The row order of one epoch-equivalent: ``n_total`` draws from the pool,
-    cycling it with a fresh shuffle each pass; batches are consecutive slices."""
+    cycling it with a fresh shuffle each pass; batches are consecutive slices.
+
+    Each pass is shuffled in place in its own slice of one array, whole, so
+    the RNG draws are those of shuffling a copy of the pool per pass."""
     if len(pool) == 0:
         raise SelectionError("the active subset is empty: alpha leaves no sample to train on")
-    perms = []
-    while len(perms) * len(pool) < n_total:
-        perm = pool.copy()
+    passes = np.empty((-(-n_total // len(pool)), len(pool)), dtype=pool.dtype)
+    passes[:] = pool
+    for perm in passes:
         rng.shuffle(perm)
-        perms.append(perm)
-    return np.concatenate(perms)[:n_total]
+    return passes.reshape(-1)[:n_total]
 
 
 def _mean_eval_loss(params, feats, targets, step: BatchStep) -> float:

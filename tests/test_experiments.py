@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
 from tftb.budget import VirtualClock
@@ -158,6 +159,21 @@ def test_spec_data_checks_leave_the_other_task_fields_alone():
     # count-synth sizes mean nothing to a classify-synth spec, and back
     small_spec(task="classify-synth", n_images=0, sigma=0.0)
     small_spec(task="count-synth", n_per_class=0, easy_fraction=2.0)
+
+
+def test_numpy_integers_in_any_spec_field_reach_the_manifest_as_ints(tmp_path):
+    # n_images belongs to the other task: converted, not checked
+    spec = ExperimentSpec(n_per_class=20, num_classes=2, n_test_per_class=5,
+                          n_images=np.int64(80), hidden=(np.int64(12),),
+                          conv_channels=(np.int32(2), np.int64(3)),
+                          config=TrainConfig(max_epochs=1))
+    _, _, run_dir = run_experiment(spec, out_dir=tmp_path)
+    echo = RunManifest.load(run_dir / "manifest.json").config["experiment"]
+    assert (echo["n_images"], echo["hidden"], echo["conv_channels"]) == (80, [12], [2, 3])
+    assert all(type(v) is int for v in (spec.n_images, *spec.hidden, *spec.conv_channels))
+    counting = ExperimentSpec(task="count-synth", n_images=np.int64(12), image_size=16,
+                              n_test_images=4, conv_channels=(np.int64(2), np.uint8(2)))
+    assert counting.architecture().channels == (2, 2)
 
 
 def test_run_sweep_checks_every_spec_before_the_first_run(tmp_path):

@@ -2,9 +2,16 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+
+try:
+    import hypothesis
+    from hypothesis import strategies as st
+except ImportError:  # only the property test needs it, and is skipped without it
+    hypothesis = None
 
 from tftb.budget import VirtualClock
 from tftb.data import Dataset, synth_classification, train_val_split
@@ -212,6 +219,82 @@ def test_trainer_writes_match_list_ledger_across_reshuffle_seams(monkeypatch):
     assert np.array(ledger.moments()).tobytes() == want.tobytes()
 
 
+@pytest.mark.skipif(hypothesis is None, reason="needs hypothesis")
+def test_record_losses_matches_appending_one_loss_at_a_time():
+    """Calls whose rows repeat, also more often than the window holds, at
+    windows down to 1, with empty calls, over ids given in any order: the
+    ledger matches a reference that appends one loss at a time, and a call
+    with a row outside the ledger or mismatched shapes changes nothing."""
+    loss = st.floats(0.0, 1e6, allow_nan=False).map(abs)  # no -0.0: see moments()
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(
+        ids=st.lists(st.integers(0, 40), min_size=1, max_size=6),
+        window=st.integers(1, 4),
+        lambda_var=st.sampled_from([0.0, 0.37, 1.0]),
+        data=st.data(),
+    )
+    def check(ids, window, lambda_var, data):
+        ledger = ImportanceLedger(ids, window)
+        assert ledger.ids.tolist() == sorted(set(ids))
+        n = len(ledger)
+        ref = ListLedger(range(n), window)
+        calls = data.draw(st.lists(st.lists(st.tuples(st.integers(0, n - 1), loss),
+                                            max_size=4 * n * window), max_size=5))
+
+        def state():
+            return [ledger.history(r) for r in range(n)], ledger.last_observed_epoch.tolist()
+
+        for epoch, call in enumerate(calls, start=1):
+            rows, losses = [r for r, _ in call], [v for _, v in call]
+            before = state()
+            bad = data.draw(st.sampled_from([-1, n]))
+            with pytest.raises(LedgerError, match="rows must index"):
+                ledger.record_losses(rows + [bad], losses + [1.0], epoch)
+            with pytest.raises(LedgerError, match="one loss per row"):
+                ledger.record_losses(rows, losses + [1.0], epoch)
+            assert state() == before
+            ledger.record_losses(np.array(rows, dtype=np.int64), np.array(losses), epoch)
+            ref.record(rows, losses, epoch)
+            assert state() == ([tuple(ref.hist[r]) for r in range(n)],
+                               [ref.last.get(r, -1) for r in range(n)])
+            if all(ref.hist.values()):
+                mean, std = np.array([ref.moments(r) for r in range(n)]).T
+                assert (ledger.effective_scores(lambda_var) == mean + lambda_var * std).all()
+
+    check()
+
+
+def test_one_selective_epoch_write_holds_a_few_vectors_of_memory():
+    """Peak traced memory of one selective epoch's write at N = 45k.
+
+    The call takes N rows drawn as the trainer draws them from a 70% pool,
+    so 30% of the rows occur twice.  Call one int64 or float64 array of N
+    entries a vector (8N bytes).  The write holds the per-row occurrence
+    counts (1 vector) and the rows a level touches (at most 1) while it finds
+    the first occurrences: a position per entry, a least position per row
+    and its gather back to the entries (3), and a boolean mask (1/8).
+    Splitting off a level's rows and losses takes less (at most 2 vectors
+    beside the counts and touched rows), and each slot's shift one.  So the
+    peak is about 5 vectors, and the bound is 6.
+    """
+    n = 45_000
+    rng = np.random.default_rng(5)
+    ledger = ImportanceLedger(np.arange(n), window=5)
+    ledger.record_losses(np.arange(n), rng.uniform(0, 3, n), epoch=1)
+    pool = np.sort(rng.choice(n, size=subset_size(n, 0.3), replace=False))
+    rows = np.concatenate([rng.permutation(pool), rng.permutation(pool)])[:n]
+    losses = rng.uniform(0, 3, n)
+    assert np.bincount(rows).max() == 2
+    tracemalloc.start()
+    try:
+        ledger.record_losses(rows, losses, epoch=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 8 * n, f"peak {peak / (8 * n):.2f} vectors of {n} entries"
+
+
 # ---------------------------------------------------------------------------
 # ranking
 
@@ -323,6 +406,35 @@ def test_threshold_selection_edge_quotas():
     assert select_subset(np.ones(11), uniform_dataset(11), 0.9, False).selected_rows.tolist() == [0]
     # alpha 0: every quota is its class size
     assert select_subset(np.ones(3), ds, alpha=0.0, stratified=True).selected.all()
+
+
+def unique_counts(tags) -> dict[int, int]:
+    classes, counts = np.unique(tags, return_counts=True)
+    return dict(zip(classes.tolist(), counts.tolist()))
+
+
+@pytest.mark.parametrize(
+    "dataset, stratified",
+    [
+        (make_dataset({i: 3 * (i % 3 == 0) for i in range(31)}, num_classes=4), True),
+        (Dataset(np.arange(23), np.zeros((23, 1)), np.zeros((23, 2, 2)), 1, "train"), True),
+        (make_dataset({i: i % 3 for i in range(30)}), False),
+    ],
+    ids=["classes-0-and-3", "unstratified-maps", "class-with-no-row-selected"],
+)
+def test_select_subset_counts_classes_as_unique_does(dataset, stratified):
+    tags = dataset.class_tags
+    # class 2 scores lowest, so an unstratified half leaves it out
+    scores = np.where(tags == 2, -1.0, np.random.default_rng(3).uniform(0, 1, len(dataset)))
+    plan = select_subset(scores, dataset, alpha=0.5, stratified=stratified)
+    counts = plan.per_class_counts
+    assert list(counts.items()) == list(unique_counts(tags[plan.selected]).items())
+    assert all(type(k) is int and type(v) is int for k, v in counts.items())
+    if stratified:
+        quotas = _stratified_quotas(unique_counts(tags), 0.5, subset_size(len(dataset), 0.5))
+        assert counts == quotas
+    else:
+        assert 2 in tags and 2 not in counts
 
 
 @pytest.mark.parametrize(

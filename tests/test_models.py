@@ -115,9 +115,14 @@ def test_conv_arch_rejects_even_kernel():
         lambda: ConvDensityArch(0, 8),
         lambda: ConvDensityArch(8, 8, (2, 2, 2)),
         lambda: MlpArch(3, [4], 2),
+        lambda: MlpArch(3, (2.5,), 2),
+        lambda: MlpArch(3, (np.int64(0),), 2),
+        lambda: ConvDensityArch(8, 8, (2, True)),
+        lambda: ConvDensityArch(8, 8, (2, np.bool_(True))),
     ],
     ids=["mlp-zero-width", "mlp-bool-input", "conv-zero-height", "conv-three-channels",
-         "mlp-list-hidden"],
+         "mlp-list-hidden", "mlp-float-width", "mlp-numpy-zero-width", "conv-bool-channels",
+         "conv-numpy-bool-channels"],
 )
 def test_arch_rejects_sizes_that_are_not_positive_ints(build):
     with pytest.raises(ShapeError, match="positive ints|two channel counts|tuple"):
@@ -736,6 +741,22 @@ def test_checkpoint_checks_the_payload_size_before_allocating(tmp_path):
 def test_arch_from_descriptor_inverts_descriptor(arch):
     assert arch_from_descriptor(arch.descriptor()) == arch
     assert arch_from_descriptor(json.loads(json.dumps(arch.descriptor()))) == arch
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: MlpArch(np.int64(4), (np.int32(6), np.uint8(5)), np.int64(3)),
+     lambda: ConvDensityArch(np.int64(8), np.int16(6), (np.int64(3), np.int8(2)), np.uint64(5))],
+    ids=["mlp", "conv"],
+)
+def test_arch_keeps_numpy_integer_sizes_as_python_ints(tmp_path, build):
+    arch = build()
+    sizes = [v for value in arch.descriptor().values() if value != arch.kind
+             for v in (value if isinstance(value, tuple) else (value,))]
+    assert sizes and all(type(v) is int for v in sizes)
+    assert arch_from_descriptor(json.loads(json.dumps(arch.descriptor()))) == arch
+    save_params(init_params(arch, np.random.default_rng(0)), tmp_path / "model.bin")
+    assert load_params(tmp_path / "model.bin").arch == arch
 
 
 def test_model_params_validates_shapes_against_architecture():

@@ -10,7 +10,8 @@ the code alone, so running this on two trees and comparing the outputs with
 byte.  Every ``manifest.json`` and ``checkpoint.bin`` is read back with
 ``RunManifest.load`` and ``load_params``; if one does not load, the script
 exits 1.  The cases cover both modes, refreshes and reranks every few epochs,
-unstratified selection at several score windows, adaptive alpha, a run
+unstratified selection at several score windows, rows that occur more often
+in one epoch than their window holds, adaptive alpha, a run
 ended by its budget with scripted rank and refresh costs, 8 classes at
 ``feature_dim = 8`` (the ``equal-budget`` data shape), and the conv model.
 """
@@ -68,6 +69,9 @@ def cases():
     for window in (1, 3, 7):
         yield (f"unstratified-w{window}",
                _with(CRITERION_10, stratified=False, score_window=window), costs)
+    # a fifth of the rows fill each epoch, so a row occurs about five times
+    # in one ledger write, more often than its window of two holds
+    yield "alpha0.8-w2", _with(CRITERION_10, alpha=0.8, score_window=2), costs
     schedule = AlphaSchedule(enabled=True, window=2, eps_slow=0.01, eps_fast=0.2,
                              delta_alpha=0.1, alpha_min=0.1, alpha_max=0.6)
     yield "adaptive-alpha", _with(CRITERION_10, max_epochs=10, adaptive_alpha=schedule), costs
