@@ -14,7 +14,7 @@ All per-sample state is held in arrays in ascending-id order: the ledger's
 ``ids``, its loss windows, the scores ``effective_scores`` returns, and the
 scores ``select_subset`` takes.  The ledger is written by row: a ledger
 built from a dataset's ids has the dataset's rows, so the trainer records an
-epoch's losses under the same row indices it trained on, in one call.
+epoch's losses under the same row indices it trained on, a call per pass.
 
 Samples outside the active subset receive no new losses; their history (and
 hence their score) goes stale until the full universe is merged and re-ranked,
@@ -80,14 +80,14 @@ class ImportanceLedger:
         return tuple(self._losses[self.window - valid :, row].tolist())
 
     def record_losses(self, rows, losses, epoch: int) -> None:
-        """Append ``losses[k]`` to the window of row ``rows[k]`` of ``ids``, in call order.
+        """Append ``losses[k]`` to the window of row ``rows[k]`` of ``ids``.
 
-        The losses are taken as given: the model's loss functions have
-        already rejected non-finite ones.  Rows outside ``ids`` are rejected
-        before anything is written.  Nothing is sorted: a row that occurs m
-        times is shifted m slots, one occurrence level at a time (every
-        row's first occurrence, then every second one, ...), and each level
-        writes each of its rows once.
+        Each row occurs at most once per call: a history that takes several
+        losses in one epoch takes them in as many calls, oldest first.  The
+        losses are taken as given: the model's loss functions have already
+        rejected non-finite ones.  Rows outside ``ids`` and repeated rows are
+        rejected before anything is written.  Nothing is sorted: the touched
+        rows shift one slot and the newest losses are scattered behind them.
         """
         rows = np.asarray(rows, dtype=np.intp)
         losses = np.asarray(losses, dtype=np.float64)
@@ -101,22 +101,17 @@ class ImportanceLedger:
         lo, hi = rows.min(), rows.max()
         if lo < 0 or hi >= n:
             raise LedgerError(f"rows must index the ledger's {n} ids, got rows {lo} to {hi}")
-        slots = self._losses
         occurrences = np.bincount(rows, minlength=n)
-        levels = int(occurrences.max())
-        for level in range(levels):
-            touched = occurrences > level
-            touched = slice(None) if touched.all() else np.flatnonzero(touched)
-            for older, newer in zip(slots[:-1], slots[1:]):
-                older[touched] = newer[touched]
-            if level + 1 == levels:  # what is left holds each row once
-                slots[-1, rows] = losses
-            else:
-                first = _first_occurrences(rows, n)
-                slots[-1, rows[first]] = losses[first]
-                rows, losses = rows[~first], losses[~first]
+        most = occurrences.argmax()
+        if occurrences[most] > 1:
+            raise LedgerError(f"row {most} occurs {occurrences[most]} times in one call")
+        touched = slice(None) if rows.size == n else rows
+        slots = self._losses
+        for older, newer in zip(slots[:-1], slots[1:]):
+            older[touched] = newer[touched]
+        slots[-1, rows] = losses
         self._counts += occurrences
-        self.last_observed_epoch[occurrences > 0] = epoch
+        self.last_observed_epoch[rows] = epoch
 
     def moments(self) -> tuple[np.ndarray, np.ndarray]:
         """Mean and population std of each window's valid losses; NaN where empty.
@@ -126,12 +121,13 @@ class ImportanceLedger:
         of its valid losses alone: the results are bit-identical to
         ``np.mean`` and ``np.std`` of the history wherever numpy sums in
         order, which it does for W < 8 (but for the sign of a partial
-        window of -0.0 losses alone, whose padded sum is +0.0).
+        window of -0.0 losses alone, whose padded sum is +0.0).  A row whose
+        sums overflow is summed again from its losses scaled by the largest.
         """
         counts = np.minimum(self._counts, self.window)
         first_valid = self.window - counts  # slot of each row's oldest valid loss
         total, squares, dev = (np.zeros(self.ids.size) for _ in range(3))
-        with np.errstate(invalid="ignore", divide="ignore"):
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             for slot in self._losses:
                 total += slot
             mean = total / counts
@@ -143,6 +139,12 @@ class ImportanceLedger:
                 dev[np.flatnonzero(first_valid > j)] = 0.0
                 squares += dev
             std = np.sqrt(squares / counts)
+        # an overflowed sum, even just the mean's, leaves the squares infinite
+        for row in np.flatnonzero(~np.isfinite(squares)):
+            losses = self._losses[first_valid[row] :, row]
+            scale = np.abs(losses).max()
+            scaled = losses / scale
+            mean[row], std[row] = scaled.mean() * scale, scaled.std() * scale
         return mean, std
 
     def effective_scores(self, lambda_var: float) -> np.ndarray:
@@ -157,18 +159,12 @@ class ImportanceLedger:
                 f"sample {self.ids[empty.argmax()]} has no observed losses; "
                 "warm-up must precede selection"
             )
-        mean, std = self.moments()
+        return _scores(*self.moments(), lambda_var)
+
+
+def _scores(mean: np.ndarray, std: np.ndarray, lambda_var: float) -> np.ndarray:
+    with np.errstate(over="ignore"):  # inf only where the score exceeds the largest float
         return mean + lambda_var * std
-
-
-def _first_occurrences(rows: np.ndarray, n: int) -> np.ndarray:
-    """Mask of the positions of ``rows`` (each in ``[0, n)``) that hold a
-    row's first occurrence; ``np.minimum.at`` is defined for repeated rows,
-    where the order of a fancy assignment is not."""
-    positions = np.arange(rows.size)
-    first = np.full(n, rows.size)
-    np.minimum.at(first, rows, positions)
-    return first[rows] == positions
 
 
 def _top_rows(scores: np.ndarray, quota: int) -> np.ndarray:
@@ -383,7 +379,7 @@ def ledger_rows(
             ledger.ids.tolist(),
             mean.tolist(),
             std.tolist(),
-            (mean + lambda_var * std).tolist(),
+            _scores(mean, std, lambda_var).tolist(),
             selected.tolist(),
         )
     )

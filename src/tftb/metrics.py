@@ -43,9 +43,9 @@ def counting_errors(estimated, actual) -> tuple[float, float]:
     return float(np.abs(diff).mean()), float((diff * diff).mean())
 
 
-def predicted_count(density: np.ndarray) -> float:
-    """Count read off a predicted density map: its sum, clipped below at 0."""
-    return max(float(np.sum(density)), 0.0)
+def predicted_count(density: np.ndarray) -> np.ndarray:
+    """Counts read off density maps ``(N, H, W)``: each map's sum, clipped below at 0."""
+    return np.maximum(density.reshape(len(density), -1).sum(axis=1), 0.0)
 
 
 def evaluate_classifier(params: ModelParams, dataset, batch_size: int = 256) -> dict:
@@ -76,7 +76,7 @@ def evaluate_counter(params: ModelParams, dataset, batch_size: int = 64) -> dict
     for lo in range(0, len(dataset), batch_size):
         rows = slice(lo, lo + batch_size)
         pred = forward(params, feats[rows], step)
-        est_counts[rows] = [predicted_count(p) for p in pred]
+        est_counts[rows] = predicted_count(pred)
         loss_total += float(output_losses(pred, maps[rows], step).sum())
     mae, mse = counting_errors(est_counts, true_counts)
     return {

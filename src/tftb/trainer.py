@@ -30,10 +30,10 @@ pass runs on that step's buffers, through ``loss_and_grad`` and
 ``per_sample_losses``, and ``adam_step`` updates the parameters with the
 temporaries its state holds.  A batch keeps its losses in an
 epoch buffer laid out like the epoch's row order, and the ledger is written
-once per epoch and once per refresh.  The epoch's write runs in the section
-that closes it, ``validation``, before the validation pass, so a run that
-cannot afford it ends before anything reads the ledger; an epoch cut short
-by a refused batch ends the run, and is not written.
+once per pass of the pool and once per refresh.  The epoch's writes run in
+the section that closes it, ``validation``, before the validation pass, so a
+run that cannot afford them ends before anything reads the ledger; an epoch
+cut short by a refused batch ends the run, and is not written.
 """
 
 from __future__ import annotations
@@ -245,10 +245,12 @@ def _run(params, train_set, val_set, cfg, clock, ledger_writer):
             epoch_losses[lo : lo + len(batch)] = result.per_sample_losses
         return result.mean_loss
 
-    def close_epoch(rows):
-        """Write the epoch's losses to the ledger, then score the validation set."""
+    def close_epoch(rows, pool_size):
+        """Write the epoch's losses to the ledger a pass at a time, then score validation."""
         if ledger is not None:
-            ledger.record_losses(rows, epoch_losses[: len(rows)], epoch)
+            for lo in range(0, len(rows), pool_size):
+                hi = min(lo + pool_size, len(rows))
+                ledger.record_losses(rows[lo:hi], epoch_losses[lo:hi], epoch)
         if have_val:
             return _mean_eval_loss(params, val_feats, val_targets, step)
         return None
@@ -347,11 +349,11 @@ def _run(params, train_set, val_set, cfg, clock, ledger_writer):
 
             val_loss = None
             if not out_of_budget and (have_val or ledger is not None):
-                # the epoch's one ledger write runs in its closing section, so
-                # a run that cannot afford it ends here, before anything reads
+                # the epoch's ledger writes run in its closing section, so a
+                # run that cannot afford them ends here, before anything reads
                 # the ledger
                 done = budget.section(
-                    "validation", close_epoch, shuffled.value[:samples_seen],
+                    "validation", close_epoch, shuffled.value[:samples_seen], len(pool),
                     batches=n_val_batches,
                 )
                 out_of_budget = done is None

@@ -1,5 +1,6 @@
 """Importance scores, ranking, subset selection, and the alpha schedule."""
 
+import collections
 import hashlib
 import math
 import tracemalloc
@@ -85,6 +86,15 @@ def test_record_losses_rejects_rows_outside_the_ledger_and_writes_nothing(rows):
     assert ([ledger.history(r) for r in range(3)], ledger.last_observed_epoch.tolist()) == before
 
 
+def test_record_losses_refuses_a_repeated_row_and_writes_nothing():
+    ledger = ImportanceLedger([1, 2, 3], window=2)
+    ledger.record_losses([0, 1, 2], [0.5, 1.0, 1.5], epoch=1)
+    before = [ledger.history(r) for r in range(3)], ledger.last_observed_epoch.tolist()
+    with pytest.raises(LedgerError, match="row 1 occurs 2 times in one call"):
+        ledger.record_losses([1, 2, 1], [2.0, 2.5, 3.0], epoch=2)
+    assert ([ledger.history(r) for r in range(3)], ledger.last_observed_epoch.tolist()) == before
+
+
 def test_record_losses_accepts_signed_zero_and_extreme_finite_losses():
     ledger = ImportanceLedger([1, 2, 3], window=2)
     ledger.record_losses([2, 0, 1], [-0.0, 5e-324, np.finfo(np.float64).max], epoch=1)
@@ -98,6 +108,66 @@ def test_effective_scores_degenerate_and_two_point_cases():
     scores = dict(zip(ledger.ids.tolist(), ledger.effective_scores(lambda_var=1.0).tolist()))
     assert scores[1] == 2.0  # single observation: std term is zero
     assert scores[2] == pytest.approx(3.0)  # mean 2.0 + population std 1.0
+
+
+def test_sums_that_overflow_give_finite_moments():
+    """Finite losses whose sum overflows: the row is summed again from its
+    scaled losses, with no overflow warning, and the other row keeps its bits."""
+    ledger = ImportanceLedger([1, 2], window=3)
+    ledger.record_losses([0, 1], [1e308, 1.0], epoch=1)
+    ledger.record_losses([0], [1e308], epoch=1)
+    mean, std = ledger.moments()
+    assert mean.tolist() == [1e308, 1.0] and std.tolist() == [0.0, 0.0]
+    for lambda_var in (0.0, 1.0):
+        assert ledger.effective_scores(lambda_var).tolist() == [1e308, 1.0]
+    ds = uniform_dataset(2)
+    assert select_subset(ledger.effective_scores(0.0), ds, 0.5, False).selected_ids == (0,)
+    # a finite sum whose squared deviations overflow
+    ledger = ImportanceLedger([1], window=2)
+    ledger.record_losses([0], [1e200], epoch=1)
+    ledger.record_losses([0], [0.0], epoch=2)
+    assert [m.tolist() for m in ledger.moments()] == [[1e200 / 2], [1e200 / 2]]
+
+
+@pytest.mark.skipif(hypothesis is None, reason="needs hypothesis")
+def test_scores_near_the_largest_float_are_finite_unless_they_exceed_it():
+    """Losses near ``finfo.max``: mean and std are finite and close to the
+    exact ones, and a score is inf only where mean + lambda_var * std
+    really exceeds the largest float; no score is NaN."""
+    big = np.finfo(np.float64).max
+    loss = st.floats(0.0, 1.0).map(lambda f: f * big)
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(
+        window=st.integers(1, 9),
+        lambda_var=st.sampled_from([0.0, 0.37, 1.0, 3.0]),
+        passes=st.lists(st.lists(loss, min_size=2, max_size=2), min_size=1, max_size=10),
+    )
+    def check(window, lambda_var, passes):
+        ledger = ImportanceLedger([0, 1], window)
+        for epoch, losses in enumerate(passes, start=1):
+            ledger.record_losses([0, 1], losses, epoch)
+        mean, std = ledger.moments()
+        scores = ledger.effective_scores(lambda_var)
+        assert np.isfinite(mean).all() and np.isfinite(std).all()
+        assert not np.isnan(scores).any()
+        for row in (0, 1):
+            history = np.array([losses[row] for losses in passes][-window:])
+            scale = history.max()
+            if scale == 0:
+                assert (mean[row], std[row], scores[row]) == (0.0, 0.0, 0.0)
+                continue
+            # in units of the row's largest loss, where nothing overflows
+            want_mean, want_std = (history / scale).mean(), (history / scale).std()
+            want = want_mean + lambda_var * want_std
+            assert mean[row] / scale == pytest.approx(want_mean, rel=1e-12, abs=1e-12)
+            assert std[row] / scale == pytest.approx(want_std, rel=1e-12, abs=1e-12)
+            if np.isinf(scores[row]):
+                assert want >= big / scale * (1 - 1e-12)
+            else:
+                assert scores[row] / scale == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    check()
 
 
 def test_effective_scores_requires_warmup_coverage():
@@ -151,6 +221,19 @@ class ListLedger:
         return arr.mean(), arr.std()
 
 
+def by_occurrence(rows, losses):
+    """One call's rows and losses as calls that each take a row at most once:
+    every row's first occurrence, then every second one, ...; in that order
+    they append each row's losses in the call's order."""
+    rows, losses = np.asarray(rows, dtype=np.int64), np.asarray(losses, dtype=np.float64)
+    seen = collections.Counter()
+    level = np.empty(rows.size, dtype=np.int64)
+    for k, row in enumerate(rows.tolist()):
+        level[k] = seen[row]
+        seen[row] += 1
+    return [(rows[level == k], losses[level == k]) for k in range(level.max(initial=-1) + 1)]
+
+
 @pytest.mark.parametrize("window", [1, 3, 5, 7, 10])
 def test_array_ledger_matches_list_ledger_on_random_streams(window):
     rng = np.random.default_rng(window)
@@ -164,7 +247,8 @@ def test_array_ledger_matches_list_ledger_on_random_streams(window):
     for epoch, batch in enumerate(calls, start=1):
         losses = rng.uniform(0.0, 5.0, size=batch.size)
         losses[rng.uniform(size=batch.size) < 0.05] = 0.0
-        ledger.record_losses(np.searchsorted(ids, batch), losses, epoch)
+        for rows, level in by_occurrence(np.searchsorted(ids, batch), losses):
+            ledger.record_losses(rows, level, epoch)
         ref.record(batch.tolist(), losses.tolist(), epoch)
         seen.update("full" if len(h) == window else "partial" for h in ref.hist.values())
         want_hist = [tuple(ref.hist[i]) for i in ids.tolist()]
@@ -187,8 +271,10 @@ def test_array_ledger_matches_list_ledger_on_random_streams(window):
 
 def test_trainer_writes_match_list_ledger_across_reshuffle_seams(monkeypatch):
     """An active pool smaller than two batches, so batches straddle reshuffle
-    seams and repeat rows: every write the trainer makes, replayed into the
-    list reference by row, gives the same histories and moments."""
+    seams and an epoch repeats rows: the trainer writes each pass of the pool
+    in a call of its own, which holds each row once, and every write,
+    replayed into the list reference by row, gives the same histories and
+    moments."""
     calls = []
     record = ImportanceLedger.record_losses
 
@@ -207,7 +293,12 @@ def test_trainer_writes_match_list_ledger_across_reshuffle_seams(monkeypatch):
     assert all(r["selected_size"] < 2 * cfg.batch_size for r in selective)
     ledger = calls[0][0]
     assert all(call[0] is ledger for call in calls)
-    assert any(np.unique(rows).size < rows.size for _, rows, _, _ in calls)
+    assert all(np.unique(rows).size == rows.size for _, rows, _, _ in calls)
+    epoch_rows = collections.defaultdict(list)
+    for _, rows, _, epoch in calls:
+        epoch_rows[epoch].append(rows)
+    assert any(np.unique(np.concatenate(rows)).size < sum(map(len, rows))
+               for rows in epoch_rows.values())
 
     rows = range(len(train))
     ref = ListLedger(rows, cfg.score_window)
@@ -221,10 +312,11 @@ def test_trainer_writes_match_list_ledger_across_reshuffle_seams(monkeypatch):
 
 @pytest.mark.skipif(hypothesis is None, reason="needs hypothesis")
 def test_record_losses_matches_appending_one_loss_at_a_time():
-    """Calls whose rows repeat, also more often than the window holds, at
-    windows down to 1, with empty calls, over ids given in any order: the
-    ledger matches a reference that appends one loss at a time, and a call
-    with a row outside the ledger or mismatched shapes changes nothing."""
+    """Streams whose rows repeat, also more often than the window holds, at
+    windows down to 1, with empty calls, over ids given in any order, written
+    one occurrence level per call: the ledger matches a reference that
+    appends one loss at a time, and a call with a row outside the ledger,
+    mismatched shapes or a repeated row changes nothing."""
     loss = st.floats(0.0, 1e6, allow_nan=False).map(abs)  # no -0.0: see moments()
 
     @hypothesis.settings(max_examples=300, deadline=None)
@@ -253,8 +345,12 @@ def test_record_losses_matches_appending_one_loss_at_a_time():
                 ledger.record_losses(rows + [bad], losses + [1.0], epoch)
             with pytest.raises(LedgerError, match="one loss per row"):
                 ledger.record_losses(rows, losses + [1.0], epoch)
+            if len(set(rows)) < len(rows):
+                with pytest.raises(LedgerError, match="times in one call"):
+                    ledger.record_losses(rows, losses, epoch)
             assert state() == before
-            ledger.record_losses(np.array(rows, dtype=np.int64), np.array(losses), epoch)
+            for level_rows, level_losses in by_occurrence(rows, losses):
+                ledger.record_losses(level_rows, level_losses, epoch)
             ref.record(rows, losses, epoch)
             assert state() == ([tuple(ref.hist[r]) for r in range(n)],
                                [ref.last.get(r, -1) for r in range(n)])
@@ -266,17 +362,14 @@ def test_record_losses_matches_appending_one_loss_at_a_time():
 
 
 def test_one_selective_epoch_write_holds_a_few_vectors_of_memory():
-    """Peak traced memory of one selective epoch's write at N = 45k.
+    """Peak traced memory of one selective epoch's writes at N = 45k.
 
-    The call takes N rows drawn as the trainer draws them from a 70% pool,
-    so 30% of the rows occur twice.  Call one int64 or float64 array of N
-    entries a vector (8N bytes).  The write holds the per-row occurrence
-    counts (1 vector) and the rows a level touches (at most 1) while it finds
-    the first occurrences: a position per entry, a least position per row
-    and its gather back to the entries (3), and a boolean mask (1/8).
-    Splitting off a level's rows and losses takes less (at most 2 vectors
-    beside the counts and touched rows), and each slot's shift one.  So the
-    peak is about 5 vectors, and the bound is 6.
+    The epoch draws N rows as the trainer draws them from a 70% pool, so 30%
+    of the rows occur twice, and writes them one pass of the pool per call.
+    Call one int64 or float64 array of N entries a vector (8N bytes).  A call
+    holds the per-row occurrence counts (1 vector) and, while it shifts a
+    slot, the touched rows' losses (0.7).  So the peak is under 2 vectors,
+    and the bound is 3.
     """
     n = 45_000
     rng = np.random.default_rng(5)
@@ -288,11 +381,12 @@ def test_one_selective_epoch_write_holds_a_few_vectors_of_memory():
     assert np.bincount(rows).max() == 2
     tracemalloc.start()
     try:
-        ledger.record_losses(rows, losses, epoch=2)
+        for lo in range(0, n, pool.size):
+            ledger.record_losses(rows[lo : lo + pool.size], losses[lo : lo + pool.size], epoch=2)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 6 * 8 * n, f"peak {peak / (8 * n):.2f} vectors of {n} entries"
+    assert peak <= 3 * 8 * n, f"peak {peak / (8 * n):.2f} vectors of {n} entries"
 
 
 # ---------------------------------------------------------------------------

@@ -80,8 +80,17 @@ def test_constant_offset_mse_is_offset_squared():
 
 
 def test_predicted_count_clips_below_zero():
-    assert predicted_count(np.full((4, 4), -0.1)) == 0.0
-    assert predicted_count(np.full((2, 2), 0.25)) == pytest.approx(1.0)
+    maps = np.stack([np.full((4, 4), -0.1), np.full((4, 4), 0.0625)])
+    counts = predicted_count(maps)
+    assert counts.shape == (2,)
+    assert counts[0] == 0.0
+    assert counts[1] == pytest.approx(1.0)
+
+
+def test_predicted_count_sums_each_map_as_np_sum_does():
+    maps = np.random.default_rng(0).normal(0.0, 1.0, (64, 24, 24))
+    want = np.array([max(float(np.sum(m)), 0.0) for m in maps])
+    assert predicted_count(maps).tobytes() == want.tobytes()
 
 
 def test_evaluators_report_expected_keys():
@@ -131,7 +140,7 @@ def test_evaluators_match_two_pass_forward_then_losses():
     cparams = init_params(ConvDensityArch(16, 16, (3, 2)), np.random.default_rng(2))
     feats, maps = cnt.features, cnt.targets
     counts, loss = two_pass(cparams, feats, maps, "pixelwise_l2", 64,
-                            lambda pred: np.array([predicted_count(p) for p in pred]))
+                            predicted_count)
     cout = evaluate_counter(cparams, cnt)
     mae, mse = counting_errors(counts, maps.reshape(len(cnt), -1).sum(axis=1))
     assert (cout["mae"], cout["mse"], cout["mean_loss"]) == (mae, mse, loss)

@@ -9,6 +9,12 @@ import time
 import numpy as np
 import pytest
 
+try:
+    import hypothesis
+    from hypothesis import strategies as st
+except ImportError:  # only the property test needs it, and is skipped without it
+    hypothesis = None
+
 import tftb.importance
 import tftb.trainer
 from tftb.budget import VirtualClock  # noqa: F401 (used in helper and tests)
@@ -84,6 +90,37 @@ def test_epoch_batch_ids_cycles_smaller_pools_with_full_exposure():
     flat = _epoch_batches(pool, 100, rng)
     assert len(flat) == 100
     assert set(flat.tolist()) == set(pool.tolist())  # 100 draws from 70 rows cover each
+
+
+@pytest.mark.skipif(hypothesis is None, reason="needs hypothesis")
+def test_each_pass_of_an_epoch_is_a_permutation_of_the_pool():
+    """The trainer writes an epoch's losses one pass of the pool per ledger
+    call, which takes each row at most once: every ``len(pool)`` draws of
+    the epoch are a permutation of the pool, and the last, partial pass
+    draws each of its rows from the pool once."""
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(
+        rows=st.sets(st.integers(0, 500), min_size=1, max_size=60),
+        n_total=st.integers(1, 400),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # a pool smaller than a batch of 32, so one batch spans several passes
+    @hypothesis.example(rows={4, 9, 17}, n_total=100, seed=0)
+    # n_total not a multiple of the pool size
+    @hypothesis.example(rows=set(range(0, 140, 2)), n_total=100, seed=1)
+    def check(rows, n_total, seed):
+        pool = np.array(sorted(rows), dtype=np.int64)
+        order = _epoch_batches(pool, n_total, np.random.default_rng(seed))
+        assert order.shape == (n_total,) and order.dtype == pool.dtype
+        for lo in range(0, n_total, pool.size):
+            passed = np.sort(order[lo : lo + pool.size])
+            assert (passed[1:] > passed[:-1]).all()
+            assert np.isin(passed, pool).all()
+            if passed.size == pool.size:
+                assert np.array_equal(passed, pool)
+
+    check()
 
 
 def test_early_stop_triggers_exactly_at_patience():
@@ -500,7 +537,7 @@ def test_real_clock_wall_time_matches_charged_time():
 def test_trainer_calls_each_layer_function_once_per_unit_of_work(monkeypatch):
     """The benchmark times the trainer's layers by wrapping these names, so
     each must be called once per batch, chunk or ranking it does; the ledger
-    is written once per epoch and once per refresh."""
+    is written once per pass of an epoch's pool and once per refresh."""
     calls = collections.Counter()
 
     def count(owner, name, label):
@@ -532,27 +569,30 @@ def test_trainer_calls_each_layer_function_once_per_unit_of_work(monkeypatch):
     )
     reranks = sum(1 for e in selective if (e - cfg.warmup_epochs) % cfg.rerank_period == 0)
     val_batches = len(manifest.epochs) * math.ceil(len(val) / cfg.batch_size)
+    # a warm-up epoch is one pass of the dataset, a selective one cycles the subset
+    passes = math.ceil(len(train) / subset_size(len(train), cfg.alpha))
     assert dict(calls) == {
         "loss_and_grad": batches,
         "adam_step": batches,
-        "record_losses": len(manifest.epochs) + len(selective),
+        "record_losses": cfg.warmup_epochs + len(selective) * passes + len(selective),
         "per_sample_losses": refresh_chunks + val_batches,
         "select_subset": 1,
         "merge_and_reselect": reranks,
         "importance.select_subset": reranks,
         "effective_scores": 1 + reranks,
     }
-    assert (batches, refresh_chunks, reranks) == (30, 12, 2)
+    assert (batches, refresh_chunks, reranks, passes) == (30, 12, 2, 2)
 
 
 @pytest.mark.parametrize("budget", [None, 0.9], ids=["epoch-cap", "mid-epoch-stop"])
-def test_one_ledger_write_per_epoch_equals_per_batch_writes(monkeypatch, budget):
-    """An epoch's one ledger write holds the rows and losses of its batches in
-    batch order, and leaves the windows, counts and last observed epochs as
-    writing each batch would: with the active pool cycled within an epoch,
-    so rows repeat in one write, and with a budget that ends the run inside
-    an epoch, which is then not written, since nothing reads the ledger after
-    the run ends."""
+def test_ledger_writes_per_pass_equal_appending_each_loss(monkeypatch, budget):
+    """An epoch's ledger writes, one per pass of its pool, hold the rows and
+    losses of its batches in batch order, each row once per write, and leave
+    the windows, counts and last observed epochs as writing each batch's
+    losses one at a time would: with the active pool cycled within an epoch,
+    so rows repeat in the epoch, and with a budget that ends the run inside
+    an epoch, which is then not written, since nothing reads the ledger
+    after the run ends."""
     events = []
     step = tftb.trainer.loss_and_grad
     record = ImportanceLedger.record_losses
@@ -579,25 +619,33 @@ def test_one_ledger_write_per_epoch_equals_per_batch_writes(monkeypatch, budget)
     ledger = next(event[1] for event in events if event[0] == "write")
     # the reference is written through the unwrapped method, so it logs nothing
     reference = ImportanceLedger(train.ids, cfg.score_window)
-    pending, epoch_writes, repeats = [], 0, False
+    pending, written, epoch_writes, repeats = [], [], 0, False
     for kind, *event in events:
         if kind == "batch":
             pending.append(event)
             continue
         _, rows, losses, epoch = event
-        if pending:  # the epoch's write
-            assert np.array_equal(train.ids[rows], np.concatenate([ids for ids, _ in pending]))
-            assert np.array_equal(losses, np.concatenate([batch for _, batch in pending]))
+        assert np.unique(rows).size == rows.size
+        if pending:  # one of the epoch's writes, a pass of the pool each
+            written.append((rows, losses))
+            epoch_rows = np.concatenate([ids for ids, _ in pending])
+            if sum(len(rows) for rows, _ in written) < epoch_rows.size:
+                continue
+            assert all(len(rows) == len(written[0][0]) for rows, _ in written[:-1])
+            assert np.array_equal(train.ids[np.concatenate([r for r, _ in written])], epoch_rows)
+            assert np.array_equal(np.concatenate([v for _, v in written]),
+                                  np.concatenate([batch for _, batch in pending]))
             for ids, batch in pending:
-                record(reference, np.searchsorted(train.ids, ids), batch, epoch)
-            repeats |= np.unique(rows).size < rows.size
+                for row, loss in zip(np.searchsorted(train.ids, ids), batch):
+                    record(reference, [row], [loss], epoch)
+            repeats |= np.unique(epoch_rows).size < epoch_rows.size
             epoch_writes += 1
-            pending = []
+            pending, written = [], []
         else:  # a refresh
             record(reference, rows, losses, epoch)
     cut_short = budget is not None
     assert len(pending) == (manifest.epochs[-1]["batches"] if cut_short else 0)
-    assert repeats
+    assert repeats and not written
     assert epoch_writes == len(manifest.epochs) - cut_short
     assert np.array_equal(ledger._losses, reference._losses)
     assert np.array_equal(ledger._counts, reference._counts)

@@ -70,7 +70,8 @@ def cases():
         yield (f"unstratified-w{window}",
                _with(CRITERION_10, stratified=False, score_window=window), costs)
     # a fifth of the rows fill each epoch, so a row occurs about five times
-    # in one ledger write, more often than its window of two holds
+    # in one epoch, one ledger write per pass, more often than its window of
+    # two holds
     yield "alpha0.8-w2", _with(CRITERION_10, alpha=0.8, score_window=2), costs
     schedule = AlphaSchedule(enabled=True, window=2, eps_slow=0.01, eps_fast=0.2,
                              delta_alpha=0.1, alpha_min=0.1, alpha_max=0.6)
