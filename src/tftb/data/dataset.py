@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from ..errors import ConfigError, ShapeError, check_count
 
-# class_tag value for regression datasets, where stratification is off
+# the one class of a density-map dataset, where stratification is off
 UNSTRATIFIED = -1
 
 
@@ -90,14 +91,19 @@ class Dataset:
     def feature_shape(self) -> tuple[int, ...]:
         return self.features.shape[1:] if len(self) else ()
 
-    @property
-    def class_tags(self) -> np.ndarray:
-        """Stratification tag per row: the label, or UNSTRATIFIED for maps."""
+    @cached_property
+    def class_rows(self) -> dict[int, np.ndarray]:
+        """{class: its rows, ascending} for each class present, ascending;
+        a density-map dataset is the one group ``UNSTRATIFIED``.  Made on
+        first use and shared by every reader, so the rows are read-only."""
         if self.targets.dtype != np.int64:
-            return np.full(len(self), UNSTRATIFIED, dtype=np.int64)
-        tags = self.targets.view()
-        tags.flags.writeable = False
-        return tags
+            groups = {UNSTRATIFIED: np.arange(len(self))}
+        else:
+            rows = (np.flatnonzero(self.targets == c) for c in range(self.num_classes))
+            groups = {c: r for c, r in enumerate(rows) if r.size}
+        for r in groups.values():
+            r.flags.writeable = False
+        return groups
 
     def fingerprint(self) -> str:
         """Stable digest of structure plus a data subsample.

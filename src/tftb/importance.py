@@ -7,8 +7,9 @@ swings between passes get an extra push to stay in the pool.  Ranking is
 descending by score with ascending-id tie-breaks, and the active subset keeps
 the top ``(1 - alpha)`` fraction, either globally or per class.  Nothing is
 sorted: each class's quota-th best score is found by partition, and the
-subset is every score above it plus the ties at it in ascending-id order,
-so selection is O(N) per class.
+subset is every score above it plus the ties at it in ascending-id order.
+Each class partitions only its own rows, grouped once by the dataset, so a
+ranking is O(N) in all.
 
 All per-sample state is held in arrays in ascending-id order: the ledger's
 ``ids``, its loss windows, the scores ``effective_scores`` returns, and the
@@ -48,8 +49,8 @@ def subset_size(n: int, alpha: float) -> int:
 class ImportanceLedger:
     """Per-sample loss history over a sliding window of the last W passes.
 
-    Row ``r`` of every per-sample array belongs to ``ids[r]``, and ids
-    ascend, so a ledger built from a dataset's ids has the dataset's rows.
+    Row ``r`` of every per-sample array belongs to ``ids[r]``, and ids must
+    ascend strictly, so a ledger built from a dataset's ids has its rows.
     The losses are stored slot-major, ``(W, N)``: column ``r`` holds row
     ``r``'s last W losses oldest first, right-aligned behind zero padding, so
     slot ``W - 1`` holds every row's newest loss and each slot is one
@@ -61,11 +62,8 @@ class ImportanceLedger:
     def __init__(self, sample_ids, window: int):
         self.window = window = check_count("score window", window, 1)
         ids = np.asarray(sample_ids, dtype=np.int64)
-        # a dataset's ids already ascend strictly, and are kept as they are
-        if ids.ndim != 1 or (ids[1:] <= ids[:-1]).any():
-            ids = np.unique(ids)
-        if ids.size == 0:
-            raise LedgerError("ledger needs at least one sample id")
+        if ids.ndim != 1 or ids.size == 0 or (ids[1:] <= ids[:-1]).any():
+            raise LedgerError(f"ledger ids must be a non-empty vector that ascends strictly: {ids}")
         self.ids = ids
         self._losses = np.zeros((window, ids.size))
         self._counts = np.zeros(ids.size, dtype=np.int64)
@@ -174,8 +172,6 @@ def _top_rows(scores: np.ndarray, quota: int) -> np.ndarray:
     The ``quota``-th best score is found by partition; every score above it
     is in, and the ties at it fill the remaining places in position order.
     """
-    if quota >= scores.size:
-        return np.arange(scores.size)
     if quota == 0:
         return np.arange(0)
     cut = np.partition(scores, scores.size - quota)[scores.size - quota]
@@ -252,13 +248,6 @@ def _stratified_quotas(class_sizes: dict[int, int], alpha: float, total_target: 
     return quotas
 
 
-def _class_counts(tags: np.ndarray, least: int) -> dict[int, int]:
-    """{class: rows} of the classes present in ``tags``, ascending; no tag is below ``least``."""
-    counts = np.bincount(tags - least)
-    present = np.flatnonzero(counts)
-    return dict(zip((present + least).tolist(), counts[present].tolist()))
-
-
 def select_subset(scores, dataset: Dataset, alpha: float, stratified: bool) -> SubsetPlan:
     """Keep the top (1 - alpha) fraction by score, globally or per class.
 
@@ -269,7 +258,7 @@ def select_subset(scores, dataset: Dataset, alpha: float, stratified: bool) -> S
         raise ConfigError(f"alpha must be in [0, 1), got {alpha}")
     if len(dataset) == 0:
         raise SelectionError("cannot select a subset of an empty dataset")
-    ids, tags = dataset.ids, dataset.class_tags
+    ids, class_rows = dataset.ids, dataset.class_rows
     scores = np.asarray(scores, dtype=np.float64)
     if scores.shape != ids.shape:
         raise LedgerError(
@@ -278,25 +267,22 @@ def select_subset(scores, dataset: Dataset, alpha: float, stratified: bool) -> S
         )
 
     total_target = subset_size(ids.size, alpha)
-    # class tags are small ints (labels, or UNSTRATIFIED), so classes are
-    # counted by bincount above the least one
-    least = int(tags.min())
     if stratified:
-        quotas = _stratified_quotas(_class_counts(tags, least), alpha, total_target)
+        sizes = {c: rows.size for c, rows in class_rows.items()}
+        quotas = _stratified_quotas(sizes, alpha, total_target)
     nan = np.isnan(scores)
     if nan.any():
         raise LedgerError(f"NaN score for sample id {ids[nan.argmax()]}")
     selected = np.zeros(ids.size, dtype=bool)
     if stratified:
         for c, quota in quotas.items():
-            rows = np.flatnonzero(tags == c)
+            rows = class_rows[c]
             selected[rows[_top_rows(scores[rows], quota)]] = True
     else:
         selected[_top_rows(scores, total_target)] = True
-
-    return SubsetPlan(
-        ids=ids, selected=selected, per_class_counts=_class_counts(tags[selected], least)
-    )
+    counts = (int(np.count_nonzero(selected[rows])) for rows in class_rows.values())
+    per_class_counts = {c: k for c, k in zip(class_rows, counts) if k}
+    return SubsetPlan(ids=ids, selected=selected, per_class_counts=per_class_counts)
 
 
 def merge_and_reselect(

@@ -83,6 +83,9 @@ class RunManifest:
         for key, kind in OPTIONAL_FIELD_TYPES.items():
             if not isinstance(payload.get(key, None), (kind, type(None))):
                 raise ManifestError(f"manifest field {key!r} must be a {kind.__name__} or null")
+        for name, value in payload["final_metrics"].items():
+            if value is not None and type(value) not in (int, float):  # a bool is no number
+                raise ManifestError(f"final metric {name!r} must be a number or null: {value!r}")
         fields = {key: payload.get(key) for key in (*FIELD_TYPES, *OPTIONAL_FIELD_TYPES)}
         return cls(schema_version=version, **fields)
 

@@ -18,6 +18,8 @@ from .manifest import RunManifest
 from .nn.models import BatchStep, ModelParams, check_inputs, forward, output_losses
 
 HIGHER_IS_BETTER = {"accuracy"}
+CLASSIFIER_EVAL_ROWS = 256  # rows per forward pass of evaluate_classifier
+COUNTER_EVAL_ROWS = 64  # and of evaluate_counter
 
 
 def accuracy(predictions, targets) -> float:
@@ -48,14 +50,14 @@ def predicted_count(density: np.ndarray) -> np.ndarray:
     return np.maximum(density.reshape(len(density), -1).sum(axis=1), 0.0)
 
 
-def evaluate_classifier(params: ModelParams, dataset, batch_size: int = 256) -> dict:
+def evaluate_classifier(params: ModelParams, dataset) -> dict:
     """Accuracy and mean cross-entropy, one forward pass per batch."""
     feats, targets = check_inputs(params.arch, dataset.features, dataset.targets, "cross_entropy")
-    step = BatchStep(params.arch, batch_size, "cross_entropy")
+    step = BatchStep(params.arch, CLASSIFIER_EVAL_ROWS, "cross_entropy")
     predictions = np.empty(len(dataset), dtype=np.int64)
     loss_total = 0.0
-    for lo in range(0, len(dataset), batch_size):
-        rows = slice(lo, lo + batch_size)
+    for lo in range(0, len(dataset), CLASSIFIER_EVAL_ROWS):
+        rows = slice(lo, lo + CLASSIFIER_EVAL_ROWS)
         logits = forward(params, feats[rows], step)
         predictions[rows] = np.argmax(logits, axis=1)
         loss_total += float(output_losses(logits, targets[rows], step).sum())
@@ -66,15 +68,15 @@ def evaluate_classifier(params: ModelParams, dataset, batch_size: int = 256) -> 
     }
 
 
-def evaluate_counter(params: ModelParams, dataset, batch_size: int = 64) -> dict:
+def evaluate_counter(params: ModelParams, dataset) -> dict:
     """Count errors and mean pixelwise L2 loss, one forward pass per batch."""
     feats, maps = check_inputs(params.arch, dataset.features, dataset.targets, "pixelwise_l2")
-    step = BatchStep(params.arch, batch_size, "pixelwise_l2")
+    step = BatchStep(params.arch, COUNTER_EVAL_ROWS, "pixelwise_l2")
     true_counts = maps.reshape(len(dataset), -1).sum(axis=1)
     est_counts = np.empty(len(dataset))
     loss_total = 0.0
-    for lo in range(0, len(dataset), batch_size):
-        rows = slice(lo, lo + batch_size)
+    for lo in range(0, len(dataset), COUNTER_EVAL_ROWS):
+        rows = slice(lo, lo + COUNTER_EVAL_ROWS)
         pred = forward(params, feats[rows], step)
         est_counts[rows] = predicted_count(pred)
         loss_total += float(output_losses(pred, maps[rows], step).sum())
@@ -159,7 +161,9 @@ def compare_runs(a: RunManifest, b: RunManifest, label_a: str = "a", label_b: st
             f"dataset fingerprints differ ({fp_key}): {fp_a!r} vs {fp_b!r}; "
             "runs must evaluate the same split"
         )
-    shared = [k for k in a.final_metrics if k in b.final_metrics and k != "n_samples"]
+    # a metric a run did not measure (no validation data, say) is null
+    shared = [k for k, v in a.final_metrics.items()
+              if k != "n_samples" and v is not None and b.final_metrics.get(k) is not None]
     metrics = [MetricDelta(k, float(a.final_metrics[k]), float(b.final_metrics[k])) for k in shared]
     horizon = min(len(a.epochs), len(b.epochs))
     return RunComparison(

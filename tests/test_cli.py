@@ -237,6 +237,33 @@ def test_compare_reports_a_malformed_manifest_without_a_traceback(tmp_path, caps
     assert capsys.readouterr().err.startswith("configuration error: ")
 
 
+def test_compare_reports_a_metric_that_is_not_a_number_without_a_traceback(tmp_path, capsys):
+    for name, loss in (("a", 0.5), ("b", "0.4")):
+        RunManifest(mode="tftb", seed=1, config={}, dataset={},
+                    final_metrics={"final_val_loss": loss}).save(tmp_path / f"{name}.json")
+    code = main(["compare", str(tmp_path / "a.json"), str(tmp_path / "b.json"),
+                 "--out", str(tmp_path / "cmp")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and "'final_val_loss'" in err
+
+
+def test_compare_skips_a_metric_the_runs_did_not_measure(tmp_path, capsys):
+    """A run without validation data writes a null validation loss."""
+    for name, accuracy in (("a", 0.75), ("b", 0.5)):
+        metrics = {"final_val_loss": None, "final_train_loss": 0.25, "accuracy": accuracy}
+        RunManifest(mode="tftb", seed=1, config={}, dataset={},
+                    final_metrics=metrics).save(tmp_path / f"{name}.json")
+    out = tmp_path / "cmp"
+    assert main(["compare", str(tmp_path / "a.json"), str(tmp_path / "b.json"),
+                 "--out", str(out)]) == EXIT_OK
+    table = capsys.readouterr().out
+    assert "final_train_loss" in table and "accuracy" in table
+    assert "final_val_loss" not in table
+    rows = (out / "comparison_1.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in rows[1:]] == ["accuracy", "final_train_loss"]
+
+
 def test_compare_reports_a_fingerprint_mismatch_as_a_configuration_error(tmp_path, capsys):
     for name, fingerprint in (("a", "0" * 16), ("b", "1" * 16)):
         RunManifest(mode="tftb", seed=1, config={},

@@ -156,7 +156,7 @@ def test_channel_stats_match_numpy_across_chunks():
 def test_synth_classification_counts_per_class():
     ds = synth_classification(seed=0, n_per_class=100, num_classes=2, easy_fraction=0.5)
     assert len(ds) == 200
-    classes, sizes = np.unique(ds.class_tags, return_counts=True)
+    classes, sizes = np.unique(ds.targets, return_counts=True)
     assert dict(zip(classes.tolist(), sizes.tolist())) == {0: 100, 1: 100}
     assert sorted(ds.ids) == list(range(200))
 
@@ -165,8 +165,8 @@ def test_synth_classification_all_easy_lies_within_one_cluster_scale():
     ds = synth_classification(seed=3, n_per_class=80, num_classes=3, easy_fraction=1.0)
     angles = 2 * np.pi * np.arange(3) / 3
     centroids = 3.0 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    for features, class_tag in zip(ds.features, ds.class_tags):
-        center = np.concatenate([centroids[class_tag], np.zeros(2)])
+    for features, label in zip(ds.features, ds.targets):
+        center = np.concatenate([centroids[label], np.zeros(2)])
         assert np.linalg.norm(features - center) <= 1.0
 
 
@@ -174,7 +174,7 @@ def test_synth_classification_same_seed_is_byte_identical():
     a = synth_classification(seed=9, n_per_class=50, num_classes=4, easy_fraction=0.6)
     b = synth_classification(seed=9, n_per_class=50, num_classes=4, easy_fraction=0.6)
     assert len(a) == len(b)
-    assert np.array_equal(a.ids, b.ids) and np.array_equal(a.class_tags, b.class_tags)
+    assert np.array_equal(a.ids, b.ids) and np.array_equal(a.targets, b.targets)
     assert a.features.tobytes() == b.features.tobytes()
 
 
@@ -238,7 +238,7 @@ def test_density_map_rejects_nonpositive_sigma():
 def test_synth_counting_bookkeeping_and_mass():
     ds = synth_counting(seed=1, n_images=50, image_size=16, max_objects=5, sigma=2.0)
     assert len(ds) == 50
-    assert all(ds.class_tags == UNSTRATIFIED)
+    assert list(ds.class_rows) == [UNSTRATIFIED]
     for target in ds.targets:
         count = round(float(target.sum()))
         assert abs(target.sum() - count) <= 1e-6
@@ -504,7 +504,33 @@ def test_dataset_stores_rows_in_ascending_id_order():
     assert np.array_equal(ds.ids, ids[order])
     assert np.array_equal(ds.features, features[order])
     assert np.array_equal(ds.targets, labels[order])
-    assert np.array_equal(ds.class_tags, labels[order])
+    assert all(
+        np.array_equal(rows, np.flatnonzero(labels[order] == c)) for c, rows in ds.class_rows.items()
+    )
+
+
+def test_class_rows_groups_each_present_class_once():
+    """Shuffled ids, interleaved labels and an empty class: each class
+    present has its rows in ascending order, the empty class has no group,
+    and the grouping is made once."""
+    rng = np.random.default_rng(5)
+    ids = rng.permutation(40) * 2 + 1
+    labels = np.array([0, 3, 1, 3] * 10)  # class 2 has no rows
+    ds = Dataset(ids, np.zeros((40, 1)), labels, num_classes=4, split_tag="t")
+    groups = ds.class_rows
+    assert list(groups) == [0, 1, 3]
+    for c, rows in groups.items():
+        assert np.array_equal(rows, np.flatnonzero(ds.targets == c))
+        assert (np.diff(rows) > 0).all() and not rows.flags.writeable
+    assert sum(rows.size for rows in groups.values()) == len(ds)
+    assert ds.class_rows is groups
+
+
+def test_class_rows_of_density_maps_is_one_group():
+    ds = synth_counting(seed=2, n_images=9, image_size=16, max_objects=3, sigma=1.0)
+    assert list(ds.class_rows) == [UNSTRATIFIED]
+    assert np.array_equal(ds.class_rows[UNSTRATIFIED], np.arange(9))
+    assert not ds.class_rows[UNSTRATIFIED].flags.writeable
 
 
 def test_train_val_split_is_disjoint_and_seeded():

@@ -15,7 +15,7 @@ except ImportError:  # only the property test needs it, and is skipped without i
     hypothesis = None
 
 from tftb.budget import VirtualClock
-from tftb.data import Dataset, synth_classification, train_val_split
+from tftb.data import UNSTRATIFIED, Dataset, synth_classification, train_val_split
 from tftb.errors import ConfigError, LedgerError, SelectionError
 from tftb.importance import (
     _stratified_quotas,
@@ -72,6 +72,17 @@ def test_record_losses_empty_observation_list_is_identity():
     before = [ledger.history(r) for r in range(len(ledger))]
     ledger.record_losses([], [], epoch=2)
     assert [ledger.history(r) for r in range(len(ledger))] == before
+
+
+@pytest.mark.parametrize(
+    "ids",
+    [[2, 1, 3], [1, 2, 2, 3], [[1, 2], [3, 4]], []],
+    ids=["unsorted", "repeated", "2-d", "empty"],
+)
+def test_ledger_refuses_ids_that_do_not_ascend_strictly(ids):
+    """Row r of the ledger is row r of the caller's ids, so ids are never re-sorted."""
+    with pytest.raises(LedgerError, match="non-empty vector that ascends strictly"):
+        ImportanceLedger(ids, window=3)
 
 
 @pytest.mark.parametrize(
@@ -238,7 +249,7 @@ def by_occurrence(rows, losses):
 def test_array_ledger_matches_list_ledger_on_random_streams(window):
     rng = np.random.default_rng(window)
     ids = np.sort(rng.choice(10_000, size=60, replace=False))
-    ledger, ref = ImportanceLedger(ids[::-1], window), ListLedger(ids.tolist(), window)
+    ledger, ref = ImportanceLedger(ids, window), ListLedger(ids.tolist(), window)
     # a full pass first, so every id has a score; then random batches whose
     # ids repeat within a call, as at a reshuffle seam, and overflow windows
     calls = [ids] + [rng.choice(ids, size=rng.integers(0, 40)) for _ in range(60)]
@@ -313,7 +324,7 @@ def test_trainer_writes_match_list_ledger_across_reshuffle_seams(monkeypatch):
 @pytest.mark.skipif(hypothesis is None, reason="needs hypothesis")
 def test_record_losses_matches_appending_one_loss_at_a_time():
     """Streams whose rows repeat, also more often than the window holds, at
-    windows down to 1, with empty calls, over ids given in any order, written
+    windows down to 1, with empty calls, over ascending ids with gaps, written
     one occurrence level per call: the ledger matches a reference that
     appends one loss at a time, and a call with a row outside the ledger,
     mismatched shapes or a repeated row changes nothing."""
@@ -321,14 +332,14 @@ def test_record_losses_matches_appending_one_loss_at_a_time():
 
     @hypothesis.settings(max_examples=300, deadline=None)
     @hypothesis.given(
-        ids=st.lists(st.integers(0, 40), min_size=1, max_size=6),
+        ids=st.lists(st.integers(0, 40), min_size=1, max_size=6, unique=True).map(sorted),
         window=st.integers(1, 4),
         lambda_var=st.sampled_from([0.0, 0.37, 1.0]),
         data=st.data(),
     )
     def check(ids, window, lambda_var, data):
         ledger = ImportanceLedger(ids, window)
-        assert ledger.ids.tolist() == sorted(set(ids))
+        assert ledger.ids.tolist() == ids
         n = len(ledger)
         ref = ListLedger(range(n), window)
         calls = data.draw(st.lists(st.lists(st.tuples(st.integers(0, n - 1), loss),
@@ -456,7 +467,7 @@ def test_monotone_selection_within_class():
     ds = uniform_dataset(60, num_classes=3)
     scores = np.array([float(rng.uniform()) for _ in range(60)])
     plan = select_subset(scores, ds, alpha=0.35, stratified=True)
-    tags = dict(zip(ds.ids.tolist(), ds.class_tags.tolist()))
+    tags = dict(zip(ds.ids.tolist(), ds.targets.tolist()))
     selected = set(plan.selected_ids)
     for a in range(60):
         for b in range(60):
@@ -517,7 +528,8 @@ def unique_counts(tags) -> dict[int, int]:
     ids=["classes-0-and-3", "unstratified-maps", "class-with-no-row-selected"],
 )
 def test_select_subset_counts_classes_as_unique_does(dataset, stratified):
-    tags = dataset.class_tags
+    # each row's class: its label, or the one class of a density-map dataset
+    tags = dataset.targets if dataset.targets.ndim == 1 else np.full(len(dataset), UNSTRATIFIED)
     # class 2 scores lowest, so an unstratified half leaves it out
     scores = np.where(tags == 2, -1.0, np.random.default_rng(3).uniform(0, 1, len(dataset)))
     plan = select_subset(scores, dataset, alpha=0.5, stratified=stratified)

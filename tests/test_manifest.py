@@ -53,3 +53,9 @@ def test_non_object_and_incomplete_documents_are_rejected(text):
 def test_the_valid_document_round_trips():
     assert RunManifest.from_json(json.dumps(VALID)).to_json() == json.dumps(
         VALID, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("value", ["0.4", True, [0.4], {"loss": 0.4}])
+def test_a_final_metric_that_is_neither_a_number_nor_null_is_rejected(value):
+    with pytest.raises(ManifestError, match="final metric 'final_val_loss' must be a number or null"):
+        RunManifest.from_json(json.dumps({**VALID, "final_metrics": {"final_val_loss": value}}))
