@@ -420,12 +420,11 @@ class _Loss:
         np.exp(shifted, out=exp)
         np.add.reduce(exp, axis=1, keepdims=True, out=total)
         np.log(total, out=log_total)
-        # the target's log-probability, shifted - log_total, negated; the
+        # the target's negative log-probability, log_total - shifted; the
         # index is in range, as the targets were checked by check_inputs
         index = np.add(self._row_starts[:m], y, out=self._flat_index[:m])
         losses = self._shifted.take(index, out=self.losses[:m], mode="clip")
-        np.subtract(losses, log_total[:, 0], out=losses)
-        np.negative(losses, out=losses)
+        np.subtract(log_total[:, 0], losses, out=losses)
         if grad:
             d_logits = np.divide(exp, total, out=exp)
             self._exp_flat[index] -= 1.0
@@ -513,6 +512,24 @@ class BatchStep:
             _empty((c1, b, h, w), bool),
             _empty((c2, pixels), bool),
         )
+
+    @staticmethod
+    def forward_row_bytes(arch: Architecture, loss_kind: str) -> int:
+        """Bytes per sample of what a step that only gathers and runs forward
+        passes holds: the gathered batch, the forward buffers and the loss's.
+        Page padding, a few kilobytes a step, is not counted."""
+        inputs, k = math.prod(arch.input_shape()), math.prod(arch.output_shape())
+        if arch.kind == "mlp":
+            forward = sum(arch.hidden) + arch.num_classes
+        else:  # padded image and a1, then z and z3
+            (c1, c2), p = arch.channels, arch.kernel_size - 1
+            h, w = arch.input_shape()
+            forward = (1 + c1) * (h + p) * (w + p) + (max(c1, c2) + 1) * h * w
+        if loss_kind == "cross_entropy":  # losses, exp and shifted, 3 columns, 2 indices
+            loss, target = 2 * k + 6, 1
+        else:  # losses, d_out and square
+            loss, target = 2 * k + 1, k
+        return 8 * (inputs + target + forward + loss)
 
     def gather(self, features: np.ndarray, targets: np.ndarray, rows: np.ndarray):
         """Copy ``features[rows]`` and ``targets[rows]`` into the step's input

@@ -24,11 +24,15 @@ counted in batches, its size in batches.  The clock charges it, and the time
 around it, to the budget, applies the warm-up checks, and skips the section
 once its estimate no longer fits.
 
-A run checks its data once and builds one ``BatchStep`` for its
-architecture, batch size and loss kind; every batch, validation and refresh
-pass runs on that step's buffers, through ``loss_and_grad`` and
-``per_sample_losses``, and ``adam_step`` updates the parameters with the
-temporaries its state holds.  A batch keeps its losses in an
+A run checks its data once and builds two ``BatchStep``s for its
+architecture and loss kind: the training step, of ``batch_size`` rows, and
+the wide step, of as many whole batches as ``WIDE_STEP_BYTES`` holds and the
+data need (the training step itself when that is one batch).  The first
+batch of each chunk of the epoch's row order gathers the chunk into the
+wide step, and each batch runs ``loss_and_grad`` on the training step over
+its slice of the chunk; validation and refresh run ``per_sample_losses`` on
+the wide step, a chunk per call.  ``adam_step`` updates the parameters with
+the temporaries its state holds.  A batch keeps its losses in an
 epoch buffer laid out like the epoch's row order, and the ledger is written
 once per pass of the pool and once per refresh.  The epoch's writes run in
 the section that closes it, ``validation``, before the validation pass, so a
@@ -69,6 +73,13 @@ from .nn.models import (
 )
 
 MODES = ("baseline", "tftb")
+
+# The bytes of buffers a run's wide step may hold.  The wide step gathers the
+# training batches a chunk at a time and runs every forward-only pass, so an
+# MLP run pays one gather per chunk and one forward call per chunk of
+# validation or refresh, not one per batch.  A conv sample needs more than
+# this budget holds at a batch of 32, so a conv run's wide step is its step.
+WIDE_STEP_BYTES = 512 * 1024
 
 # the least value of each count of a TrainConfig; max_epochs only when set
 _COUNTS = {
@@ -161,13 +172,52 @@ def _epoch_batches(pool: np.ndarray, n_total: int, rng: np.random.Generator) -> 
     return passes.reshape(-1)[:n_total]
 
 
-def _mean_eval_loss(params, feats, targets, step: BatchStep) -> float:
+def _wide_step(step: BatchStep, rows: int) -> BatchStep:
+    """The run's wide step: as many of ``step``'s batches as
+    ``WIDE_STEP_BYTES`` holds and ``rows``, the most one pass reads, needs,
+    and at least one; ``step`` itself when that is one batch."""
+    b = step.batch_size
+    fits = WIDE_STEP_BYTES // (b * BatchStep.forward_row_bytes(step.arch, step.loss_kind))
+    batches = max(1, min(fits, -(-rows // b)))
+    return step if batches == 1 else BatchStep(step.arch, batches * b, step.loss_kind)
+
+
+def _forward_losses(params, feats, targets, rows, wide: BatchStep, batch_size: int):
+    """Per-sample losses of ``rows`` of ``feats`` and ``targets``, every row
+    if ``rows`` is None, forward only, one call per chunk of the wide step.
+
+    Chunks hold whole training batches, and a row's loss does not depend on
+    the batch it is in, except in a batch of one row, which numpy multiplies
+    as a matrix-vector product with other bits.  So a last training batch of
+    one row runs alone here too, and the losses are those of a pass of
+    ``batch_size``-row batches, bit for bit."""
+    n = len(feats) if rows is None else len(rows)
+    end = n - (n > 1 and n % batch_size == 1)
+    bounds = [(lo, min(lo + wide.batch_size, end)) for lo in range(0, end, wide.batch_size)]
+    if end < n:
+        bounds.append((end, n))
+    losses = np.empty(n)
+    for lo, hi in bounds:
+        if rows is None:
+            x, y = feats[lo:hi], targets[lo:hi]
+        else:
+            x, y = wide.gather(feats, targets, rows[lo:hi])
+        losses[lo:hi] = per_sample_losses(params, x, y, wide)
+    return losses
+
+
+def _mean_eval_loss(params, feats, targets, wide: BatchStep, batch_size: int) -> float:
+    """The mean per-sample loss.  The sum adds ``batch_size``-row partial
+    sums in order, so the mean has the bits a pass of training-sized
+    batches gives."""
+    losses = _forward_losses(params, feats, targets, None, wide, batch_size)
+    whole = len(losses) - len(losses) % batch_size
     total = 0.0
-    for lo in range(0, len(feats), step.batch_size):
-        rows = slice(lo, lo + step.batch_size)
-        losses = per_sample_losses(params, feats[rows], targets[rows], step)
-        total += float(losses.sum())
-    return total / len(feats)
+    for part in np.add.reduce(losses[:whole].reshape(-1, batch_size), axis=1).tolist():
+        total += part
+    if whole < len(losses):
+        total += float(losses[whole:].sum())
+    return total / len(losses)
 
 
 def train_tftb(
@@ -209,6 +259,7 @@ def _run(params, train_set, val_set, cfg, clock, ledger_writer):
     adam_state = init_adam_state(params)
     # the data are checked once, here; the step checks nothing but the losses
     step = BatchStep(params.arch, cfg.batch_size, cfg.loss_kind)
+    wide = _wide_step(step, max(n, len(val_set)))
     feats, targets = check_inputs(params.arch, train_set.features, train_set.targets, cfg.loss_kind)
 
     # pools and batches are arrays of dataset rows, and a dataset's rows are
@@ -237,12 +288,26 @@ def _run(params, train_set, val_set, cfg, clock, ledger_writer):
     stop_reason: str | None = None
     epoch = 0
 
-    def batch_step(batch, lo):
-        x, y = step.gather(feats, targets, batch)
-        result = loss_and_grad(params, x, y, step, sample_ids=ids[batch])
+    chunk = None
+
+    def batch_step(order, lo):
+        """Train on rows ``order[lo : lo + batch_size]``, a slice of the wide
+        step's chunk, which the first batch of each chunk gathers."""
+        nonlocal chunk
+        at = lo % wide.batch_size
+        if at == 0:
+            chunk = wide.gather(feats, targets, order[lo : lo + wide.batch_size])
+        hi = at + cfg.batch_size
+        try:
+            result = loss_and_grad(params, chunk[0][at:hi], chunk[1][at:hi], step)
+        except NonFiniteError as exc:  # it names the batch row; name its id
+            sid = int(ids[order[lo + exc.sample_id]])
+            raise NonFiniteError(
+                f"non-finite {cfg.loss_kind} loss for sample id {sid}", sample_id=sid
+            ) from None
         adam_step(params, result.grad, adam_state, cfg.lr)
         if epoch_losses is not None:
-            epoch_losses[lo : lo + len(batch)] = result.per_sample_losses
+            epoch_losses[lo : lo + len(result.per_sample_losses)] = result.per_sample_losses
         return result.mean_loss
 
     def close_epoch(rows, pool_size):
@@ -252,7 +317,7 @@ def _run(params, train_set, val_set, cfg, clock, ledger_writer):
                 hi = min(lo + pool_size, len(rows))
                 ledger.record_losses(rows[lo:hi], epoch_losses[lo:hi], epoch)
         if have_val:
-            return _mean_eval_loss(params, val_feats, val_targets, step)
+            return _mean_eval_loss(params, val_feats, val_targets, wide, cfg.batch_size)
         return None
 
     def select():
@@ -332,16 +397,17 @@ def _run(params, train_set, val_set, cfg, clock, ledger_writer):
             epoch_wall = shuffled.elapsed if shuffled else 0.0
             ran = 0
             out_of_budget = False
+            order = shuffled.value[: cap * cfg.batch_size] if cap else None
             for lo in range(0, cap * cfg.batch_size, cfg.batch_size):
-                batch = shuffled.value[lo : lo + cfg.batch_size]
-                done = budget.section("batch", batch_step, batch, lo, batches=1)
+                done = budget.section("batch", batch_step, order, lo, batches=1)
                 if done is None:
                     out_of_budget = True
                     break
+                m = min(cfg.batch_size, len(order) - lo)
                 ran += 1
                 epoch_wall += done.elapsed
-                samples_seen += len(batch)
-                loss_weighted += done.value * len(batch)
+                samples_seen += m
+                loss_weighted += done.value * m
             if ran == 0:
                 epoch -= 1
                 stop_reason = "budget_exhausted"
@@ -402,7 +468,7 @@ def _run(params, train_set, val_set, cfg, clock, ledger_writer):
                     chunks = epoch_equivalent_batches(excluded.size, cfg.batch_size)
                     budget.section(
                         "refresh", _refresh_excluded,
-                        params, feats, targets, excluded, step, ledger, epoch,
+                        params, feats, targets, excluded, wide, cfg.batch_size, ledger, epoch,
                         batches=chunks,
                     )
                 if since_warmup % cfg.rerank_period == 0:
@@ -417,12 +483,8 @@ def _run(params, train_set, val_set, cfg, clock, ledger_writer):
     return params, assemble_manifest(stop_reason or "epoch_cap")
 
 
-def _refresh_excluded(params, feats, targets, rows, step: BatchStep, ledger, epoch):
+def _refresh_excluded(params, feats, targets, rows, wide: BatchStep, batch_size, ledger, epoch):
     """Forward-only loss pass over excluded samples to un-stale their scores,
     written to the ledger in one call once every chunk has passed."""
-    losses = np.empty(len(rows))
-    for lo in range(0, len(rows), step.batch_size):
-        chunk = rows[lo : lo + step.batch_size]
-        x, y = step.gather(feats, targets, chunk)
-        losses[lo : lo + len(chunk)] = per_sample_losses(params, x, y, step)
-    ledger.record_losses(rows, losses, epoch)
+    ledger.record_losses(rows, _forward_losses(params, feats, targets, rows, wide, batch_size),
+                         epoch)

@@ -206,6 +206,53 @@ def test_per_sample_losses_match_loss_and_grad():
     assert np.array_equal(output_losses(forward(params, x, step), y, step), light)
 
 
+def test_a_certain_cross_entropy_loss_is_positive_zero():
+    """The loss is ``log_total - shifted`` in one subtraction, so a target
+    logit whose rivals' exponentials vanish gives +0.0, not -0.0."""
+    arch = MlpArch(2, (), 3)
+    params = ModelParams.zeros(arch)
+    params.weights[0][:] = [[2000.0, 0.0, 0.0], [0.0, 0.0, 2000.0]]
+    x, y = np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0, 2])
+    step = step_for(params, x)
+    for losses in (per_sample_losses(params, x, y, step),
+                   loss_and_grad(params, x, y, step).per_sample_losses):
+        assert losses.tolist() == [0.0, 0.0]
+        assert not np.signbit(losses).any()
+
+
+@pytest.mark.parametrize("loss_kind", ["cross_entropy", "pixelwise_l2"])
+@pytest.mark.parametrize(
+    "arch", [MlpArch(4, (24, 7), 4), ConvDensityArch(6, 5, (2, 3), 3)], ids=["mlp", "conv"]
+)
+def test_forward_row_bytes_is_what_a_forward_step_allocates_per_row(arch, loss_kind):
+    """A step that gathers and runs forward passes grows by
+    ``forward_row_bytes`` per row of its batch size.  The Python objects a
+    call makes, and numpy's cache of small blocks, move the total by about a
+    kilobyte; one float a row too many or too few would move it by 8 kB."""
+    import tracemalloc
+
+    rng = np.random.default_rng(0)
+    out_shape = (arch.num_classes,) if arch.kind == "mlp" else arch.input_shape()
+    feats = rng.standard_normal((2048, *arch.input_shape()))
+    targets = (rng.integers(0, math.prod(out_shape), 2048) if loss_kind == "cross_entropy"
+               else rng.standard_normal((2048, *out_shape)))
+    feats, targets = check_inputs(arch, feats, targets, loss_kind)
+    params = init_params(arch, rng)
+
+    def held(rows):
+        step = BatchStep(arch, rows, loss_kind)
+        per_sample_losses(params, *step.gather(feats, targets, np.arange(rows)), step)
+        return tracemalloc.get_traced_memory()[0]
+
+    held(8)  # the conv patch buffer, shared by every step, is made here
+    tracemalloc.start()
+    try:
+        grown = held(2048) - held(1024)
+    finally:
+        tracemalloc.stop()
+    assert abs(grown - 1024 * BatchStep.forward_row_bytes(arch, loss_kind)) < 4096
+
+
 # ---------------------------------------------------------------------------
 # nested-loop convolution oracle
 

@@ -25,7 +25,9 @@ from tftb.errors import (
     BudgetError, ConfigError, NonFiniteError, SelectionError, ShapeError, TrainingAbort,
 )
 from tftb.importance import ImportanceLedger, subset_size
-from tftb.nn import BatchStep, MlpArch, ConvDensityArch, init_params
+from tftb.nn import (
+    BatchStep, MlpArch, ConvDensityArch, check_inputs, init_params, per_sample_losses,
+)
 from tftb.trainer import (
     TrainConfig,
     _epoch_batches,
@@ -62,6 +64,33 @@ def test_epoch_equivalent_batches_examples():
     assert epoch_equivalent_batches(64, 32) == 2
     with pytest.raises(ConfigError):
         epoch_equivalent_batches(0, 32)
+
+
+def trace_batches(monkeypatch, events):
+    """Append ``("batch", epoch, lo, rows, x, y, losses)`` to ``events`` for
+    every training batch, with copies of what ``loss_and_grad`` received and
+    returned.  ``rows`` are cut from the epoch's row order as the epoch loop
+    cuts its batches, ``order[lo : lo + batch_size]``, not read from the
+    trainer."""
+    shuffle, step = tftb.trainer._epoch_batches, tftb.trainer.loss_and_grad
+    epoch = {"index": 0}
+
+    def traced_shuffle(pool, n_total, rng):
+        epoch.update(index=epoch["index"] + 1, order=shuffle(pool, n_total, rng), lo=0)
+        return epoch["order"]
+
+    def traced_step(params, batch, targets, batch_step, sample_ids=None):
+        lo = epoch["lo"]
+        epoch["lo"] += batch_step.batch_size
+        rows = epoch["order"][lo : lo + batch_step.batch_size]
+        seen = batch.copy(), targets.copy()
+        result = step(params, batch, targets, batch_step, sample_ids=sample_ids)
+        events.append(("batch", epoch["index"], lo, rows, *seen,
+                       result.per_sample_losses.copy()))
+        return result
+
+    monkeypatch.setattr(tftb.trainer, "_epoch_batches", traced_shuffle)
+    monkeypatch.setattr(tftb.trainer, "loss_and_grad", traced_step)
 
 
 def epoch_slices(order, batch_size):
@@ -341,7 +370,7 @@ def test_refresh_with_non_finite_params_raises_and_leaves_the_ledger_unchanged()
     step = BatchStep(params.arch, 32, "cross_entropy")
     with pytest.raises(NonFiniteError):
         tftb.trainer._refresh_excluded(params, train.features, train.targets, rows,
-                                       step, ledger, epoch=2)
+                                       step, 32, ledger, epoch=2)
     assert ([ledger.history(r) for r in rows], ledger.last_observed_epoch.tolist()) == before
 
 
@@ -536,8 +565,9 @@ def test_real_clock_wall_time_matches_charged_time():
 
 def test_trainer_calls_each_layer_function_once_per_unit_of_work(monkeypatch):
     """The benchmark times the trainer's layers by wrapping these names, so
-    each must be called once per batch, chunk or ranking it does; the ledger
-    is written once per pass of an epoch's pool and once per refresh."""
+    each must be called once per batch, chunk or ranking it does; a forward
+    pass runs once per chunk of the wide step, and the ledger is written once
+    per pass of an epoch's pool and once per refresh."""
     calls = collections.Counter()
 
     def count(owner, name, label):
@@ -563,25 +593,30 @@ def test_trainer_calls_each_layer_function_once_per_unit_of_work(monkeypatch):
     batches = sum(r["batches"] for r in manifest.epochs)
     selective = [r["epoch"] for r in manifest.epochs if r["phase"] == "selective"]
     assert manifest.stop_reason == "epoch_cap" and len(selective) == 4
-    # a refresh after every selective epoch, a rerank after every second one
-    refresh_chunks = len(selective) * math.ceil(
-        (len(train) - subset_size(len(train), cfg.alpha)) / cfg.batch_size
-    )
+    # the wide step holds the whole training set here: one chunk per pass
+    step = BatchStep(model_for(train).arch, cfg.batch_size, cfg.loss_kind)
+    width = tftb.trainer._wide_step(step, len(train)).batch_size
+    assert width == 192 > len(train) == 162
+    # a refresh after every selective epoch, a rerank after every second
+    # one; 65 excluded rows are a last batch of one row, which runs alone
+    excluded = len(train) - subset_size(len(train), cfg.alpha)
+    assert excluded == 65 and excluded % cfg.batch_size == 1
+    refresh_chunks = len(selective) * (math.ceil((excluded - 1) / width) + 1)
     reranks = sum(1 for e in selective if (e - cfg.warmup_epochs) % cfg.rerank_period == 0)
-    val_batches = len(manifest.epochs) * math.ceil(len(val) / cfg.batch_size)
+    val_chunks = len(manifest.epochs) * math.ceil(len(val) / width)
     # a warm-up epoch is one pass of the dataset, a selective one cycles the subset
     passes = math.ceil(len(train) / subset_size(len(train), cfg.alpha))
     assert dict(calls) == {
         "loss_and_grad": batches,
         "adam_step": batches,
         "record_losses": cfg.warmup_epochs + len(selective) * passes + len(selective),
-        "per_sample_losses": refresh_chunks + val_batches,
+        "per_sample_losses": refresh_chunks + val_chunks,
         "select_subset": 1,
         "merge_and_reselect": reranks,
         "importance.select_subset": reranks,
         "effective_scores": 1 + reranks,
     }
-    assert (batches, refresh_chunks, reranks, passes) == (30, 12, 2, 2)
+    assert (batches, refresh_chunks, val_chunks, reranks, passes) == (30, 8, 5, 2, 2)
 
 
 @pytest.mark.parametrize("budget", [None, 0.9], ids=["epoch-cap", "mid-epoch-stop"])
@@ -594,19 +629,13 @@ def test_ledger_writes_per_pass_equal_appending_each_loss(monkeypatch, budget):
     an epoch, which is then not written, since nothing reads the ledger
     after the run ends."""
     events = []
-    step = tftb.trainer.loss_and_grad
     record = ImportanceLedger.record_losses
-
-    def traced_step(params, batch, targets, batch_step, sample_ids=None):
-        result = step(params, batch, targets, batch_step, sample_ids=sample_ids)
-        events.append(("batch", np.array(sample_ids), result.per_sample_losses.copy()))
-        return result
 
     def traced_record(ledger, rows, losses, epoch):
         events.append(("write", ledger, np.array(rows), np.array(losses), epoch))
         record(ledger, rows, losses, epoch)
 
-    monkeypatch.setattr(tftb.trainer, "loss_and_grad", traced_step)
+    trace_batches(monkeypatch, events)
     monkeypatch.setattr(ImportanceLedger, "record_losses", traced_record)
     train, val = class_data(seed=5)  # 108 training samples, 7 batches of 16
     cfg = TrainConfig(mode="tftb", alpha=0.6, batch_size=16, seed=1, early_stop_patience=50,
@@ -621,8 +650,8 @@ def test_ledger_writes_per_pass_equal_appending_each_loss(monkeypatch, budget):
     reference = ImportanceLedger(train.ids, cfg.score_window)
     pending, written, epoch_writes, repeats = [], [], 0, False
     for kind, *event in events:
-        if kind == "batch":
-            pending.append(event)
+        if kind == "batch":  # the ids of the batch's rows, and its losses
+            pending.append((train.ids[event[2]], event[-1]))
             continue
         _, rows, losses, epoch = event
         assert np.unique(rows).size == rows.size
@@ -650,6 +679,132 @@ def test_ledger_writes_per_pass_equal_appending_each_loss(monkeypatch, budget):
     assert np.array_equal(ledger._losses, reference._losses)
     assert np.array_equal(ledger._counts, reference._counts)
     assert np.array_equal(ledger.last_observed_epoch, reference.last_observed_epoch)
+
+
+def test_every_training_batch_is_the_features_and_targets_of_its_rows(monkeypatch):
+    """Each batch is a slice of the chunk the wide step gathered, byte for
+    byte the rows of the epoch's order it stands for: the first batch of
+    every chunk, a batch across a seam between two passes of the pool, and
+    an epoch's short tail batch among them."""
+    train, val = class_data(seed=5)  # 108 training rows: 6 batches of 16 and a tail of 12
+    cfg = TrainConfig(mode="tftb", alpha=0.6, batch_size=16, max_epochs=3, seed=1,
+                      early_stop_patience=50)
+    arch = model_for(train).arch
+    # room for three batches, so an epoch has chunks at rows 0, 48 and 96
+    row_bytes = BatchStep.forward_row_bytes(arch, cfg.loss_kind)
+    monkeypatch.setattr(tftb.trainer, "WIDE_STEP_BYTES", 3 * 16 * row_bytes)
+    assert tftb.trainer._wide_step(BatchStep(arch, 16, cfg.loss_kind), 108).batch_size == 48
+    events = []
+    trace_batches(monkeypatch, events)
+    _, manifest = train_tftb(model_for(train), train, val, cfg, clock=virtual())
+    assert [r["batches"] for r in manifest.epochs] == [7, 7, 7]
+
+    seen = collections.Counter()
+    for _, epoch, lo, rows, x, y, _ in events:
+        assert x.tobytes() == train.features[rows].tobytes()
+        assert y.tobytes() == train.targets[rows].astype(np.int64).tobytes()
+        pool = manifest.epochs[epoch - 1]["selected_size"]
+        seen["chunk start"] += lo > 0 and lo % 48 == 0
+        seen["tail"] += len(rows) < 16
+        seen["seam"] += lo // pool < (lo + len(rows) - 1) // pool
+    assert seen == {"chunk start": 6, "tail": 3, "seam": 4}
+
+
+@pytest.mark.skipif(hypothesis is None, reason="needs hypothesis")
+@pytest.mark.parametrize(
+    "arch, loss_kind",
+    [(MlpArch(4, (24,), 4), "cross_entropy"), (ConvDensityArch(24, 24, (6, 6)), "pixelwise_l2")],
+    ids=["mlp", "conv"],
+)
+def test_wide_forward_passes_give_the_bits_of_training_sized_ones(arch, loss_kind):
+    """Per-sample losses on a step of four batches equal those of the same
+    rows a training batch at a time, bit for bit, a last batch of one row
+    included, so a forward-only pass scores rows as before at any width; the
+    validation mean, which adds the sums of training-sized batches in order,
+    keeps its bits too.  The shapes are the benchmark's MLP and conv
+    workloads'."""
+    rng = np.random.default_rng(0)
+    n, b = 200, 32
+    if loss_kind == "cross_entropy":
+        targets = rng.integers(0, arch.num_classes, n)
+    else:
+        targets = rng.random((n, *arch.input_shape()))
+    feats, targets = check_inputs(arch, rng.standard_normal((n, *arch.input_shape())),
+                                  targets, loss_kind)
+    params = init_params(arch, rng)
+    step, wide = BatchStep(arch, b, loss_kind), BatchStep(arch, 4 * b, loss_kind)
+
+    @hypothesis.settings(max_examples=25 if arch.kind == "mlp" else 10, deadline=None)
+    @hypothesis.given(rows=st.lists(st.integers(0, n - 1), min_size=1, max_size=5 * b))
+    @hypothesis.example(rows=[5])
+    @hypothesis.example(rows=list(range(b + 1)))  # a last batch of one row
+    @hypothesis.example(rows=list(range(4 * b + 1)))  # ... which is also a chunk's
+    # on this data, one sum over these rows has other bits than the partial sums
+    @hypothesis.example(rows=list(range(100)))
+    @hypothesis.example(rows=list(range(150)))
+    def check(rows):
+        rows = np.array(rows)
+        want = [per_sample_losses(params, *step.gather(feats, targets, rows[lo : lo + b]),
+                                  step).copy()
+                for lo in range(0, len(rows), b)]
+        got = tftb.trainer._forward_losses(params, feats, targets, rows, wide, b)
+        assert got.tobytes() == np.concatenate(want).tobytes()
+        x, y = feats[rows], targets[rows]
+        got = tftb.trainer._forward_losses(params, x, y, None, wide, b)
+        assert got.tobytes() == np.concatenate(want).tobytes()
+        total = 0.0
+        for losses in want:  # the mean of a pass of training-sized batches
+            total += float(losses.sum())
+        assert tftb.trainer._mean_eval_loss(params, x, y, wide, b) == total / len(rows)
+
+    check()
+
+
+def test_the_wide_step_holds_whole_batches_within_its_byte_budget():
+    """An MLP run gets a wide step of many batches, a conv run, whose sample
+    takes about 88 kB of buffers, only its training step, and a small
+    dataset a wide step no larger than its rows need."""
+    budget = tftb.trainer.WIDE_STEP_BYTES
+    mlp = BatchStep(MlpArch(4, (24,), 4), 32, "cross_entropy")
+    wide = tftb.trainer._wide_step(mlp, 45_000)
+    assert wide.batch_size > 32 and wide.batch_size % 32 == 0
+    per_batch = 32 * BatchStep.forward_row_bytes(mlp.arch, mlp.loss_kind)
+    assert wide.batch_size // 32 == budget // per_batch
+    conv = BatchStep(ConvDensityArch(24, 24, (6, 6)), 32, "pixelwise_l2")
+    assert 88_000 < BatchStep.forward_row_bytes(conv.arch, conv.loss_kind) < 89_000
+    assert tftb.trainer._wide_step(conv, 1_200) is conv
+    assert tftb.trainer._wide_step(mlp, 100).batch_size == 128
+    assert tftb.trainer._wide_step(mlp, 32) is mlp
+    assert tftb.trainer._wide_step(mlp, 1) is mlp
+
+
+@pytest.mark.parametrize("position", [5, 20, 50, 90],
+                         ids=["first-chunk-first-batch", "first-chunk-later-batch",
+                              "second-chunk-first-batch", "second-chunk-later-batch"])
+def test_a_non_finite_loss_names_the_id_of_its_row(monkeypatch, position):
+    """One finite feature row so large that its logits overflow aborts the
+    run at the first batch that holds it, and the abort names that row's id,
+    wherever the batch lies in its chunk."""
+    train, val = class_data(seed=5)  # 108 training rows
+    cfg = TrainConfig(mode="baseline", batch_size=16, max_epochs=2, seed=3)
+    arch = model_for(train).arch
+    monkeypatch.setattr(tftb.trainer, "WIDE_STEP_BYTES",
+                        3 * 16 * BatchStep.forward_row_bytes(arch, cfg.loss_kind))
+    # the first epoch's row order, drawn as the run draws it
+    row = int(_epoch_batches(np.arange(len(train)), len(train),
+                             np.random.default_rng(cfg.seed))[position])
+    feats = train.features.copy()
+    feats[row] = 1e308
+    huge = Dataset(train.ids, feats, train.targets, train.num_classes, train.split_tag,
+                   dict(train.meta))
+    with pytest.raises(TrainingAbort) as err:
+        train_baseline(model_for(train), huge, val, cfg, clock=virtual())
+    sid = int(train.ids[row])
+    assert err.value.manifest.error == {
+        "message": f"non-finite cross_entropy loss for sample id {sid}", "sample_id": sid,
+    }
+    assert err.value.manifest.stop_reason == "non_finite_abort"
+    assert err.value.manifest.epochs == []
 
 
 def test_a_refused_closing_section_ends_the_run_before_any_ledger_write_or_rank(monkeypatch):
