@@ -12,10 +12,12 @@ class ShapeError(TftbError):
 
 
 class NonFiniteError(TftbError):
-    """A NaN or Inf appeared where only finite values are allowed."""
+    """A NaN or Inf appeared where only finite values are allowed: ``row`` is
+    the batch row ``tftb.nn`` found it in, ``sample_id`` the sample the trainer names."""
 
-    def __init__(self, message: str, sample_id: int | None = None):
+    def __init__(self, message: str, row: int | None = None, sample_id: int | None = None):
         super().__init__(message)
+        self.row = row
         self.sample_id = sample_id
 
 

@@ -186,12 +186,13 @@ class SubsetPlan:
 
     ``selected[r]`` tells whether the sample ``ids[r]`` is in the active
     subset; ``ids`` are the dataset's, in its row order, so the mask is a
-    partition of the dataset's rows by construction.
-    """
+    partition of the dataset's rows by construction.  ``alpha`` is the
+    sampling ratio the subset was selected at."""
 
     ids: np.ndarray
     selected: np.ndarray
     per_class_counts: dict[int, int]
+    alpha: float
 
     def __post_init__(self):
         if self.selected.dtype != np.bool_ or self.selected.shape != self.ids.shape:
@@ -219,6 +220,7 @@ class SubsetPlan:
             np.array_equal(self.ids, other.ids)
             and np.array_equal(self.selected, other.selected)
             and self.per_class_counts == other.per_class_counts
+            and self.alpha == other.alpha
         )
 
 
@@ -282,7 +284,7 @@ def select_subset(scores, dataset: Dataset, alpha: float, stratified: bool) -> S
         selected[_top_rows(scores, total_target)] = True
     counts = (int(np.count_nonzero(selected[rows])) for rows in class_rows.values())
     per_class_counts = {c: k for c, k in zip(class_rows, counts) if k}
-    return SubsetPlan(ids=ids, selected=selected, per_class_counts=per_class_counts)
+    return SubsetPlan(ids=ids, selected=selected, per_class_counts=per_class_counts, alpha=alpha)
 
 
 def merge_and_reselect(

@@ -50,44 +50,38 @@ def predicted_count(density: np.ndarray) -> np.ndarray:
     return np.maximum(density.reshape(len(density), -1).sum(axis=1), 0.0)
 
 
+def _evaluate(params: ModelParams, dataset, loss_kind: str, rows: int, read):
+    """The checked targets of ``dataset``, ``read(output)`` of every sample and
+    the mean loss, one forward pass and one partial loss sum per ``rows`` samples."""
+    if len(dataset) == 0:
+        raise ValueError(f"{dataset.split_tag}: cannot evaluate an empty split")
+    feats, targets = check_inputs(params.arch, dataset.features, dataset.targets, loss_kind)
+    step = BatchStep(params.arch, rows, loss_kind)
+    reads, loss_total = [], 0.0
+    for lo in range(0, len(dataset), rows):
+        output = forward(params, feats[lo : lo + rows], step)
+        reads.append(read(output))
+        loss_total += float(output_losses(output, targets[lo : lo + rows], step).sum())
+    return targets, np.concatenate(reads), loss_total / len(dataset)
+
+
 def evaluate_classifier(params: ModelParams, dataset) -> dict:
     """Accuracy and mean cross-entropy, one forward pass per batch."""
-    feats, targets = check_inputs(params.arch, dataset.features, dataset.targets, "cross_entropy")
-    step = BatchStep(params.arch, CLASSIFIER_EVAL_ROWS, "cross_entropy")
-    predictions = np.empty(len(dataset), dtype=np.int64)
-    loss_total = 0.0
-    for lo in range(0, len(dataset), CLASSIFIER_EVAL_ROWS):
-        rows = slice(lo, lo + CLASSIFIER_EVAL_ROWS)
-        logits = forward(params, feats[rows], step)
-        predictions[rows] = np.argmax(logits, axis=1)
-        loss_total += float(output_losses(logits, targets[rows], step).sum())
-    return {
-        "accuracy": accuracy(predictions, targets),
-        "mean_loss": loss_total / len(dataset),
-        "n_samples": len(dataset),
-    }
+    targets, predictions, mean_loss = _evaluate(
+        params, dataset, "cross_entropy", CLASSIFIER_EVAL_ROWS, lambda out: np.argmax(out, axis=1)
+    )
+    return {"accuracy": accuracy(predictions, targets), "mean_loss": mean_loss,
+            "n_samples": len(dataset)}
 
 
 def evaluate_counter(params: ModelParams, dataset) -> dict:
     """Count errors and mean pixelwise L2 loss, one forward pass per batch."""
-    feats, maps = check_inputs(params.arch, dataset.features, dataset.targets, "pixelwise_l2")
-    step = BatchStep(params.arch, COUNTER_EVAL_ROWS, "pixelwise_l2")
-    true_counts = maps.reshape(len(dataset), -1).sum(axis=1)
-    est_counts = np.empty(len(dataset))
-    loss_total = 0.0
-    for lo in range(0, len(dataset), COUNTER_EVAL_ROWS):
-        rows = slice(lo, lo + COUNTER_EVAL_ROWS)
-        pred = forward(params, feats[rows], step)
-        est_counts[rows] = predicted_count(pred)
-        loss_total += float(output_losses(pred, maps[rows], step).sum())
-    mae, mse = counting_errors(est_counts, true_counts)
-    return {
-        "mae": mae,
-        "mse": mse,
-        "rmse": float(np.sqrt(mse)),
-        "mean_loss": loss_total / len(dataset),
-        "n_samples": len(dataset),
-    }
+    maps, est_counts, mean_loss = _evaluate(
+        params, dataset, "pixelwise_l2", COUNTER_EVAL_ROWS, predicted_count
+    )
+    mae, mse = counting_errors(est_counts, maps.reshape(len(maps), -1).sum(axis=1))
+    return {"mae": mae, "mse": mse, "rmse": float(np.sqrt(mse)), "mean_loss": mean_loss,
+            "n_samples": len(dataset)}
 
 
 @dataclass

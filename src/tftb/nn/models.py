@@ -41,7 +41,7 @@ import functools
 import math
 import threading
 from dataclasses import asdict, dataclass, field, fields
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -662,9 +662,7 @@ def per_sample_losses(params: ModelParams, batch, targets, step: BatchStep) -> n
     return output_losses(output, targets, step)
 
 
-def loss_and_grad(
-    params: ModelParams, batch, targets, step: BatchStep, sample_ids: Sequence[int] | None = None
-) -> LossBatchResult:
+def loss_and_grad(params: ModelParams, batch, targets, step: BatchStep) -> LossBatchResult:
     """Per-sample losses plus gradients of the batch-mean loss, for a batch
     of at least one sample.
 
@@ -672,8 +670,9 @@ def loss_and_grad(
     logits; ``pixelwise_l2`` is the per-sample mean squared element
     difference.  Both apply to either architecture, so gradient checks can
     cover the full model/loss cross product.  A non-finite loss raises
-    ``NonFiniteError`` naming ``sample_ids[i]``, or the row ``i`` without
-    them.  The result's arrays are the step's buffers.
+    ``NonFiniteError`` whose ``row`` is the first batch row with one; the
+    caller, which knows the batch's samples, names the sample.  The result's
+    arrays are the step's buffers.
     """
     m = _fit(step, batch, least=1)
     # overflow here surfaces as a NonFiniteError below, not as a warning
@@ -683,11 +682,8 @@ def loss_and_grad(
     if not math.isfinite(mean_loss):
         bad = np.flatnonzero(~np.isfinite(losses))
         if bad.size:
-            idx = int(bad[0])
-            sid = int(sample_ids[idx]) if sample_ids is not None else idx
-            raise NonFiniteError(
-                f"non-finite {step.loss_kind} loss for sample id {sid}", sample_id=sid
-            )
+            row = int(bad[0])
+            raise NonFiniteError(f"non-finite {step.loss_kind} loss in batch row {row}", row=row)
     backward = step._mlp_backward if step.arch.kind == "mlp" else step._conv_backward
     backward(params, batch, step._loss.d_out[:m])
     return LossBatchResult(per_sample_losses=losses, mean_loss=mean_loss, grad=step.grad)

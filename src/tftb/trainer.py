@@ -301,7 +301,7 @@ def _run(params, train_set, val_set, cfg, clock, ledger_writer):
         try:
             result = loss_and_grad(params, chunk[0][at:hi], chunk[1][at:hi], step)
         except NonFiniteError as exc:  # it names the batch row; name its id
-            sid = int(ids[order[lo + exc.sample_id]])
+            sid = int(ids[order[lo + exc.row]])
             raise NonFiniteError(
                 f"non-finite {cfg.loss_kind} loss for sample id {sid}", sample_id=sid
             ) from None
@@ -436,7 +436,7 @@ def _run(params, train_set, val_set, cfg, clock, ledger_writer):
                     mean_train_loss=mean_train,
                     val_loss=val_loss,
                     selected_size=len(pool),
-                    alpha=alpha_now if phase == "selective" else 0.0,
+                    alpha=plan.alpha if phase == "selective" else 0.0,
                     samples_seen=samples_seen,
                     batches=ran,
                     wall_seconds=epoch_wall,

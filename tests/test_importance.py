@@ -586,6 +586,20 @@ def test_merge_and_reselect_is_idempotent_when_nothing_changes():
     assert np.array_equal(plan2.excluded_rows, plan1.excluded_rows)
 
 
+def test_a_plan_carries_the_alpha_it_was_selected_at():
+    rng = np.random.default_rng(9)
+    ds = uniform_dataset(40, num_classes=2)
+    ledger = seeded_ledger(ds, rng)
+    plan = select_subset(ledger.effective_scores(1.0), ds, 0.3, True)
+    merged = merge_and_reselect(ledger, plan, ds, 0.25, lambda_var=1.0, stratified=True)
+    assert (plan.alpha, merged.alpha) == (0.3, 0.25)
+    # 0.31 keeps the same 28 rows as 0.3, 14 per class, but is another plan
+    near = select_subset(ledger.effective_scores(1.0), ds, 0.31, True)
+    assert np.array_equal(near.selected, plan.selected) and near.alpha == 0.31
+    assert near != plan
+    assert select_subset(ledger.effective_scores(1.0), ds, 0.3, True) == plan
+
+
 def test_stale_high_score_reenters_after_merge():
     ds = uniform_dataset(6)
     ledger = ImportanceLedger(ds.ids, window=3)
@@ -773,7 +787,7 @@ def test_plan_rows_partition_the_dataset():
 )
 def test_subset_plan_rejects_malformed_masks(mask):
     with pytest.raises(SelectionError, match="mask"):
-        SubsetPlan(ids=np.arange(6), selected=mask, per_class_counts={})
+        SubsetPlan(ids=np.arange(6), selected=mask, per_class_counts={}, alpha=0.3)
 
 
 def test_ledger_rows_reject_a_plan_for_other_ids():

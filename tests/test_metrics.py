@@ -110,6 +110,22 @@ def test_evaluators_report_expected_keys():
     assert cout["rmse"] == pytest.approx(cout["mse"] ** 0.5)
 
 
+@pytest.mark.parametrize("task", ["classifier", "counter"])
+def test_evaluators_refuse_an_empty_split(task):
+    from tftb.data import Dataset
+    from tftb.nn import ConvDensityArch, MlpArch, init_params
+
+    if task == "classifier":
+        arch, evaluate = MlpArch(4, (6,), 2), evaluate_classifier
+        feats, targets = np.zeros((0, 4)), np.zeros(0, int)
+    else:
+        arch, evaluate = ConvDensityArch(16, 16, (2, 2)), evaluate_counter
+        feats = targets = np.zeros((0, 16, 16))
+    empty = Dataset(np.zeros(0, int), feats, targets, 2, "test")
+    with pytest.raises(ValueError, match="^test: cannot evaluate an empty split$"):
+        evaluate(init_params(arch, np.random.default_rng(0)), empty)
+
+
 def test_evaluators_match_two_pass_forward_then_losses():
     # the evaluators run the model once per batch; a second forward pass for
     # the losses, as per_sample_losses does, must give bit-identical metrics

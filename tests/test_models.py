@@ -170,13 +170,14 @@ def test_loss_gradients_have_parameter_shapes():
         assert g.shape == b.shape
 
 
-def test_non_finite_loss_carries_offending_sample_id():
+def test_non_finite_loss_carries_offending_batch_row():
     params = mlp(num_classes=3)
     params.weights[0][0, 0] = np.inf
     x = np.ones((3, 4))
-    with pytest.raises(NonFiniteError) as err:
-        loss_and_grad(params, x, np.array([0, 1, 2]), step_for(params, x), sample_ids=[11, 22, 33])
-    assert err.value.sample_id == 11
+    with pytest.raises(NonFiniteError, match="non-finite cross_entropy loss in batch row 0$") as err:
+        loss_and_grad(params, x, np.array([0, 1, 2]), step_for(params, x))
+    assert err.value.row == 0
+    assert err.value.sample_id is None  # only the trainer names samples
 
 
 def test_cross_entropy_rejects_out_of_range_targets():
@@ -921,14 +922,14 @@ def test_a_reused_step_is_bit_identical_to_a_fresh_step_per_call(arch, loss_kind
         assert got.tobytes() == want.tobytes()
 
 
-def test_bound_step_names_the_sample_of_a_non_finite_loss():
+def test_bound_step_names_the_batch_row_of_a_non_finite_loss():
     params = mlp(num_classes=3)
     params.weights[0][0, 0] = np.inf
     step = BatchStep(params.arch, 4, "cross_entropy")
     x, y = step.gather(np.ones((3, 4)), np.array([0, 1, 2]), np.array([2, 1]))
-    with pytest.raises(NonFiniteError) as err:
-        loss_and_grad(params, x, y, step, sample_ids=[22, 11])
-    assert err.value.sample_id == 22
+    with pytest.raises(NonFiniteError, match="non-finite cross_entropy loss in batch row 0$") as err:
+        loss_and_grad(params, x, y, step)
+    assert err.value.row == 0
 
 
 def test_warm_conv_step_takes_no_page_faults():

@@ -79,12 +79,12 @@ def trace_batches(monkeypatch, events):
         epoch.update(index=epoch["index"] + 1, order=shuffle(pool, n_total, rng), lo=0)
         return epoch["order"]
 
-    def traced_step(params, batch, targets, batch_step, sample_ids=None):
+    def traced_step(params, batch, targets, batch_step):
         lo = epoch["lo"]
         epoch["lo"] += batch_step.batch_size
         rows = epoch["order"][lo : lo + batch_step.batch_size]
         seen = batch.copy(), targets.copy()
-        result = step(params, batch, targets, batch_step, sample_ids=sample_ids)
+        result = step(params, batch, targets, batch_step)
         events.append(("batch", epoch["index"], lo, rows, *seen,
                        result.per_sample_losses.copy()))
         return result
@@ -469,6 +469,25 @@ def test_adaptive_alpha_reduces_alpha_when_loss_stalls():
     assert alphas[0] == 0.4
     assert alphas[-1] < 0.4
     assert min(alphas) >= 0.1
+
+
+def test_each_selective_epoch_reports_the_alpha_its_subset_was_selected_at():
+    """With a rerank every second epoch, alpha adapts in epochs that keep
+    their subset; each epoch still reports the alpha its subset was selected
+    at, so its size is the one that alpha keeps."""
+    from tftb.importance import AlphaSchedule
+
+    train, val = class_data(seed=10)
+    # lr ~ 0 keeps the loss flat, so every adaptation step shrinks alpha
+    schedule = AlphaSchedule(enabled=True, window=2, eps_slow=0.01, eps_fast=0.5,
+                             delta_alpha=0.1, alpha_min=0.1, alpha_max=0.8)
+    cfg = TrainConfig(mode="tftb", alpha=0.6, lr=1e-12, max_epochs=8, seed=0, rerank_period=2,
+                      early_stop_patience=50, adaptive_alpha=schedule)
+    _, manifest = train_tftb(model_for(train), train, val, cfg, clock=virtual())
+    selective = [r for r in manifest.epochs if r["phase"] == "selective"]
+    assert len({r["alpha"] for r in selective}) > 2
+    for report in selective:
+        assert report["selected_size"] == subset_size(len(train), report["alpha"])
 
 
 def test_refresh_excluded_unstales_scores_and_is_charged():

@@ -11,9 +11,11 @@ byte.  Every ``manifest.json`` and ``checkpoint.bin`` is read back with
 ``RunManifest.load`` and ``load_params``; if one does not load, the script
 exits 1.  The cases cover both modes, refreshes and reranks every few epochs,
 unstratified selection at several score windows, rows that occur more often
-in one epoch than their window holds, adaptive alpha, a run
-ended by its budget with scripted rank and refresh costs, 8 classes at
-``feature_dim = 8`` (the ``equal-budget`` data shape), and the conv model.
+in one epoch than their window holds, adaptive alpha with a rerank every
+epoch and every second epoch (where alpha also adapts in epochs that keep
+their subset), a run ended by its budget with scripted rank and refresh
+costs, 8 classes at ``feature_dim = 8`` (the ``equal-budget`` data shape),
+and the conv model.
 """
 
 from __future__ import annotations
@@ -75,7 +77,9 @@ def cases():
     yield "alpha0.8-w2", _with(CRITERION_10, alpha=0.8, score_window=2), costs
     schedule = AlphaSchedule(enabled=True, window=2, eps_slow=0.01, eps_fast=0.2,
                              delta_alpha=0.1, alpha_min=0.1, alpha_max=0.6)
-    yield "adaptive-alpha", _with(CRITERION_10, max_epochs=10, adaptive_alpha=schedule), costs
+    adaptive = _with(CRITERION_10, max_epochs=10, adaptive_alpha=schedule)
+    yield "adaptive-alpha", adaptive, costs
+    yield "adaptive-alpha-rerank2", _with(adaptive, rerank_period=2), costs
     yield ("budget-bound",
            _with(CRITERION_10, max_epochs=None, budget_seconds=1.5, refresh_excluded_period=1),
            {**costs, "rank": 0.3, "refresh": 0.2})
