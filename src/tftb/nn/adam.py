@@ -2,8 +2,9 @@
 
 The gradient is a ``ModelParams``; the moments and the update's two
 temporaries are vectors laid out like ``ModelParams.flat``, all held by
-``AdamState``, so one step is one element-wise update over the whole
-parameter vector that allocates nothing.
+``AdamState`` as the rows of two ``(2, P)`` arrays, so one step is one
+element-wise update over the whole parameter vector that allocates no
+array, and each stage the two moments share is one call over both rows.
 """
 
 from __future__ import annotations
@@ -19,37 +20,26 @@ from .models import ModelParams
 BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
+_BETAS = np.array([[BETA1], [BETA2]])  # a row per moment
+_ONE_MINUS_BETAS = np.array([[1.0 - BETA1], [1.0 - BETA2]])
 
 
 @dataclass
 class AdamState:
+    """``m``, ``v`` are the rows of ``moments``; ``tmp``, ``denom`` those of ``scratch``."""
+
     step: int
-    m: np.ndarray
-    v: np.ndarray
-    # the update's two temporaries, written before they are read
-    tmp: np.ndarray = field(repr=False)
-    denom: np.ndarray = field(repr=False)
+    moments: np.ndarray
+    scratch: np.ndarray = field(repr=False)  # written before it is read
+
+    def __post_init__(self):
+        self.m, self.v = self.moments
+        self.tmp, self.denom = self.scratch
+        self.corrections = np.empty((2, 1))  # the step's two bias corrections
 
 
 def init_adam_state(params: ModelParams) -> AdamState:
-    return AdamState(0, *(np.zeros_like(params.flat) for _ in range(4)))
-
-
-def _update(param, grad, m, v, lr, t, tmp, denom):
-    # (1 - beta) * g, (1 - beta2) * g * g and lr * m_hat / (sqrt(v_hat) + eps),
-    # evaluated left to right into the two temporaries
-    m *= BETA1
-    m += np.multiply(1.0 - BETA1, grad, out=tmp)
-    v *= BETA2
-    np.multiply(1.0 - BETA2, grad, out=tmp)
-    v += np.multiply(tmp, grad, out=tmp)
-    np.divide(m, 1.0 - BETA1**t, out=tmp)
-    tmp *= lr
-    np.divide(v, 1.0 - BETA2**t, out=denom)
-    np.sqrt(denom, out=denom)
-    denom += EPS
-    tmp /= denom
-    param -= tmp
+    return AdamState(0, np.zeros((2, params.flat.size)), np.zeros((2, params.flat.size)))
 
 
 def adam_step(
@@ -66,7 +56,7 @@ def adam_step(
     """
     if not 0 < lr < math.inf:
         raise ConfigError(f"learning rate must be finite and > 0, got {lr}")
-    if grad.arch != params.arch:
+    if grad.arch is not params.arch and grad.arch != params.arch:
         raise ShapeError(
             f"adam: gradient of a {grad.arch} does not match parameters of a {params.arch}"
         )
@@ -76,5 +66,18 @@ def adam_step(
             f"{params.flat.shape}"
         )
     state.step += 1
-    _update(params.flat, grad.flat, state.m, state.v, lr, state.step, state.tmp, state.denom)
+    t, g, tmp, denom = state.step, grad.flat, state.tmp, state.denom
+    state.corrections[0, 0] = 1.0 - BETA1**t
+    state.corrections[1, 0] = 1.0 - BETA2**t
+    # scratch holds (1 - b1) * g over (1 - b2) * g * g, then m_hat over v_hat
+    state.moments *= _BETAS
+    np.multiply(_ONE_MINUS_BETAS, g, out=state.scratch)
+    denom *= g
+    state.moments += state.scratch
+    np.divide(state.moments, state.corrections, out=state.scratch)
+    tmp *= lr
+    np.sqrt(denom, out=denom)
+    denom += EPS
+    tmp /= denom
+    params.flat -= tmp
     return params, state

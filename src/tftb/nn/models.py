@@ -297,6 +297,11 @@ def check_inputs(arch: Architecture, features, targets, loss_kind: str):
     return features, _check_targets(targets, loss_kind, (len(features), *arch.output_shape()))
 
 
+def _rows(buffers, m: int, full: int):
+    """The first ``m`` rows of each of ``buffers``, all of them if ``m == full``."""
+    return buffers if m == full else [buf[:m] for buf in buffers]
+
+
 # ---------------------------------------------------------------------------
 # convolution kernels
 
@@ -399,6 +404,9 @@ class _Loss:
             self._row_starts = np.arange(b) * k  # flat index of each row's first logit
             self._row_starts.flags.writeable = False  # a constant, not a buffer
             self._flat_index = _empty((b,), np.intp)
+            # what the arithmetic reads and writes, a full batch's rows
+            self._views = (self._top, self._total, self._log_total, self._log_total[:, 0],
+                           self._shifted, self._exp, self._row_starts, self._flat_index, self.losses)
         else:
             self.d_out = _empty((b, *output_shape))  # the difference, then its gradient
             self._square = _empty((b, *output_shape))
@@ -413,8 +421,9 @@ class _Loss:
     def _cross_entropy(self, output: np.ndarray, y: np.ndarray, grad: bool) -> np.ndarray:
         m = len(output)
         logits = output.reshape(m, self._k)
-        top, total, log_total = self._top[:m], self._total[:m], self._log_total[:m]
-        shifted, exp = self._shifted[:m], self._exp[:m]
+        top, total, log_total, log_total_col, shifted, exp, row_starts, index, losses = _rows(
+            self._views, m, len(self.losses)
+        )
         np.maximum.reduce(logits, axis=1, keepdims=True, out=top)
         np.subtract(logits, top, out=shifted)
         np.exp(shifted, out=exp)
@@ -422,12 +431,13 @@ class _Loss:
         np.log(total, out=log_total)
         # the target's negative log-probability, log_total - shifted; the
         # index is in range, as the targets were checked by check_inputs
-        index = np.add(self._row_starts[:m], y, out=self._flat_index[:m])
-        losses = self._shifted.take(index, out=self.losses[:m], mode="clip")
-        np.subtract(log_total[:, 0], losses, out=losses)
+        np.add(row_starts, y, out=index)
+        self._shifted.take(index, out=losses, mode="clip")
+        np.subtract(log_total_col, losses, out=losses)
         if grad:
             d_logits = np.divide(exp, total, out=exp)
-            self._exp_flat[index] -= 1.0
+            # in place: exp_flat[index] -= 1.0 would gather a batch-sized copy
+            np.subtract.at(self._exp_flat, index, 1.0)
             d_logits /= m  # gradient of the batch-mean loss
         return losses
 
@@ -456,7 +466,8 @@ class BatchStep:
     gradient ``ModelParams`` by ``loss_and_grad`` and the gathered batch by
     ``gather``, so a step that only runs forward passes holds only what they
     write.  A batch of ``m <= batch_size`` samples works in the first ``m``
-    samples of each buffer, so a short tail batch takes views.  Every call
+    samples of each buffer: a full batch uses the buffers and views built
+    with the step, and only a short tail batch slices views.  Every call
     writes a buffer before it reads it, so no result depends on what the
     buffers held before; what a call returns are views of them, valid until
     the step's next call.
@@ -535,11 +546,8 @@ class BatchStep:
         """Copy ``features[rows]`` and ``targets[rows]`` into the step's input
         buffers and return them: ``(batch, targets)``.  A row out of range
         raises ``IndexError``, as indexing would."""
-        m = _fit(self, rows)
-        inputs, gathered = self._gathered
-        x = features.take(rows, axis=0, out=inputs[:m])
-        y = targets.take(rows, axis=0, out=gathered[:m])
-        return x, y
+        x, y = _rows(self._gathered, _fit(self, rows), self.batch_size)
+        return features.take(rows, axis=0, out=x), targets.take(rows, axis=0, out=y)
 
     def _forward(self, params: ModelParams, batch: np.ndarray) -> np.ndarray:
         if self.arch.kind == "mlp":
@@ -547,11 +555,13 @@ class BatchStep:
         return self._conv_forward(params, batch)
 
     def _mlp_forward(self, params: ModelParams, x: np.ndarray) -> np.ndarray:
-        # a ReLU after every layer but the logit head
-        m, last = len(x), len(params.weights) - 1
+        # a ReLU after every layer but the logit head; np.dot is the GEMM of
+        # np.matmul, with its bits, at less dispatch cost (the conv products
+        # write into strided out= views, which np.dot refuses)
+        last, outs = len(params.weights) - 1, _rows(self._acts, len(x), self.batch_size)
         a = x
-        for i, (w, b, z) in enumerate(zip(params.weights, params.biases, self._acts)):
-            a = np.matmul(a, w, out=z[:m])
+        for i, (w, b, z) in enumerate(zip(params.weights, params.biases, outs)):
+            a = np.dot(a, w, out=z)
             a += b
             if i != last:
                 np.maximum(a, 0.0, out=a)
@@ -559,15 +569,16 @@ class BatchStep:
 
     def _mlp_backward(self, params: ModelParams, x: np.ndarray, d_out: np.ndarray) -> None:
         m, grad = len(x), self.grad
-        d_zs, masks = self._backward_buffers
-        inputs = [x] + [a[:m] for a in self._acts[:-1]]  # each layer's input
+        b = self.batch_size
+        acts, d_zs, masks = (_rows(bufs, m, b) for bufs in (self._acts, *self._backward_buffers))
         delta = d_out
         for i in range(len(params.weights) - 1, -1, -1):
-            np.matmul(inputs[i].T, delta, out=grad.weights[i])
+            layer_input = acts[i - 1] if i else x
+            np.dot(layer_input.T, delta, out=grad.weights[i])
             np.add.reduce(delta, axis=0, out=grad.biases[i])
             if i > 0:
-                below = np.matmul(delta, params.weights[i].T, out=d_zs[i - 1][:m])
-                below *= np.greater(inputs[i], 0.0, out=masks[i - 1][:m])
+                below = np.dot(delta, params.weights[i].T, out=d_zs[i - 1])
+                below *= np.greater(layer_input, 0.0, out=masks[i - 1])
                 delta = below
 
     def _conv_forward(self, params: ModelParams, x: np.ndarray) -> np.ndarray:
@@ -658,8 +669,8 @@ def per_sample_losses(params: ModelParams, batch, targets, step: BatchStep) -> n
     to validate)."""
     _fit(step, batch)
     with np.errstate(over="ignore", invalid="ignore"):
-        output = step._forward(params, batch)
-    return output_losses(output, targets, step)
+        losses = step._loss.run(step._forward(params, batch), targets, False)
+    return require_finite(losses, f"{step.loss_kind} per-sample losses")
 
 
 def loss_and_grad(params: ModelParams, batch, targets, step: BatchStep) -> LossBatchResult:
@@ -684,6 +695,10 @@ def loss_and_grad(params: ModelParams, batch, targets, step: BatchStep) -> LossB
         if bad.size:
             row = int(bad[0])
             raise NonFiniteError(f"non-finite {step.loss_kind} loss in batch row {row}", row=row)
+        # finite losses whose sum overflowed: sum them again scaled by the largest
+        scale = float(losses.max())
+        mean_loss = float(np.add.reduce(losses / scale)) / m * scale
     backward = step._mlp_backward if step.arch.kind == "mlp" else step._conv_backward
-    backward(params, batch, step._loss.d_out[:m])
+    d_out = step._loss.d_out
+    backward(params, batch, d_out if m == step.batch_size else d_out[:m])
     return LossBatchResult(per_sample_losses=losses, mean_loss=mean_loss, grad=step.grad)

@@ -90,6 +90,59 @@ def test_mlp_forward_matches_straight_line_matmul_oracle():
     assert np.allclose(got, want, atol=1e-12)
 
 
+def matmul_reference(params, x, y):
+    """The MLP step's forward output, per-sample cross-entropy losses and
+    gradient, written with ``np.matmul`` and new arrays, each value by the
+    operations the step runs, in the same order."""
+    m, last = len(x), len(params.weights) - 1
+    acts = [x]
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        z = np.matmul(acts[-1], w) + b
+        acts.append(np.maximum(z, 0.0) if i != last else z)
+    logits = acts.pop()
+    shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    total = np.add.reduce(exp, axis=1, keepdims=True)
+    losses = np.log(total)[:, 0] - shifted[np.arange(m), y]
+    delta = exp / total
+    delta[np.arange(m), y] -= 1.0
+    delta /= m
+    grads_w, grads_b = [None] * len(acts), [None] * len(acts)
+    for i in range(last, -1, -1):
+        grads_w[i] = np.matmul(acts[i].T, delta)
+        grads_b[i] = np.add.reduce(delta, axis=0)
+        if i > 0:
+            delta = np.matmul(delta, params.weights[i].T) * (acts[i] > 0.0)
+    return logits, losses, np.concatenate([g.ravel() for pair in zip(grads_w, grads_b) for g in pair])
+
+
+@pytest.mark.parametrize("arch", [MlpArch(4, (24,), 4), MlpArch(8, (24,), 8)], ids=["4-24-4", "8-24-8"])
+def test_mlp_step_is_bit_equal_to_a_matmul_reference(arch):
+    """``np.dot`` and ``np.matmul`` call the same GEMM; the step's output,
+    losses and gradient keep the reference's bits at every row count of a
+    32-row step, full and tail, and at the wide step's chunk of the
+    benchmark's 45k rows."""
+    import tftb.trainer
+
+    rng = np.random.default_rng(7)
+    params = init_params(arch, rng)
+    step = BatchStep(arch, 32, "cross_entropy")
+    wide = tftb.trainer._wide_step(step, 45_000)
+    assert wide.batch_size > 32
+    feats, targets = check_inputs(
+        arch, rng.standard_normal((wide.batch_size, arch.input_dim)),
+        rng.integers(0, arch.num_classes, wide.batch_size), "cross_entropy",
+    )
+    for rows, on in [*((m, step) for m in range(1, 33)), (wide.batch_size, wide)]:
+        x, y = feats[:rows], targets[:rows]
+        logits, losses, grad = matmul_reference(params, x, y)
+        assert forward(params, x, on).tobytes() == logits.tobytes(), rows
+        assert per_sample_losses(params, x, y, on).tobytes() == losses.tobytes(), rows
+        result = loss_and_grad(params, x, y, on)
+        assert result.per_sample_losses.tobytes() == losses.tobytes(), rows
+        assert result.grad.flat.tobytes() == grad.tobytes(), rows
+
+
 def test_check_inputs_shape_mismatch_names_expected_and_actual():
     with pytest.raises(ShapeError, match=r"expected \(batch, 4\).*\(3, 5\)"):
         check_inputs(MlpArch(4, (6,), 3), np.zeros((3, 5)), np.zeros(3, int), "cross_entropy")
@@ -178,6 +231,19 @@ def test_non_finite_loss_carries_offending_batch_row():
         loss_and_grad(params, x, np.array([0, 1, 2]), step_for(params, x))
     assert err.value.row == 0
     assert err.value.sample_id is None  # only the trainer names samples
+
+
+def test_finite_losses_whose_sum_overflows_give_a_finite_mean():
+    """Four losses of 1e308 each sum to inf; the mean is summed again scaled
+    by the largest loss, so it is 1e308, and nothing is refused."""
+    arch = MlpArch(1, (), 2)
+    params = ModelParams.zeros(arch)
+    params.weights[0][:] = [[5.0, -5.0]]
+    x, y = check_inputs(arch, np.full((4, 1), 1e307), np.ones(4, int), "cross_entropy")
+    result = loss_and_grad(params, x, y, step_for(params, x))
+    assert result.per_sample_losses.tolist() == [1e308] * 4
+    assert result.mean_loss == 1e308
+    assert np.isfinite(result.grad.flat).all()
 
 
 def test_cross_entropy_rejects_out_of_range_targets():
@@ -957,6 +1023,48 @@ def test_warm_conv_step_takes_no_page_faults():
     steps(20)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     assert faults <= 20 * 10, f"{faults / 20:.0f} minor faults per warm step"
+
+
+@pytest.mark.parametrize("tail", [False, True], ids=["full-batch", "tail-batch"])
+def test_warm_mlp_step_allocates_nothing_that_grows_with_the_batch(tail):
+    """A warm MLP ``loss_and_grad`` + ``adam_step`` takes no array the size
+    of its batch: the traced peak of one step is the same at 2**14 and 2**15
+    rows, full or three quarters full.  The Python objects of a call, and
+    numpy's iterator buffers of at most 8192 elements (64 kB) each, are the
+    same at both sizes; a temporary of one float per row, 96 kB or more at
+    these sizes, would raise the peak of the larger step.  (A step that ran
+    ``exp_flat[index] -= 1.0`` took such a copy.)"""
+    import tracemalloc
+
+    arch = MlpArch(4, (24,), 4)
+    params = init_params(arch, np.random.default_rng(0))
+    state = init_adam_state(params)
+    rng = np.random.default_rng(1)
+
+    def peak(batch):
+        rows = batch * 3 // 4 if tail else batch
+        feats, targets = check_inputs(
+            arch, rng.standard_normal((rows, 4)), rng.integers(0, 4, rows), "cross_entropy"
+        )
+        step = BatchStep(arch, batch, "cross_entropy")
+
+        def one_step():
+            adam_step(params, loss_and_grad(params, feats, targets, step).grad, state, 1e-3)
+
+        one_step()
+        one_step()
+        tracemalloc.start()
+        try:
+            one_step()  # the traced window's own first-call allocations
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            one_step()
+            return tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(2**14), peak(2**15)
+    assert abs(large - small) < 4096, f"peak {small} B at 2**14 rows, {large} B at 2**15"
 
 
 def test_refused_checkpoints_leave_no_state_behind(tmp_path):
