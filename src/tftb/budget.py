@@ -81,8 +81,9 @@ class VirtualClock:
         self._sequences = {k: list(v) for k, v in (sequences or {}).items()}
         self._cursor = {k: 0 for k in self._sequences}
         scripted = [*self._costs.values(), *(c for seq in self._sequences.values() for c in seq)]
-        if any(cost < 0 for cost in scripted):
-            raise BudgetError(f"scripted section durations must be >= 0, got {min(scripted)}")
+        bad = [cost for cost in scripted if not 0 <= cost < math.inf]
+        if bad:
+            raise BudgetError(f"scripted section durations must be finite and >= 0, got {bad[0]}")
 
     def now(self) -> float:
         return self._t

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ManifestError
 from .manifest import RunManifest
-from .nn.models import BatchStep, ModelParams, check_inputs, forward, output_losses
+from .nn.models import BatchStep, ModelParams, check_inputs, forward, mean_of_losses, output_losses
 
 HIGHER_IS_BETTER = {"accuracy"}
 CLASSIFIER_EVAL_ROWS = 256  # rows per forward pass of evaluate_classifier
@@ -57,12 +57,12 @@ def _evaluate(params: ModelParams, dataset, loss_kind: str, rows: int, read):
         raise ValueError(f"{dataset.split_tag}: cannot evaluate an empty split")
     feats, targets = check_inputs(params.arch, dataset.features, dataset.targets, loss_kind)
     step = BatchStep(params.arch, rows, loss_kind)
-    reads, loss_total = [], 0.0
+    reads, losses = [], np.empty(len(dataset))
     for lo in range(0, len(dataset), rows):
         output = forward(params, feats[lo : lo + rows], step)
         reads.append(read(output))
-        loss_total += float(output_losses(output, targets[lo : lo + rows], step).sum())
-    return targets, np.concatenate(reads), loss_total / len(dataset)
+        losses[lo : lo + rows] = output_losses(output, targets[lo : lo + rows], step)
+    return targets, np.concatenate(reads), mean_of_losses(losses, rows)
 
 
 def evaluate_classifier(params: ModelParams, dataset) -> dict:

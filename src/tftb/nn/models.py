@@ -673,6 +673,31 @@ def per_sample_losses(params: ModelParams, batch, targets, step: BatchStep) -> n
     return require_finite(losses, f"{step.loss_kind} per-sample losses")
 
 
+def mean_of_losses(losses: np.ndarray, part: int | None = None, counts=None) -> float:
+    """The mean of ``losses``, finite if they all are, summed in the caller's
+    order: ``part``-loss partial sums added in order, the remainder last, or
+    one ``np.add.reduce``, under the caller's error state, when ``part`` is
+    None.  With ``counts``, ``losses[i]`` is the mean of ``counts[i]``
+    samples.  A total that overflows is summed again the same way from the
+    losses scaled by the largest, unless one of them is not finite."""
+    n = len(losses) if counts is None else int(np.sum(counts))
+    total = float(np.add.reduce(losses)) if part is None else _in_order_total(losses, part, counts)
+    if math.isfinite(total) or not np.isfinite(losses).all():
+        return total / n
+    scale = float(losses.max())  # one partial sum of n losses is the one sum's order
+    return _in_order_total(losses / scale, part or n, counts) / n * scale
+
+
+def _in_order_total(x: np.ndarray, part: int, counts) -> float:
+    with np.errstate(over="ignore"):
+        x = x if counts is None else x * counts
+        whole = len(x) - len(x) % part
+        total = 0.0
+        for s in np.add.reduce(x[:whole].reshape(-1, part), axis=1).tolist():
+            total += s
+        return total + float(np.add.reduce(x[whole:]))
+
+
 def loss_and_grad(params: ModelParams, batch, targets, step: BatchStep) -> LossBatchResult:
     """Per-sample losses plus gradients of the batch-mean loss, for a batch
     of at least one sample.
@@ -689,15 +714,10 @@ def loss_and_grad(params: ModelParams, batch, targets, step: BatchStep) -> LossB
     # overflow here surfaces as a NonFiniteError below, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
         losses = step._loss.run(step._forward(params, batch), targets, True)
-        mean_loss = float(np.add.reduce(losses)) / m
+        mean_loss = mean_of_losses(losses)
     if not math.isfinite(mean_loss):
-        bad = np.flatnonzero(~np.isfinite(losses))
-        if bad.size:
-            row = int(bad[0])
-            raise NonFiniteError(f"non-finite {step.loss_kind} loss in batch row {row}", row=row)
-        # finite losses whose sum overflowed: sum them again scaled by the largest
-        scale = float(losses.max())
-        mean_loss = float(np.add.reduce(losses / scale)) / m * scale
+        row = int(np.flatnonzero(~np.isfinite(losses))[0])
+        raise NonFiniteError(f"non-finite {step.loss_kind} loss in batch row {row}", row=row)
     backward = step._mlp_backward if step.arch.kind == "mlp" else step._conv_backward
     d_out = step._loss.d_out
     backward(params, batch, d_out if m == step.batch_size else d_out[:m])

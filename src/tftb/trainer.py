@@ -69,6 +69,7 @@ from .nn.models import (
     ModelParams,
     check_inputs,
     loss_and_grad,
+    mean_of_losses,
     per_sample_losses,
 )
 
@@ -206,20 +207,6 @@ def _forward_losses(params, feats, targets, rows, wide: BatchStep, batch_size: i
     return losses
 
 
-def _mean_eval_loss(params, feats, targets, wide: BatchStep, batch_size: int) -> float:
-    """The mean per-sample loss.  The sum adds ``batch_size``-row partial
-    sums in order, so the mean has the bits a pass of training-sized
-    batches gives."""
-    losses = _forward_losses(params, feats, targets, None, wide, batch_size)
-    whole = len(losses) - len(losses) % batch_size
-    total = 0.0
-    for part in np.add.reduce(losses[:whole].reshape(-1, batch_size), axis=1).tolist():
-        total += part
-    if whole < len(losses):
-        total += float(losses[whole:].sum())
-    return total / len(losses)
-
-
 def train_tftb(
     params: ModelParams,
     train_set: Dataset,
@@ -316,8 +303,9 @@ def _run(params, train_set, val_set, cfg, clock, ledger_writer):
             for lo in range(0, len(rows), pool_size):
                 hi = min(lo + pool_size, len(rows))
                 ledger.record_losses(rows[lo:hi], epoch_losses[lo:hi], epoch)
-        if have_val:
-            return _mean_eval_loss(params, val_feats, val_targets, wide, cfg.batch_size)
+        if have_val:  # the mean a pass of training-sized batches gives
+            losses = _forward_losses(params, val_feats, val_targets, None, wide, cfg.batch_size)
+            return mean_of_losses(losses, cfg.batch_size)
         return None
 
     def select():
@@ -392,10 +380,8 @@ def _run(params, train_set, val_set, cfg, clock, ledger_writer):
             shuffled = budget.section("shuffle", _epoch_batches, pool, n, rng)
             cap = 0 if shuffled is None else (n_b if planned is None else min(n_b, planned))
 
-            loss_weighted = 0.0
-            samples_seen = 0
+            batch_means, batch_rows = [], []
             epoch_wall = shuffled.elapsed if shuffled else 0.0
-            ran = 0
             out_of_budget = False
             order = shuffled.value[: cap * cfg.batch_size] if cap else None
             for lo in range(0, cap * cfg.batch_size, cfg.batch_size):
@@ -403,11 +389,10 @@ def _run(params, train_set, val_set, cfg, clock, ledger_writer):
                 if done is None:
                     out_of_budget = True
                     break
-                m = min(cfg.batch_size, len(order) - lo)
-                ran += 1
                 epoch_wall += done.elapsed
-                samples_seen += m
-                loss_weighted += done.value * m
+                batch_means.append(done.value)
+                batch_rows.append(min(cfg.batch_size, len(order) - lo))
+            ran, samples_seen = len(batch_rows), sum(batch_rows)
             if ran == 0:
                 epoch -= 1
                 stop_reason = "budget_exhausted"
@@ -427,7 +412,8 @@ def _run(params, train_set, val_set, cfg, clock, ledger_writer):
                     val_loss = done.value
                     val_losses.append(val_loss)
 
-            mean_train = loss_weighted / samples_seen
+            # the batch totals added in order
+            mean_train = mean_of_losses(np.array(batch_means), 1, np.array(batch_rows))
             train_loss_hist.append(mean_train)
             reports.append(
                 EpochReport(

@@ -117,11 +117,13 @@ def test_charge_identity_and_additivity():
     assert clock.sections["rank"].count == 2
     assert clock.sections["rank"].total == pytest.approx(3.0)
     assert clock.sections["rank"].longest == 1.5 and "never" not in clock.sections
-    # a section cannot take negative time, so consumption never runs backwards
-    with pytest.raises(BudgetError):
-        VirtualClock(costs={"rank": -0.1})
-    with pytest.raises(BudgetError):
-        VirtualClock(sequences={"rank": [0.1, -0.1]})
+    # a section cannot take negative time, so consumption never runs backwards,
+    # nor a time that is not a number or never ends
+    for bad in (-0.1, math.nan, math.inf):
+        with pytest.raises(BudgetError):
+            VirtualClock(costs={"rank": bad})
+        with pytest.raises(BudgetError):
+            VirtualClock(sequences={"rank": [0.1, bad]})
 
 
 def test_section_refuses_work_that_no_longer_fits():

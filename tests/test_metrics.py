@@ -126,6 +126,18 @@ def test_evaluators_refuse_an_empty_split(task):
         evaluate(init_params(arch, np.random.default_rng(0)), empty)
 
 
+def test_finite_losses_whose_sum_overflows_give_a_finite_test_mean():
+    """Four losses of 1e308 sum to inf; the test mean is summed again scaled
+    by the largest, with no overflow warning, and reads 1e308."""
+    from tftb.data import Dataset
+    from tftb.nn import MlpArch, ModelParams
+
+    params = ModelParams.zeros(MlpArch(1, (), 2))
+    params.weights[0][:] = [[5e307, -5e307]]
+    test = Dataset(np.arange(4), np.ones((4, 1)), np.ones(4, int), 2, "test")
+    assert evaluate_classifier(params, test)["mean_loss"] == 1e308
+
+
 def test_evaluators_match_two_pass_forward_then_losses():
     # the evaluators run the model once per batch; a second forward pass for
     # the losses, as per_sample_losses does, must give bit-identical metrics

@@ -7,6 +7,12 @@ import math
 import numpy as np
 import pytest
 
+try:
+    import hypothesis
+    from hypothesis import strategies as st
+except ImportError:  # only the property test needs it, and is skipped without it
+    hypothesis = None
+
 from tftb.errors import ConfigError, CorruptDataError, NonFiniteError, ShapeError
 from tftb.nn import (
     AdamState,
@@ -25,7 +31,7 @@ from tftb.nn import (
     per_sample_losses,
     save_params,
 )
-from tftb.nn.models import arch_from_descriptor
+from tftb.nn.models import arch_from_descriptor, mean_of_losses
 
 
 def mlp(input_dim=4, hidden=(6,), num_classes=3, seed=0):
@@ -244,6 +250,51 @@ def test_finite_losses_whose_sum_overflows_give_a_finite_mean():
     assert result.per_sample_losses.tolist() == [1e308] * 4
     assert result.mean_loss == 1e308
     assert np.isfinite(result.grad.flat).all()
+
+
+@pytest.mark.skipif(hypothesis is None, reason="needs hypothesis")
+def test_the_mean_of_losses_is_finite_and_keeps_the_bits_of_its_order():
+    """The mean is finite and near the mean of the losses scaled by the
+    largest; when the in-order total of ``part``-loss partial sums is finite,
+    the mean is that total over the count, bit for bit."""
+    top = np.finfo(np.float64).max
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(
+        losses=st.lists(st.floats(0.0, top), min_size=1, max_size=64),
+        part=st.integers(1, 9),
+    )
+    @hypothesis.example(losses=[1e308] * 4, part=4)
+    @hypothesis.example(losses=[top] * 64, part=9)
+    @hypothesis.example(losses=[0.0, 0.0], part=1)
+    def check(losses, part):
+        losses = np.array(losses)
+        with np.errstate(over="raise"):  # the helper ignores overflow itself
+            mean = mean_of_losses(losses, part)
+        assert math.isfinite(mean)
+        s = losses.max()
+        want = (losses / s).mean() * s if s > 0 else 0.0
+        assert abs(mean - want) <= 1e-12 * want
+        total = 0.0
+        with np.errstate(over="ignore"):
+            for lo in range(0, len(losses), part):
+                total += float(losses[lo : lo + part].sum())
+        if math.isfinite(total):
+            assert mean == total / len(losses)
+
+    check()
+
+
+def test_the_mean_of_losses_weighs_batch_means_by_their_rows():
+    """The epoch's mean adds each batch mean times its rows in order; a sum
+    that overflows is summed again scaled by the largest batch mean."""
+    means, rows = np.array([0.1, 0.7, 0.3]), np.array([4, 4, 3])
+    assert mean_of_losses(means, 1, rows) == (0.0 + 0.1 * 4 + 0.7 * 4 + 0.3 * 3) / 11
+    assert mean_of_losses(np.array([1e308, 1e308]), 1, np.array([4, 2])) == 1e308
+    # a loss that is not finite is not rescued
+    assert math.isnan(mean_of_losses(np.array([1.0, math.nan]), 1))
+    with np.errstate(over="ignore"):  # the one-sum path leaves overflow to the caller
+        assert mean_of_losses(np.array([math.inf, 1e308])) == math.inf
 
 
 def test_cross_entropy_rejects_out_of_range_targets():

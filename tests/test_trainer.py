@@ -28,6 +28,7 @@ from tftb.importance import ImportanceLedger, subset_size
 from tftb.nn import (
     BatchStep, MlpArch, ConvDensityArch, check_inputs, init_params, per_sample_losses,
 )
+from tftb.nn.models import ModelParams, mean_of_losses
 from tftb.trainer import (
     TrainConfig,
     _epoch_batches,
@@ -774,7 +775,7 @@ def test_wide_forward_passes_give_the_bits_of_training_sized_ones(arch, loss_kin
         total = 0.0
         for losses in want:  # the mean of a pass of training-sized batches
             total += float(losses.sum())
-        assert tftb.trainer._mean_eval_loss(params, x, y, wide, b) == total / len(rows)
+        assert mean_of_losses(got, b) == total / len(rows)
 
     check()
 
@@ -824,6 +825,24 @@ def test_a_non_finite_loss_names_the_id_of_its_row(monkeypatch, position):
     }
     assert err.value.manifest.stop_reason == "non_finite_abort"
     assert err.value.manifest.epochs == []
+
+
+@pytest.mark.parametrize("mode", ["baseline", "tftb"])
+def test_finite_losses_whose_sums_overflow_give_finite_epoch_means(mode):
+    """Every row's loss is 1e308, so the loss sum of every batch, epoch and
+    validation pass overflows: the epoch's train and validation means are
+    summed again scaled by the largest loss, with no overflow warning, and
+    read 1e308."""
+    arch = MlpArch(1, (), 2)
+    params = ModelParams.zeros(arch)
+    params.weights[0][:] = [[5e307, -5e307]]
+    train, val = (Dataset(np.arange(4), np.ones((4, 1)), np.ones(4, int), 2, tag)
+                  for tag in ("train", "val"))
+    cfg = TrainConfig(mode=mode, batch_size=4, lr=1e-300, max_epochs=2)
+    run = train_tftb if mode == "tftb" else train_baseline
+    _, manifest = run(params, train, val, cfg, clock=virtual())
+    assert [(e["mean_train_loss"], e["val_loss"]) for e in manifest.epochs] == [(1e308, 1e308)] * 2
+    assert manifest.final_metrics["final_val_loss"] == 1e308
 
 
 def test_a_refused_closing_section_ends_the_run_before_any_ledger_write_or_rank(monkeypatch):
