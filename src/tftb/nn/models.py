@@ -27,12 +27,17 @@ nothing that grows with the batch.
 Convolutions are im2col + GEMM: activations are kept channel-major,
 (C, N*H*W), the k x k patches of a chunk of whole samples are copied into one
 per-thread scratch buffer (1 MiB, reused by every call), and one matrix
-product per chunk (BLAS, via ``@``) does the work: ``W @ patches`` forward,
-``d_z @ patches.T`` for the weight gradient, and the same patch product on
-``d_z`` with the flipped, transposed kernel for the input gradient, which
-the first layer skips.  Patch memory is thus bounded by the buffer, not the
-batch; a step holds the layer inputs, a few activation-sized arrays and
-their gradients.
+product per chunk (BLAS, via ``@``) does the work.  The patches of the
+padded image feed the first layer's output, ``W1 @ patches``, and its
+weight gradient, ``d_z1 @ patches.T``.  Those of the padded first
+activation feed only the second layer's output.  Those of the second
+layer's padded output gradient ``d_z2`` feed both of its gradients: the
+input gradient, the flipped, transposed kernel times them, and the weight
+gradient, the unpadded first activation times their transpose (the taps
+flipped back), so a training step copies the patches of each padded
+activation once and of the image twice.  Patch memory is thus bounded by
+the buffer, not the batch; a step holds the layer inputs, a few
+activation-sized arrays and their gradients.
 """
 
 from __future__ import annotations
@@ -322,19 +327,26 @@ def _patch_buffer(floats: int) -> np.ndarray:
     return buf
 
 
+def _chunk_samples(rows: int, pixels: int) -> int:
+    """Samples per ``_patches`` chunk of ``rows`` patch rows over images of
+    ``pixels`` pixels: as many as the shared buffer holds, and at least one."""
+    return max(1, PATCH_BUFFER_FLOATS // (rows * pixels))
+
+
 def _patches(src: np.ndarray, k: int):
     """im2col of a zero-padded channel-major ``src`` (C, N, H+k-1, W+k-1).
 
-    Yields ``(lo, hi, patches)`` per chunk of whole samples: ``patches`` is a
-    (C*k*k, hi-lo) view of the patch buffer whose row ``(c, i, j)`` holds
-    ``src[c, n, y+i, x+j]`` for output columns ``lo:hi`` of the (C', N*H*W)
-    layout, column ``(n*H + y)*W + x``.  Each view is overwritten by the next.
+    Yields ``(lo, hi, patches)`` per chunk of ``_chunk_samples`` whole
+    samples: ``patches`` is a (C*k*k, hi-lo) view of the patch buffer whose
+    row ``(c, i, j)`` holds ``src[c, n, y+i, x+j]`` for output columns
+    ``lo:hi`` of the (C', N*H*W) layout, column ``(n*H + y)*W + x``.  Each
+    view is overwritten by the next.
     """
     c, n, hp, wp = src.shape
     h, w = hp - k + 1, wp - k + 1
     rows, pixels = c * k * k, h * w
     buf = _patch_buffer(rows * pixels)
-    step = buf.size // (rows * pixels)
+    step = _chunk_samples(rows, pixels)
     # (C, k, k, N, H, W) view; no copy until a chunk lands in the buffer
     taps = sliding_window_view(src, (k, k), axis=(2, 3)).transpose(0, 4, 5, 1, 2, 3)
     for n0 in range(0, n, step):
@@ -364,6 +376,35 @@ def _conv_weight_grad(src: np.ndarray, d_z: np.ndarray, d_w: np.ndarray) -> None
     d_w_mat = d_w.reshape(d_w.shape[0], -1)
     for lo, hi, patches in _patches(src, d_w.shape[2]):
         d_w_mat += d_z[:, lo:hi] @ patches.T
+
+
+def _conv_grads(
+    src: np.ndarray, d_z_pad: np.ndarray, w: np.ndarray,
+    d_src: np.ndarray, d_w: np.ndarray, staging: np.ndarray,
+) -> None:
+    """Both gradients of ``_conv(src, w, ...)`` from one im2col pass over
+    ``d_z_pad``, its output gradient zero-padded like ``src``.
+
+    ``d_src`` (Cin, N*H*W) gets the gradient of the unpadded input: the same
+    convolution of ``d_z_pad`` with the flipped, transposed kernel.  ``d_w``,
+    shaped like ``w``, gets the weight gradient from the same patches, as
+    ``d_w[o, c, i, j] = sum over pixels of src[c, .] * patches[(o, k-1-i,
+    k-1-j), .]`` with ``src`` unpadded: each chunk's samples of it are
+    copied into the flat ``staging`` buffer, 1 / (Cout*k*k) of the patches'
+    size, so ``src``'s own patches are never copied.
+    """
+    c_out, c_in, k, _ = w.shape
+    p = k // 2
+    h, wid = src.shape[2] - 2 * p, src.shape[3] - 2 * p
+    inner = src[:, :, p : p + h, p : p + wid]
+    flipped = np.ascontiguousarray(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)).reshape(c_in, -1)
+    d_w_t = np.zeros((c_in, c_out * k * k))  # d_w with its taps flipped, transposed
+    for lo, hi, patches in _patches(d_z_pad, k):
+        np.matmul(flipped, patches, out=d_src[:, lo:hi])
+        chunk = staging[: c_in * (hi - lo)].reshape(c_in, hi - lo)
+        np.copyto(chunk.reshape(c_in, -1, h, wid), inner[:, lo // (h * wid) : hi // (h * wid)])
+        d_w_t += chunk @ patches.T
+    d_w[...] = d_w_t.reshape(c_in, c_out, k, k)[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
 
 
 def _pad_into(dst: np.ndarray, src: np.ndarray, p: int, relu: bool = False) -> None:
@@ -522,6 +563,8 @@ class BatchStep:
             _empty((c2, b, h + k - 1, w + k - 1)),  # d_z2, padded
             _empty((c1, b, h, w), bool),
             _empty((c2, pixels), bool),
+            # a1 of one chunk of d_z2_pad's patches
+            _empty((c1 * min(b, _chunk_samples(c2 * k * k, h * w)) * h * w,)),
         )
 
     @staticmethod
@@ -612,23 +655,22 @@ class BatchStep:
         w1, w2, w3 = params.weights
         c1, c2 = len(w1), len(w2)
         grad = self.grad
-        d_z2_buf, d_z2_pad_buf, mask1_buf, mask2_buf = self._backward_buffers
+        d_z2_buf, d_z2_pad_buf, mask1_buf, mask2_buf, staging = self._backward_buffers
         p = w1.shape[2] // 2
         x_pad, a1_pad = self._x_pad[:, :m], self._a1_pad[:, :m]
         a2 = self._z[: c2 * pixels].reshape(c2, pixels)
         d_z3 = d_out.reshape(1, -1)
         np.matmul(d_z3, a2.T, out=grad.weights[2].reshape(1, -1))
-        d_z2 = np.matmul(w3.reshape(-1, 1), d_z3, out=d_z2_buf[:, :pixels])
+        # an outer product: one multiply per element, the bits of a K=1 GEMM
+        d_z2 = np.multiply(w3.reshape(-1, 1), d_z3, out=d_z2_buf[:, :pixels])
         d_z2 *= np.greater(a2, 0.0, out=mask2_buf[:, :pixels])
-        _conv_weight_grad(a1_pad, d_z2, grad.weights[1])
-        # the input gradient of the second layer: the same convolution of the
-        # padded d_z2 with the flipped, transposed kernel, written over a2,
-        # which is spent; the first layer's input, the image, needs none
+        # both second-layer gradients from the patches of the padded d_z2;
+        # the input gradient is written over a2, which is spent, and the
+        # first layer's input, the image, needs none
         d_z2_pad = d_z2_pad_buf[:, :m]
         _pad_into(d_z2_pad, d_z2.reshape(c2, m, h, wid), p)
-        flipped = np.ascontiguousarray(w2[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
         d_z1 = self._z[: c1 * pixels].reshape(c1, pixels)
-        _conv(d_z2_pad, flipped, d_z1)
+        _conv_grads(a1_pad, d_z2_pad, w2, d_z1, grad.weights[1], staging)
         mask1 = np.greater(a1_pad[:, :, p : p + h, p : p + wid], 0.0, out=mask1_buf[:, :m])
         d_z1 *= mask1.reshape(d_z1.shape)
         _conv_weight_grad(x_pad, d_z1, grad.weights[0])

@@ -434,31 +434,44 @@ def rel_error(got, want):
     return np.abs(got - want).max() / np.abs(want).max()
 
 
-# Batch 100 on the 9x7 kernel-5 model spans two patch chunks of the first
-# layer (25 patch rows: 83 images a chunk) and four of the second (75 rows:
-# 27 images), so chunk seams are covered; batch 1 is a single partial chunk.
-# One 48x48 image's second-layer patches (72 rows) exceed the shared buffer.
+# Batch 100 on the 9x7 kernel-5 model spans two patch chunks of the image
+# (25 patch rows: 83 images a chunk), four of the first activation (75 rows:
+# 27 images) and three of the second layer's output gradient (50 rows: 41
+# images), so chunk seams are covered; batch 1 is a single partial chunk.
+# Batch 60 in a step of 100 runs on the step's buffers' first rows, two
+# chunks of the output gradient.  One 48x48 image's patches of the first
+# activation (72 rows, channels (8, 2)) or of the second layer's output
+# gradient (72 rows, channels (2, 8)) exceed the shared buffer.
 @pytest.mark.parametrize(
-    "arch, batch",
+    "arch, batch, step_rows",
     [
-        (ConvDensityArch(9, 7, (3, 2), 5), 1),
-        (ConvDensityArch(9, 7, (3, 2), 5), 100),
-        (ConvDensityArch(7, 9, (3, 2), 3), 6),
-        (ConvDensityArch(6, 6, (2, 2), 3), 4),
-        (ConvDensityArch(48, 48, (8, 2), 3), 2),
+        (ConvDensityArch(9, 7, (3, 2), 5), 1, 1),
+        (ConvDensityArch(9, 7, (3, 2), 5), 100, 100),
+        (ConvDensityArch(9, 7, (3, 2), 5), 60, 100),
+        (ConvDensityArch(7, 9, (3, 2), 3), 6, 6),
+        (ConvDensityArch(6, 6, (2, 2), 3), 4, 4),
+        (ConvDensityArch(5, 8, (4, 1), 3), 5, 5),
+        (ConvDensityArch(8, 6, (2, 4), 5), 5, 5),
+        (ConvDensityArch(48, 48, (8, 2), 3), 2, 2),
+        (ConvDensityArch(48, 48, (2, 8), 3), 2, 2),
     ],
-    ids=["9x7-k5-batch1", "9x7-k5-multichunk", "7x9-k3", "6x6-k3", "48x48-oversized-patches"],
+    ids=["9x7-k5-batch1", "9x7-k5-multichunk", "9x7-k5-tail-of-a-larger-step", "7x9-k3",
+         "6x6-k3", "c1-above-c2", "c1-below-c2-k5", "48x48-oversized-patches",
+         "48x48-oversized-gradient-patches"],
 )
-def test_conv_matches_nested_loop_reference(arch, batch):
+def test_conv_matches_nested_loop_reference(arch, batch, step_rows):
     from tftb.nn.models import PATCH_BUFFER_FLOATS
 
-    k, (c1, _) = arch.kernel_size, arch.channels
+    k, (c1, c2) = arch.kernel_size, arch.channels
     per_image = arch.image_height * arch.image_width
     if batch == 100:
-        assert batch > PATCH_BUFFER_FLOATS // (k * k * per_image)  # first layer
-        assert batch > 2 * (PATCH_BUFFER_FLOATS // (c1 * k * k * per_image))  # second
+        assert batch > PATCH_BUFFER_FLOATS // (k * k * per_image)  # the image
+        assert batch > 2 * (PATCH_BUFFER_FLOATS // (c1 * k * k * per_image))  # a1
+        assert batch > 2 * (PATCH_BUFFER_FLOATS // (c2 * k * k * per_image))  # d_z2
+    if step_rows > batch:
+        assert batch > PATCH_BUFFER_FLOATS // (c2 * k * k * per_image)
     if per_image == 48 * 48:
-        assert c1 * k * k * per_image > PATCH_BUFFER_FLOATS
+        assert max(c1, c2) * k * k * per_image > PATCH_BUFFER_FLOATS
     rng = np.random.default_rng(batch)
     params = init_params(arch, rng)
     for b in params.biases:
@@ -467,7 +480,7 @@ def test_conv_matches_nested_loop_reference(arch, batch):
     targets = rng.standard_normal(x.shape)
 
     want_out, _ = reference_conv_model(params, x)
-    step = step_for(params, x, "pixelwise_l2")
+    step = BatchStep(arch, step_rows, "pixelwise_l2")
     assert rel_error(forward(params, x, step), want_out) < 1e-12
 
     result = loss_and_grad(params, x, targets, step)
@@ -492,8 +505,11 @@ def test_conv_step_memory_is_bounded_by_the_design(batch):
     * in the backward pass, the second layer's output gradient, its padded
       copy for the input gradient and that input gradient: 18;
     * the two ReLU masks, bool, 6 / 8 of a plane each: 2;
+    * the first activation of one chunk of the output gradient's patches,
+      staged for the second layer's weight gradient: 6 channels of 4
+      unpadded images, under half a plane at these batches: 1/2;
 
-    36 planes, so the bound is 40 planes (10% headroom for temporaries of
+    36.5 planes, so the bound is 40 planes (9% headroom for temporaries of
     the small weight gradients and Python objects) plus one patch buffer,
     which the first traced call may allocate.  The step is built inside the
     traced window, so its buffers count.  A whole-batch patch matrix does
@@ -521,6 +537,41 @@ def test_conv_step_memory_is_bounded_by_the_design(batch):
     finally:
         tracemalloc.stop()
     assert peak <= bound, f"peak {peak / 2**20:.2f} MiB > bound {bound / 2**20:.2f} MiB"
+
+
+def test_a_conv_step_copies_the_patches_of_each_padded_activation_once(monkeypatch):
+    """One conv ``loss_and_grad`` copies the patches of the padded image
+    twice (the first layer's output and weight gradient), of the padded
+    first activation once (the second layer's output) and of the second
+    layer's padded output gradient once (both of that layer's gradients);
+    a forward pass copies those of the image and of the first activation."""
+    from tftb.nn import models
+
+    arch = ConvDensityArch(9, 7, (3, 2), 5)
+    params = init_params(arch, np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    x, targets = rng.standard_normal((2, 8, 9, 7))
+    step = BatchStep(arch, 8, "pixelwise_l2")
+    loss_and_grad(params, x, targets, step)  # makes the backward buffers
+    named = {"image": step._x_pad, "a1": step._a1_pad, "d_z2": step._backward_buffers[1]}
+    sources = []
+    patches = models._patches
+
+    def recorded(src, k):
+        sources.append(src)
+        return patches(src, k)
+
+    def copies(call):
+        sources.clear()
+        call()
+        return sorted(name for src in sources for name, buf in named.items()
+                      if np.shares_memory(src, buf))
+
+    monkeypatch.setattr(models, "_patches", recorded)
+    assert copies(lambda: loss_and_grad(params, x, targets, step)) == ["a1", "d_z2", "image", "image"]
+    assert len(sources) == 4
+    assert copies(lambda: per_sample_losses(params, x, targets, step)) == ["a1", "image"]
+    assert len(sources) == 2
 
 
 # ---------------------------------------------------------------------------
