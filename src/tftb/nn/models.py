@@ -24,18 +24,32 @@ constructor (an architecture checks itself).  An operation checks only
 that the batch fits its step and that its result is finite, and allocates
 nothing that grows with the batch.
 
-Convolutions are im2col + GEMM: activations are kept channel-major,
-(C, N*H*W), the k x k patches of a chunk of whole samples are copied into one
-per-thread scratch buffer (1 MiB, reused by every call), and one matrix
-product per chunk (BLAS, via ``@``) does the work.  The patches of the
-padded image feed the first layer's output, ``W1 @ patches``, and its
-weight gradient, ``d_z1 @ patches.T``.  Those of the padded first
-activation feed only the second layer's output.  Those of the second
-layer's padded output gradient ``d_z2`` feed both of its gradients: the
-input gradient, the flipped, transposed kernel times them, and the weight
-gradient, the unpadded first activation times their transpose (the taps
-flipped back), so a training step copies the patches of each padded
-activation once and of the image twice.  Patch memory is thus bounded by
+Convolutions are im2col + GEMM: activations are kept channel-major, the
+k x k patches of a chunk of whole images are copied into one per-thread
+scratch buffer (1 MiB, reused by every call), and one matrix product per
+chunk (BLAS, via ``@``) does the work.  Every input of a k x k convolution
+lives on the padded grid (``_Grid``): each image's zero-padded plane, one
+after another, between two margins as long as a tap reaches past a plane.
+A patch row is then one contiguous run of the buffer, and a convolution
+computes an output at every grid position, the border positions' outputs
+being thrown away.  The grids are the image's, the first activation's and
+the second layer's output gradient ``d_z2``'s; their borders and margins
+are zero, as each call zeroes those it writes, up to the last float its
+patches read, before it reads them.  A short tail batch's last image reads
+into the next plane's top border, never into a pixel an earlier batch left.
+
+The first layer's output, ``W1 @ patches`` of the image's grid, lands on
+the first activation's grid, whose border positions are zeroed again after
+bias and ReLU.  The second layer's, from the first activation's patches,
+leaves its grid for the unpadded second activation (C, N*H*W) with its
+bias; the 1x1 head is a plain product there.  Backward, the patches of the
+image's grid give the first layer's weight gradient, ``d_z1 @
+patches.T``, and those of ``d_z2``'s grid both of the second layer's
+gradients: the input gradient ``d_z1``, the flipped, transposed kernel
+times them, on the grid and masked there by ``a1 > 0``, false on every
+border, and the weight gradient, the first activation's grid times their
+transpose (the taps flipped back).  So a training step copies the patches
+of each grid once and of the image twice.  Patch memory is thus bounded by
 the buffer, not the batch; a step holds the layer inputs, a few
 activation-sized arrays and their gradients.
 """
@@ -49,7 +63,7 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import Union
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from ..errors import NonFiniteError, ShapeError
 
@@ -311,6 +325,57 @@ def _rows(buffers, m: int, full: int):
 # convolution kernels
 
 
+class _Grid:
+    """Where a step keeps each input of a k x k convolution: the padded grid.
+
+    A grid buffer of ``C`` channels and ``N`` images is (C, M + N*span + M):
+    image ``n`` is its padded (H+2p) x (W+2p) plane, ``span`` floats, at
+    ``M + n*span``, and the margins of ``M = p*Wp + p`` floats on either
+    side are as far as a tap reaches past an image.  So the output of grid
+    position ``g`` (the image pixel at ``M + g``) reads its tap ``(i, j)``
+    at ``g + i*Wp + j``, and the tap rows of a run of positions are
+    contiguous runs of the buffer.  Outputs at border positions read their
+    neighbours and are thrown away; those of the image pixels read only
+    their own padded image.  A call that writes the first ``n`` images of a
+    grid zeroes everything but their pixels up to ``2*M + n*span``, the
+    last float its patches read, so it never reads what an earlier call
+    left there.
+    """
+
+    def __init__(self, h: int, w: int, k: int):
+        self.h, self.w, self.k, self.p = h, w, k, k // 2
+        self.wp = w + 2 * self.p
+        self.span = (h + 2 * self.p) * self.wp
+        self.margin = self.p * self.wp + self.p
+
+    def buffer(self, channels: int, images: int) -> np.ndarray:
+        """A grid buffer of ``images`` images."""
+        return _empty((channels, images * self.span + 2 * self.margin))
+
+    def positions(self, buf: np.ndarray, n: int) -> np.ndarray:
+        """The (C, n*span) grid positions of the first ``n`` images of ``buf``."""
+        return buf[:, self.margin : self.margin + n * self.span]
+
+    def interior(self, positions: np.ndarray) -> np.ndarray:
+        """The (C, n, H, W) image pixels of (C, n*span) grid positions."""
+        p, c = self.p, len(positions)
+        planes = positions.reshape(c, -1, self.h + 2 * p, self.wp)
+        return planes[:, :, p : p + self.h, p : p + self.w]
+
+    def zero_borders(self, buf: np.ndarray, n: int) -> None:
+        """Zero what the first ``n`` images' patches read of the grid buffer
+        ``buf`` but their pixels: the runs of ``2*M`` floats between images,
+        the margins among them, and the ``2*p`` between the rows of each."""
+        s_c, s_x = buf.strides
+        between = as_strided(buf, (len(buf), n + 1, 2 * self.margin),
+                             (s_c, self.span * s_x, s_x))
+        between[...] = 0.0
+        rows = buf[:, self.margin + self.p * self.wp + self.p + self.w :]
+        within = as_strided(rows, (len(buf), n, self.h - 1, 2 * self.p),
+                            (s_c, self.span * s_x, self.wp * s_x, s_x))
+        within[...] = 0.0
+
+
 def _patch_buffer(floats: int) -> np.ndarray:
     """A patch scratch buffer of at least ``floats`` floats.
 
@@ -327,100 +392,77 @@ def _patch_buffer(floats: int) -> np.ndarray:
     return buf
 
 
-def _chunk_samples(rows: int, pixels: int) -> int:
-    """Samples per ``_patches`` chunk of ``rows`` patch rows over images of
-    ``pixels`` pixels: as many as the shared buffer holds, and at least one."""
-    return max(1, PATCH_BUFFER_FLOATS // (rows * pixels))
+def _patches(src: np.ndarray, grid: _Grid, n: int):
+    """im2col of the first ``n`` images of the grid buffer ``src``.
 
-
-def _patches(src: np.ndarray, k: int):
-    """im2col of a zero-padded channel-major ``src`` (C, N, H+k-1, W+k-1).
-
-    Yields ``(lo, hi, patches)`` per chunk of ``_chunk_samples`` whole
-    samples: ``patches`` is a (C*k*k, hi-lo) view of the patch buffer whose
-    row ``(c, i, j)`` holds ``src[c, n, y+i, x+j]`` for output columns
-    ``lo:hi`` of the (C', N*H*W) layout, column ``(n*H + y)*W + x``.  Each
-    view is overwritten by the next.
+    Yields ``(g0, g1, patches)`` per chunk of as many whole images as the
+    shared buffer holds, and at least one: ``patches`` is a (C*k*k, g1-g0)
+    view of the patch buffer whose row ``(c, i, j)`` is the run
+    ``src[c, g0 + i*Wp + j : g1 + i*Wp + j]``, the taps of grid positions
+    ``g0:g1``.  Each view is overwritten by the next.
     """
-    c, n, hp, wp = src.shape
-    h, w = hp - k + 1, wp - k + 1
-    rows, pixels = c * k * k, h * w
-    buf = _patch_buffer(rows * pixels)
-    step = _chunk_samples(rows, pixels)
-    # (C, k, k, N, H, W) view; no copy until a chunk lands in the buffer
-    taps = sliding_window_view(src, (k, k), axis=(2, 3)).transpose(0, 4, 5, 1, 2, 3)
+    c, k, span = len(src), grid.k, grid.span
+    rows = c * k * k
+    # the last tap of the last position, g = n*span - 1, is the last float
+    # the view reaches: (n*span - 1) + (k-1)*Wp + (k-1) = n*span + 2*M - 1;
+    # checked even under -O, as a view past the buffer would read past it
+    if src.strides[1] != src.itemsize or n * span + 2 * grid.margin > src.shape[1]:
+        raise AssertionError(f"{n} images' taps do not lie in a grid of shape {src.shape}")
+    s_c, s_x = src.strides
+    # (C, k, k, n*span) view of every tap of every position; no copy until
+    # a chunk of it lands in the buffer
+    taps = as_strided(src, (c, k, k, n * span), (s_c, grid.wp * s_x, s_x, s_x), writeable=False)
+    buf = _patch_buffer(rows * span)
+    step = max(1, PATCH_BUFFER_FLOATS // (rows * span))
     for n0 in range(0, n, step):
-        n1 = min(n0 + step, n)
-        chunk = buf[: rows * (n1 - n0) * pixels]
-        np.copyto(chunk.reshape(c, k, k, n1 - n0, h, w), taps[:, :, :, n0:n1])
-        yield n0 * pixels, n1 * pixels, chunk.reshape(rows, -1)
+        g0, g1 = n0 * span, min(n0 + step, n) * span
+        chunk = buf[: rows * (g1 - g0)]
+        np.copyto(chunk.reshape(c, k, k, -1), taps[..., g0:g1])
+        yield g0, g1, chunk.reshape(rows, -1)
 
 
-def _conv(src: np.ndarray, w: np.ndarray, out: np.ndarray) -> None:
-    """Stride-1 same-padded convolution as chunked GEMMs.
-
-    ``src`` is the padded channel-major input (Cin, N, H+k-1, W+k-1) and
-    ``w`` (Cout, Cin, k, k); writes the bias-free output into ``out``,
-    (Cout, N*H*W).
-    """
-    w_mat = w.reshape(w.shape[0], -1)
-    for lo, hi, patches in _patches(src, w.shape[2]):
-        np.matmul(w_mat, patches, out=out[:, lo:hi])
+def _conv(src: np.ndarray, w: np.ndarray, out: np.ndarray, grid: _Grid, n: int) -> None:
+    """Stride-1 same-padded convolution of the first ``n`` images of the
+    grid buffer ``src`` by ``w`` (Cout, Cin, k, k), as chunked GEMMs: writes
+    the bias-free output of every grid position into ``out``, (Cout,
+    n*span); only the image pixels' outputs are the convolution's."""
+    w_mat = w.reshape(len(w), -1)
+    for g0, g1, patches in _patches(src, grid, n):
+        np.matmul(w_mat, patches, out=out[:, g0:g1])
 
 
-def _conv_weight_grad(src: np.ndarray, d_z: np.ndarray, d_w: np.ndarray) -> None:
+def _conv_weight_grad(src: np.ndarray, d_z: np.ndarray, d_w: np.ndarray,
+                      grid: _Grid, n: int) -> None:
     """Write the gradient of ``w`` in ``_conv(src, w, ...)`` for output
-    gradient ``d_z`` into ``d_w``, an array shaped like ``w``: the sum of
-    one patch product per chunk."""
+    gradient ``d_z``, zero at every border position, into ``d_w``, an array
+    shaped like ``w``: the sum of one patch product per chunk."""
     d_w[...] = 0.0
-    d_w_mat = d_w.reshape(d_w.shape[0], -1)
-    for lo, hi, patches in _patches(src, d_w.shape[2]):
-        d_w_mat += d_z[:, lo:hi] @ patches.T
+    d_w_mat = d_w.reshape(len(d_w), -1)
+    for g0, g1, patches in _patches(src, grid, n):
+        d_w_mat += d_z[:, g0:g1] @ patches.T
 
 
-def _conv_grads(
-    src: np.ndarray, d_z_pad: np.ndarray, w: np.ndarray,
-    d_src: np.ndarray, d_w: np.ndarray, staging: np.ndarray,
-) -> None:
+def _conv_grads(src: np.ndarray, d_z: np.ndarray, w: np.ndarray, grid: _Grid, n: int,
+                d_src: np.ndarray, d_w: np.ndarray) -> None:
     """Both gradients of ``_conv(src, w, ...)`` from one im2col pass over
-    ``d_z_pad``, its output gradient zero-padded like ``src``.
+    ``d_z``, the grid buffer of its output gradient.
 
-    ``d_src`` (Cin, N*H*W) gets the gradient of the unpadded input: the same
-    convolution of ``d_z_pad`` with the flipped, transposed kernel.  ``d_w``,
-    shaped like ``w``, gets the weight gradient from the same patches, as
-    ``d_w[o, c, i, j] = sum over pixels of src[c, .] * patches[(o, k-1-i,
-    k-1-j), .]`` with ``src`` unpadded: each chunk's samples of it are
-    copied into the flat ``staging`` buffer, 1 / (Cout*k*k) of the patches'
-    size, so ``src``'s own patches are never copied.
+    ``d_src`` (Cin, n*span) gets the input gradient at every grid position,
+    right at the image pixels: the same convolution of ``d_z`` with the
+    flipped, transposed kernel.  ``d_w``, shaped like ``w``, gets the weight
+    gradient from the same patches, ``d_w[o, c, i, j] = sum over positions
+    of src[c, .] * patches[(o, k-1-i, k-1-j), .]``, which counts only the
+    image pixels as ``src``'s borders are zero; so ``src``'s own patches
+    are never copied.
     """
     c_out, c_in, k, _ = w.shape
-    p = k // 2
-    h, wid = src.shape[2] - 2 * p, src.shape[3] - 2 * p
-    inner = src[:, :, p : p + h, p : p + wid]
+    inputs = grid.positions(src, n)
     flipped = np.ascontiguousarray(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)).reshape(c_in, -1)
     d_w_t = np.zeros((c_in, c_out * k * k))  # d_w with its taps flipped, transposed
-    for lo, hi, patches in _patches(d_z_pad, k):
-        np.matmul(flipped, patches, out=d_src[:, lo:hi])
-        chunk = staging[: c_in * (hi - lo)].reshape(c_in, hi - lo)
-        np.copyto(chunk.reshape(c_in, -1, h, wid), inner[:, lo // (h * wid) : hi // (h * wid)])
-        d_w_t += chunk @ patches.T
+    for g0, g1, patches in _patches(d_z, grid, n):
+        np.matmul(flipped, patches, out=d_src[:, g0:g1])
+        d_w_t += inputs[:, g0:g1] @ patches.T
     d_w[...] = d_w_t.reshape(c_in, c_out, k, k)[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-
-
-def _pad_into(dst: np.ndarray, src: np.ndarray, p: int, relu: bool = False) -> None:
-    """Write a channel-major (C, N, H, W) ``src`` into ``dst``, (C, N, H+2p,
-    W+2p), zero-padded by ``p`` on the image axes, applying ReLU on the way
-    in if ``relu``."""
-    h, w = src.shape[2:]
-    dst[:, :, :p] = 0.0
-    dst[:, :, p + h :] = 0.0
-    dst[:, :, p : p + h, :p] = 0.0
-    dst[:, :, p : p + h, p + w :] = 0.0
-    inner = dst[:, :, p : p + h, p : p + w]
-    if relu:
-        np.maximum(src, 0.0, out=inner)
-    else:
-        inner[...] = src
 
 
 # ---------------------------------------------------------------------------
@@ -502,8 +544,8 @@ class BatchStep:
     size and a loss kind; the constructor checks the batch size and loss kind.
 
     A step is built with the buffers of the forward pass: the activations
-    and padded conv inputs, and the loss's.  Each other group is made on the
-    first call that writes it: the backward pass's ``d_z`` buffers and the
+    and the conv inputs' grids, and the loss's.  Each other group is made on
+    the first call that writes it: the backward pass's ``d_z`` buffers and the
     gradient ``ModelParams`` by ``loss_and_grad`` and the gathered batch by
     ``gather``, so a step that only runs forward passes holds only what they
     write.  A batch of ``m <= batch_size`` samples works in the first ``m``
@@ -528,12 +570,12 @@ class BatchStep:
         else:
             (c1, c2), k = arch.channels, arch.kernel_size
             h, w = arch.input_shape()
-            padded, pixels = (b, h + k - 1, w + k - 1), b * h * w
-            self._x_pad = _empty((1, *padded))
-            self._a1_pad = _empty((c1, *padded))
-            # z1; a2 once z1 has passed into a1_pad; d_z1 once a2 is spent
-            self._z = _empty((max(c1, c2) * pixels,))
-            self._z3 = _empty((1, pixels))
+            grid = self._grid = _Grid(h, w, k)
+            self._x, self._a1 = grid.buffer(1, b), grid.buffer(c1, b)
+            # z2 at a1's grid positions; d_z1 once a2 has left it
+            self._z = _empty((max(c1, c2), b * grid.span))
+            self._a2 = _empty((c2, b * h * w))
+            self._z3 = _empty((1, b * h * w))
         self._loss = _Loss(loss_kind, b, arch.output_shape())
 
     @functools.cached_property
@@ -555,30 +597,28 @@ class BatchStep:
         b, arch = self.batch_size, self.arch
         if arch.kind == "mlp":
             return [_empty((b, d)) for d in arch.hidden], [_empty((b, d), bool) for d in arch.hidden]
-        (c1, c2), k = arch.channels, arch.kernel_size
-        h, w = arch.input_shape()
-        pixels = b * h * w
+        (c1, c2), grid = arch.channels, self._grid
+        pixels = b * grid.h * grid.w
         return (
             _empty((c2, pixels)),  # d_z2
-            _empty((c2, b, h + k - 1, w + k - 1)),  # d_z2, padded
-            _empty((c1, b, h, w), bool),
+            grid.buffer(c2, b),  # d_z2 on the grid
+            _empty((c1, b * grid.span), bool),
             _empty((c2, pixels), bool),
-            # a1 of one chunk of d_z2_pad's patches
-            _empty((c1 * min(b, _chunk_samples(c2 * k * k, h * w)) * h * w,)),
         )
 
     @staticmethod
     def forward_row_bytes(arch: Architecture, loss_kind: str) -> int:
         """Bytes per sample of what a step that only gathers and runs forward
         passes holds: the gathered batch, the forward buffers and the loss's.
-        Page padding, a few kilobytes a step, is not counted."""
+        Page padding and the grids' margins, a few kilobytes a step, are not
+        counted."""
         inputs, k = math.prod(arch.input_shape()), math.prod(arch.output_shape())
         if arch.kind == "mlp":
             forward = sum(arch.hidden) + arch.num_classes
-        else:  # padded image and a1, then z and z3
+        else:  # the image, a1 and z on the grid, then a2 and z3
             (c1, c2), p = arch.channels, arch.kernel_size - 1
             h, w = arch.input_shape()
-            forward = (1 + c1) * (h + p) * (w + p) + (max(c1, c2) + 1) * h * w
+            forward = (1 + c1 + max(c1, c2)) * (h + p) * (w + p) + (c2 + 1) * h * w
         if loss_kind == "cross_entropy":  # losses, exp and shifted, 3 columns, 2 indices
             loss, target = 2 * k + 6, 1
         else:  # losses, d_out and square
@@ -625,55 +665,55 @@ class BatchStep:
                 delta = below
 
     def _conv_forward(self, params: ModelParams, x: np.ndarray) -> np.ndarray:
-        # Activations are channel-major (C, N*H*W); x arrives (N, H, W), one channel.
-        # Only layer inputs are kept: relu(z) > 0 exactly where z > 0, so the
+        # Activations are channel-major: the image and a1, which feed k x k
+        # convolutions, on the grid, (C, N*span) positions; a2 and the
+        # output (C, N*H*W).  x arrives (N, H, W), one channel.  Only layer
+        # inputs are kept: relu(z) > 0 exactly where z > 0, so the
         # post-activations double as the backward pass's ReLU masks.
-        m, h, wid = x.shape
-        pixels = m * h * wid
+        m, grid = len(x), self._grid
         w1, w2, w3 = params.weights
         b1, b2, b3 = params.biases
-        c1, c2 = len(w1), len(w2)
-        p = w1.shape[2] // 2
-        x_pad, a1_pad = self._x_pad[:, :m], self._a1_pad[:, :m]
-        _pad_into(x_pad, x[None], p)
-        z1 = self._z[: c1 * pixels].reshape(c1, pixels)
-        _conv(x_pad, w1, z1)
-        z1 += b1[:, None]
-        _pad_into(a1_pad, z1.reshape(c1, m, h, wid), p, relu=True)
-        a2 = self._z[: c2 * pixels].reshape(c2, pixels)
-        _conv(a1_pad, w2, a2)
-        a2 += b2[:, None]
+        grid.zero_borders(self._x, m)
+        np.copyto(grid.interior(grid.positions(self._x, m)), x[None])
+        # the first layer's output lands on a1's grid, where the border
+        # positions' outputs are zeroed again after bias and ReLU
+        a1 = grid.positions(self._a1, m)
+        _conv(self._x, w1, a1, grid, m)
+        a1 += b1[:, None]
+        np.maximum(a1, 0.0, out=a1)
+        grid.zero_borders(self._a1, m)
+        # the second layer's leaves the grid for a2 with its bias
+        z2 = self._z[: len(w2), : m * grid.span]
+        _conv(self._a1, w2, z2, grid, m)
+        a2 = self._a2[:, : m * grid.h * grid.w]
+        np.add(grid.interior(z2), b2[:, None, None, None], out=a2.reshape(len(w2), *x.shape))
         np.maximum(a2, 0.0, out=a2)
         # the 1x1 head is a plain matrix product in this layout
-        z3 = np.matmul(w3.reshape(1, -1), a2, out=self._z3[:, :pixels])
+        z3 = np.matmul(w3.reshape(1, -1), a2, out=self._z3[:, : a2.shape[1]])
         z3 += b3[:, None]
-        return z3.reshape(m, h, wid)
+        return z3.reshape(x.shape)
 
     def _conv_backward(self, params: ModelParams, x: np.ndarray, d_out: np.ndarray) -> None:
-        m, h, wid = x.shape
-        pixels = m * h * wid
+        m, grid = len(x), self._grid
         w1, w2, w3 = params.weights
-        c1, c2 = len(w1), len(w2)
+        c2 = len(w2)
         grad = self.grad
-        d_z2_buf, d_z2_pad_buf, mask1_buf, mask2_buf, staging = self._backward_buffers
-        p = w1.shape[2] // 2
-        x_pad, a1_pad = self._x_pad[:, :m], self._a1_pad[:, :m]
-        a2 = self._z[: c2 * pixels].reshape(c2, pixels)
+        d_z2_buf, d_z2_grid, mask1_buf, mask2_buf = self._backward_buffers
+        a2 = self._a2[:, : m * grid.h * grid.w]
         d_z3 = d_out.reshape(1, -1)
         np.matmul(d_z3, a2.T, out=grad.weights[2].reshape(1, -1))
         # an outer product: one multiply per element, the bits of a K=1 GEMM
-        d_z2 = np.multiply(w3.reshape(-1, 1), d_z3, out=d_z2_buf[:, :pixels])
-        d_z2 *= np.greater(a2, 0.0, out=mask2_buf[:, :pixels])
-        # both second-layer gradients from the patches of the padded d_z2;
-        # the input gradient is written over a2, which is spent, and the
-        # first layer's input, the image, needs none
-        d_z2_pad = d_z2_pad_buf[:, :m]
-        _pad_into(d_z2_pad, d_z2.reshape(c2, m, h, wid), p)
-        d_z1 = self._z[: c1 * pixels].reshape(c1, pixels)
-        _conv_grads(a1_pad, d_z2_pad, w2, d_z1, grad.weights[1], staging)
-        mask1 = np.greater(a1_pad[:, :, p : p + h, p : p + wid], 0.0, out=mask1_buf[:, :m])
-        d_z1 *= mask1.reshape(d_z1.shape)
-        _conv_weight_grad(x_pad, d_z1, grad.weights[0])
+        d_z2 = np.multiply(w3.reshape(-1, 1), d_z3, out=d_z2_buf[:, : a2.shape[1]])
+        d_z2 *= np.greater(a2, 0.0, out=mask2_buf[:, : a2.shape[1]])
+        # both second-layer gradients from the patches of d_z2 on its grid;
+        # the first layer's input, the image, needs no gradient
+        grid.zero_borders(d_z2_grid, m)
+        np.copyto(grid.interior(grid.positions(d_z2_grid, m)), d_z2.reshape(c2, *x.shape))
+        d_z1 = self._z[: len(w1), : m * grid.span]
+        _conv_grads(self._a1, d_z2_grid, w2, grid, m, d_z1, grad.weights[1])
+        # a1 > 0 is false at every border position, so d_z1 is zero there
+        d_z1 *= np.greater(grid.positions(self._a1, m), 0.0, out=mask1_buf[:, : m * grid.span])
+        _conv_weight_grad(self._x, d_z1, grad.weights[0], grid, m)
         for d_z, d_b in zip((d_z1, d_z2, d_z3), grad.biases):
             d_z.sum(axis=1, out=d_b)
 

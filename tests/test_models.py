@@ -434,20 +434,40 @@ def rel_error(got, want):
     return np.abs(got - want).max() / np.abs(want).max()
 
 
-# Batch 100 on the 9x7 kernel-5 model spans two patch chunks of the image
-# (25 patch rows: 83 images a chunk), four of the first activation (75 rows:
-# 27 images) and three of the second layer's output gradient (50 rows: 41
-# images), so chunk seams are covered; batch 1 is a single partial chunk.
-# Batch 60 in a step of 100 runs on the step's buffers' first rows, two
-# chunks of the output gradient.  One 48x48 image's patches of the first
-# activation (72 rows, channels (8, 2)) or of the second layer's output
-# gradient (72 rows, channels (2, 8)) exceed the shared buffer.
+def grid_chunks(arch, batch):
+    """Images per patch chunk of the image, the first activation and the
+    second layer's output gradient, on the padded grid of 1-, c1- and
+    c2-channel planes of (H+k-1) x (W+k-1) floats, and the last chunk's
+    images of ``batch``."""
+    from tftb.nn.models import PATCH_BUFFER_FLOATS
+
+    k, span = arch.kernel_size, (arch.image_height + arch.kernel_size - 1) * (
+        arch.image_width + arch.kernel_size - 1)
+    chunks = [max(1, PATCH_BUFFER_FLOATS // (c * k * k * span)) for c in (1, *arch.channels)]
+    return chunks, [batch - (batch - 1) // chunk * chunk for chunk in chunks]
+
+
+# Patch chunks hold whole padded images: on the 9x7 kernel-5 model (13x11
+# planes) 36 of them for the image (25 patch rows), 12 for the first
+# activation (75 rows) and 18 for the second layer's output gradient (50
+# rows).  Batch 100 spans three, nine and six chunks, so chunk seams are
+# covered; batch 1 is a single partial chunk.  Batch 37 ends every pass on
+# a last chunk of one padded image.  Batch 60 in a step of 100 and batch 50
+# in a step of 64 run on the first images of the step's buffers; 50 is a
+# multiple of no chunk.  Batch 40 in a step of 40 ends on partial chunks
+# whose taps read the grids up to their last float, past the last image
+# into the margin.  One 48x48 image's patches of the first activation (72
+# rows, channels (8, 2)) or of the second layer's output gradient (72 rows,
+# channels (2, 8)) exceed the shared buffer.
 @pytest.mark.parametrize(
     "arch, batch, step_rows",
     [
         (ConvDensityArch(9, 7, (3, 2), 5), 1, 1),
         (ConvDensityArch(9, 7, (3, 2), 5), 100, 100),
+        (ConvDensityArch(9, 7, (3, 2), 5), 37, 37),
         (ConvDensityArch(9, 7, (3, 2), 5), 60, 100),
+        (ConvDensityArch(9, 7, (3, 2), 5), 50, 64),
+        (ConvDensityArch(9, 7, (3, 2), 5), 40, 40),
         (ConvDensityArch(7, 9, (3, 2), 3), 6, 6),
         (ConvDensityArch(6, 6, (2, 2), 3), 4, 4),
         (ConvDensityArch(5, 8, (4, 1), 3), 5, 5),
@@ -455,23 +475,28 @@ def rel_error(got, want):
         (ConvDensityArch(48, 48, (8, 2), 3), 2, 2),
         (ConvDensityArch(48, 48, (2, 8), 3), 2, 2),
     ],
-    ids=["9x7-k5-batch1", "9x7-k5-multichunk", "9x7-k5-tail-of-a-larger-step", "7x9-k3",
-         "6x6-k3", "c1-above-c2", "c1-below-c2-k5", "48x48-oversized-patches",
-         "48x48-oversized-gradient-patches"],
+    ids=["9x7-k5-batch1", "9x7-k5-multichunk", "9x7-k5-last-chunk-of-one-padded-image",
+         "9x7-k5-tail-of-a-larger-step", "9x7-k5-batch-not-a-multiple-of-the-chunk",
+         "9x7-k5-tail-reading-into-the-end-margin", "7x9-k3", "6x6-k3", "c1-above-c2",
+         "c1-below-c2-k5", "48x48-oversized-patches", "48x48-oversized-gradient-patches"],
 )
 def test_conv_matches_nested_loop_reference(arch, batch, step_rows):
     from tftb.nn.models import PATCH_BUFFER_FLOATS
 
     k, (c1, c2) = arch.kernel_size, arch.channels
-    per_image = arch.image_height * arch.image_width
+    chunks, last = grid_chunks(arch, batch)
     if batch == 100:
-        assert batch > PATCH_BUFFER_FLOATS // (k * k * per_image)  # the image
-        assert batch > 2 * (PATCH_BUFFER_FLOATS // (c1 * k * k * per_image))  # a1
-        assert batch > 2 * (PATCH_BUFFER_FLOATS // (c2 * k * k * per_image))  # d_z2
+        assert chunks == [36, 12, 18] and last == [28, 4, 10]
+    if batch == 37:
+        assert last == [1, 1, 1]
     if step_rows > batch:
-        assert batch > PATCH_BUFFER_FLOATS // (c2 * k * k * per_image)
-    if per_image == 48 * 48:
-        assert max(c1, c2) * k * k * per_image > PATCH_BUFFER_FLOATS
+        assert batch > chunks[2]
+    if batch == 50:
+        assert all(batch % chunk for chunk in chunks)
+    if batch == 40:
+        assert all(0 < n < chunk for n, chunk in zip(last, chunks))
+    if arch.image_height == 48:
+        assert max(c1, c2) * k * k * 50 * 50 > PATCH_BUFFER_FLOATS
     rng = np.random.default_rng(batch)
     params = init_params(arch, rng)
     for b in params.biases:
@@ -484,6 +509,9 @@ def test_conv_matches_nested_loop_reference(arch, batch, step_rows):
     assert rel_error(forward(params, x, step), want_out) < 1e-12
 
     result = loss_and_grad(params, x, targets, step)
+    if batch == 40:  # the last chunks' taps read each grid to its last float
+        for grid in (step._x, step._a1, step._backward_buffers[1]):
+            assert grid.shape[1] == len(grid_borders(arch, batch))
     d_out = 2.0 * (want_out - targets) / want_out.size  # batch-mean pixelwise L2
     want_w, want_b = reference_conv_grads(params, x, d_out)
     for got, want in zip(result.grad.weights + result.grad.biases, want_w + want_b):
@@ -496,25 +524,24 @@ def test_conv_step_memory_is_bounded_by_the_design(batch):
     """Peak traced memory of conv steps at 24x24, channels (6, 6), kernel 3.
 
     Counted in padded single-channel planes of the batch, ``batch * 26 * 26``
-    floats (an unpadded plane is smaller), a step holds at most:
+    floats (an unpadded plane is smaller, and a grid's margins add 54 floats
+    a channel), a step holds at most:
 
-    * the cached layer inputs: the padded image (1 plane), the padded first
-      activation (6) and the second activation (6): 13;
+    * on the grid, the image (1 plane), the first activation (6) and ``z``,
+      the second layer's output and then the first layer's output gradient
+      (6); the second activation (6): 19;
     * the density output and its loss gradient, plus the loss's own
       temporaries: 3;
-    * in the backward pass, the second layer's output gradient, its padded
-      copy for the input gradient and that input gradient: 18;
+    * in the backward pass, the second layer's output gradient and its grid,
+      whose patches give both of that layer's gradients: 12;
     * the two ReLU masks, bool, 6 / 8 of a plane each: 2;
-    * the first activation of one chunk of the output gradient's patches,
-      staged for the second layer's weight gradient: 6 channels of 4
-      unpadded images, under half a plane at these batches: 1/2;
 
-    36.5 planes, so the bound is 40 planes (9% headroom for temporaries of
-    the small weight gradients and Python objects) plus one patch buffer,
-    which the first traced call may allocate.  The step is built inside the
-    traced window, so its buffers count.  A whole-batch patch matrix does
-    not fit: the second layer's alone is 54 planes (6 channels x 3 x 3
-    taps).
+    36 planes (33.6 and 32.5 measured at these batches), so the bound is 40
+    planes (11% headroom for temporaries of the small weight gradients and
+    Python objects) plus one patch buffer, which the first traced call may
+    allocate.  The step is built inside the traced window, so its buffers
+    count.  A whole-batch patch matrix does not fit: the second layer's
+    alone is 54 planes (6 channels x 3 x 3 taps).
     """
     import tracemalloc
 
@@ -540,10 +567,10 @@ def test_conv_step_memory_is_bounded_by_the_design(batch):
 
 
 def test_a_conv_step_copies_the_patches_of_each_padded_activation_once(monkeypatch):
-    """One conv ``loss_and_grad`` copies the patches of the padded image
-    twice (the first layer's output and weight gradient), of the padded
-    first activation once (the second layer's output) and of the second
-    layer's padded output gradient once (both of that layer's gradients);
+    """One conv ``loss_and_grad`` copies the patches of the image's grid
+    twice (the first layer's output and weight gradient), of the first
+    activation's grid once (the second layer's output) and of the second
+    layer's output gradient's grid once (both of that layer's gradients);
     a forward pass copies those of the image and of the first activation."""
     from tftb.nn import models
 
@@ -553,13 +580,13 @@ def test_a_conv_step_copies_the_patches_of_each_padded_activation_once(monkeypat
     x, targets = rng.standard_normal((2, 8, 9, 7))
     step = BatchStep(arch, 8, "pixelwise_l2")
     loss_and_grad(params, x, targets, step)  # makes the backward buffers
-    named = {"image": step._x_pad, "a1": step._a1_pad, "d_z2": step._backward_buffers[1]}
+    named = {"image": step._x, "a1": step._a1, "d_z2": step._backward_buffers[1]}
     sources = []
     patches = models._patches
 
-    def recorded(src, k):
+    def recorded(src, grid, n):
         sources.append(src)
-        return patches(src, k)
+        return patches(src, grid, n)
 
     def copies(call):
         sources.clear()
@@ -572,6 +599,50 @@ def test_a_conv_step_copies_the_patches_of_each_padded_activation_once(monkeypat
     assert len(sources) == 4
     assert copies(lambda: per_sample_losses(params, x, targets, step)) == ["a1", "image"]
     assert len(sources) == 2
+
+
+def grid_borders(arch, images):
+    """True at every float of a grid buffer of ``images`` images that is not
+    an image pixel: the margins of ``p*Wp + p`` floats at either end and
+    each padded plane's borders."""
+    h, w, p = arch.image_height, arch.image_width, arch.kernel_size // 2
+    hp, wp = h + 2 * p, w + 2 * p
+    margin = p * wp + p
+    borders = np.ones(2 * margin + images * hp * wp, bool)
+    planes = borders[margin : margin + images * hp * wp].reshape(images, hp, wp)
+    planes[:, p : p + h, p : p + w] = False
+    return borders
+
+
+@pytest.mark.parametrize("k", [3, 5])
+def test_a_tail_batch_after_a_full_one_gives_a_fresh_steps_bits(k):
+    """A step that ran a full batch of other data gives a tail batch the
+    forward output, per-sample losses and gradient of a fresh step, bit for
+    bit, and leaves every grid buffer's borders and margins zero.  A tail's
+    last image reads ``p*Wp + p`` floats past its plane, 2*Wp + 2 at k = 5:
+    the next plane's top border, never the pixels the full batch left."""
+    arch = ConvDensityArch(9, 7, (3, 2), k)
+    b, m = 8, 5
+    rng = np.random.default_rng(k)
+    params = init_params(arch, rng)
+    for bias in params.biases:
+        bias[:] = rng.standard_normal(bias.shape) * 0.3
+    full_x, full_t = rng.standard_normal((2, b, 9, 7)) * 100.0
+    x, t = rng.standard_normal((2, m, 9, 7))
+    step = BatchStep(arch, b, "pixelwise_l2")
+    loss_and_grad(params, full_x, full_t, step)
+
+    def results(s):
+        out = forward(params, x, s).tobytes()
+        losses = per_sample_losses(params, x, t, s).tobytes()
+        result = loss_and_grad(params, x, t, s)
+        return out, losses, result.per_sample_losses.tobytes(), result.grad.flat.tobytes()
+
+    assert results(step) == results(BatchStep(arch, m, "pixelwise_l2"))
+    borders = grid_borders(arch, b)
+    for grid in (step._x, step._a1, step._backward_buffers[1]):
+        assert grid.shape[1] == len(borders)
+        assert not grid[:, borders].any()
 
 
 # ---------------------------------------------------------------------------
