@@ -27,31 +27,30 @@ nothing that grows with the batch.
 Convolutions are im2col + GEMM: activations are kept channel-major, the
 k x k patches of a chunk of whole images are copied into one per-thread
 scratch buffer (1 MiB, reused by every call), and one matrix product per
-chunk (BLAS, via ``@``) does the work.  Every input of a k x k convolution
-lives on the padded grid (``_Grid``): each image's zero-padded plane, one
-after another, between two margins as long as a tap reaches past a plane.
-A patch row is then one contiguous run of the buffer, and a convolution
-computes an output at every grid position, the border positions' outputs
-being thrown away.  The grids are the image's, the first activation's and
-the second layer's output gradient ``d_z2``'s; their borders and margins
-are zero, as each call zeroes those it writes, up to the last float its
-patches read, before it reads them.  A short tail batch's last image reads
+chunk (BLAS, via ``@``) does the work.  Every activation and gradient of
+the conv model lives on the padded grid (``_Grid``): each image's
+zero-padded plane, one after another, between two margins as long as a tap
+reaches past a plane.  A patch row is then one contiguous run of the
+buffer, and a layer computes an output at every grid position, the border
+positions' outputs being thrown away.  Every grid's borders and margins
+are zero, as each call zeroes those it writes, up to the last float a
+patch reads, before it reads them.  A short tail batch's last image reads
 into the next plane's top border, never into a pixel an earlier batch left.
 
-The first layer's output, ``W1 @ patches`` of the image's grid, lands on
-the first activation's grid, whose border positions are zeroed again after
-bias and ReLU.  The second layer's, from the first activation's patches,
-leaves its grid for the unpadded second activation (C, N*H*W) with its
-bias; the 1x1 head is a plain product there.  Backward, the patches of the
-image's grid give the first layer's weight gradient, ``d_z1 @
-patches.T``, and those of ``d_z2``'s grid both of the second layer's
-gradients: the input gradient ``d_z1``, the flipped, transposed kernel
-times them, on the grid and masked there by ``a1 > 0``, false on every
-border, and the weight gradient, the first activation's grid times their
-transpose (the taps flipped back).  So a training step copies the patches
-of each grid once and of the image twice.  Patch memory is thus bounded by
-the buffer, not the batch; a step holds the layer inputs, a few
-activation-sized arrays and their gradients.
+Both k x k layers run one way: ``W @ patches`` of the input's grid lands
+on the activation's grid, whose borders are zeroed again after bias and
+ReLU.  The 1x1 head multiplies over grid positions, and the density map
+leaves the grid once, with the head's bias, into a contiguous buffer the
+loss reads as it is.  Backward, the map's gradient enters a one-channel
+grid, and ``d_z2``, its outer product with the head's weights, lands on
+its own grid, masked there by ``a2 > 0``.  The image's patches give the
+first layer's weight gradient, ``d_z1 @ patches.T``, and those of
+``d_z2``'s grid both of the second layer's: the input gradient ``d_z1``,
+the flipped, transposed kernel times them, masked by ``a1 > 0``, and the
+weight gradient, the first activation's grid times their transpose (the
+taps flipped back).  So a training step copies the patches of each grid
+once and of the image twice, and patch memory is bounded by the buffer,
+not the batch.
 """
 
 from __future__ import annotations
@@ -326,7 +325,7 @@ def _rows(buffers, m: int, full: int):
 
 
 class _Grid:
-    """Where a step keeps each input of a k x k convolution: the padded grid.
+    """Where a step keeps the conv model's activations and gradients: the padded grid.
 
     A grid buffer of ``C`` channels and ``N`` images is (C, M + N*span + M):
     image ``n`` is its padded (H+2p) x (W+2p) plane, ``span`` floats, at
@@ -544,16 +543,16 @@ class BatchStep:
     size and a loss kind; the constructor checks the batch size and loss kind.
 
     A step is built with the buffers of the forward pass: the activations
-    and the conv inputs' grids, and the loss's.  Each other group is made on
-    the first call that writes it: the backward pass's ``d_z`` buffers and the
-    gradient ``ModelParams`` by ``loss_and_grad`` and the gathered batch by
-    ``gather``, so a step that only runs forward passes holds only what they
-    write.  A batch of ``m <= batch_size`` samples works in the first ``m``
-    samples of each buffer: a full batch uses the buffers and views built
-    with the step, and only a short tail batch slices views.  Every call
-    writes a buffer before it reads it, so no result depends on what the
-    buffers held before; what a call returns are views of them, valid until
-    the step's next call.
+    (the conv model's on their grids, and its density map), and the loss's.
+    Each other group is made on the first call that writes it: the backward
+    pass's ``d_z`` buffers and the gradient ``ModelParams`` by
+    ``loss_and_grad`` and the gathered batch by ``gather``, so a step that
+    only runs forward passes holds only what they write.  A batch of ``m <=
+    batch_size`` samples works in the first ``m`` samples of each buffer: a
+    full batch uses the buffers and views built with the step, and only a
+    short tail batch slices views.  Every call writes a buffer before it
+    reads it, so no result depends on what the buffers held before; what a
+    call returns are views of them, valid until the step's next call.
     """
 
     def __init__(self, arch: Architecture, batch_size: int, loss_kind: str):
@@ -572,10 +571,11 @@ class BatchStep:
             h, w = arch.input_shape()
             grid = self._grid = _Grid(h, w, k)
             self._x, self._a1 = grid.buffer(1, b), grid.buffer(c1, b)
-            # z2 at a1's grid positions; d_z1 once a2 has left it
-            self._z = _empty((max(c1, c2), b * grid.span))
-            self._a2 = _empty((c2, b * h * w))
-            self._z3 = _empty((1, b * h * w))
+            # a2; d_z1 once the backward pass has read a2
+            self._z = grid.buffer(max(c1, c2), b)
+            # the head's output; its gradient d_z3 in the backward pass
+            self._z3 = grid.buffer(1, b)
+            self._out = _empty((b, h, w))
         self._loss = _Loss(loss_kind, b, arch.output_shape())
 
     @functools.cached_property
@@ -598,13 +598,8 @@ class BatchStep:
         if arch.kind == "mlp":
             return [_empty((b, d)) for d in arch.hidden], [_empty((b, d), bool) for d in arch.hidden]
         (c1, c2), grid = arch.channels, self._grid
-        pixels = b * grid.h * grid.w
-        return (
-            _empty((c2, pixels)),  # d_z2
-            grid.buffer(c2, b),  # d_z2 on the grid
-            _empty((c1, b * grid.span), bool),
-            _empty((c2, pixels), bool),
-        )
+        # d_z2 on the grid, and the ReLU mask of a2, then of a1
+        return grid.buffer(c2, b), _empty((max(c1, c2), b * grid.span), bool)
 
     @staticmethod
     def forward_row_bytes(arch: Architecture, loss_kind: str) -> int:
@@ -615,10 +610,10 @@ class BatchStep:
         inputs, k = math.prod(arch.input_shape()), math.prod(arch.output_shape())
         if arch.kind == "mlp":
             forward = sum(arch.hidden) + arch.num_classes
-        else:  # the image, a1 and z on the grid, then a2 and z3
+        else:  # the image, a1, a2 (in z) and the head's output on the grid; the map
             (c1, c2), p = arch.channels, arch.kernel_size - 1
             h, w = arch.input_shape()
-            forward = (1 + c1 + max(c1, c2)) * (h + p) * (w + p) + (c2 + 1) * h * w
+            forward = (2 + c1 + max(c1, c2)) * (h + p) * (w + p) + h * w
         if loss_kind == "cross_entropy":  # losses, exp and shifted, 3 columns, 2 indices
             loss, target = 2 * k + 6, 1
         else:  # losses, d_out and square
@@ -665,56 +660,56 @@ class BatchStep:
                 delta = below
 
     def _conv_forward(self, params: ModelParams, x: np.ndarray) -> np.ndarray:
-        # Activations are channel-major: the image and a1, which feed k x k
-        # convolutions, on the grid, (C, N*span) positions; a2 and the
-        # output (C, N*H*W).  x arrives (N, H, W), one channel.  Only layer
-        # inputs are kept: relu(z) > 0 exactly where z > 0, so the
-        # post-activations double as the backward pass's ReLU masks.
+        # Activations are channel-major, (C, N*span) positions of their
+        # grids; x arrives (N, H, W), one channel.  Only layer inputs are
+        # kept: relu(z) > 0 exactly where z > 0, so the post-activations
+        # double as the backward pass's ReLU masks.
         m, grid = len(x), self._grid
-        w1, w2, w3 = params.weights
-        b1, b2, b3 = params.biases
+        (w1, w2, w3), (b1, b2, b3) = params.weights, params.biases
         grid.zero_borders(self._x, m)
         np.copyto(grid.interior(grid.positions(self._x, m)), x[None])
-        # the first layer's output lands on a1's grid, where the border
-        # positions' outputs are zeroed again after bias and ReLU
-        a1 = grid.positions(self._a1, m)
-        _conv(self._x, w1, a1, grid, m)
-        a1 += b1[:, None]
-        np.maximum(a1, 0.0, out=a1)
-        grid.zero_borders(self._a1, m)
-        # the second layer's leaves the grid for a2 with its bias
-        z2 = self._z[: len(w2), : m * grid.span]
-        _conv(self._a1, w2, z2, grid, m)
-        a2 = self._a2[:, : m * grid.h * grid.w]
-        np.add(grid.interior(z2), b2[:, None, None, None], out=a2.reshape(len(w2), *x.shape))
-        np.maximum(a2, 0.0, out=a2)
-        # the 1x1 head is a plain matrix product in this layout
-        z3 = np.matmul(w3.reshape(1, -1), a2, out=self._z3[:, : a2.shape[1]])
-        z3 += b3[:, None]
-        return z3.reshape(x.shape)
+        # each k x k layer's output lands on its activation's grid, whose
+        # border positions are zeroed again after bias and ReLU
+        layers = ((self._x, w1, b1, self._a1), (self._a1, w2, b2, self._z[: len(w2)]))
+        for src, w, b, dst in layers:
+            a = grid.positions(dst, m)
+            _conv(src, w, a, grid, m)
+            a += b[:, None]
+            np.maximum(a, 0.0, out=a)
+            grid.zero_borders(dst, m)
+        # the 1x1 head is a product over a2's grid positions; the map leaves
+        # the grid with its bias, contiguous, so the loss reads it uncopied
+        z3 = np.matmul(w3.reshape(1, -1), a, out=grid.positions(self._z3, m))
+        return np.add(grid.interior(z3)[0], b3, out=self._out[:m])
 
     def _conv_backward(self, params: ModelParams, x: np.ndarray, d_out: np.ndarray) -> None:
         m, grid = len(x), self._grid
         w1, w2, w3 = params.weights
-        c2 = len(w2)
         grad = self.grad
-        d_z2_buf, d_z2_grid, mask1_buf, mask2_buf = self._backward_buffers
-        a2 = self._a2[:, : m * grid.h * grid.w]
-        d_z3 = d_out.reshape(1, -1)
+        d_z2_grid, masks = self._backward_buffers
+        a2 = grid.positions(self._z[: len(w2)], m)
+        # d_out enters the head's grid as d_z3, in z3's place
+        grid.zero_borders(self._z3, m)
+        np.copyto(grid.interior(grid.positions(self._z3, m))[0], d_out)
+        d_z3 = grid.positions(self._z3, m)
         np.matmul(d_z3, a2.T, out=grad.weights[2].reshape(1, -1))
-        # an outer product: one multiply per element, the bits of a K=1 GEMM
-        d_z2 = np.multiply(w3.reshape(-1, 1), d_z3, out=d_z2_buf[:, : a2.shape[1]])
-        d_z2 *= np.greater(a2, 0.0, out=mask2_buf[:, : a2.shape[1]])
-        # both second-layer gradients from the patches of d_z2 on its grid;
-        # the first layer's input, the image, needs no gradient
-        grid.zero_borders(d_z2_grid, m)
-        np.copyto(grid.interior(grid.positions(d_z2_grid, m)), d_z2.reshape(c2, *x.shape))
-        d_z1 = self._z[: len(w1), : m * grid.span]
+        # d_z2, an outer product over the whole of d_z3's grid, so zero at
+        # every border and margin of its own: one multiply per element, the
+        # bits of a K=1 GEMM; then masked by a2 > 0
+        whole = slice(0, m * grid.span + 2 * grid.margin)
+        np.multiply(w3.reshape(-1, 1), self._z3[:, whole], out=d_z2_grid[:, whole])
+        d_z2 = grid.positions(d_z2_grid, m)
+        d_z2 *= np.greater(a2, 0.0, out=masks[: len(w2), : m * grid.span])
+        # both second-layer gradients from the patches of d_z2's grid; d_z1
+        # takes a2's place; the first layer's input, the image, needs no
+        # gradient
+        d_z1 = grid.positions(self._z[: len(w1)], m)
         _conv_grads(self._a1, d_z2_grid, w2, grid, m, d_z1, grad.weights[1])
         # a1 > 0 is false at every border position, so d_z1 is zero there
-        d_z1 *= np.greater(grid.positions(self._a1, m), 0.0, out=mask1_buf[:, : m * grid.span])
+        d_z1 *= np.greater(grid.positions(self._a1, m), 0.0, out=masks[: len(w1), : m * grid.span])
         _conv_weight_grad(self._x, d_z1, grad.weights[0], grid, m)
-        for d_z, d_b in zip((d_z1, d_z2, d_z3), grad.biases):
+        # the head's bias gradient sums d_out itself, the map's pixels in order
+        for d_z, d_b in zip((d_z1, d_z2, d_out.reshape(1, -1)), grad.biases):
             d_z.sum(axis=1, out=d_b)
 
 

@@ -510,7 +510,7 @@ def test_conv_matches_nested_loop_reference(arch, batch, step_rows):
 
     result = loss_and_grad(params, x, targets, step)
     if batch == 40:  # the last chunks' taps read each grid to its last float
-        for grid in (step._x, step._a1, step._backward_buffers[1]):
+        for grid in grid_buffers(step):
             assert grid.shape[1] == len(grid_borders(arch, batch))
     d_out = 2.0 * (want_out - targets) / want_out.size  # batch-mean pixelwise L2
     want_w, want_b = reference_conv_grads(params, x, d_out)
@@ -527,17 +527,16 @@ def test_conv_step_memory_is_bounded_by_the_design(batch):
     floats (an unpadded plane is smaller, and a grid's margins add 54 floats
     a channel), a step holds at most:
 
-    * on the grid, the image (1 plane), the first activation (6) and ``z``,
-      the second layer's output and then the first layer's output gradient
-      (6); the second activation (6): 19;
-    * the density output and its loss gradient, plus the loss's own
-      temporaries: 3;
-    * in the backward pass, the second layer's output gradient and its grid,
-      whose patches give both of that layer's gradients: 12;
-    * the two ReLU masks, bool, 6 / 8 of a plane each: 2;
+    * on the grid, the image (1 plane), the first activation (6), ``z``, the
+      second activation and then the first layer's output gradient (6), and
+      the head's output and then its gradient (1): 14;
+    * the density map, and the loss's gradient and square of it: 3;
+    * in the backward pass, the second layer's output gradient on its grid,
+      whose patches give both of that layer's gradients: 6;
+    * the one ReLU mask buffer, bool, 6 / 8 of a plane: 1;
 
-    36 planes (33.6 and 32.5 measured at these batches), so the bound is 40
-    planes (11% headroom for temporaries of the small weight gradients and
+    24 planes (23.7 and 23.4 measured at these batches), so the bound is 27
+    planes (12.5% headroom for temporaries of the small weight gradients and
     Python objects) plus one patch buffer, which the first traced call may
     allocate.  The step is built inside the traced window, so its buffers
     count.  A whole-batch patch matrix does not fit: the second layer's
@@ -553,7 +552,7 @@ def test_conv_step_memory_is_bounded_by_the_design(batch):
     x = rng.standard_normal((batch, 24, 24))
     targets = rng.standard_normal((batch, 24, 24))
     plane_bytes = batch * 26 * 26 * 8
-    bound = 40 * plane_bytes + 8 * PATCH_BUFFER_FLOATS
+    bound = 27 * plane_bytes + 8 * PATCH_BUFFER_FLOATS
     tracemalloc.start()
     try:
         step = BatchStep(arch, batch, "pixelwise_l2")
@@ -580,7 +579,7 @@ def test_a_conv_step_copies_the_patches_of_each_padded_activation_once(monkeypat
     x, targets = rng.standard_normal((2, 8, 9, 7))
     step = BatchStep(arch, 8, "pixelwise_l2")
     loss_and_grad(params, x, targets, step)  # makes the backward buffers
-    named = {"image": step._x, "a1": step._a1, "d_z2": step._backward_buffers[1]}
+    named = {"image": step._x, "a1": step._a1, "d_z2": step._backward_buffers[0]}
     sources = []
     patches = models._patches
 
@@ -599,6 +598,15 @@ def test_a_conv_step_copies_the_patches_of_each_padded_activation_once(monkeypat
     assert len(sources) == 4
     assert copies(lambda: per_sample_losses(params, x, targets, step)) == ["a1", "image"]
     assert len(sources) == 2
+
+
+def grid_buffers(step):
+    """Every grid buffer of a conv step that has run ``loss_and_grad``: the
+    image's, the first and second activations' (a2 in the first c2 channels
+    of ``z``), the head's output's (then d_z3's), and the second layer's
+    output gradient's."""
+    a2 = step._z[: step.arch.channels[1]]
+    return step._x, step._a1, a2, step._z3, step._backward_buffers[0]
 
 
 def grid_borders(arch, images):
@@ -640,7 +648,7 @@ def test_a_tail_batch_after_a_full_one_gives_a_fresh_steps_bits(k):
 
     assert results(step) == results(BatchStep(arch, m, "pixelwise_l2"))
     borders = grid_borders(arch, b)
-    for grid in (step._x, step._a1, step._backward_buffers[1]):
+    for grid in grid_buffers(step):
         assert grid.shape[1] == len(borders)
         assert not grid[:, borders].any()
 
@@ -1198,6 +1206,23 @@ def test_warm_conv_step_takes_no_page_faults():
     assert faults <= 20 * 10, f"{faults / 20:.0f} minor faults per warm step"
 
 
+def warm_peak(call):
+    """The traced peak of a warm ``call`` above what was held before it."""
+    import tracemalloc
+
+    call()
+    call()
+    tracemalloc.start()
+    try:
+        call()  # the traced window's own first-call allocations
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("tail", [False, True], ids=["full-batch", "tail-batch"])
 def test_warm_mlp_step_allocates_nothing_that_grows_with_the_batch(tail):
     """A warm MLP ``loss_and_grad`` + ``adam_step`` takes no array the size
@@ -1207,8 +1232,6 @@ def test_warm_mlp_step_allocates_nothing_that_grows_with_the_batch(tail):
     same at both sizes; a temporary of one float per row, 96 kB or more at
     these sizes, would raise the peak of the larger step.  (A step that ran
     ``exp_flat[index] -= 1.0`` took such a copy.)"""
-    import tracemalloc
-
     arch = MlpArch(4, (24,), 4)
     params = init_params(arch, np.random.default_rng(0))
     state = init_adam_state(params)
@@ -1220,24 +1243,41 @@ def test_warm_mlp_step_allocates_nothing_that_grows_with_the_batch(tail):
             arch, rng.standard_normal((rows, 4)), rng.integers(0, 4, rows), "cross_entropy"
         )
         step = BatchStep(arch, batch, "cross_entropy")
-
-        def one_step():
-            adam_step(params, loss_and_grad(params, feats, targets, step).grad, state, 1e-3)
-
-        one_step()
-        one_step()
-        tracemalloc.start()
-        try:
-            one_step()  # the traced window's own first-call allocations
-            tracemalloc.reset_peak()
-            start = tracemalloc.get_traced_memory()[0]
-            one_step()
-            return tracemalloc.get_traced_memory()[1] - start
-        finally:
-            tracemalloc.stop()
+        return warm_peak(lambda: adam_step(
+            params, loss_and_grad(params, feats, targets, step).grad, state, 1e-3))
 
     small, large = peak(2**14), peak(2**15)
     assert abs(large - small) < 4096, f"peak {small} B at 2**14 rows, {large} B at 2**15"
+
+
+@pytest.mark.parametrize("call", ["step", "forward"])
+@pytest.mark.parametrize("loss_kind", ["cross_entropy", "pixelwise_l2"])
+def test_warm_conv_step_allocates_nothing_that_grows_with_the_batch(loss_kind, call):
+    """The conv model's warm ``loss_and_grad`` + ``adam_step``, and its
+    forward-only ``per_sample_losses``, take no array the size of the batch:
+    the traced peak of a call is the same for 64 and 128 16x16 images.  A
+    temporary of one float a pixel, 128 kB or more at these sizes, would
+    raise the peak of the larger batch; so would a density map handed to the
+    loss as a strided view of its grid, which cross-entropy's reshape
+    copies."""
+    arch = ConvDensityArch(16, 16, (3, 3))
+    params = init_params(arch, np.random.default_rng(0))
+    state = init_adam_state(params)
+    rng = np.random.default_rng(1)
+
+    def peak(batch):
+        targets = (rng.integers(0, 256, batch) if loss_kind == "cross_entropy"
+                   else rng.standard_normal((batch, 16, 16)))
+        feats, targets = check_inputs(arch, rng.standard_normal((batch, 16, 16)), targets,
+                                      loss_kind)
+        step = BatchStep(arch, batch, loss_kind)
+        if call == "forward":
+            return warm_peak(lambda: per_sample_losses(params, feats, targets, step))
+        return warm_peak(lambda: adam_step(
+            params, loss_and_grad(params, feats, targets, step).grad, state, 1e-3))
+
+    small, large = peak(64), peak(128)
+    assert abs(large - small) < 4096, f"peak {small} B at 64 images, {large} B at 128"
 
 
 def test_refused_checkpoints_leave_no_state_behind(tmp_path):

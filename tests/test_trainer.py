@@ -782,7 +782,7 @@ def test_wide_forward_passes_give_the_bits_of_training_sized_ones(arch, loss_kin
 
 def test_the_wide_step_holds_whole_batches_within_its_byte_budget():
     """An MLP run gets a wide step of many batches, a conv run, whose sample
-    takes 121 kB of buffers, only its training step, and a small dataset a
+    takes 99 kB of buffers, only its training step, and a small dataset a
     wide step no larger than its rows need."""
     budget = tftb.trainer.WIDE_STEP_BYTES
     mlp = BatchStep(MlpArch(4, (24,), 4), 32, "cross_entropy")
@@ -791,11 +791,12 @@ def test_the_wide_step_holds_whole_batches_within_its_byte_budget():
     per_batch = 32 * BatchStep.forward_row_bytes(mlp.arch, mlp.loss_kind)
     assert wide.batch_size // 32 == budget // per_batch
     conv = BatchStep(ConvDensityArch(24, 24, (6, 6)), 32, "pixelwise_l2")
-    # 8 bytes a float: the image and its target, the image, a1 and z on the
-    # 26x26 grid, a2 and the output at 24x24, and the loss's two maps and loss
+    # 8 bytes a float: the image and its target; on the 26x26 grid the
+    # image, a1, z (a2) and the head's output; the density map at 24x24; and
+    # the loss's two maps and loss
     grid, plane = 26 * 26, 24 * 24
     assert BatchStep.forward_row_bytes(conv.arch, conv.loss_kind) == 8 * (
-        2 * plane + (1 + 6 + 6) * grid + (6 + 1) * plane + 2 * plane + 1) == 121_000
+        2 * plane + (1 + 6 + 6 + 1) * grid + plane + 2 * plane + 1) == 98_760
     assert tftb.trainer._wide_step(conv, 1_200) is conv
     assert tftb.trainer._wide_step(mlp, 100).batch_size == 128
     assert tftb.trainer._wide_step(mlp, 32) is mlp
