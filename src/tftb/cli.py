@@ -6,16 +6,21 @@ Commands:
     tftb compare runs/a/manifest.json runs/b/manifest.json --out cmp/
     tftb sweep   --task classify-synth --mode tftb --alphas 0.3,0.4 --seeds 1,2,3 --out runs/
 
-Configuration can come from a flat key=value text file (``--config``); CLI
-flags override file values, which override the built-in defaults.  Exit
-codes: 0 success, 2 configuration error (a malformed or incomparable
-manifest given to ``compare`` included), 3 training error, 4 I/O error.
+Settings have one owner, the fields of ``ExperimentSpec``, ``TrainConfig``
+and its ``AlphaSchedule``: ``CONFIG_KEYS`` derives from each a key of the
+flat key=value ``--config`` file and a flag, ``--key-with-dashes`` but for
+``--patience`` and ``--refresh-excluded``, and converts both by the field's
+type, so a malformed value is a configuration error naming its key.  Flags
+override file values, which override the fields' defaults.  Exit codes: 0
+success, 2 configuration error (a malformed or incomparable manifest given
+to ``compare`` included), 3 training error, 4 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import typing
 from pathlib import Path
 
 from .errors import ConfigError, ManifestError, TftbError, TrainingAbort
@@ -37,53 +42,36 @@ def _parse_bool(text: str) -> bool:
         return True
     if lowered in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"expected a boolean, got {text!r}")
+    raise ValueError(f"expected a boolean, got {text!r}")
 
 
 def _parse_int_tuple(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(",") if part.strip())
 
 
-# config-file key -> (section, field, converter); sections are the TrainConfig,
-# the AlphaSchedule nested inside it, and the ExperimentSpec
+# the hand-kept parts of the table: the alpha schedule's config-file keys,
+# and the fields that are no key (the task sets the loss; two hold nests)
+_SCHEDULE_KEYS = dict(enabled="adaptive_alpha", window="alpha_window", eps_slow="alpha_eps_slow",
+                      eps_fast="alpha_eps_fast", delta_alpha="alpha_delta",
+                      alpha_min="alpha_min", alpha_max="alpha_max")
+_NOT_KEYS = {"loss_kind", "config", "adaptive_alpha"}
+_CONVERTERS = {bool: _parse_bool, tuple: _parse_int_tuple}
+
+
+def _converter(hint):
+    """The text-to-value converter of a field's type, ``None`` ignored."""
+    if type(None) in typing.get_args(hint):
+        (hint,) = set(typing.get_args(hint)) - {type(None)}
+    kind = typing.get_origin(hint) or hint
+    return _CONVERTERS.get(kind, kind)
+
+
+# config-file key -> (section, field, converter), one per settable field
 CONFIG_KEYS = {
-    "task": ("spec", "task", str),
-    "mode": ("train", "mode", str),
-    "alpha": ("train", "alpha", float),
-    "warmup_epochs": ("train", "warmup_epochs", int),
-    "batch_size": ("train", "batch_size", int),
-    "lr": ("train", "lr", float),
-    "budget_seconds": ("train", "budget_seconds", float),
-    "max_epochs": ("train", "max_epochs", int),
-    "rerank_period": ("train", "rerank_period", int),
-    "lambda_var": ("train", "lambda_var", float),
-    "score_window": ("train", "score_window", int),
-    "stratified": ("train", "stratified", _parse_bool),
-    "early_stop_patience": ("train", "early_stop_patience", int),
-    "seed": ("train", "seed", int),
-    "refresh_excluded_period": ("train", "refresh_excluded_period", int),
-    "adaptive_alpha": ("schedule", "enabled", _parse_bool),
-    "alpha_window": ("schedule", "window", int),
-    "alpha_eps_slow": ("schedule", "eps_slow", float),
-    "alpha_eps_fast": ("schedule", "eps_fast", float),
-    "alpha_delta": ("schedule", "delta_alpha", float),
-    "alpha_min": ("schedule", "alpha_min", float),
-    "alpha_max": ("schedule", "alpha_max", float),
-    "n_per_class": ("spec", "n_per_class", int),
-    "num_classes": ("spec", "num_classes", int),
-    "easy_fraction": ("spec", "easy_fraction", float),
-    "feature_dim": ("spec", "feature_dim", int),
-    "n_test_per_class": ("spec", "n_test_per_class", int),
-    "hidden": ("spec", "hidden", _parse_int_tuple),
-    "data_dir": ("spec", "data_dir", str),
-    "n_images": ("spec", "n_images", int),
-    "image_size": ("spec", "image_size", int),
-    "max_objects": ("spec", "max_objects", int),
-    "sigma": ("spec", "sigma", float),
-    "conv_channels": ("spec", "conv_channels", _parse_int_tuple),
-    "n_test_images": ("spec", "n_test_images", int),
-    "val_fraction": ("spec", "val_fraction", float),
-    "ledger_csv": ("spec", "ledger_csv", _parse_bool),
+    _SCHEDULE_KEYS[name] if cls is AlphaSchedule else name: (section, name, _converter(hint))
+    for section, cls in (("spec", ExperimentSpec), ("train", TrainConfig),
+                         ("schedule", AlphaSchedule))
+    for name, hint in typing.get_type_hints(cls).items() if name not in _NOT_KEYS
 }
 
 
@@ -110,50 +98,42 @@ def parse_config_file(path) -> dict[str, str]:
 
 
 def _build_spec(args) -> ExperimentSpec:
+    """The spec of the config file's values, overridden by the flags given;
+    both pass through CONFIG_KEYS' converters (a bool flag's value is a bool)."""
+    given = list(parse_config_file(args.config).items()) if args.config else []
+    given += [(key, getattr(args, key)) for key in CONFIG_KEYS if getattr(args, key) is not None]
     sections = {"train": {}, "schedule": {}, "spec": {}}
-    if getattr(args, "config", None):
-        for key, text in parse_config_file(args.config).items():
-            section, attr, convert = CONFIG_KEYS[key]
-            try:
-                sections[section][attr] = convert(text)
-            except ValueError as exc:
-                raise ConfigError(f"config key {key}={text!r}: {exc}") from exc
-    for key, (section, attr, convert) in CONFIG_KEYS.items():
-        flag = getattr(args, key, None)
-        if flag is not None:
-            sections[section][attr] = convert(flag) if isinstance(flag, str) else flag
-
+    for key, value in given:
+        section, attr, convert = CONFIG_KEYS[key]
+        try:
+            sections[section][attr] = convert(value) if isinstance(value, str) else value
+        except ValueError as exc:
+            raise ConfigError(f"config key {key}={value!r}: {exc}") from exc
     schedule = AlphaSchedule(**sections["schedule"])
     train = TrainConfig(adaptive_alpha=schedule, **sections["train"])
     return ExperimentSpec(config=train, **sections["spec"])
 
 
+# the flags not spelt --key-with-dashes, and the choices and help of some
+_FLAG_NAMES = {"early_stop_patience": "--patience", "refresh_excluded_period": "--refresh-excluded"}
+_FLAG_ARGS = {
+    "task": dict(choices=TASKS),
+    "mode": dict(choices=MODES),
+    "alpha": dict(help="sampling ratio: fraction excluded from X_s"),
+    "budget_seconds": dict(help="wall-clock training budget T"),
+    "warmup_epochs": dict(help="full-dataset epochs m before selection"),
+    "rerank_period": dict(help="re-rank and re-select every R epoch-equivalents"),
+}
+
+
 def _add_train_flags(parser: argparse.ArgumentParser) -> None:
+    """``--config``, ``--out`` and a flag per config key, which takes the
+    key's text; a bool key's flag has a ``--no-`` form instead."""
     parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--task", choices=TASKS)
-    parser.add_argument("--mode", choices=MODES)
-    parser.add_argument("--alpha", type=float, help="sampling ratio: fraction excluded from X_s")
-    parser.add_argument("--budget-seconds", dest="budget_seconds", type=float,
-                        help="wall-clock training budget T")
-    parser.add_argument("--warmup-epochs", dest="warmup_epochs", type=int,
-                        help="full-dataset epochs m before selection")
-    parser.add_argument("--batch-size", dest="batch_size", type=int)
-    parser.add_argument("--rerank-period", dest="rerank_period", type=int,
-                        help="re-rank and re-select every R epoch-equivalents")
-    parser.add_argument("--max-epochs", dest="max_epochs", type=int)
-    parser.add_argument("--lr", type=float)
-    parser.add_argument("--lambda-var", dest="lambda_var", type=float)
-    parser.add_argument("--score-window", dest="score_window", type=int)
-    parser.add_argument("--patience", dest="early_stop_patience", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--stratified", dest="stratified", action="store_true", default=None)
-    parser.add_argument("--no-stratified", dest="stratified", action="store_false", default=None)
-    parser.add_argument("--refresh-excluded", dest="refresh_excluded_period", type=int)
-    parser.add_argument("--data-dir", dest="data_dir")
-    parser.add_argument("--n-per-class", dest="n_per_class", type=int)
-    parser.add_argument("--num-classes", dest="num_classes", type=int)
-    parser.add_argument("--easy-fraction", dest="easy_fraction", type=float)
-    parser.add_argument("--ledger-csv", dest="ledger_csv", action="store_true", default=None)
+    for key, (_, _, convert) in CONFIG_KEYS.items():
+        action = argparse.BooleanOptionalAction if convert is _parse_bool else None
+        parser.add_argument(_FLAG_NAMES.get(key, "--" + key.replace("_", "-")), dest=key,
+                            action=action, **_FLAG_ARGS.get(key, {}))
     parser.add_argument("--out", default="runs", help="output directory")
 
 

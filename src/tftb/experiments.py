@@ -141,24 +141,21 @@ def build_task(spec: ExperimentSpec):
             spec.feature_dim,
             split_tag="test",
         )
-        train, val = train_val_split(full, spec.val_fraction, seed)
-        return train, val, test, spec.architecture(), "cross_entropy"
-    if spec.task == "classify-cifar10":
+    elif spec.task == "classify-cifar10":
         full, test = load_cifar10(spec.data_dir)
-        train, val = train_val_split(full, spec.val_fraction, seed)
-        return train, val, test, spec.architecture(), "cross_entropy"
-    # count-synth
-    full = synth_counting(seed, spec.n_images, spec.image_size, spec.max_objects, spec.sigma)
-    test = synth_counting(
-        seed + TEST_SEED_OFFSET,
-        spec.n_test_images,
-        spec.image_size,
-        spec.max_objects,
-        spec.sigma,
-        split_tag="test",
-    )
+    else:  # count-synth
+        full = synth_counting(seed, spec.n_images, spec.image_size, spec.max_objects, spec.sigma)
+        test = synth_counting(
+            seed + TEST_SEED_OFFSET,
+            spec.n_test_images,
+            spec.image_size,
+            spec.max_objects,
+            spec.sigma,
+            split_tag="test",
+        )
     train, val = train_val_split(full, spec.val_fraction, seed)
-    return train, val, test, spec.architecture(), "pixelwise_l2"
+    loss_kind = "pixelwise_l2" if spec.task == "count-synth" else "cross_entropy"
+    return train, val, test, spec.architecture(), loss_kind
 
 
 def run_experiment(spec: ExperimentSpec, out_dir=None, clock=None):

@@ -5,6 +5,9 @@ temporaries are vectors laid out like ``ModelParams.flat``, all held by
 ``AdamState`` as the rows of two ``(2, P)`` arrays, so one step is one
 element-wise update over the whole parameter vector that allocates no
 array, and each stage the two moments share is one call over both rows.
+A second moment that overflows is refused with ``NonFiniteError``, before
+the parameters are written, rather than left at ``inf`` with its parameter's
+update silently 0 from then on.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ConfigError, ShapeError
+from ..errors import ConfigError, NonFiniteError, ShapeError
 from .models import ModelParams
 
 BETA1 = 0.9
@@ -52,7 +55,8 @@ def adam_step(
     ``grad.flat``, and every parameter takes the update it would take layer
     by layer.  A learning rate that is not positive and finite, a gradient
     of another architecture or moments of another size are refused before
-    anything is written.
+    anything is written; a gradient whose moments overflow, before
+    ``params`` are.
     """
     if not 0 < lr < math.inf:
         raise ConfigError(f"learning rate must be finite and > 0, got {lr}")
@@ -72,12 +76,24 @@ def adam_step(
     # scratch holds (1 - b1) * g over (1 - b2) * g * g, then m_hat over v_hat
     state.moments *= _BETAS
     np.multiply(_ONE_MINUS_BETAS, g, out=state.scratch)
-    denom *= g
-    state.moments += state.scratch
-    np.divide(state.moments, state.corrections, out=state.scratch)
+    try:
+        _accumulate(state, g)
+    except FloatingPointError as exc:
+        raise NonFiniteError(
+            f"adam: the second moment overflows at step {t}: a gradient too large to square"
+        ) from exc
     tmp *= lr
     np.sqrt(denom, out=denom)
     denom += EPS
     tmp /= denom
     params.flat -= tmp
     return params, state
+
+
+@np.errstate(over="raise")  # as a decorator it costs less per call than a with block
+def _accumulate(state: AdamState, g: np.ndarray) -> None:
+    """Square the second moment's gradient terms, add both moments' terms and
+    bias-correct them into ``scratch``; an overflow raises FloatingPointError."""
+    state.denom *= g
+    state.moments += state.scratch
+    np.divide(state.moments, state.corrections, out=state.scratch)

@@ -4,9 +4,14 @@ import json
 
 import pytest
 
-from tftb.cli import EXIT_CONFIG, EXIT_OK, main, parse_config_file
+from tftb.cli import (
+    CONFIG_KEYS, EXIT_CONFIG, EXIT_OK, _build_spec, build_parser, main, parse_config_file,
+)
 from tftb.errors import ConfigError
+from tftb.experiments import ExperimentSpec
+from tftb.importance import AlphaSchedule
 from tftb.manifest import RunManifest
+from tftb.trainer import TrainConfig
 
 
 def train_args(tmp_path, *extra):
@@ -337,3 +342,80 @@ def test_aborted_training_exits_3_and_writes_diagnostic_manifest(tmp_path, capsy
     assert manifest.stop_reason == "non_finite_abort"
     assert manifest.error is not None
     assert "aborted" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the one settings table: a key per field, a flag per key
+
+DEFAULTS = {"spec": ExperimentSpec(), "train": TrainConfig(), "schedule": AlphaSchedule()}
+# the two flags that keep their documented spellings
+FLAG_SPELLINGS = {
+    "early_stop_patience": "--patience", "refresh_excluded_period": "--refresh-excluded",
+}
+
+
+def default_of(key):
+    section, field, _ = CONFIG_KEYS[key]
+    return getattr(DEFAULTS[section], field)
+
+
+def as_text(value):
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
+def other_value(key):
+    """A valid value of ``key`` that is not its default."""
+    default = default_of(key)
+    if isinstance(default, bool):
+        return not default
+    if isinstance(default, int):
+        return default + 1
+    if isinstance(default, float) and default:
+        return default / 2
+    if isinstance(default, tuple):
+        return tuple(size + 1 for size in default)
+    return {"task": "count-synth", "mode": "tftb", "data_dir": "data"}.get(key, 0.25)
+
+
+def spec_of(*argv):
+    return _build_spec(build_parser().parse_args(["train", *argv]))
+
+
+@pytest.mark.parametrize("key", sorted(CONFIG_KEYS))
+def test_every_key_is_a_flag_and_file_and_flag_build_the_same_spec(tmp_path, key):
+    value = other_value(key)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"{key} = {as_text(value)}\n")
+    from_file = spec_of("--config", str(cfg))
+    flag = FLAG_SPELLINGS.get(key, "--" + key.replace("_", "-"))
+    if isinstance(value, bool):
+        from_flag = spec_of(flag if value else "--no-" + flag[2:])
+    else:
+        from_flag = spec_of(flag, as_text(value))
+    assert from_file == from_flag != ExperimentSpec()
+
+
+@pytest.mark.parametrize("key", sorted(k for k in CONFIG_KEYS if default_of(k) is not None))
+def test_each_key_reads_its_default_back_from_text(key):
+    convert = CONFIG_KEYS[key][2]
+    assert convert(as_text(default_of(key))) == default_of(key)
+
+
+@pytest.mark.parametrize("where", ["flag", "file"])
+def test_a_malformed_value_is_the_same_configuration_error_by_flag_and_by_file(
+    tmp_path, capsys, where
+):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("alpha = x\n")
+    args = ["--alpha", "x"] if where == "flag" else ["--config", str(cfg)]
+    assert main(["train", *args, "--out", str(tmp_path / "runs")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: config key alpha='x': ")
+    assert not (tmp_path / "runs").exists()
+
+
+def test_the_stratified_and_ledger_flags_set_what_they_set_before_every_key_had_one():
+    assert spec_of().config.stratified is True and spec_of().ledger_csv is False
+    assert spec_of("--no-stratified").config.stratified is False
+    assert spec_of("--stratified").config.stratified is True
+    assert spec_of("--ledger-csv").ledger_csv is True

@@ -840,6 +840,31 @@ def test_adam_rejects_nonpositive_lr():
     assert params.allclose(before) and state.step == 0
 
 
+def test_adam_refuses_a_second_moment_that_overflows_and_leaves_params_unchanged():
+    """Finite gradients of 1e307 square past the largest float: the step is
+    refused, not taken with ``v = inf`` and those weights frozen for good."""
+    arch = MlpArch(1, (), 2)
+    params = ModelParams.zeros(arch)
+    params.weights[0][:] = [[5.0, -5.0]]
+    x, y = np.full((4, 1), 1e307), np.ones(4, np.int64)
+    grad = loss_and_grad(params, x, y, BatchStep(arch, 4, "cross_entropy")).grad
+    assert grad.flat.tolist() == [1e307, -1e307, 1.0, -1.0]
+    before = params.flat.copy()
+    with pytest.raises(NonFiniteError, match="second moment overflows at step 1"):
+        adam_step(params, grad, init_adam_state(params), lr=1e-3)
+    assert params.flat.tobytes() == before.tobytes()
+
+
+def test_adam_takes_a_step_whose_second_moment_is_large_but_finite():
+    params = scalar_param()
+    state = init_adam_state(params)
+    grad = ModelParams.zeros(params.arch)
+    grad.weights[0][:] = 1e154  # (1 - beta2) * g * g is 1e305
+    adam_step(params, grad, state, lr=0.05)
+    assert state.v[0] == (1.0 - 0.999) * 1e154 * 1e154
+    assert params.weights[0][0, 0] == pytest.approx(1.0 - 0.05, rel=1e-12)
+
+
 def test_training_steps_are_deterministic():
     def run():
         rng = np.random.default_rng(11)

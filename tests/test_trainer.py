@@ -358,6 +358,22 @@ def test_non_finite_loss_aborts_with_diagnostic_manifest():
     assert manifest.error["sample_id"] in set(train.ids)
 
 
+def test_a_second_moment_overflow_aborts_with_diagnostic_manifest():
+    """Adam's refusal ends the run as any non-finite value does, not as a
+    warning and not with the two weights frozen for the rest of the run."""
+    train = Dataset(np.arange(4), np.full((4, 1), 1e307), np.ones(4, np.int64), 2, "train")
+    no_val = Dataset(np.empty(0, np.int64), np.empty((0, 1)), np.empty(0, np.int64), 2, "val")
+    params = ModelParams.zeros(MlpArch(1, (), 2))
+    params.weights[0][:] = [[5.0, -5.0]]
+    cfg = TrainConfig(mode="baseline", batch_size=4, max_epochs=2, lr=1e-3, seed=0)
+    with pytest.raises(TrainingAbort, match="second moment overflows") as err:
+        train_baseline(params, train, no_val, cfg, clock=virtual())
+    manifest = err.value.manifest
+    assert manifest.stop_reason == "non_finite_abort"
+    assert "second moment" in manifest.error["message"]
+    assert params.weights[0].tolist() == [[5.0, -5.0]]
+
+
 def test_refresh_with_non_finite_params_raises_and_leaves_the_ledger_unchanged():
     """The ledger takes losses as given; the forward pass is what rejects
     non-finite ones, before the refresh writes a row."""
