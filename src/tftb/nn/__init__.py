@@ -6,6 +6,7 @@ from .models import (
     MlpArch,
     ModelParams,
     check_inputs,
+    float_errors_raised,
     forward,
     init_params,
     loss_and_grad,
@@ -21,6 +22,7 @@ __all__ = [
     "ModelParams",
     "adam_step",
     "check_inputs",
+    "float_errors_raised",
     "forward",
     "init_adam_state",
     "init_params",

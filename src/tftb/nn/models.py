@@ -55,6 +55,8 @@ not the batch.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
 import math
 import threading
@@ -97,6 +99,31 @@ def require_finite(arr: np.ndarray, context: str) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise NonFiniteError(f"non-finite values in {context}")
     return arr
+
+
+# set while float_errors_raised() holds numpy's error state; read, not
+# switched, by every training step (a ContextVar, as numpy's error state is)
+_RAISED = contextvars.ContextVar("float_errors_raised", default=False)
+
+
+@contextlib.contextmanager
+def float_errors_raised():
+    """Raise ``FloatingPointError`` on overflow and invalid operations for
+    the block's duration, and ignore underflow, whatever the caller's state:
+    a result rounded to zero or a subnormal, such as ``exp`` of a very
+    negative logit, is a value, not an error.
+
+    ``loss_and_grad`` and ``adam_step`` run under this state.  Called
+    outside the block, each enters it for the call; inside, they set no
+    error state of their own, so a caller that takes many steps, as the
+    trainer does for a run, enters it once and pays nothing per step.  The
+    forward-only operations keep their own ``ignore`` blocks."""
+    token = _RAISED.set(True)
+    try:
+        with np.errstate(over="raise", invalid="raise", under="ignore"):
+            yield
+    finally:
+        _RAISED.reset(token)
 
 
 class _Arch:
@@ -784,18 +811,35 @@ def loss_and_grad(params: ModelParams, batch, targets, step: BatchStep) -> LossB
     difference.  Both apply to either architecture, so gradient checks can
     cover the full model/loss cross product.  A non-finite loss raises
     ``NonFiniteError`` whose ``row`` is the first batch row with one; the
-    caller, which knows the batch's samples, names the sample.  The result's
+    caller, which knows the batch's samples, names the sample.  A backward
+    pass that overflows raises ``NonFiniteError`` with no row.  The result's
     arrays are the step's buffers.
+
+    Runs under ``float_errors_raised``.  A forward pass, loss or mean that
+    raises is run again under ``ignore``, writing every buffer again, so the
+    losses and the mean are those of a step that never raised: inf or NaN
+    where one arose, or a mean rescued from an overflowed sum.
     """
+    if not _RAISED.get():
+        with float_errors_raised():
+            return loss_and_grad(params, batch, targets, step)
     m = _fit(step, batch, least=1)
-    # overflow here surfaces as a NonFiniteError below, not as a warning
-    with np.errstate(over="ignore", invalid="ignore"):
+    try:
         losses = step._loss.run(step._forward(params, batch), targets, True)
         mean_loss = mean_of_losses(losses)
+    except FloatingPointError:
+        with np.errstate(over="ignore", invalid="ignore"):
+            losses = step._loss.run(step._forward(params, batch), targets, True)
+            mean_loss = mean_of_losses(losses)
     if not math.isfinite(mean_loss):
         row = int(np.flatnonzero(~np.isfinite(losses))[0])
         raise NonFiniteError(f"non-finite {step.loss_kind} loss in batch row {row}", row=row)
     backward = step._mlp_backward if step.arch.kind == "mlp" else step._conv_backward
     d_out = step._loss.d_out
-    backward(params, batch, d_out if m == step.batch_size else d_out[:m])
+    try:
+        backward(params, batch, d_out if m == step.batch_size else d_out[:m])
+    except FloatingPointError as exc:
+        raise NonFiniteError(
+            f"non-finite {step.loss_kind} gradient: the backward pass overflows"
+        ) from exc
     return LossBatchResult(per_sample_losses=losses, mean_loss=mean_loss, grad=step.grad)

@@ -38,6 +38,16 @@ once per pass of the pool and once per refresh.  The epoch's writes run in
 the section that closes it, ``validation``, before the validation pass, so a
 run that cannot afford them ends before anything reads the ledger; an epoch
 cut short by a refused batch ends the run, and is not written.
+
+A run holds one floating-point error state, ``float_errors_raised`` from
+``tftb.nn`` (overflow and invalid operations raise), entered once around
+the epoch loop; ``loss_and_grad`` and ``adam_step`` then switch none per
+batch.  The once-per-epoch and once-per-chunk sites that rely on an
+overflow giving ``inf`` keep their own ``ignore`` blocks: the forward-only
+losses of validation and refresh, the loss means' in-order sums, and the
+ledger's moments and scores.  A ``NonFiniteError`` ends the run as
+``non_finite_abort``; its manifest is assembled outside the run's state,
+which the caller gets back as it was.
 """
 
 from __future__ import annotations
@@ -68,6 +78,7 @@ from .nn.models import (
     BatchStep,
     ModelParams,
     check_inputs,
+    float_errors_raised,
     loss_and_grad,
     mean_of_losses,
     per_sample_losses,
@@ -287,7 +298,9 @@ def _run(params, train_set, val_set, cfg, clock, ledger_writer):
         hi = at + cfg.batch_size
         try:
             result = loss_and_grad(params, chunk[0][at:hi], chunk[1][at:hi], step)
-        except NonFiniteError as exc:  # it names the batch row; name its id
+        except NonFiniteError as exc:  # a loss names its batch row; name its id
+            if exc.row is None:
+                raise
             sid = int(ids[order[lo + exc.row]])
             raise NonFiniteError(
                 f"non-finite {cfg.loss_kind} loss for sample id {sid}", sample_id=sid
@@ -361,104 +374,105 @@ def _run(params, train_set, val_set, cfg, clock, ledger_writer):
         )
 
     try:
-        # one epoch-equivalent per iteration: full-dataset warm-up epochs that
-        # measure tb and seed the ledger, then selective (tftb) or full epochs
-        while stop_reason is None:
-            warm = epoch < cfg.warmup_epochs
-            planned = None if warm else budget.plan_iterations()
-            if not warm:
-                if cfg.max_epochs is not None and epoch >= cfg.max_epochs:
-                    stop_reason = "epoch_cap"
-                    break
-                if planned == 0:
+        with float_errors_raised():  # the run's one error state
+            # one epoch-equivalent per iteration: full-dataset warm-up epochs that
+            # measure tb and seed the ledger, then selective (tftb) or full epochs
+            while stop_reason is None:
+                warm = epoch < cfg.warmup_epochs
+                planned = None if warm else budget.plan_iterations()
+                if not warm:
+                    if cfg.max_epochs is not None and epoch >= cfg.max_epochs:
+                        stop_reason = "epoch_cap"
+                        break
+                    if planned == 0:
+                        stop_reason = "budget_exhausted"
+                        break
+
+                epoch += 1
+                phase = "warmup" if warm else "selective" if selective else "full"
+                pool = plan.selected_rows if phase == "selective" else all_rows
+                shuffled = budget.section("shuffle", _epoch_batches, pool, n, rng)
+                cap = 0 if shuffled is None else (n_b if planned is None else min(n_b, planned))
+
+                batch_means, batch_rows = [], []
+                epoch_wall = shuffled.elapsed if shuffled else 0.0
+                out_of_budget = False
+                order = shuffled.value[: cap * cfg.batch_size] if cap else None
+                for lo in range(0, cap * cfg.batch_size, cfg.batch_size):
+                    done = budget.section("batch", batch_step, order, lo, batches=1)
+                    if done is None:
+                        out_of_budget = True
+                        break
+                    epoch_wall += done.elapsed
+                    batch_means.append(done.value)
+                    batch_rows.append(min(cfg.batch_size, len(order) - lo))
+                ran, samples_seen = len(batch_rows), sum(batch_rows)
+                if ran == 0:
+                    epoch -= 1
                     stop_reason = "budget_exhausted"
                     break
 
-            epoch += 1
-            phase = "warmup" if warm else "selective" if selective else "full"
-            pool = plan.selected_rows if phase == "selective" else all_rows
-            shuffled = budget.section("shuffle", _epoch_batches, pool, n, rng)
-            cap = 0 if shuffled is None else (n_b if planned is None else min(n_b, planned))
-
-            batch_means, batch_rows = [], []
-            epoch_wall = shuffled.elapsed if shuffled else 0.0
-            out_of_budget = False
-            order = shuffled.value[: cap * cfg.batch_size] if cap else None
-            for lo in range(0, cap * cfg.batch_size, cfg.batch_size):
-                done = budget.section("batch", batch_step, order, lo, batches=1)
-                if done is None:
-                    out_of_budget = True
-                    break
-                epoch_wall += done.elapsed
-                batch_means.append(done.value)
-                batch_rows.append(min(cfg.batch_size, len(order) - lo))
-            ran, samples_seen = len(batch_rows), sum(batch_rows)
-            if ran == 0:
-                epoch -= 1
-                stop_reason = "budget_exhausted"
-                break
-
-            val_loss = None
-            if not out_of_budget and (have_val or ledger is not None):
-                # the epoch's ledger writes run in its closing section, so a
-                # run that cannot afford them ends here, before anything reads
-                # the ledger
-                done = budget.section(
-                    "validation", close_epoch, shuffled.value[:samples_seen], len(pool),
-                    batches=n_val_batches,
-                )
-                out_of_budget = done is None
-                if done is not None and done.value is not None:
-                    val_loss = done.value
-                    val_losses.append(val_loss)
-
-            # the batch totals added in order
-            mean_train = mean_of_losses(np.array(batch_means), 1, np.array(batch_rows))
-            train_loss_hist.append(mean_train)
-            reports.append(
-                EpochReport(
-                    epoch=epoch,
-                    phase=phase,
-                    mean_train_loss=mean_train,
-                    val_loss=val_loss,
-                    selected_size=len(pool),
-                    alpha=plan.alpha if phase == "selective" else 0.0,
-                    samples_seen=samples_seen,
-                    batches=ran,
-                    wall_seconds=epoch_wall,
-                    consumed_seconds=budget.consumed,
-                )
-            )
-
-            if out_of_budget:
-                stop_reason = "budget_exhausted"
-            elif ran < n_b:
-                stop_reason = "planned_iterations_exhausted"
-            elif early_stop_check(val_losses, cfg.early_stop_patience):
-                stop_reason = "early_stop"
-
-            if warm and (epoch == cfg.warmup_epochs or stop_reason is not None):
-                # the first ranking and ledger dump have nothing to be gated on:
-                # they run before the warm-up ends and plans the batches that remain
-                if selective and stop_reason is None:
-                    rank()
-                budget.finish_warmup()
-            elif phase == "selective" and stop_reason is None:
-                schedule = cfg.adaptive_alpha
-                if schedule.enabled and len(train_loss_hist) >= schedule.window:
-                    alpha_now = adapt_alpha(alpha_now, train_loss_hist, schedule)
-                since_warmup = epoch - cfg.warmup_epochs
-                period = cfg.refresh_excluded_period
-                if period and since_warmup % period == 0 and plan.excluded_rows.size:
-                    excluded = plan.excluded_rows
-                    chunks = epoch_equivalent_batches(excluded.size, cfg.batch_size)
-                    budget.section(
-                        "refresh", _refresh_excluded,
-                        params, feats, targets, excluded, wide, cfg.batch_size, ledger, epoch,
-                        batches=chunks,
+                val_loss = None
+                if not out_of_budget and (have_val or ledger is not None):
+                    # the epoch's ledger writes run in its closing section, so a
+                    # run that cannot afford them ends here, before anything reads
+                    # the ledger
+                    done = budget.section(
+                        "validation", close_epoch, shuffled.value[:samples_seen], len(pool),
+                        batches=n_val_batches,
                     )
-                if since_warmup % cfg.rerank_period == 0:
-                    rank()
+                    out_of_budget = done is None
+                    if done is not None and done.value is not None:
+                        val_loss = done.value
+                        val_losses.append(val_loss)
+
+                # the batch totals added in order
+                mean_train = mean_of_losses(np.array(batch_means), 1, np.array(batch_rows))
+                train_loss_hist.append(mean_train)
+                reports.append(
+                    EpochReport(
+                        epoch=epoch,
+                        phase=phase,
+                        mean_train_loss=mean_train,
+                        val_loss=val_loss,
+                        selected_size=len(pool),
+                        alpha=plan.alpha if phase == "selective" else 0.0,
+                        samples_seen=samples_seen,
+                        batches=ran,
+                        wall_seconds=epoch_wall,
+                        consumed_seconds=budget.consumed,
+                    )
+                )
+
+                if out_of_budget:
+                    stop_reason = "budget_exhausted"
+                elif ran < n_b:
+                    stop_reason = "planned_iterations_exhausted"
+                elif early_stop_check(val_losses, cfg.early_stop_patience):
+                    stop_reason = "early_stop"
+
+                if warm and (epoch == cfg.warmup_epochs or stop_reason is not None):
+                    # the first ranking and ledger dump have nothing to be gated on:
+                    # they run before the warm-up ends and plans the batches that remain
+                    if selective and stop_reason is None:
+                        rank()
+                    budget.finish_warmup()
+                elif phase == "selective" and stop_reason is None:
+                    schedule = cfg.adaptive_alpha
+                    if schedule.enabled and len(train_loss_hist) >= schedule.window:
+                        alpha_now = adapt_alpha(alpha_now, train_loss_hist, schedule)
+                    since_warmup = epoch - cfg.warmup_epochs
+                    period = cfg.refresh_excluded_period
+                    if period and since_warmup % period == 0 and plan.excluded_rows.size:
+                        excluded = plan.excluded_rows
+                        chunks = epoch_equivalent_batches(excluded.size, cfg.batch_size)
+                        budget.section(
+                            "refresh", _refresh_excluded,
+                            params, feats, targets, excluded, wide, cfg.batch_size, ledger, epoch,
+                            batches=chunks,
+                        )
+                    if since_warmup % cfg.rerank_period == 0:
+                        rank()
     except NonFiniteError as exc:
         manifest = assemble_manifest(
             "non_finite_abort",

@@ -1,5 +1,6 @@
 """Numeric core: forward passes, losses, gradients, Adam, checkpoints."""
 
+import contextlib
 import hashlib
 import json
 import math
@@ -22,6 +23,7 @@ from tftb.nn import (
     ModelParams,
     adam_step,
     check_inputs,
+    float_errors_raised,
     forward,
     init_adam_state,
     init_params,
@@ -31,7 +33,7 @@ from tftb.nn import (
     per_sample_losses,
     save_params,
 )
-from tftb.nn.models import arch_from_descriptor, mean_of_losses
+from tftb.nn.models import LOSS_KINDS, arch_from_descriptor, mean_of_losses
 
 
 def mlp(input_dim=4, hidden=(6,), num_classes=3, seed=0):
@@ -863,6 +865,66 @@ def test_adam_takes_a_step_whose_second_moment_is_large_but_finite():
     adam_step(params, grad, state, lr=0.05)
     assert state.v[0] == (1.0 - 0.999) * 1e154 * 1e154
     assert params.weights[0][0, 0] == pytest.approx(1.0 - 0.05, rel=1e-12)
+
+
+def test_adam_refuses_an_update_that_overflows_and_leaves_params_unchanged():
+    """At a learning rate of 1e308, ``m_hat * lr`` of a gradient of 10 is
+    past the largest float: the step is refused, not written as ``-inf``
+    parameters."""
+    params = ModelParams.zeros(MlpArch(1, (), 2))
+    grad = ModelParams.zeros(params.arch)
+    grad.flat[:] = 10.0
+    with pytest.raises(NonFiniteError, match="update overflows at step 1 at learning rate 1e"):
+        adam_step(params, grad, init_adam_state(params), lr=1e308)
+    assert params.flat.tobytes() == bytes(8 * params.flat.size)
+
+
+def test_a_backward_pass_that_overflows_is_refused_with_no_row():
+    """A 1-1-1-2 MLP whose loss is finite for an input of 0 and target 1, but
+    whose gradient overflows on its way back to the first layer: ``a1`` is
+    1e-300, ``z2`` is 1, the logits are (1e10, 0), so ``d_z2`` is 1e10 and
+    ``d_z2 @ w2.T`` 1e310."""
+    params = ModelParams.zeros(MlpArch(1, (1, 1), 2))
+    params.biases[0][:] = 1e-300
+    params.weights[1][:] = 1e300
+    params.weights[2][:] = [[1e10, 0.0]]
+    x, y = np.zeros((1, 1)), np.array([1])
+    with pytest.raises(NonFiniteError, match="non-finite cross_entropy gradient") as err:
+        loss_and_grad(params, x, y, step_for(params, x))
+    assert err.value.row is None
+
+
+@pytest.mark.parametrize("loss_kind", LOSS_KINDS)
+@pytest.mark.parametrize(
+    "arch", [MlpArch(4, (6, 5), 3), ConvDensityArch(7, 6, (3, 2))], ids=["mlp", "conv"]
+)
+def test_a_step_inside_the_runs_error_state_has_the_bits_of_a_public_call(arch, loss_kind):
+    """The trainer enters ``float_errors_raised`` once per run, and its steps
+    set no error state; the same finite batch through the public calls,
+    each of which enters the state itself, gives the same bytes: losses,
+    mean, gradient and updated parameters.  Both leave the caller's error
+    state as they found it."""
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((9, *arch.input_shape()))
+    k = math.prod(arch.output_shape())
+    if loss_kind == "cross_entropy":
+        y = rng.integers(0, k, 9)
+    else:
+        y = rng.random((9, *arch.output_shape()))
+    x, y = check_inputs(arch, x, y, loss_kind)
+
+    def one_batch(inside: bool):
+        params = init_params(arch, np.random.default_rng(6))
+        before = np.geterr()
+        with float_errors_raised() if inside else contextlib.nullcontext():
+            result = loss_and_grad(params, x, y, BatchStep(arch, 12, loss_kind))
+            got = [result.per_sample_losses.tobytes(), result.mean_loss.hex(),
+                   result.grad.flat.tobytes()]
+            adam_step(params, result.grad, init_adam_state(params), 0.01)
+        assert np.geterr() == before
+        return got + [params.flat.tobytes()]
+
+    assert one_batch(inside=True) == one_batch(inside=False)
 
 
 def test_training_steps_are_deterministic():

@@ -374,6 +374,115 @@ def test_a_second_moment_overflow_aborts_with_diagnostic_manifest():
     assert params.weights[0].tolist() == [[5.0, -5.0]]
 
 
+def test_an_update_overflow_aborts_with_diagnostic_manifest():
+    """At ``lr = 1e308`` the first update, ``m_hat * lr``, overflows: the run
+    ends as ``non_finite_abort`` with a manifest, not with ``-inf`` weights
+    that surface as a later non-finite loss, and the weights are those it
+    started from."""
+    train = Dataset(np.arange(4), np.full((4, 1), 10.0), np.ones(4, np.int64), 2, "train")
+    no_val = Dataset(np.empty(0, np.int64), np.empty((0, 1)), np.empty(0, np.int64), 2, "val")
+    params = ModelParams.zeros(MlpArch(1, (), 2))
+    cfg = TrainConfig(mode="baseline", batch_size=4, max_epochs=2, lr=1e308, seed=0)
+    with pytest.raises(TrainingAbort, match="update overflows at step 1") as err:
+        train_baseline(params, train, no_val, cfg, clock=virtual())
+    manifest = err.value.manifest
+    assert manifest.stop_reason == "non_finite_abort"
+    assert manifest.error == {
+        "message": "adam: the update overflows at step 1 at learning rate 1e+308",
+        "sample_id": None,
+    }
+    assert not params.flat.any()
+
+
+def test_a_backward_overflow_aborts_with_diagnostic_manifest():
+    """A finite loss whose gradient overflows ends the run, which names no
+    sample: the gradient is the batch's, not one row's.  The model is
+    ``test_a_backward_pass_that_overflows_is_refused_with_no_row``'s."""
+    train = Dataset(np.arange(4), np.zeros((4, 1)), np.ones(4, np.int64), 2, "train")
+    no_val = Dataset(np.empty(0, np.int64), np.empty((0, 1)), np.empty(0, np.int64), 2, "val")
+    params = ModelParams.zeros(MlpArch(1, (1, 1), 2))
+    params.biases[0][:] = 1e-300
+    params.weights[1][:] = 1e300
+    params.weights[2][:] = [[1e10, 0.0]]
+    before = params.flat.tobytes()
+    cfg = TrainConfig(mode="baseline", batch_size=4, max_epochs=2, seed=0)
+    with pytest.raises(TrainingAbort, match="backward pass overflows") as err:
+        train_baseline(params, train, no_val, cfg, clock=virtual())
+    assert err.value.manifest.stop_reason == "non_finite_abort"
+    assert err.value.manifest.error["sample_id"] is None
+    assert params.flat.tobytes() == before
+
+
+def huge_row_run():
+    """The run of ``test_a_non_finite_loss_names_the_id_of_its_row``: one
+    feature row of 1e308 in the first batch, whose loss is not finite."""
+    train, val = class_data(seed=5)
+    cfg = TrainConfig(mode="baseline", batch_size=16, max_epochs=2, seed=3)
+    row = int(_epoch_batches(np.arange(len(train)), len(train),
+                             np.random.default_rng(cfg.seed))[5])
+    feats = train.features.copy()
+    feats[row] = 1e308
+    huge = Dataset(train.ids, feats, train.targets, train.num_classes, train.split_tag,
+                   dict(train.meta))
+    return train_baseline(model_for(train), huge, val, cfg, clock=virtual())
+
+
+@pytest.mark.parametrize(
+    "caller_state", [{}, {"all": "ignore"}, {"all": "raise"}],
+    ids=["default", "all-ignore", "all-raise"],
+)
+def test_the_trainer_leaves_the_callers_error_state_as_it_found_it(caller_state):
+    """A run holds its own error state, and every way out of it restores the
+    caller's: a normal ``train_tftb`` run, a ``non_finite_abort`` and a
+    warm-up that does not fit the budget.  No ``FloatingPointError`` leaves
+    a run; each ends as the trainer's own result or error, also where the
+    caller raises on underflow, which a run ignores."""
+    train, val = class_data(seed=2)
+    with np.errstate(**caller_state):
+        before = np.geterr()
+        cfg = TrainConfig(mode="tftb", alpha=0.3, max_epochs=3, seed=0)
+        _, manifest = train_tftb(model_for(train), train, val, cfg, clock=virtual())
+        assert manifest.stop_reason == "epoch_cap"
+        assert np.geterr() == before
+        with pytest.raises(TrainingAbort, match="non-finite cross_entropy loss for sample id"):
+            huge_row_run()
+        assert np.geterr() == before
+        cfg = TrainConfig(mode="tftb", budget_seconds=0.05, warmup_epochs=1,
+                          max_epochs=None, seed=0)
+        with pytest.raises(BudgetError, match="warm-up"):
+            train_tftb(model_for(train), train, val, cfg, clock=virtual(batch_cost=0.1))
+        assert np.geterr() == before
+
+
+def test_a_run_sets_the_error_state_a_number_of_times_that_does_not_grow_with_its_batches(
+    monkeypatch,
+):
+    """The run enters its error state once, and no training batch switches
+    it: two runs of the same epochs over 64 and 640 rows enter
+    ``np.errstate`` equally often (only once-per-epoch sites, such as the
+    epoch's loss mean, keep their own blocks)."""
+    entered = []
+
+    class CountingErrstate(np.errstate):
+        def __enter__(self):
+            entered.append(1)
+            return super().__enter__()
+
+    monkeypatch.setattr(np, "errstate", CountingErrstate)
+    no_val = Dataset(np.empty(0, np.int64), np.empty((0, 4)), np.empty(0, np.int64), 3, "val")
+    counts = []
+    for n in (64, 640):
+        rng = np.random.default_rng(n)
+        train = Dataset(np.arange(n), rng.standard_normal((n, 4)), rng.integers(0, 3, n), 3,
+                        "train")
+        cfg = TrainConfig(mode="baseline", batch_size=8, max_epochs=3, seed=0)
+        entered.clear()
+        _, manifest = train_baseline(model_for(train), train, no_val, cfg, clock=virtual())
+        assert sum(e["batches"] for e in manifest.epochs) == 3 * n // 8
+        counts.append(len(entered))
+    assert counts[0] == counts[1]
+
+
 def test_refresh_with_non_finite_params_raises_and_leaves_the_ledger_unchanged():
     """The ledger takes losses as given; the forward pass is what rejects
     non-finite ones, before the refresh writes a row."""
