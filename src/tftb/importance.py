@@ -25,7 +25,7 @@ at which point a stale-but-high score wins back a slot.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
 from typing import Sequence
@@ -85,7 +85,8 @@ class ImportanceLedger:
         losses are taken as given: the model's loss functions have already
         rejected non-finite ones.  Rows outside ``ids`` and repeated rows are
         rejected before anything is written.  Nothing is sorted: the touched
-        rows shift one slot and the newest losses are scattered behind them.
+        rows shift one slot in ascending row order, from the deepest window's
+        oldest loss on, and the newest losses are scattered behind them.
         """
         rows = np.asarray(rows, dtype=np.intp)
         losses = np.asarray(losses, dtype=np.float64)
@@ -103,13 +104,20 @@ class ImportanceLedger:
         most = occurrences.argmax()
         if occurrences[most] > 1:
             raise LedgerError(f"row {most} occurs {occurrences[most]} times in one call")
-        touched = slice(None) if rows.size == n else rows
-        slots = self._losses
+        # the touched rows in ascending order, so the shifts below gather and
+        # scatter forwards through memory; the loss vector scatters once, in
+        # the caller's order
+        touched = slice(None) if rows.size == n else np.flatnonzero(occurrences)
+        # slots older than the deepest window's oldest loss are padding in
+        # every row, so the shift starts where it first moves a loss
+        deepest = min(int(self._counts.max()), self.window)
+        self._counts += occurrences
+        del occurrences  # freed before the shifts' gathers, so a write holds few vectors
+        slots = self._losses[max(self.window - deepest - 1, 0) :]
         for older, newer in zip(slots[:-1], slots[1:]):
             older[touched] = newer[touched]
         slots[-1, rows] = losses
-        self._counts += occurrences
-        self.last_observed_epoch[rows] = epoch
+        self.last_observed_epoch[touched] = epoch
 
     def moments(self) -> tuple[np.ndarray, np.ndarray]:
         """Mean and population std of each window's valid losses; NaN where empty.
@@ -118,27 +126,40 @@ class ImportanceLedger:
         then oldest loss first, so each row's sums equal the in-order sums
         of its valid losses alone: the results are bit-identical to
         ``np.mean`` and ``np.std`` of the history wherever numpy sums in
-        order, which it does for W < 8 (but for the sign of a partial
-        window of -0.0 losses alone, whose padded sum is +0.0).  A row whose
-        sums overflow is summed again from its losses scaled by the largest.
+        order, which it does for W < 8 (but for the sign of a window of
+        -0.0 losses alone, whose sum here is +0.0).  The leading slots that
+        are padding in every row add +0.0 to sums that start at +0.0, so
+        they are skipped, and padding is masked out of the squares only in
+        the slots where some row has it.  A row whose sums overflow is
+        summed again from its losses scaled by the largest.
         """
-        counts = np.minimum(self._counts, self.window)
-        first_valid = self.window - counts  # slot of each row's oldest valid loss
+        window = self.window
+        # each row's count of valid losses, as floats, which divide faster
+        counts = np.minimum(self._counts, window, dtype=np.float64)
+        # slot of each row's oldest valid loss, in one byte while W fits one
+        first_valid = (window - counts).astype(np.min_scalar_type(window))
+        lead, padded_until = int(first_valid.min()), int(first_valid.max())
+        slots = self._losses[lead:]
         total, squares, dev = (np.zeros(self.ids.size) for _ in range(3))
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            for slot in self._losses:
+            for slot in slots:
                 total += slot
-            mean = total / counts
-            for j, slot in enumerate(self._losses):
+            mean = np.divide(total, counts, out=total)
+            for j, slot in enumerate(slots, start=lead):
                 np.subtract(slot, mean, out=dev)
                 np.multiply(dev, dev, out=dev)
-                # padding adds zero; scattered to the padded rows, as a copy
-                # masked by a ragged mask costs twice as much
-                dev[np.flatnonzero(first_valid > j)] = 0.0
+                if j < padded_until:
+                    # padding adds zero; scattered to the padded rows, as a
+                    # copy masked by a ragged mask costs twice as much
+                    dev[np.flatnonzero(first_valid > j)] = 0.0
                 squares += dev
-            std = np.sqrt(squares / counts)
-        # an overflowed sum, even just the mean's, leaves the squares infinite
-        for row in np.flatnonzero(~np.isfinite(squares)):
+            # an overflowed sum, even just the mean's, leaves the squares
+            # infinite or NaN, and so their maximum
+            overflowed = ()
+            if not math.isfinite(squares.max()):
+                overflowed = np.flatnonzero(~np.isfinite(squares))
+            std = np.sqrt(np.divide(squares, counts, out=squares), out=squares)
+        for row in overflowed:
             losses = self._losses[first_valid[row] :, row]
             scale = np.abs(losses).max()
             scaled = losses / scale
@@ -151,18 +172,19 @@ class ImportanceLedger:
         Every id must have at least one observation; selection before the
         warm-up pass has finished is a caller bug.
         """
-        empty = self._counts == 0
-        if empty.any():
+        if not self._counts.all():
             raise LedgerError(
-                f"sample {self.ids[empty.argmax()]} has no observed losses; "
+                f"sample {self.ids[self._counts.argmin()]} has no observed losses; "
                 "warm-up must precede selection"
             )
-        return _scores(*self.moments(), lambda_var)
+        mean, std = self.moments()
+        return _scores(mean, std, lambda_var, out=std)
 
 
-def _scores(mean: np.ndarray, std: np.ndarray, lambda_var: float) -> np.ndarray:
+def _scores(mean: np.ndarray, std: np.ndarray, lambda_var: float, out=None) -> np.ndarray:
+    """``mean + lambda_var * std``, into ``out`` if given (``std`` may be it)."""
     with np.errstate(over="ignore"):  # inf only where the score exceeds the largest float
-        return mean + lambda_var * std
+        return np.add(mean, np.multiply(lambda_var, std, out=out), out=out)
 
 
 def _top_rows(scores: np.ndarray, quota: int) -> np.ndarray:
@@ -194,20 +216,19 @@ class SubsetPlan:
     per_class_counts: dict[int, int]
     alpha: float
 
+    # the mask's rows in ascending order, built with the plan, so that the
+    # ranking that makes it pays for them
+    selected_rows: np.ndarray = field(init=False, repr=False)
+    excluded_rows: np.ndarray = field(init=False, repr=False)
+
     def __post_init__(self):
         if self.selected.dtype != np.bool_ or self.selected.shape != self.ids.shape:
             raise SelectionError(
                 f"selection mask must be boolean of shape {self.ids.shape}, "
                 f"got {self.selected.dtype} of shape {self.selected.shape}"
             )
-
-    @cached_property
-    def selected_rows(self) -> np.ndarray:
-        return np.flatnonzero(self.selected)
-
-    @cached_property
-    def excluded_rows(self) -> np.ndarray:
-        return np.flatnonzero(~self.selected)
+        object.__setattr__(self, "selected_rows", np.flatnonzero(self.selected))
+        object.__setattr__(self, "excluded_rows", np.flatnonzero(~self.selected))
 
     @cached_property
     def selected_ids(self) -> tuple[int, ...]:
@@ -280,10 +301,11 @@ def select_subset(scores, dataset: Dataset, alpha: float, stratified: bool) -> S
         for c, quota in quotas.items():
             rows = class_rows[c]
             selected[rows[_top_rows(scores[rows], quota)]] = True
+        per_class_counts = quotas  # each class keeps exactly its quota, never 0
     else:
         selected[_top_rows(scores, total_target)] = True
-    counts = (int(np.count_nonzero(selected[rows])) for rows in class_rows.values())
-    per_class_counts = {c: k for c, k in zip(class_rows, counts) if k}
+        counts = (int(np.count_nonzero(selected[rows])) for rows in class_rows.values())
+        per_class_counts = {c: k for c, k in zip(class_rows, counts) if k}
     return SubsetPlan(ids=ids, selected=selected, per_class_counts=per_class_counts, alpha=alpha)
 
 

@@ -55,7 +55,6 @@ not the batch.
 
 from __future__ import annotations
 
-import contextlib
 import contextvars
 import functools
 import math
@@ -106,8 +105,7 @@ def require_finite(arr: np.ndarray, context: str) -> np.ndarray:
 _RAISED = contextvars.ContextVar("float_errors_raised", default=False)
 
 
-@contextlib.contextmanager
-def float_errors_raised():
+class float_errors_raised:
     """Raise ``FloatingPointError`` on overflow and invalid operations for
     the block's duration, and ignore underflow, whatever the caller's state:
     a result rounded to zero or a subnormal, such as ``exp`` of a very
@@ -117,13 +115,27 @@ def float_errors_raised():
     outside the block, each enters it for the call; inside, they set no
     error state of their own, so a caller that takes many steps, as the
     trainer does for a run, enters it once and pays nothing per step.  The
-    forward-only operations keep their own ``ignore`` blocks."""
-    token = _RAISED.set(True)
-    try:
-        with np.errstate(over="raise", invalid="raise", under="ignore"):
-            yield
-    finally:
+    forward-only operations keep their own ``ignore`` blocks.
+
+    A class rather than a generator context manager, so entering it costs
+    about one ``np.errstate``.  Leaving it restores numpy's error state and
+    the flag the steps read, also when the block is nested in another, or
+    the same instance is entered again inside itself."""
+
+    __slots__ = ("_entered",)
+
+    def __init__(self):
+        self._entered = []
+
+    def __enter__(self):
+        state = np.errstate(over="raise", invalid="raise", under="ignore")
+        state.__enter__()
+        self._entered.append((state, _RAISED.set(True)))
+
+    def __exit__(self, *exc_info):
+        state, token = self._entered.pop()
         _RAISED.reset(token)
+        state.__exit__(*exc_info)
 
 
 class _Arch:

@@ -372,6 +372,65 @@ def test_record_losses_matches_appending_one_loss_at_a_time():
     check()
 
 
+@pytest.mark.skipif(hypothesis is None, reason="needs hypothesis")
+def test_record_losses_leaves_the_same_bytes_whatever_the_order_of_its_rows():
+    """A call's rows and losses, given in any order, leave the same loss
+    windows, counts and last epochs, byte for byte: calls that write every
+    row or some, windows down to 1, and signed zeros among the losses."""
+    loss = st.floats(-1e6, 1e6, allow_nan=False)
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(n=st.integers(1, 12), window=st.integers(1, 4), data=st.data())
+    def check(n, window, data):
+        ids = np.arange(n) * 3 + 1
+        given, shuffled = ImportanceLedger(ids, window), ImportanceLedger(ids, window)
+        calls = data.draw(st.lists(st.sets(st.integers(0, n - 1)).map(sorted), max_size=6))
+        for epoch, rows in enumerate(calls, start=1):
+            losses = data.draw(st.lists(loss, min_size=len(rows), max_size=len(rows)))
+            order = data.draw(st.permutations(range(len(rows))))
+            given.record_losses(rows, losses, epoch)
+            shuffled.record_losses([rows[k] for k in order], [losses[k] for k in order], epoch)
+            for name in ("_losses", "_counts", "last_observed_epoch"):
+                assert getattr(given, name).tobytes() == getattr(shuffled, name).tobytes()
+
+    check()
+
+
+@pytest.mark.parametrize("window", [1, 2, 5, 7])
+def test_moments_match_the_list_ledger_at_every_fill_depth(window):
+    """From the first pass, which leaves every row padded in its oldest
+    W - 1 slots, through pool passes that leave some rows padded, to full
+    passes that leave none, with -0.0 among the losses (and one row of -0.0
+    alone), the moments and scores are the list ledger's, byte for byte.
+    The one exception is the sign of a mean of -0.0 losses alone: the
+    ledger's sums start at +0.0, so it is +0.0, and a numpy sum may keep
+    the sign, so the reference's means are compared plus 0.0."""
+    n = 40
+    rng = np.random.default_rng(window)
+    ledger, ref = ImportanceLedger(np.arange(n), window), ListLedger(range(n), window)
+    passes = [np.arange(n)] + [rng.choice(n, size=28, replace=False) for _ in range(window)]
+    passes += [np.arange(n)] * window
+    seen = set()
+    for epoch, rows in enumerate(passes, start=1):
+        rows = rng.permutation(rows)
+        losses = rng.uniform(0.0, 5.0, rows.size)
+        losses[rng.uniform(size=rows.size) < 0.2] = -0.0
+        losses[rows == 0] = -0.0
+        ledger.record_losses(rows, losses, epoch)
+        ref.record(rows.tolist(), losses.tolist(), epoch)
+        padded = [len(ref.hist[r]) < window for r in range(n)]
+        seen.add("every row padded" if all(padded) else "some" if any(padded) else "none")
+        want_mean, want_std = np.array([ref.moments(r) for r in range(n)]).T
+        mean, std = ledger.moments()
+        assert mean.tobytes() == (want_mean + 0.0).tobytes()
+        assert std.tobytes() == want_std.tobytes()
+        for lambda_var in (0.0, 0.37, 1.0):
+            want = want_mean + lambda_var * want_std
+            assert ledger.effective_scores(lambda_var).tobytes() == want.tobytes()
+    assert seen == ({"none"} if window == 1 else {"every row padded", "some", "none"})
+    assert np.signbit(ledger.history(0)).all()  # a window of -0.0 alone
+
+
 def test_one_selective_epoch_write_holds_a_few_vectors_of_memory():
     """Peak traced memory of one selective epoch's writes at N = 45k.
 

@@ -33,7 +33,7 @@ from tftb.nn import (
     per_sample_losses,
     save_params,
 )
-from tftb.nn.models import LOSS_KINDS, arch_from_descriptor, mean_of_losses
+from tftb.nn.models import _RAISED, LOSS_KINDS, arch_from_descriptor, mean_of_losses
 
 
 def mlp(input_dim=4, hidden=(6,), num_classes=3, seed=0):
@@ -925,6 +925,39 @@ def test_a_step_inside_the_runs_error_state_has_the_bits_of_a_public_call(arch, 
         return got + [params.flat.tobytes()]
 
     assert one_batch(inside=True) == one_batch(inside=False)
+
+
+def test_float_errors_raised_nested_in_itself_restores_each_blocks_state():
+    """Entered inside itself, as a new block or as the same instance again,
+    the run's state holds until the outermost block ends, and each block's
+    end restores what its start found: numpy's error state and the flag the
+    steps read, also when the block ends in an exception."""
+    raised = {"over": "raise", "invalid": "raise", "under": "ignore"}
+
+    def held():
+        return _RAISED.get() and all(np.geterr()[k] == v for k, v in raised.items())
+
+    outer = float_errors_raised()
+    with np.errstate(all="warn"):
+        caller = np.geterr()
+        assert not _RAISED.get()
+        with outer:
+            assert held()
+            inside = np.geterr()
+            with float_errors_raised():
+                np.seterr(divide="raise")
+                assert held()
+            assert held() and np.geterr() == inside
+            with outer:
+                with outer:
+                    assert held()
+                assert held()
+            assert held() and np.geterr() == inside
+            with pytest.raises(FloatingPointError):
+                with float_errors_raised():
+                    np.array(1e308) * 10.0
+            assert held() and np.geterr() == inside
+        assert np.geterr() == caller and not _RAISED.get()
 
 
 def test_training_steps_are_deterministic():
