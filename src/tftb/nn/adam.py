@@ -78,17 +78,18 @@ def adam_step(
             f"adam: moment shape {state.m.shape} does not match parameter shape "
             f"{params.flat.shape}"
         )
-    state.step += 1
-    t, g, tmp, denom = state.step, grad.flat, state.tmp, state.denom
-    state.corrections[0, 0] = 1.0 - BETA1**t
-    state.corrections[1, 0] = 1.0 - BETA2**t
+    t = state.step = state.step + 1
+    g, tmp, denom, corrections = grad.flat, state.tmp, state.denom, state.corrections
+    moments, scratch = state.moments, state.scratch
+    corrections[0, 0] = 1.0 - BETA1**t
+    corrections[1, 0] = 1.0 - BETA2**t
     try:
         # scratch holds (1 - b1) * g over (1 - b2) * g * g, then m_hat over v_hat
-        state.moments *= state.betas
-        np.multiply(_ONE_MINUS_BETAS, g, out=state.scratch)
+        moments *= state.betas
+        np.multiply(_ONE_MINUS_BETAS, g, out=scratch)
         denom *= g
-        state.moments += state.scratch
-        np.divide(state.moments, state.corrections, out=state.scratch)
+        moments += scratch
+        np.divide(moments, corrections, out=scratch)
     except FloatingPointError as exc:
         raise NonFiniteError(
             f"adam: the second moment overflows at step {t}: a gradient too large to square"

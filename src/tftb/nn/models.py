@@ -74,6 +74,11 @@ PATCH_BUFFER_FLOATS = 1 << 17
 _scratch = threading.local()
 PAGE_BYTES = 4096
 
+# the ufunc methods an MLP step calls, looked up once: each lookup of
+# ``np.add.reduce`` makes a bound method, which costs more than a small
+# batch's reduction
+_add_reduce, _max_reduce, _subtract_at = np.add.reduce, np.maximum.reduce, np.subtract.at
+
 
 def as_f64(values) -> np.ndarray:
     """Coerce to a C-contiguous float64 array."""
@@ -508,69 +513,83 @@ def _conv_grads(src: np.ndarray, d_z: np.ndarray, w: np.ndarray, grid: _Grid, n:
 
 
 class _Loss:
-    """The buffers and arithmetic of one loss kind over up to ``batch_size``
-    model outputs of shape ``output_shape``: per-sample losses and the
-    gradient of the batch-mean loss with respect to the output, ``d_out``."""
+    """The buffers of one loss kind over up to ``batch_size`` model outputs of
+    shape ``output_shape``: per-sample losses and the gradient of the
+    batch-mean loss with respect to the output, ``d_out``.  ``views(m)`` is
+    what the loss of ``m`` outputs reads and writes, the full batch's bound
+    once, and ``run``, ``_cross_entropy`` or ``_pixelwise_l2``, takes them."""
 
     def __init__(self, kind: str, batch_size: int, output_shape: tuple[int, ...]):
         b, k = batch_size, math.prod(output_shape)
         self.losses = _empty((b,))
         if kind == "cross_entropy":
-            self._shifted = _empty((b, k))
+            shifted = _empty((b, k))
             # exp(shifted), then, with the gradient, the softmax less the target
-            self._exp = _empty((b, k))
-            self.d_out = self._exp.reshape(b, *output_shape)
-            self._exp_flat = self._exp.reshape(-1)
-            self._top, self._total, self._log_total = (_empty((b, 1)) for _ in range(3))
-            self._row_starts = np.arange(b) * k  # flat index of each row's first logit
-            self._row_starts.flags.writeable = False  # a constant, not a buffer
-            self._flat_index = _empty((b,), np.intp)
-            # what the arithmetic reads and writes, a full batch's rows
-            self._views = (self._top, self._total, self._log_total, self._log_total[:, 0],
-                           self._shifted, self._exp, self._row_starts, self._flat_index, self.losses)
+            exp = _empty((b, k))
+            self.d_out = exp.reshape(b, *output_shape)
+            row_starts = np.arange(b) * k  # flat index of each row's first logit
+            row_starts.flags.writeable = False  # a constant, not a buffer
+            top, total, log_total = (_empty((b, 1)) for _ in range(3))
+            self._buffers = (top, total, log_total, shifted, exp, row_starts,
+                             _empty((b,), np.intp), self.losses)
+            self.run = _cross_entropy
         else:
             self.d_out = _empty((b, *output_shape))  # the difference, then its gradient
-            self._square = _empty((b, *output_shape))
-        self._kind, self._k = kind, k
+            self._buffers = (self.d_out, _empty((b, *output_shape)), self.losses)
+            self.run = _pixelwise_l2
+        self._k = k
+        self._full = self._slice(b)
 
-    def run(self, output: np.ndarray, targets: np.ndarray, grad: bool) -> np.ndarray:
-        """Per-sample losses of ``output``; with ``grad``, also ``d_out[:m]``."""
-        if self._kind == "cross_entropy":
-            return self._cross_entropy(output, targets, grad)
-        return self._pixelwise_l2(output, targets, grad)
+    def views(self, m: int) -> tuple:
+        """What the loss of ``m`` outputs reads and writes."""
+        return self._full if m == len(self.losses) else self._slice(m)
 
-    def _cross_entropy(self, output: np.ndarray, y: np.ndarray, grad: bool) -> np.ndarray:
-        m = len(output)
-        logits = output.reshape(m, self._k)
-        top, total, log_total, log_total_col, shifted, exp, row_starts, index, losses = _rows(
-            self._views, m, len(self.losses)
-        )
-        np.maximum.reduce(logits, axis=1, keepdims=True, out=top)
-        np.subtract(logits, top, out=shifted)
-        np.exp(shifted, out=exp)
-        np.add.reduce(exp, axis=1, keepdims=True, out=total)
-        np.log(total, out=log_total)
-        # the target's negative log-probability, log_total - shifted; the
-        # index is in range, as the targets were checked by check_inputs
-        np.add(row_starts, y, out=index)
-        self._shifted.take(index, out=losses, mode="clip")
-        np.subtract(log_total_col, losses, out=losses)
-        if grad:
-            d_logits = np.divide(exp, total, out=exp)
-            # in place: exp_flat[index] -= 1.0 would gather a batch-sized copy
-            np.subtract.at(self._exp_flat, index, 1.0)
-            d_logits /= m  # gradient of the batch-mean loss
-        return losses
+    def _slice(self, m: int) -> tuple:
+        """``m``, then the first ``m`` rows of every buffer and the views of
+        them the arithmetic reads."""
+        k, rows = self._k, [buf[:m] for buf in self._buffers]
+        if self.run is _cross_entropy:
+            top, total, log_total, shifted, exp, row_starts, index, losses = rows
+            return (m, k, top, total, log_total, log_total[:, 0], shifted, exp, exp.reshape(-1),
+                    row_starts, index, losses)
+        diff, square, losses = rows
+        return m, k, diff, square, square.reshape(m, k), losses
 
-    def _pixelwise_l2(self, output: np.ndarray, t: np.ndarray, grad: bool) -> np.ndarray:
-        m = len(output)
-        diff, square = self.d_out[:m], self._square[:m]
-        np.subtract(output, t, out=diff)
-        np.multiply(diff, diff, out=square)
-        losses = np.mean(square.reshape(m, self._k), axis=1, out=self.losses[:m])
-        if grad:
-            diff *= 2.0 / output.size  # gradient of the batch-mean loss
-        return losses
+
+def _cross_entropy(views, output, y, grad: bool) -> np.ndarray:
+    """Per-sample cross-entropy losses of ``output``, its ``m`` rows of
+    logits flattened per sample; with ``grad``, also ``d_out[:m]``."""
+    m, k, top, total, log_total, log_total_col, shifted, exp, exp_flat, row_starts, index, \
+        losses = views
+    logits = output if output.ndim == 2 else output.reshape(m, k)
+    _max_reduce(logits, axis=1, keepdims=True, out=top)
+    np.subtract(logits, top, out=shifted)
+    np.exp(shifted, out=exp)
+    _add_reduce(exp, axis=1, keepdims=True, out=total)
+    np.log(total, out=log_total)
+    # the target's negative log-probability, log_total - shifted; the index
+    # is in range, as the targets were checked by check_inputs
+    np.add(row_starts, y, out=index)
+    shifted.take(index, out=losses, mode="clip")
+    np.subtract(log_total_col, losses, out=losses)
+    if grad:
+        np.divide(exp, total, out=exp)
+        # in place: exp_flat[index] -= 1.0 would gather a batch-sized copy
+        _subtract_at(exp_flat, index, 1.0)
+        exp /= m  # gradient of the batch-mean loss
+    return losses
+
+
+def _pixelwise_l2(views, output, t, grad: bool) -> np.ndarray:
+    """Per-sample mean squared differences of ``output`` and ``t``; with
+    ``grad``, also ``d_out[:m]``."""
+    _, _, diff, square, square_rows, losses = views
+    np.subtract(output, t, out=diff)
+    np.multiply(diff, diff, out=square)
+    np.mean(square_rows, axis=1, out=losses)
+    if grad:
+        diff *= 2.0 / output.size  # gradient of the batch-mean loss
+    return losses
 
 
 # ---------------------------------------------------------------------------
@@ -587,11 +606,13 @@ class BatchStep:
     pass's ``d_z`` buffers and the gradient ``ModelParams`` by
     ``loss_and_grad`` and the gathered batch by ``gather``, so a step that
     only runs forward passes holds only what they write.  A batch of ``m <=
-    batch_size`` samples works in the first ``m`` samples of each buffer: a
-    full batch uses the buffers and views built with the step, and only a
-    short tail batch slices views.  Every call writes a buffer before it
-    reads it, so no result depends on what the buffers held before; what a
-    call returns are views of them, valid until the step's next call.
+    batch_size`` samples works in the first ``m`` samples of each buffer.
+    A call runs on a plan (``_Plan``) that binds those views, the loss's and
+    the parameters' once; the MLP's training plan of a full batch is kept
+    while ``loss_and_grad`` gets the same ``ModelParams``, so only a short
+    tail batch slices views.  Every call writes a buffer before it reads it,
+    so no result depends on what the buffers held before; what a call
+    returns are views of them, valid until the step's next call.
     """
 
     def __init__(self, arch: Architecture, batch_size: int, loss_kind: str):
@@ -616,6 +637,7 @@ class BatchStep:
             self._z3 = grid.buffer(1, b)
             self._out = _empty((b, h, w))
         self._loss = _Loss(loss_kind, b, arch.output_shape())
+        self._plan: _MlpPlan | None = None  # loss_and_grad's, while it gets the same params
 
     @functools.cached_property
     def grad(self) -> ModelParams:
@@ -666,37 +688,17 @@ class BatchStep:
         x, y = _rows(self._gathered, _fit(self, rows), self.batch_size)
         return features.take(rows, axis=0, out=x), targets.take(rows, axis=0, out=y)
 
-    def _forward(self, params: ModelParams, batch: np.ndarray) -> np.ndarray:
-        if self.arch.kind == "mlp":
-            return self._mlp_forward(params, batch)
-        return self._conv_forward(params, batch)
-
-    def _mlp_forward(self, params: ModelParams, x: np.ndarray) -> np.ndarray:
-        # a ReLU after every layer but the logit head; np.dot is the GEMM of
-        # np.matmul, with its bits, at less dispatch cost (the conv products
-        # write into strided out= views, which np.dot refuses)
-        last, outs = len(params.weights) - 1, _rows(self._acts, len(x), self.batch_size)
-        a = x
-        for i, (w, b, z) in enumerate(zip(params.weights, params.biases, outs)):
-            a = np.dot(a, w, out=z)
-            a += b
-            if i != last:
-                np.maximum(a, 0.0, out=a)
-        return a
-
-    def _mlp_backward(self, params: ModelParams, x: np.ndarray, d_out: np.ndarray) -> None:
-        m, grad = len(x), self.grad
-        b = self.batch_size
-        acts, d_zs, masks = (_rows(bufs, m, b) for bufs in (self._acts, *self._backward_buffers))
-        delta = d_out
-        for i in range(len(params.weights) - 1, -1, -1):
-            layer_input = acts[i - 1] if i else x
-            np.dot(layer_input.T, delta, out=grad.weights[i])
-            np.add.reduce(delta, axis=0, out=grad.biases[i])
-            if i > 0:
-                below = np.dot(delta, params.weights[i].T, out=d_zs[i - 1])
-                below *= np.greater(layer_input, 0.0, out=masks[i - 1])
-                delta = below
+    def _bind(self, params: ModelParams, m: int, grad: bool = False) -> "_Plan":
+        """The plan of a call on ``m`` rows with ``params``, with the backward
+        pass's views if ``grad``.  An MLP training plan of a full batch is
+        kept for ``loss_and_grad``'s next call with the same params; a conv
+        plan holds the step, so it is bound per call."""
+        if self.arch.kind != "mlp":
+            return _ConvPlan(self, params, m, grad)
+        plan = _MlpPlan(self, params, m, grad)
+        if grad and m == self.batch_size:
+            self._plan = plan
+        return plan
 
     def _conv_forward(self, params: ModelParams, x: np.ndarray) -> np.ndarray:
         # Activations are channel-major, (C, N*span) positions of their
@@ -752,6 +754,93 @@ class BatchStep:
             d_z.sum(axis=1, out=d_b)
 
 
+class _Plan:
+    """What one call of a step on ``m`` rows with one ``ModelParams`` reads
+    and writes, bound once: the loss's views and, for a training step, the
+    output gradient the backward pass starts from.  ``losses`` runs the
+    forward pass and the loss; a subclass gives the model's ``forward`` and
+    ``backward``."""
+
+    __slots__ = ("params", "loss", "loss_views", "d_out")
+
+    def __init__(self, step: BatchStep, params: ModelParams, m: int, grad: bool):
+        self.params, self.loss = params, step._loss.run
+        self.loss_views = step._loss.views(m)
+        self.d_out = step._loss.d_out[:m] if grad else None
+
+    def losses(self, x: np.ndarray, y: np.ndarray, grad: bool) -> np.ndarray:
+        """Per-sample losses of ``x``; with ``grad``, also ``d_out``."""
+        return self.loss(self.loss_views, self.forward(x), y, grad)
+
+
+class _MlpPlan(_Plan):
+    """The MLP's plan: every layer's weights, bias and output and, for a
+    training step, each layer's views for the backward pass, so a call makes
+    its numpy calls and little else."""
+
+    __slots__ = ("hidden", "head", "backprop", "first")
+
+    def __init__(self, step: BatchStep, params: ModelParams, m: int, grad: bool):
+        super().__init__(step, params, m, grad)
+        b = step.batch_size
+        acts = _rows(step._acts, m, b)
+        layers = list(zip(params.weights, params.biases, acts))
+        self.hidden, self.head = layers[:-1], layers[-1]
+        if grad:
+            d_zs, masks = (_rows(bufs, m, b) for bufs in step._backward_buffers)
+            g = step.grad
+            # from the head down to the second layer: its input and that
+            # transposed, its weight and bias gradients, its weights
+            # transposed, and its input's gradient and ReLU mask
+            self.backprop = [
+                (acts[i - 1], acts[i - 1].T, g.weights[i], g.biases[i], params.weights[i].T,
+                 d_zs[i - 1], masks[i - 1])
+                for i in range(len(acts) - 1, 0, -1)
+            ]
+            self.first = g.weights[0], g.biases[0]  # the first layer's input is the batch
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        # a ReLU after every layer but the logit head; np.dot is the GEMM of
+        # np.matmul, with its bits, at less dispatch cost (the conv products
+        # write into strided out= views, which np.dot refuses)
+        a = x
+        for w, b, z in self.hidden:
+            a = np.dot(a, w, out=z)
+            a += b
+            np.maximum(a, 0.0, out=a)
+        w, b, z = self.head
+        a = np.dot(a, w, out=z)
+        a += b
+        return a
+
+    def backward(self, x: np.ndarray) -> None:
+        delta = self.d_out
+        for a, a_t, d_w, d_b, w_t, d_z, mask in self.backprop:
+            np.dot(a_t, delta, out=d_w)
+            _add_reduce(delta, axis=0, out=d_b)
+            delta = np.dot(delta, w_t, out=d_z)
+            delta *= np.greater(a, 0.0, out=mask)
+        d_w, d_b = self.first
+        np.dot(x.T, delta, out=d_w)
+        _add_reduce(delta, axis=0, out=d_b)
+
+
+class _ConvPlan(_Plan):
+    """The conv model's plan: the step's conv passes run it."""
+
+    __slots__ = ("step",)
+
+    def __init__(self, step: BatchStep, params: ModelParams, m: int, grad: bool):
+        super().__init__(step, params, m, grad)
+        self.step = step
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        return self.step._conv_forward(self.params, x)
+
+    def backward(self, x: np.ndarray) -> None:
+        self.step._conv_backward(self.params, x, self.d_out)
+
+
 # ---------------------------------------------------------------------------
 # the operations: each runs on the step it is given, on arguments as
 # check_inputs returns them
@@ -767,25 +856,25 @@ def _fit(step: BatchStep, batch, least: int = 0) -> int:
 
 def forward(params: ModelParams, batch, step: BatchStep) -> np.ndarray:
     """Model output: (batch, num_classes) logits or (batch, H, W) density."""
-    _fit(step, batch)
-    return require_finite(step._forward(params, batch), f"{params.arch.kind} forward output")
+    output = step._bind(params, _fit(step, batch)).forward(batch)
+    return require_finite(output, f"{params.arch.kind} forward output")
 
 
 def output_losses(output: np.ndarray, targets, step: BatchStep) -> np.ndarray:
     """Per-sample losses of a ``forward`` output of the same step, so a caller
     that needs both the output and the losses runs the model once."""
-    _fit(step, output)
+    loss = step._loss
     with np.errstate(over="ignore", invalid="ignore"):
-        losses = step._loss.run(output, targets, False)
+        losses = loss.run(loss.views(_fit(step, output)), output, targets, False)
     return require_finite(losses, f"{step.loss_kind} per-sample losses")
 
 
 def per_sample_losses(params: ModelParams, batch, targets, step: BatchStep) -> np.ndarray:
     """Forward-only per-sample losses (used to refresh excluded samples and
     to validate)."""
-    _fit(step, batch)
+    plan = step._bind(params, _fit(step, batch))
     with np.errstate(over="ignore", invalid="ignore"):
-        losses = step._loss.run(step._forward(params, batch), targets, False)
+        losses = plan.losses(batch, targets, False)
     return require_finite(losses, f"{step.loss_kind} per-sample losses")
 
 
@@ -835,23 +924,24 @@ def loss_and_grad(params: ModelParams, batch, targets, step: BatchStep) -> LossB
     if not _RAISED.get():
         with float_errors_raised():
             return loss_and_grad(params, batch, targets, step)
-    m = _fit(step, batch, least=1)
+    m, plan = len(batch), step._plan
+    if plan is None or plan.params is not params or m != step.batch_size:
+        plan = step._bind(params, _fit(step, batch, least=1), grad=True)
     try:
-        losses = step._loss.run(step._forward(params, batch), targets, True)
-        mean_loss = mean_of_losses(losses)
+        losses = plan.losses(batch, targets, True)
+        # mean_of_losses(losses): a sum that does not raise needs no rescue
+        mean_loss = float(_add_reduce(losses)) / m
     except FloatingPointError:
         with np.errstate(over="ignore", invalid="ignore"):
-            losses = step._loss.run(step._forward(params, batch), targets, True)
+            losses = plan.losses(batch, targets, True)
             mean_loss = mean_of_losses(losses)
     if not math.isfinite(mean_loss):
         row = int(np.flatnonzero(~np.isfinite(losses))[0])
         raise NonFiniteError(f"non-finite {step.loss_kind} loss in batch row {row}", row=row)
-    backward = step._mlp_backward if step.arch.kind == "mlp" else step._conv_backward
-    d_out = step._loss.d_out
     try:
-        backward(params, batch, d_out if m == step.batch_size else d_out[:m])
+        plan.backward(batch)
     except FloatingPointError as exc:
         raise NonFiniteError(
             f"non-finite {step.loss_kind} gradient: the backward pass overflows"
         ) from exc
-    return LossBatchResult(per_sample_losses=losses, mean_loss=mean_loss, grad=step.grad)
+    return LossBatchResult(losses, mean_loss, step.grad)

@@ -6,6 +6,8 @@ gating rule is checked on the clock alone.
 """
 
 import math
+import time
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -332,3 +334,45 @@ def test_wall_clock_measures_real_time():
         sum(range(10000))
     assert span.elapsed >= 0.0
     assert clock.now() >= t0
+
+
+def test_a_block_that_raises_still_gets_its_elapsed_time():
+    """Both clocks set ``span.elapsed`` when the measured block raises, and
+    the virtual clock takes exactly one scripted cost for it."""
+    wall = WallClock()
+    with pytest.raises(KeyError):
+        with wall.measure("batch") as span:
+            time.sleep(0.002)
+            raise KeyError("batch")
+    assert span.elapsed >= 0.002
+    virtual = VirtualClock(costs={"batch": 0.5}, sequences={"batch": [0.1, 0.2]})
+    with pytest.raises(KeyError):
+        with virtual.measure("batch") as span:
+            raise KeyError("batch")
+    assert span.elapsed == 0.1 and virtual.now() == 0.1
+    with virtual.measure("batch") as span:
+        pass
+    assert span.elapsed == 0.2 and virtual.now() == pytest.approx(0.3)
+
+
+@pytest.mark.parametrize("base", [WallClock, VirtualClock])
+def test_a_clock_that_wraps_measure_gets_the_span_and_its_time(base):
+    """A subclass that wraps ``super().measure(label)`` in its own generator
+    context manager, as the benchmark's clock does, yields the ``Span`` the
+    base clock made, and sees its elapsed time once the block ends; so does
+    ``BudgetClock.section``, which gets that span back."""
+
+    class Wrapping(base):
+        @contextmanager
+        def measure(self, label="work"):
+            with super().measure(label) as span:
+                self.inner = span
+                yield span
+            self.after = span.elapsed
+
+    clock = Wrapping(costs={"batch": 0.25}) if base is VirtualClock else Wrapping()
+    budget = BudgetClock(None, clock)
+    done = budget.section("batch", lambda: time.sleep(0.002) or 7)
+    assert done is clock.inner and done.value == 7
+    assert done.elapsed == clock.after == budget.sections["batch"].total
+    assert done.elapsed == 0.25 if base is VirtualClock else done.elapsed >= 0.002

@@ -124,7 +124,11 @@ def matmul_reference(params, x, y):
     return logits, losses, np.concatenate([g.ravel() for pair in zip(grads_w, grads_b) for g in pair])
 
 
-@pytest.mark.parametrize("arch", [MlpArch(4, (24,), 4), MlpArch(8, (24,), 8)], ids=["4-24-4", "8-24-8"])
+MLP_DEPTHS = [MlpArch(4, (), 3), MlpArch(4, (24,), 4), MlpArch(8, (24,), 8), MlpArch(4, (6, 5), 3)]
+MLP_DEPTH_IDS = ["4-3", "4-24-4", "8-24-8", "4-6-5-3"]
+
+
+@pytest.mark.parametrize("arch", MLP_DEPTHS, ids=MLP_DEPTH_IDS)
 def test_mlp_step_is_bit_equal_to_a_matmul_reference(arch):
     """``np.dot`` and ``np.matmul`` call the same GEMM; the step's output,
     losses and gradient keep the reference's bits at every row count of a
@@ -1012,6 +1016,42 @@ def test_flat_adam_is_bit_equal_to_per_layer_reference(arch):
         for got, want in zip(params.weights + params.biases, weights + biases):
             assert (got == want).all()
     assert state.step == 50
+
+
+@pytest.mark.parametrize("arch", MLP_DEPTHS, ids=MLP_DEPTH_IDS)
+def test_fifty_mlp_steps_keep_the_bits_of_the_references(arch):
+    """Fifty ``loss_and_grad`` + ``adam_step`` calls in a row on one step,
+    inside the run's error state, full batches and tails of 1 to 31 rows
+    mixed, keep the bits of the matmul reference and the per-layer Adam
+    reference at every step: losses, mean, gradient and parameters, each
+    reference carrying its own parameters and moments from step to step."""
+    rng = np.random.default_rng(17)
+    params = init_params(arch, np.random.default_rng(16))
+    weights = [w.copy() for w in params.weights]
+    biases = [b.copy() for b in params.biases]
+    moments = [(np.zeros_like(a), np.zeros_like(a)) for a in weights + biases]
+    state = init_adam_state(params)
+    step = BatchStep(arch, 32, "cross_entropy")
+    tails = 0
+    with float_errors_raised():
+        for t in range(1, 51):
+            rows = int(rng.integers(1, 32)) if t % 4 == 0 else 32
+            tails += rows < 32
+            x, y = check_inputs(arch, rng.standard_normal((rows, arch.input_dim)),
+                                rng.integers(0, arch.num_classes, rows), "cross_entropy")
+            flat = np.concatenate([a.ravel() for pair in zip(weights, biases) for a in pair])
+            _, losses, grad = matmul_reference(ModelParams(arch, flat), x, y)
+            result = loss_and_grad(params, x, y, step)
+            assert result.per_sample_losses.tobytes() == losses.tobytes(), t
+            assert result.mean_loss.hex() == (float(np.add.reduce(losses)) / rows).hex(), t
+            assert result.grad.flat.tobytes() == grad.tobytes(), t
+            lr = float(rng.uniform(1e-3, 1e-1))
+            adam_step(params, result.grad, state, lr)
+            want = ModelParams(arch, grad)
+            reference_adam_step(weights, biases, want.weights, want.biases, moments, lr, t)
+            for got, ref in zip(params.weights + params.biases, weights + biases):
+                assert got.tobytes() == ref.tobytes(), t
+    assert tails == 12 and state.step == 50
 
 
 def test_layer_arrays_are_views_of_the_flat_vector():

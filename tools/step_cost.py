@@ -6,10 +6,15 @@ For the benchmark's model shapes (the 4-24-4 and 8-24-8 MLPs at 32 rows,
 cross-entropy, and the 24x24 (6, 6) conv density model at 32 images,
 pixelwise L2) it times ``loss_and_grad``, ``adam_step`` and one batch of
 both, as the trainer calls them: inside the error state a run holds.  The
-``public`` column is one batch of both called from outside it, where each
-call enters the state itself.  Each figure is the minimum over ``--repeat``
-timings of ``--calls`` calls (the conv shape takes 1/200 of them, at least
-one), in microseconds per call.
+``section`` column is the same batch as a run takes it, inside
+``BudgetClock.section("batch", ..., batches=1)`` of a budget past its
+warm-up on a ``WallClock``, so ``section`` less ``batch`` is what the
+loop's clock adds to a batch.  The ``public`` column is one batch of both
+called from outside the error state, where each call enters it itself.
+Each figure is the minimum over ``--repeat`` timings of ``--calls`` calls
+(the conv shape takes 1/200 of them, at least one), in microseconds per
+call.  One more row times the clock alone: a ``WallClock.measure`` of an
+empty block, and a ``section`` of a function that does nothing.
 
 For the importance layer at the ``select-heavy`` workload's size (45k rows
 in 4 classes, a window of 5, alpha 0.3, stratified) it times one pass write
@@ -66,6 +71,7 @@ class Tree:
         self.adam = importlib.import_module(f"{package}.nn.adam")
         self.importance = importlib.import_module(f"{package}.importance")
         self.data = importlib.import_module(f"{package}.data")
+        self.budget = importlib.import_module(f"{package}.budget")
         # the run's error state; a tree that predates it has none to enter
         self.run_state = getattr(self.models, "float_errors_raised", contextlib.nullcontext)
 
@@ -113,14 +119,30 @@ def _step_cases(rng: np.random.Generator):
            rng.random((ROWS, 24, 24)), rng.random((ROWS, 24, 24)) * 0.1, 200)
 
 
+def _warm_budget(tree: Tree):
+    """A budget of a run on a ``WallClock`` past its warm-up, which no
+    timing here exhausts, so each batch section is estimated and gated as a
+    run's is."""
+    budget = tree.budget.BudgetClock(1e9, tree.budget.WallClock())
+    budget.section("batch", _nothing)
+    budget.finish_warmup()
+    return budget
+
+
+def _nothing():
+    return None
+
+
 def _step_timers(tree: Tree, arch_kind, arch_args, loss_kind, x, y, n):
-    """Timers of ``loss_and_grad``, ``adam_step``, a batch, and a public batch."""
+    """Timers of ``loss_and_grad``, ``adam_step``, a batch, a batch section,
+    and a public batch."""
     models, adam = tree.models, tree.adam
     arch = getattr(models, arch_kind)(*arch_args)
     params = models.init_params(arch, np.random.default_rng(1))
     step = models.BatchStep(arch, ROWS, loss_kind)
     state = adam.init_adam_state(params)
     grad = models.loss_and_grad(params, x, y, step).grad.copy()
+    budget = _warm_budget(tree)
 
     def batch():
         adam.adam_step(params, models.loss_and_grad(params, x, y, step).grad, state, LR)
@@ -129,7 +151,20 @@ def _step_timers(tree: Tree, arch_kind, arch_args, loss_kind, x, y, n):
     return [_calls(lambda: models.loss_and_grad(params, x, y, step), n, inside),
             _calls(lambda: adam.adam_step(params, grad, state, LR), n, inside),
             _calls(batch, n, inside),
+            _calls(lambda: budget.section("batch", batch, batches=1), n, inside),
             _calls(batch, n)]
+
+
+def _clock_timers(tree: Tree, n):
+    """Timers of a ``WallClock.measure`` of an empty block and of a batch
+    section of a function that does nothing."""
+    clock, budget = tree.budget.WallClock(), _warm_budget(tree)
+
+    def measure():
+        with clock.measure("batch"):
+            pass
+
+    return [_calls(measure, n), _calls(lambda: budget.section("batch", _nothing, batches=1), n)]
 
 
 def _fills(rng: np.random.Generator):
@@ -214,8 +249,11 @@ def main(argv=None) -> int:
     rng = np.random.default_rng(0)
     steps = [(name, max(1, calls // share), (kind, arch_args, loss, x, y))
              for name, kind, arch_args, loss, x, y, share in _step_cases(rng)]
-    _table("shape", [("loss_and_grad", 15), ("adam_step", 11), ("batch", 9), ("public", 9)],
-           steps, _step_timers, trees, repeat)
+    _table("shape", [("loss_and_grad", 15), ("adam_step", 11), ("batch", 9), ("section", 9),
+                     ("public", 9)], steps, _step_timers, trees, repeat)
+    print()
+    _table("clock", [("measure", 9), ("section", 9)], [("WallClock", calls, ())],
+           _clock_timers, trees, repeat)
 
     n = max(1, calls // 2000)
     labels = rng.permutation(np.arange(N) % CLASSES)
