@@ -1,6 +1,6 @@
 """Print what one training step and one ranking cost in-process, call by call.
 
-    PYTHONPATH=src python3 tools/step_cost.py [--repeat 7] [--calls 20000] [--against DIR]
+    PYTHONPATH=src python3 tools/step_cost.py [--repeat 41] [--calls 2000] [--against DIR]
 
 For the benchmark's model shapes (the 4-24-4 and 8-24-8 MLPs at 32 rows,
 cross-entropy, and the 24x24 (6, 6) conv density model at 32 images,
@@ -13,8 +13,11 @@ loop's clock adds to a batch.  The ``public`` column is one batch of both
 called from outside the error state, where each call enters it itself.
 Each figure is the minimum over ``--repeat`` timings of ``--calls`` calls
 (the conv shape takes 1/200 of them, at least one), in microseconds per
-call.  One more row times the clock alone: a ``WallClock.measure`` of an
-empty block, and a ``section`` of a function that does nothing.
+call.  The defaults take many short timings (about 0.1 s each at 4-24-4)
+rather than a few long ones: a slow stretch of the host can last seconds,
+and a figure needs only one timing outside it.  One more row times the
+clock alone: a ``WallClock.measure`` of an empty block, and a ``section``
+of a function that does nothing.
 
 For the importance layer at the ``select-heavy`` workload's size (45k rows
 in 4 classes, a window of 5, alpha 0.3, stratified) it times one pass write
@@ -231,8 +234,8 @@ def _table(lead: str, columns, rows, timers_of, trees, repeat: int) -> None:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--repeat", type=int, default=7, help="timings per figure (default 7)")
-    ap.add_argument("--calls", type=int, default=20000, help="calls per timing (default 20000)")
+    ap.add_argument("--repeat", type=int, default=41, help="timings per figure (default 41)")
+    ap.add_argument("--calls", type=int, default=2000, help="calls per timing (default 2000)")
     ap.add_argument("--against", metavar="DIR",
                     help="also time the tftb package under DIR, interleaved with this one")
     args = ap.parse_args(argv)
