@@ -24,13 +24,24 @@ version (the golden fingerprints in the tests pin them).  Class by class,
   standard normal per feature column (two noise coordinates, then the
   nuisance columns).
 
+Each run of uniform draws is one bulk call, and the samples are built with
+array arithmetic in the order of the sample-at-a-time formulas.  Only the
+hard samples draw one at a time: numpy's normal sampler reads a variable
+number of raw values, so where the next uniform sits in the stream is known
+only after drawing.
+
 Image by image, ``synth_counting`` draws the object count ``integers(0,
 max_objects + 1)``, then ``x, y`` of each object (``uniform(0,
-image_size)``), then the background noise image.  Each run of uniform draws
-is one bulk call, and the samples are built with array arithmetic in the
-order of the sample-at-a-time formulas.  Only the hard samples draw one at
-a time: numpy's normal sampler reads a variable number of raw values, so
-where the next uniform sits in the stream is known only after drawing.
+image_size)``), then the background noise image (``uniform(0, 0.05)``).
+Its loop over the images only draws, and no bulk call can replace it: how
+many points an image draws, and how many raw values ``integers`` reads, are
+known only after drawing.  Each run of
+uniform draws is one ``random`` call into the image's row of an array, and
+the arrays are scaled once after the loop, which numpy's ``uniform(0, s) =
+0.0 + s * u`` makes the same bytes.  The blobs and density kernels are
+rendered after the loop, every image's j-th object at once for j = 0, 1,
+..., in blocks of under 128 KiB (``density._render_kernels``), so each image
+still takes its kernels in object order.
 """
 
 from __future__ import annotations
@@ -39,7 +50,7 @@ import numpy as np
 
 from ..errors import ConfigError, check_count
 from .dataset import Dataset
-from .density import DotMap, check_sigma, density_map, gaussian_kernels
+from .density import _render_kernels, check_sigma
 
 # cluster geometry for synth_classification (unit cluster scale)
 _SEPARATION = 3.0
@@ -200,18 +211,22 @@ def synth_counting(
     n_images, image_size, max_objects = check_counting(n_images, image_size, max_objects, sigma)
 
     rng = np.random.default_rng(seed)
+    counts = np.empty(n_images, dtype=np.int64)
+    # (x, y) of each image's objects, in object order; slots past its count
+    # stay 0 and are never rendered
+    points = np.zeros((n_images, max_objects, 2))
     images = np.empty((n_images, image_size, image_size))
-    maps = np.empty((n_images, image_size, image_size))
-    blob_inv = 1.0 / (2.0 * _BLOB_SIGMA * _BLOB_SIGMA)
-    for image, density in zip(images, maps):
-        count = int(rng.integers(0, max_objects + 1))
-        # (x, y) of each object, in object order
-        points = rng.uniform(0.0, image_size, size=(count, 2))
-        dots = DotMap(image_size, image_size, tuple(map(tuple, points.tolist())))
-        density[...] = density_map(dots, sigma)
-        image[...] = rng.uniform(0.0, 0.05, size=(image_size, image_size))
-        for blob in gaussian_kernels(points, image_size, image_size, blob_inv):
-            image += blob
+    for i in range(n_images):
+        counts[i] = count = rng.integers(0, max_objects + 1)
+        rng.random(out=points[i, :count])
+        rng.random(out=images[i])
+    # numpy computes uniform(0, s) as 0.0 + s * u; the same product gives the
+    # same bytes, and adding 0.0 to it changes none
+    points *= image_size
+    images *= 0.05
+    maps = np.zeros((n_images, image_size, image_size))
+    _render_kernels(maps, points, counts, sigma, True)
+    _render_kernels(images, points, counts, _BLOB_SIGMA, False)
 
     return Dataset(
         np.arange(n_images),

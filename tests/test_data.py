@@ -7,6 +7,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+try:
+    import hypothesis
+    from hypothesis import strategies as st
+except ImportError:  # only the property test needs it, and is skipped without it
+    hypothesis = None
+
 from tftb.data import (
     UNSTRATIFIED,
     Dataset,
@@ -19,6 +25,8 @@ from tftb.data import (
 )
 from tftb.data.cifar10 import RECORD_BYTES, STATS_CHUNK_RECORDS, _read_records, channel_stats
 from tftb.errors import ConfigError, CorruptDataError, ShapeError
+from tftb.experiments import ExperimentSpec, build_task
+from tftb.trainer import TrainConfig
 
 # ---------------------------------------------------------------------------
 # CIFAR-10 binary format
@@ -450,6 +458,64 @@ def test_synth_counting_is_byte_equal_to_the_per_point_reference(
     assert ds.targets.tobytes() == maps.tobytes()
 
 
+@pytest.mark.parametrize(
+    "seed, n_images, image_size, max_objects, sigma, counts",
+    [
+        (3, 1, 21, 5, 1.5, [4]),               # one image
+        (214, 6, 16, 1, 2.0, [0] * 6),         # no image has an object
+        (2, 5, 130, 3, 3.0, [3, 1, 3, 3, 3]),  # a kernel is larger than a block: one a block
+    ],
+    ids=["one-image", "all-empty", "size-130"],
+)
+def test_synth_counting_edge_shapes_are_byte_equal_to_the_reference(
+    seed, n_images, image_size, max_objects, sigma, counts
+):
+    ds = synth_counting(seed, n_images, image_size, max_objects, sigma)
+    images, maps = reference_synth_counting(seed, n_images, image_size, max_objects, sigma)
+    assert np.round(maps.sum(axis=(1, 2))).tolist() == counts
+    assert ds.features.tobytes() == images.tobytes()
+    assert ds.targets.tobytes() == maps.tobytes()
+
+
+@pytest.mark.skipif(hypothesis is None, reason="needs hypothesis")
+def test_synth_counting_is_byte_equal_to_the_reference_for_any_shape():
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(
+        seed=st.integers(0, 2**32 - 1),
+        n_images=st.integers(1, 40),
+        image_size=st.integers(16, 40),
+        max_objects=st.integers(1, 8),
+        sigma=st.floats(0.5, 4.0),
+    )
+    def check(seed, n_images, image_size, max_objects, sigma):
+        ds = synth_counting(seed, n_images, image_size, max_objects, sigma)
+        images, maps = reference_synth_counting(seed, n_images, image_size, max_objects, sigma)
+        assert ds.features.tobytes() == images.tobytes()
+        assert ds.targets.tobytes() == maps.tobytes()
+
+    check()
+
+
+def test_synth_counting_peak_memory_is_bounded_per_block():
+    """Traced peak of the conv-heavy train build, less its images and maps,
+    is under 1 MiB.
+
+    On top of the two outputs sit the drawn points and counts (about 0.13
+    MiB) and one block of kernels at a time, each temporary under 128 KiB.
+    Blocks of 256 points would take about 2.5 MiB.  A first small build
+    imports what the generator imports on first use (``numpy.random`` is
+    imported lazily), which is no part of the build's own memory.
+    """
+    synth_counting(0, 1, 16, 1, 1.0)
+    tracemalloc.start()
+    try:
+        ds = synth_counting(1, 1333, 24, 6, 4.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - ds.features.nbytes - ds.targets.nbytes < 2**20
+
+
 def test_synth_classification_peak_memory_is_bounded_per_class():
     """Traced peak of a select-heavy-sized build is under 3x its features.
 
@@ -562,11 +628,21 @@ _GOLDEN_FINGERPRINTS = {
     "count-12/val": "8b1145fa8853b0d96f62ba8412f4d0255ff52ca406d447c8bdd8e7814189ae2c",
     "classify-150": "cece0eb4d97d4b77a2fc20c261b8aceaba410fc442894a599c1b289972f850b0",
     "count-130": "9b40ab9d4877775d322e09f7a3f6d2ab6615f7445e2c7c99155d6e26aa736beb",
+    # build_task of the conv-heavy benchmark spec at seed 1: the generator,
+    # the split and the test set's seed offset together
+    "conv-heavy/train": "f7c0993f93922b98c064627a208cc0a75774039074332c2354812a01984da664",
+    "conv-heavy/val": "ed4c422e31af0c2fcae8439ee88562bb0a86ba09025db493bf6d9d7fb3caa26f",
+    "conv-heavy/test": "c6090f9c25d2049f21f0648ec3f75b702278e3e1f075d92f59d6adfeb799b75d",
 }
 
 
 def _golden_dataset(name):
     base, _, part = name.partition("/")
+    if base == "conv-heavy":
+        spec = ExperimentSpec(task="count-synth", n_images=1333, n_test_images=400,
+                              conv_channels=(6, 6), config=TrainConfig(seed=1))
+        train, val, test = build_task(spec)[:3]
+        return {"train": train, "val": val, "test": test}[part]
     ds = {
         "classify-30": lambda: synth_classification(
             seed=5, n_per_class=10, num_classes=3, easy_fraction=0.5),

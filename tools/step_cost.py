@@ -30,6 +30,15 @@ starts from the same ledger, copied outside the timing.  Each figure is the
 minimum over ``--repeat`` timings of ``--calls`` / 2000 calls (at least
 one), in microseconds per call.
 
+For the data generators at two set-up shapes (``synth_counting`` at the
+``conv-heavy`` train set's, 1333 24x24 images of up to 6 objects at sigma
+4, and ``synth_classification`` at ``select-heavy``'s, 4 classes of 12500
+samples) it times one build, in milliseconds: ``first`` is the first call
+in a fresh Python process that has imported the tree's ``tftb.data`` and
+``numpy.random``, as a benchmark run's ``setup_s`` is; ``min`` is the
+minimum over ``--repeat`` calls in this process.  A numpy function can be
+slow on its first call only, which ``min`` never shows.
+
 ``--against DIR`` loads a second tree's ``tftb`` from ``DIR`` (the ``src``
 directory of another checkout) as the package ``tftb_against`` and prints
 every row for both trees.  The trees are timed interleaved in this one
@@ -52,6 +61,7 @@ import importlib
 import importlib.util
 import math
 import platform
+import subprocess
 import sys
 import time
 import timeit
@@ -63,6 +73,9 @@ LR = 1e-3
 ROWS = 32
 # the select-heavy workload's ledger and ranking
 N, CLASSES, WINDOW, ALPHA, LAMBDA_VAR = 45_000, 4, 5, 0.3, 1.0
+# (name, generator, arguments): conv-heavy's train set and select-heavy's
+BUILDS = (("count-synth 1333 24x24", "synth_counting", (1, 1333, 24, 6, 4.0)),
+          ("classify-synth 4x12500", "synth_classification", (1, 12500, 4, 0.6, 4)))
 
 
 class Tree:
@@ -75,6 +88,7 @@ class Tree:
         self.importance = importlib.import_module(f"{package}.importance")
         self.data = importlib.import_module(f"{package}.data")
         self.budget = importlib.import_module(f"{package}.budget")
+        self.src = Path(sys.modules[package].__file__).parent.parent
         # the run's error state; a tree that predates it has none to enter
         self.run_state = getattr(self.models, "float_errors_raised", contextlib.nullcontext)
 
@@ -232,6 +246,30 @@ def _table(lead: str, columns, rows, timers_of, trees, repeat: int) -> None:
             print(f"{name if i == 0 else '':<26}{tree.package:<14}{n:>7}{figures}")
 
 
+def _first_build(tree: Tree, generator: str, args) -> float:
+    """Seconds of ``generator(*args)`` of ``tree`` as the first call in a
+    fresh process; a benchmark run imports ``numpy.random`` before set-up."""
+    code = (f"import sys, time\nsys.path.insert(0, {str(tree.src)!r})\n"
+            "import numpy.random\nfrom tftb import data\n"
+            f"start = time.perf_counter()\ndata.{generator}(*{args!r})\n"
+            "print(time.perf_counter() - start)\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    return float(done.stdout)
+
+
+def _build_table(trees, repeat: int) -> None:
+    """Print each build's first call in a fresh process and its least time
+    over ``repeat`` calls here, in milliseconds, for every tree."""
+    print(f"\n{'data':<26}{'tree':<14}{'first':>9}{'min':>9}  (ms per build, min of {repeat})")
+    for name, generator, args in BUILDS:
+        first = [_first_build(tree, generator, args) for tree in trees]
+        best = _interleaved([_calls(lambda g=getattr(tree.data, generator): g(*args), 1)
+                             for tree in trees], repeat)
+        for i, tree in enumerate(trees):
+            print(f"{name if i == 0 else '':<26}{tree.package:<14}"
+                  f"{first[i] * 1e3:>9.2f}{best[i] * 1e3:>9.2f}")
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--repeat", type=int, default=41, help="timings per figure (default 41)")
@@ -245,7 +283,7 @@ def main(argv=None) -> int:
         trees.append(load_tree(args.against, "tftb_against"))
     print(f"numpy {np.__version__}, python {platform.python_version()}")
     for tree in trees:
-        origin = Path(sys.modules[tree.package].__file__).parent
+        origin = tree.src / "tftb"
         state = "yes" if tree.run_state is not contextlib.nullcontext else "no"
         print(f"{tree.package}: {origin}, run-wide error state: {state}")
 
@@ -266,6 +304,7 @@ def main(argv=None) -> int:
           f"stratified; a pass write of {fills[0][2][2].size} rows")
     _table("fill depth", [("pass write", 12), ("effective_scores", 18), ("select_subset", 15)],
            fills, _importance_timers, trees, repeat)
+    _build_table(trees, repeat)
     return 0
 
 
